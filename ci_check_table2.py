@@ -43,7 +43,6 @@ for scenario in record["scenarios"]:
         f"stiff_exact {scenario['stiff_exact_steps']}, "
         f"pwl_skips {scenario['pwl_stamps_skipped']}, "
         f"peak_probe_bytes {scenario['peak_probe_bytes']}, "
-        f"threads {scenario['threads_used']}, "
         f"binding pole {scenario['binding_pole_re']}"
         f"{scenario['binding_pole_im']:+}i, "
         f"steps_by_order {scenario['steps_by_order']})"

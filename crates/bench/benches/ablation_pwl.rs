@@ -5,7 +5,7 @@
 //! same short scenario with diode tables of 16, 128 and 2048 segments.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harvsim_bench::scenario1;
+use harvsim_bench::{scenario1, DenseRun};
 use harvsim_core::measurement;
 
 fn bench_pwl(c: &mut Criterion) {
@@ -17,8 +17,9 @@ fn bench_pwl(c: &mut Criterion) {
             let mut scenario = scenario1(0.5);
             scenario.parameters.diode_table_segments = segments;
             b.iter(|| {
-                let run = scenario.run().expect("scenario run succeeds");
-                measurement::supercap_voltage_waveform(&run).len()
+                let run = DenseRun::run(&scenario).expect("scenario run succeeds");
+                let vc = run.session().harvester().storage_voltage_net();
+                measurement::supercap_voltage_waveform(run.waveform().terminals(), vc).len()
             });
         });
     }

@@ -2,7 +2,7 @@
 //! simulation vs the experimental surrogate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harvsim_bench::scenario2;
+use harvsim_bench::{scenario2, DenseRun};
 use harvsim_core::measurement;
 
 fn bench_fig9(c: &mut Criterion) {
@@ -12,10 +12,17 @@ fn bench_fig9(c: &mut Criterion) {
     group.bench_function("scenario2_sim_vs_surrogate", |b| {
         let scenario = scenario2(1.5);
         b.iter(|| {
-            let simulation = scenario.run().expect("simulation run");
-            let surrogate = scenario.run_experimental_surrogate().expect("surrogate run");
-            measurement::compare_supercap_voltage(&simulation, &surrogate, 200)
-                .expect("waveform comparison")
+            let simulation = DenseRun::run(&scenario).expect("simulation run");
+            let surrogate =
+                DenseRun::run(&scenario.experimental_surrogate()).expect("surrogate run");
+            let vc = simulation.session().harvester().storage_voltage_net();
+            measurement::compare_component(
+                simulation.waveform().terminals(),
+                surrogate.waveform().terminals(),
+                vc,
+                200,
+            )
+            .expect("waveform comparison")
         });
     });
     group.finish();

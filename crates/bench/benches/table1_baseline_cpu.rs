@@ -8,7 +8,7 @@
 //! paper-style table over a longer span.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harvsim_bench::scenario1;
+use harvsim_bench::{scenario1, DenseRun};
 use harvsim_core::baseline::BaselineMethod;
 use harvsim_core::{BaselineOptions, SimulationEngine};
 
@@ -25,7 +25,7 @@ fn bench_table1(c: &mut Criterion) {
 
     group.bench_function("proposed_state_space", |b| {
         let scenario = charging_scenario();
-        b.iter(|| scenario.run().expect("state-space run succeeds"));
+        b.iter(|| DenseRun::run(&scenario).expect("state-space run succeeds"));
     });
 
     let baselines = [
@@ -43,7 +43,7 @@ fn bench_table1(c: &mut Criterion) {
         group.bench_function(name, |b| {
             let scenario =
                 charging_scenario().with_engine(SimulationEngine::NewtonRaphson(options));
-            b.iter(|| scenario.run().expect("baseline run succeeds"));
+            b.iter(|| DenseRun::run(&scenario).expect("baseline run succeeds"));
         });
     }
     group.finish();

@@ -2,7 +2,7 @@
 //! (Adams–Bashforth state-space) technique for the two tuning scenarios.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harvsim_bench::{scenario1, scenario2};
+use harvsim_bench::{scenario1, scenario2, DenseRun};
 use harvsim_core::{BaselineOptions, SimulationEngine};
 
 fn bench_table2(c: &mut Criterion) {
@@ -13,13 +13,13 @@ fn bench_table2(c: &mut Criterion) {
     {
         group.bench_function(format!("{label}_proposed"), |b| {
             let config = scenario.clone();
-            b.iter(|| config.run().expect("state-space run succeeds"));
+            b.iter(|| DenseRun::run(&config).expect("state-space run succeeds"));
         });
         group.bench_function(format!("{label}_newton_raphson"), |b| {
             let config = scenario
                 .clone()
                 .with_engine(SimulationEngine::NewtonRaphson(BaselineOptions::default()));
-            b.iter(|| config.run().expect("baseline run succeeds"));
+            b.iter(|| DenseRun::run(&config).expect("baseline run succeeds"));
         });
     }
     group.finish();

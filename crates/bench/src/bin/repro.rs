@@ -1,6 +1,5 @@
 //! Regenerates the paper's tables and figures in one run and prints them in a
-//! paper-style layout. This is the program whose output is recorded in
-//! `EXPERIMENTS.md`.
+//! paper-style layout.
 //!
 //! ```bash
 //! cargo run --release -p harvsim-bench --bin repro            # all experiments
@@ -12,9 +11,10 @@
 //!
 //! The Table II experiment additionally writes a machine-readable speed-up
 //! record to `BENCH_table2.json` in the working directory, which the CI
-//! perf-smoke job gates on and ROADMAP.md tracks across PRs. With `--sweep`
-//! the record gains one row per point of a sleep-load × acceleration grid,
-//! fanned across worker threads by the batch runner.
+//! perf-smoke job gates on and ROADMAP.md tracks across PRs. Each row's two
+//! engines run on one thread, alternating in short simulated slices. With
+//! `--sweep` the record gains one row per point of a sleep-load ×
+//! acceleration grid, run the same way on streaming probes.
 //!
 //! `repro explore` runs the design-space exploration subsystem
 //! (DESIGN.md §12): a declarative grid over the extended sweep axes executed
@@ -45,13 +45,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use harvsim_bench::{
-    scenario1, scenario2, seconds, write_explore_json, write_table2_json, Table2Record,
+    scenario1, scenario2, seconds, table2_row, write_explore_json, write_table2_json, DenseRun,
+    RowProbes,
 };
 use harvsim_core::measurement;
-use harvsim_core::scenario::{parallel_map, ScenarioConfig};
+use harvsim_core::scenario::ScenarioConfig;
 use harvsim_core::{
-    BaselineOptions, ComparisonReport, CoreError, EnvelopeProbe, ExploreReport, Explorer, GridSpec,
-    Simulation, SimulationEngine, SpeedComparison, StepHistogramProbe, SweepGrid, SweepParameter,
+    BaselineOptions, CoreError, ExploreReport, Explorer, GridSpec, SimulationEngine, SweepGrid,
+    SweepParameter,
 };
 
 const USAGE: &str = "usage:
@@ -532,12 +533,13 @@ fn table1(long: bool) -> Result<(), CoreError> {
         ),
     ];
     for (label, options) in baselines {
-        let run = scenario.clone().with_engine(SimulationEngine::NewtonRaphson(options)).run()?;
-        let stats = run.result.engine_stats.baseline;
+        let engine = SimulationEngine::NewtonRaphson(options);
+        let run = DenseRun::run(&scenario.clone().with_engine(engine))?;
+        let stats = run.session().report().engine_stats.baseline;
         println!("{:<34} {:>14} {:>12}", label, seconds(stats.cpu_time), stats.steps);
     }
-    let run = scenario.clone().run()?;
-    let stats = run.result.engine_stats.state_space;
+    let run = DenseRun::run(&scenario)?;
+    let stats = run.session().report().engine_stats.state_space;
     println!(
         "{:<34} {:>14} {:>12}",
         "proposed linearised state-space",
@@ -552,46 +554,50 @@ fn table1(long: bool) -> Result<(), CoreError> {
 
 /// Table II: CPU times of the existing (Newton–Raphson) and proposed
 /// (Adams–Bashforth + exponential rail) techniques for the two tuning
-/// scenarios, plus — with `--sweep` — a sleep-load × acceleration grid. All
-/// comparisons run concurrently on worker threads where the host has the
-/// cores for it ([`SpeedComparison::run_batch`]).
+/// scenarios, plus — with `--sweep` — a sleep-load × acceleration grid. Each
+/// row's two engines alternate in short simulated slices on this one thread
+/// ([`harvsim_bench::table2_row`]), so both wall times sample the same
+/// stretch of host conditions.
 fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
     let (d1, d2) = if long { (20.0, 30.0) } else { (5.0, 8.0) };
     println!("== Table II: CPU times of existing and proposed simulation techniques ==\n");
     println!(
-        "{:<26} {:>18} {:>15} {:>9} {:>12} {:>24} {:>22} {:>8}",
+        "{:<26} {:>18} {:>15} {:>9} {:>12} {:>24} {:>22}",
         "scenario",
         "Newton-Raphson [s]",
         "state-space [s]",
         "speed-up",
         "max dev [V]",
         "steps by AB order 1-4",
-        "binding pole [1/s]",
-        "threads"
+        "binding pole [1/s]"
     );
-    let comparison = SpeedComparison::with_defaults();
-    let labels = ["scenario1", "scenario2"];
-    let scenarios = [scenario1(d1), scenario2(d2)];
-    let reports = comparison.run_batch(&scenarios)?;
     let mut records = Vec::new();
-    for ((label, scenario), report) in labels.iter().zip(&scenarios).zip(&reports) {
-        print_table2_row(label, report);
-        records.push(record_for(label, scenario, report));
+    for scenario in [scenario1(d1), scenario2(d2)] {
+        let record = table2_row(&scenario, RowProbes::Dense)?;
+        println!(
+            "{:<26} {:>18.3} {:>15.3} {:>8.1}x {:>12.4} {:>24} {:>10.0}{:+10.0}i",
+            record.name,
+            record.baseline_cpu_s,
+            record.proposed_cpu_s,
+            record.speedup,
+            record.max_deviation_v,
+            format!("{:?}", record.steps_by_order),
+            record.binding_pole_re,
+            record.binding_pole_im,
+        );
+        records.push(record);
     }
 
     if sweep {
         // Parameter-sweep grid: sleep-mode leakage × excitation amplitude on
         // a trimmed Scenario 1, expanded through the `SweepGrid` builder (the
-        // same cross-product path `repro explore` uses) and fanned across
-        // worker threads. Since the session redesign every grid point runs
-        // **streaming sessions** — both engines observed by O(1) probes
-        // (store envelope + step histogram), no dense `Trajectory` anywhere —
-        // so the sweep's memory footprint is independent of the simulated
-        // span and its width is bounded by CPU, not by waveform retention.
-        // The recorded `peak_probe_bytes` proves it per row; `max_deviation_v`
-        // for sweep rows is the cross-engine difference of the *final* store
-        // voltage (the streaming observable) rather than a dense waveform
-        // scan.
+        // same cross-product path `repro explore` uses). Every grid point's
+        // sessions are observed by O(1) probes only (store envelope + step
+        // histogram), no dense `Trajectory` anywhere, so the sweep's memory
+        // footprint is independent of the simulated span. The recorded
+        // `peak_probe_bytes` proves it per row; `max_deviation_v` for sweep
+        // rows is the cross-engine difference of the *final* store voltage
+        // (the streaming observable) rather than a dense waveform scan.
         let base = scenario1(if long { 8.0 } else { 2.5 });
         let loads = [1.0e9, 2.0e4];
         let accelerations = [0.45, 0.6, 0.75];
@@ -603,15 +609,13 @@ fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
             "\n-- sweep grid: sleep load x acceleration ({} points, streaming) --",
             grid.len()
         );
-        let (sweep_results, threads_used) = parallel_map(&grid, run_streaming_sweep_point);
-        for result in sweep_results {
-            let mut record = result?;
-            record.threads_used = threads_used;
+        for config in &grid {
+            let record = table2_row(config, RowProbes::Streaming)?;
             println!(
-                "{:<34} {:>18} {:>15} {:>8.1}x {:>12.4} {:>12} B",
+                "{:<34} {:>18.3} {:>15.3} {:>8.1}x {:>12.4} {:>12} B",
                 record.name,
-                format!("{:.3}", record.baseline_cpu_s),
-                format!("{:.3}", record.proposed_cpu_s),
+                record.baseline_cpu_s,
+                record.proposed_cpu_s,
                 record.speedup,
                 record.max_deviation_v,
                 record.peak_probe_bytes,
@@ -629,98 +633,15 @@ fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn print_table2_row(label: &str, report: &ComparisonReport) {
-    let engine = report.proposed.result.engine_stats.state_space;
-    println!(
-        "{:<26} {:>18} {:>15} {:>8.1}x {:>12.4} {:>24} {:>10.0}{:+10.0}i {:>8}",
-        label,
-        seconds(report.baseline_cpu),
-        seconds(report.proposed_cpu),
-        report.speedup(),
-        report.accuracy.max_deviation,
-        format!("{:?}", engine.steps_by_order),
-        engine.binding_pole[0],
-        engine.binding_pole[1],
-        engine.threads_used,
-    );
-}
-
-fn record_for(name: &str, scenario: &ScenarioConfig, report: &ComparisonReport) -> Table2Record {
-    let engine = report.proposed.result.engine_stats.state_space;
-    Table2Record {
-        name: name.to_string(),
-        simulated_span_s: scenario.duration_s,
-        baseline_cpu_s: report.baseline_cpu.as_secs_f64(),
-        proposed_cpu_s: report.proposed_cpu.as_secs_f64(),
-        speedup: report.speedup(),
-        max_deviation_v: report.accuracy.max_deviation,
-        steps: engine.steps,
-        factorisations: engine.factorisations,
-        cached_solves: engine.cached_solves,
-        steps_by_order: engine.steps_by_order,
-        stiff_exact_steps: engine.stiff_exact_steps,
-        constant_stamps_skipped: engine.constant_stamps_skipped,
-        pwl_stamps_skipped: engine.pwl_stamps_skipped,
-        peak_probe_bytes: report.proposed.result.peak_probe_bytes,
-        threads_used: engine.threads_used,
-        binding_pole_re: engine.binding_pole[0],
-        binding_pole_im: engine.binding_pole[1],
-    }
-}
-
-/// One sweep grid point as a pair of **streaming sessions** (proposed +
-/// baseline engines), observed by O(1) probes only — no dense trajectory is
-/// allocated anywhere on this path. The recorded deviation is the
-/// cross-engine difference of the final store voltage; `peak_probe_bytes`
-/// is the larger of the two sessions' high-water probe footprints.
-fn run_streaming_sweep_point(config: &ScenarioConfig) -> Result<Table2Record, CoreError> {
-    let run = |engine: SimulationEngine| -> Result<(f64, harvsim_core::SessionReport), CoreError> {
-        let mut session = Simulation::from_config(config.clone())
-            .engine(engine)
-            .start()
-            .map_err(|err| err.for_scenario(config.effective_label()))?;
-        let vc = session.harvester().storage_voltage_net();
-        let envelope = session.add_probe(EnvelopeProbe::terminal(vc));
-        session.add_probe(StepHistogramProbe::new());
-        session.run_to_end().map_err(|err| err.for_scenario(config.effective_label()))?;
-        let v_end =
-            session.probe::<EnvelopeProbe>(envelope).expect("envelope keeps its type").last();
-        Ok((v_end, session.report()))
-    };
-    let proposed_engine = config.engine;
-    let (v_proposed, proposed) = run(proposed_engine)?;
-    let (v_baseline, baseline) = run(SimulationEngine::NewtonRaphson(BaselineOptions::default()))?;
-
-    let engine = proposed.engine_stats.state_space;
-    let proposed_cpu = engine.cpu_time.as_secs_f64();
-    let baseline_cpu = baseline.engine_stats.baseline.cpu_time.as_secs_f64();
-    Ok(Table2Record {
-        name: config.effective_label(),
-        simulated_span_s: config.duration_s,
-        baseline_cpu_s: baseline_cpu,
-        proposed_cpu_s: proposed_cpu,
-        speedup: baseline_cpu / proposed_cpu.max(1e-9),
-        max_deviation_v: (v_proposed - v_baseline).abs(),
-        steps: engine.steps,
-        factorisations: engine.factorisations,
-        cached_solves: engine.cached_solves,
-        steps_by_order: engine.steps_by_order,
-        stiff_exact_steps: engine.stiff_exact_steps,
-        constant_stamps_skipped: engine.constant_stamps_skipped,
-        pwl_stamps_skipped: engine.pwl_stamps_skipped,
-        peak_probe_bytes: proposed.peak_probe_bytes.max(baseline.peak_probe_bytes),
-        threads_used: 0,
-        binding_pole_re: engine.binding_pole[0],
-        binding_pole_im: engine.binding_pole[1],
-    })
-}
-
 /// Fig. 8(a): generator output power during the 1 Hz tuning process.
 fn fig8a(long: bool) -> Result<(), CoreError> {
     let scenario = scenario_for_figures(scenario1(if long { 20.0 } else { 8.0 }));
     println!("== Fig. 8(a): output power from the microgenerator (1 Hz tuning) ==\n");
-    let run = scenario.run()?;
-    let report = measurement::power_report(&run)?;
+    let run = DenseRun::run(&scenario)?;
+    let harvester = run.session().harvester();
+    let (vm, im) = (harvester.generator_voltage_net(), harvester.generator_current_net());
+    let terminals = run.waveform().terminals();
+    let report = measurement::power_report(terminals, vm, im, scenario.frequency_step_time_s)?;
     println!("RMS power tuned at 70 Hz: {:8.1} uW   (paper: 118 uW)", report.rms_before_uw);
     println!(
         "RMS power tuned at 71 Hz: {:8.1} uW   (paper: 117 uW, measured 116 uW)",
@@ -730,7 +651,8 @@ fn fig8a(long: bool) -> Result<(), CoreError> {
         "minimum power while detuned: {:5.1} uW (power drops then recovers after tuning)",
         report.dip_uw
     );
-    print_series("cycle-averaged generator power [uW]", &averaged_power_series(&run, 40));
+    let power = measurement::output_power_waveform(terminals, vm, im);
+    print_series("cycle-averaged generator power [uW]", &averaged_power_series(&power, 40));
     Ok(())
 }
 
@@ -752,19 +674,17 @@ fn scenario_for_figures(mut scenario: ScenarioConfig) -> ScenarioConfig {
 
 fn figure_voltage(label: &str, scenario: ScenarioConfig) -> Result<(), CoreError> {
     println!("== {label}: supercapacitor voltage, simulation vs experiment ==\n");
-    // The nominal run and its experimental surrogate are independent, so the
-    // batch runner measures them concurrently when cores allow.
-    let mut runs =
-        harvsim_core::run_batch(&[scenario.clone(), scenario.experimental_surrogate()]).into_iter();
-    let simulation = runs.next().expect("two results")?;
-    let surrogate = runs.next().expect("two results")?;
-    let comparison = measurement::compare_supercap_voltage(&simulation, &surrogate, 400)?;
+    let simulation = DenseRun::run(&scenario)?;
+    let surrogate = DenseRun::run(&scenario.experimental_surrogate())?;
+    let vc = simulation.session().harvester().storage_voltage_net();
+    let (sim, sur) = (simulation.waveform().terminals(), surrogate.waveform().terminals());
+    let comparison = measurement::compare_component(sim, sur, vc, 400)?;
     println!(
         "max |simulation - surrogate| = {:.3} V, rms = {:.3} V over {:.1} s",
         comparison.max_deviation, comparison.rms_deviation, comparison.compared_span_s
     );
-    let sim = measurement::supercap_voltage_waveform(&simulation);
-    let sur = measurement::supercap_voltage_waveform(&surrogate);
+    let sim = measurement::supercap_voltage_waveform(sim, vc);
+    let sur = measurement::supercap_voltage_waveform(sur, vc);
     println!("\n{:>8} {:>14} {:>22}", "t [s]", "simulated [V]", "surrogate measured [V]");
     let stride = (sim.len() / 20).max(1);
     for (a, b) in sim.iter().zip(sur.iter()).step_by(stride) {
@@ -775,11 +695,7 @@ fn figure_voltage(label: &str, scenario: ScenarioConfig) -> Result<(), CoreError
 }
 
 /// Cycle-averaged generator power series (window ≈ `windows` samples).
-fn averaged_power_series(
-    run: &harvsim_core::scenario::ScenarioResult,
-    windows: usize,
-) -> Vec<(f64, f64)> {
-    let power = measurement::output_power_waveform(run);
+fn averaged_power_series(power: &[(f64, f64)], windows: usize) -> Vec<(f64, f64)> {
     if power.is_empty() {
         return Vec::new();
     }

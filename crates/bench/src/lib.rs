@@ -6,11 +6,13 @@
 //! * Criterion micro/meso benchmarks live in `benches/` (one file per
 //!   experiment).
 //! * The `repro` binary (`cargo run --release -p harvsim-bench --bin repro`)
-//!   runs the full experiments once and prints paper-style tables; its output
-//!   is the source of the numbers recorded in `EXPERIMENTS.md`.
+//!   runs the full experiments once and prints paper-style tables; its
+//!   Table II record (`BENCH_table2.json`) is the source of the numbers
+//!   tracked in ROADMAP.md and DESIGN.md.
 //!
-//! Shared experiment plumbing (scenario construction and result formatting)
-//! lives in this library so the benches and the binary stay consistent.
+//! Shared experiment plumbing (scenario construction, the dense reference
+//! run, the interleaved Table II row and result formatting) lives in this
+//! library so the benches and the binary stay consistent.
 
 #![forbid(unsafe_code)]
 // `!(x > 0.0)`-style negated comparisons are the validation idiom throughout
@@ -24,7 +26,11 @@ use std::io::Write;
 use std::path::Path;
 
 use harvsim_core::scenario::ScenarioConfig;
-use harvsim_core::ExploreReport;
+use harvsim_core::{CoreError, ExploreReport, ProbeId, Session, Simulation, WaveformProbe};
+
+pub mod comparison;
+
+pub use comparison::{table2_row, RowProbes};
 
 /// One scenario row of the machine-readable Table II record emitted by the
 /// `repro` binary (`BENCH_table2.json`), used by the CI perf-smoke job and by
@@ -66,15 +72,11 @@ pub struct Table2Record {
     /// Dickson scatter skip — ROADMAP item b): the segment set was unchanged,
     /// so neither the scatter nor the Eq. 3 scan ran.
     pub pwl_stamps_skipped: usize,
-    /// High-water probe memory of the run, in bytes. Headline rows run the
-    /// dense-capture shim (O(recorded samples)); `--sweep` rows run streaming
-    /// sessions whose footprint is O(1) — independent of the simulated span —
-    /// which the CI gate checks.
+    /// High-water probe memory of the proposed engine's session, in bytes.
+    /// Headline rows capture dense waveforms (O(recorded samples)); `--sweep`
+    /// rows run streaming probes whose footprint is O(1) — independent of the
+    /// simulated span — which the CI gate checks.
     pub peak_probe_bytes: usize,
-    /// Worker threads the batch runner fanned the comparison across (`1` =
-    /// sequential fallback on a single-core host), so CI timings are
-    /// attributable.
-    pub threads_used: usize,
     /// Real part of the eigenvalue that priced the step limit at the last
     /// governor selection — the proof that the binding pole is physical
     /// (70 Hz mechanics, conduction) and no longer the −4.1·10⁴ s⁻¹
@@ -141,7 +143,6 @@ pub fn write_table2_json(path: &Path, records: &[Table2Record]) -> std::io::Resu
         writeln!(file, "      \"constant_stamps_skipped\": {},", record.constant_stamps_skipped)?;
         writeln!(file, "      \"pwl_stamps_skipped\": {},", record.pwl_stamps_skipped)?;
         writeln!(file, "      \"peak_probe_bytes\": {},", record.peak_probe_bytes)?;
-        writeln!(file, "      \"threads_used\": {},", record.threads_used)?;
         writeln!(file, "      \"binding_pole_re\": {:.3},", json_number(record.binding_pole_re))?;
         writeln!(file, "      \"binding_pole_im\": {:.3}", json_number(record.binding_pole_im))?;
         writeln!(file, "    }}{comma}")?;
@@ -290,6 +291,38 @@ pub fn scenario2(duration_s: f64) -> ScenarioConfig {
     scenario
 }
 
+/// A scenario run with one dense [`WaveformProbe`] at its engine's record
+/// interval: the decimated trajectories the figures are computed from.
+#[derive(Debug)]
+pub struct DenseRun {
+    session: Session,
+    capture: ProbeId,
+}
+
+impl DenseRun {
+    /// Runs `config` to the end on its configured engine.
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration, engine and kernel failures.
+    pub fn run(config: &ScenarioConfig) -> Result<Self, CoreError> {
+        let mut session = Simulation::from_config(config.clone()).start()?;
+        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        session.run_to_end()?;
+        Ok(DenseRun { session, capture })
+    }
+
+    /// The finished session (report, harvester and its net indices).
+    pub fn session(&self) -> &Session {
+        &self.session
+    }
+
+    /// The dense capture.
+    pub fn waveform(&self) -> &WaveformProbe {
+        self.session.probe::<WaveformProbe>(self.capture).expect("the capture keeps its type")
+    }
+}
+
 /// Formats a duration as seconds with millisecond resolution.
 pub fn seconds(duration: std::time::Duration) -> String {
     format!("{:.3}", duration.as_secs_f64())
@@ -319,7 +352,6 @@ mod tests {
                 constant_stamps_skipped: 998,
                 pwl_stamps_skipped: 950,
                 peak_probe_bytes: 123456,
-                threads_used: 2,
                 binding_pole_re: -439.8,
                 binding_pole_im: 62.1,
             },
@@ -338,7 +370,6 @@ mod tests {
                 constant_stamps_skipped: 1996,
                 pwl_stamps_skipped: 1900,
                 peak_probe_bytes: 4096,
-                threads_used: 1,
                 binding_pole_re: -512.4,
                 binding_pole_im: 0.0,
             },
@@ -358,7 +389,6 @@ mod tests {
         assert!(written.contains("\"constant_stamps_skipped\": 998"));
         assert!(written.contains("\"pwl_stamps_skipped\": 950"));
         assert!(written.contains("\"peak_probe_bytes\": 123456"));
-        assert!(written.contains("\"threads_used\": 2"));
         assert!(written.contains("\"binding_pole_re\": -439.800"));
         assert!(written.contains("\"binding_pole_im\": 62.100"));
         // Braces balance (cheap well-formedness check without a JSON parser).

@@ -9,8 +9,8 @@
 //! tabulated in the paper, so the defaults below are chosen to reproduce the
 //! published operating point: ≈110–120 µW RMS generated power at 70 Hz under
 //! ≈0.06 g ambient acceleration, an open-circuit EMF of a couple of volts, and
-//! the load currents of Eq. 16. `EXPERIMENTS.md` records how the resulting
-//! waveforms compare to the paper's figures.
+//! the load currents of Eq. 16. `repro fig8a`, `fig8b` and `fig9` print how
+//! the resulting waveforms compare to the paper's figures.
 
 use crate::block::BlockError;
 

@@ -611,22 +611,37 @@ fn encode_solver_options(w: &mut ByteWriter, o: &SolverOptions) {
     w.put_f64(o.stability_safety);
     w.put_f64(o.relinearise_threshold);
     w.put_f64(o.record_interval);
-    w.put_bool(o.imex);
+    // Former partition switch: the partition is what the system declares,
+    // so the slot is always written `true` and frames keep the version 1
+    // layout.
+    w.put_bool(true);
     w.put_f64(o.lte_relative_tolerance);
     w.put_f64(o.lte_absolute_tolerance);
 }
 
 fn decode_solver_options(r: &mut ByteReader<'_>) -> Result<SolverOptions, CheckpointError> {
+    let ab_order = r.take_usize()?;
+    let adaptive_order = r.take_bool()?;
+    let initial_step = r.take_f64()?;
+    let max_step = r.take_f64()?;
+    let min_step = r.take_f64()?;
+    let stability_safety = r.take_f64()?;
+    let relinearise_threshold = r.take_f64()?;
+    let record_interval = r.take_f64()?;
+    if !r.take_bool()? {
+        return Err(malformed(
+            "frame selects the unpartitioned state-space march, which this build no longer runs",
+        ));
+    }
     Ok(SolverOptions {
-        ab_order: r.take_usize()?,
-        adaptive_order: r.take_bool()?,
-        initial_step: r.take_f64()?,
-        max_step: r.take_f64()?,
-        min_step: r.take_f64()?,
-        stability_safety: r.take_f64()?,
-        relinearise_threshold: r.take_f64()?,
-        record_interval: r.take_f64()?,
-        imex: r.take_bool()?,
+        ab_order,
+        adaptive_order,
+        initial_step,
+        max_step,
+        min_step,
+        stability_safety,
+        relinearise_threshold,
+        record_interval,
         lte_relative_tolerance: r.take_f64()?,
         lte_absolute_tolerance: r.take_f64()?,
     })
@@ -788,5 +803,26 @@ mod tests {
             assert_eq!(back.controller, config.controller);
             assert_eq!(back.label, config.label);
         }
+    }
+
+    /// The slot of the removed partition switch is always written `true`; a
+    /// frame carrying `false` asks for the unpartitioned march this build no
+    /// longer runs, and is refused typed instead of resuming a different
+    /// simulation.
+    #[test]
+    fn unpartitioned_march_option_is_rejected_typed() {
+        let mut w = ByteWriter::new();
+        encode_solver_options(&mut w, &SolverOptions::default());
+        let mut bytes = w.into_bytes();
+        // ab_order (8 bytes), adaptive_order (1), six f64 fields (48).
+        let slot = 8 + 1 + 6 * 8;
+        assert_eq!(bytes[slot], 1);
+        let back = decode_solver_options(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back, SolverOptions::default());
+        bytes[slot] = 0;
+        assert!(matches!(
+            decode_solver_options(&mut ByteReader::new(&bytes)),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

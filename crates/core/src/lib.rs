@@ -23,14 +23,14 @@
 //!    satisfies the stability condition of Eq. 7 through exact per-eigenvalue
 //!    region scans for every order 1–4, and monitoring the local
 //!    linearisation error through Jacobian changes (Eq. 3).
-//! 5. [`mixed`] interleaves those analogue segments with the event-driven
+//! 5. [`session`] interleaves those analogue segments with the event-driven
 //!    digital kernel running the microcontroller process of Fig. 7, exchanging
 //!    load-mode and retuning commands at synchronisation points.
 //! 6. [`baseline`] solves the *same* assembled nonlinear model the way the
 //!    commercial simulators in the paper's Tables I–II do — implicit
 //!    integration with a Newton–Raphson solve of the full analogue system at
-//!    every time step — so [`comparison`] can regenerate the speed-up and
-//!    accuracy numbers.
+//!    every time step — so a session on either engine regenerates the
+//!    speed-up and accuracy numbers.
 //!
 //! ## Quick start
 //!
@@ -56,10 +56,6 @@
 //! # }
 //! ```
 //!
-//! The run-to-completion API ([`ScenarioConfig::run`]) remains available as a
-//! shim over sessions, returning dense trajectories bit-identical to the
-//! pre-session engines.
-//!
 //! [Wang et al.]: https://doi.org/10.1109/DATE.2011.5763084
 
 #![forbid(unsafe_code)]
@@ -73,7 +69,6 @@
 pub mod assembly;
 pub mod baseline;
 pub mod checkpoint;
-pub mod comparison;
 mod error;
 pub mod explore;
 pub mod fault;
@@ -95,7 +90,6 @@ pub use assembly::{
 };
 pub use baseline::{BaselineOptions, NewtonRaphsonBaseline};
 pub use checkpoint::{fnv1a64, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use comparison::{ComparisonReport, SpeedComparison};
 pub use error::CoreError;
 pub use explore::{
     ExploreReport, Explorer, GridSpec, ObjectiveSummary, PointMetrics, PointOutcome, PointRecord,
@@ -103,7 +97,7 @@ pub use explore::{
 pub use fault::{Fault, FaultKind, FaultPlan, FaultSite};
 pub use harvester::TunableHarvester;
 pub use measurement::{PowerReport, WaveformComparison};
-pub use mixed::{MixedSignalResult, MixedSignalSimulation, SimulationEngine};
+pub use mixed::SimulationEngine;
 pub use probe::{
     DigitalEvent, EnvelopeProbe, PowerProbe, Probe, StepHistogramProbe, WaveformProbe,
 };
@@ -111,7 +105,7 @@ pub use protocol::{
     Client, Command, FrameReader, FrameWriter, ProtocolError, Response, RetryPolicy, ServerStats,
     StatusInfo, SubmitSpec, WireError, WireState,
 };
-pub use scenario::{run_batch, ScenarioConfig, ScenarioResult, SweepGrid, SweepParameter};
+pub use scenario::{ScenarioConfig, SweepGrid, SweepParameter};
 pub use server::{DrainReport, Server, ServerOptions};
 pub use service::{
     ClassReport, JobClass, JobOutcome, JobRequest, ServiceError, ServiceOptions, ServiceReport,

@@ -5,20 +5,21 @@
 //! * Fig. 8(b) / Fig. 9: supercapacitor voltage against the experimental
 //!   (surrogate) measurement.
 //!
-//! The functions here work on the terminal trajectory recorded by the solver;
-//! the net indices come from [`crate::TunableHarvester`].
+//! The functions here work on the terminal trajectory a dense
+//! [`crate::probe::WaveformProbe`] records; the net indices come from
+//! [`crate::TunableHarvester`] (`generator_voltage_net`,
+//! `generator_current_net`, `storage_voltage_net`).
 //!
-//! Since the session redesign these are the *post-hoc* measurement tools —
-//! they need dense recorded waveforms. The streaming equivalents in
-//! [`crate::probe`] compute the same figures live with O(1) memory
-//! ([`crate::probe::PowerProbe`] subsumes [`power_report`] over the full
-//! accepted-step grid instead of the decimated recording;
-//! [`crate::probe::EnvelopeProbe`] replaces min/max scans); prefer them when
-//! a run does not otherwise need its trajectories retained.
+//! These are the *post-hoc* measurement tools — they need dense recorded
+//! waveforms. The streaming equivalents in [`crate::probe`] compute the same
+//! figures live with O(1) memory ([`crate::probe::PowerProbe`] subsumes
+//! [`power_report`] over the full accepted-step grid instead of the
+//! decimated recording; [`crate::probe::EnvelopeProbe`] replaces min/max
+//! scans); prefer them when a run does not otherwise need its trajectories
+//! retained.
 
 use harvsim_ode::Trajectory;
 
-use crate::scenario::ScenarioResult;
 use crate::CoreError;
 
 /// Generator output power summary for a tuning scenario (the quantities quoted
@@ -46,30 +47,16 @@ pub struct WaveformComparison {
     pub compared_span_s: f64,
 }
 
-/// Instantaneous generator output power waveform `p(t) = V_m·I_m` in watts.
-pub fn output_power_waveform(result: &ScenarioResult) -> Vec<(f64, f64)> {
-    let vm = result.harvester.generator_voltage_net();
-    let im = result.harvester.generator_current_net();
-    result
-        .terminals()
-        .times()
-        .iter()
-        .zip(result.terminals().states())
-        .map(|(&t, y)| (t, y[vm] * y[im]))
-        .collect()
+/// Instantaneous generator output power waveform `p(t) = V_m·I_m` in watts,
+/// from the terminal trajectory and the generator voltage/current nets.
+pub fn output_power_waveform(terminals: &Trajectory, vm: usize, im: usize) -> Vec<(f64, f64)> {
+    terminals.times().iter().zip(terminals.states()).map(|(&t, y)| (t, y[vm] * y[im])).collect()
 }
 
 /// Supercapacitor terminal-voltage waveform `V_c(t)` in volts (the curve of
-/// Fig. 8(b) and Fig. 9).
-pub fn supercap_voltage_waveform(result: &ScenarioResult) -> Vec<(f64, f64)> {
-    let vc = result.harvester.storage_voltage_net();
-    result
-        .terminals()
-        .times()
-        .iter()
-        .zip(result.terminals().states())
-        .map(|(&t, y)| (t, y[vc]))
-        .collect()
+/// Fig. 8(b) and Fig. 9), from the terminal trajectory and the storage net.
+pub fn supercap_voltage_waveform(terminals: &Trajectory, vc: usize) -> Vec<(f64, f64)> {
+    terminals.times().iter().zip(terminals.states()).map(|(&t, y)| (t, y[vc])).collect()
 }
 
 /// RMS of the generator output power over `[t_start, t_end]`, in watts.
@@ -79,7 +66,9 @@ pub fn supercap_voltage_waveform(result: &ScenarioResult) -> Vec<(f64, f64)> {
 /// Returns [`CoreError::InvalidConfiguration`] for an empty window or a window
 /// outside the recorded span.
 pub fn rms_power_in_window(
-    result: &ScenarioResult,
+    terminals: &Trajectory,
+    vm: usize,
+    im: usize,
     t_start: f64,
     t_end: f64,
 ) -> Result<f64, CoreError> {
@@ -88,7 +77,7 @@ pub fn rms_power_in_window(
             "power window must have positive length (got [{t_start}, {t_end}])"
         )));
     }
-    let waveform = output_power_waveform(result);
+    let waveform = output_power_waveform(terminals, vm, im);
     if waveform.is_empty() {
         return Err(CoreError::InvalidConfiguration("no samples were recorded".into()));
     }
@@ -112,20 +101,26 @@ pub fn rms_power_in_window(
     Ok(integral / span)
 }
 
-/// Builds the [`PowerReport`] for a tuning scenario: RMS power in a window
-/// before the frequency step and in a window at the end of the run (after the
-/// controller has retuned), plus the dip in between.
+/// Builds the [`PowerReport`] for a tuning scenario whose ambient frequency
+/// steps at `step_time_s`: RMS power in a window before the step and in a
+/// window at the end of the run (after the controller has retuned), plus the
+/// dip in between.
 ///
 /// # Errors
 ///
 /// Propagates window errors when the run is too short to contain the windows.
-pub fn power_report(result: &ScenarioResult) -> Result<PowerReport, CoreError> {
-    let step_time = result.config.frequency_step_time_s;
-    let end = result.terminals().last_time();
-    let before_start = (step_time * 0.2).max(result.terminals().first_time());
-    let rms_before = rms_power_in_window(result, before_start, step_time.max(before_start + 1e-3))?;
-    let after_start = end - (end - step_time) * 0.25;
-    let rms_after = rms_power_in_window(result, after_start, end)?;
+pub fn power_report(
+    terminals: &Trajectory,
+    vm: usize,
+    im: usize,
+    step_time_s: f64,
+) -> Result<PowerReport, CoreError> {
+    let rms = |t_start: f64, t_end: f64| rms_power_in_window(terminals, vm, im, t_start, t_end);
+    let end = terminals.last_time();
+    let before_start = (step_time_s * 0.2).max(terminals.first_time());
+    let rms_before = rms(before_start, step_time_s.max(before_start + 1e-3))?;
+    let after_start = end - (end - step_time_s) * 0.25;
+    let rms_after = rms(after_start, end)?;
 
     // Dip: smallest 50 ms-averaged power between the step and the end. The
     // `rms_after` window lies inside the scanned span, so it participates as a
@@ -134,9 +129,9 @@ pub fn power_report(result: &ScenarioResult) -> Result<PowerReport, CoreError> {
     // above `rms_after`, which would let `dip` exceed both reference windows.
     let window = 0.05;
     let mut dip = rms_after;
-    let mut t = step_time;
+    let mut t = step_time_s;
     while t + window <= end + 1e-9 {
-        if let Ok(avg) = rms_power_in_window(result, t, (t + window).min(end)) {
+        if let Ok(avg) = rms(t, (t + window).min(end)) {
             dip = dip.min(avg);
         }
         t += window;
@@ -165,68 +160,59 @@ pub fn compare_component(
     Ok(WaveformComparison { max_deviation, rms_deviation, compared_span_s: span })
 }
 
-/// Compares the supercapacitor-voltage waveforms of two scenario runs (e.g.
-/// simulation vs experimental surrogate — the Fig. 8(b)/Fig. 9 comparison).
-///
-/// # Errors
-///
-/// Propagates trajectory comparison failures.
-pub fn compare_supercap_voltage(
-    simulation: &ScenarioResult,
-    reference: &ScenarioResult,
-    samples: usize,
-) -> Result<WaveformComparison, CoreError> {
-    let vc_sim = simulation.harvester.storage_voltage_net();
-    let vc_ref = reference.harvester.storage_voltage_net();
-    if vc_sim != vc_ref {
-        return Err(CoreError::InvalidConfiguration(
-            "the two runs use different net layouts".into(),
-        ));
-    }
-    compare_component(simulation.terminals(), reference.terminals(), vc_sim, samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::WaveformProbe;
     use crate::scenario::ScenarioConfig;
+    use crate::session::Simulation;
 
-    fn quick_result() -> ScenarioResult {
+    /// A short dense run: the terminal trajectory plus the generator voltage,
+    /// generator current and storage nets.
+    fn quick_run() -> (Trajectory, [usize; 3]) {
         let mut config = ScenarioConfig::scenario1();
         config.duration_s = 0.4;
         config.frequency_step_time_s = 0.2;
-        config.run().expect("short scenario run succeeds")
+        let mut session = Simulation::from_config(config.clone()).start().unwrap();
+        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        session.run_to_end().expect("short scenario run succeeds");
+        let h = session.harvester();
+        let nets = [h.generator_voltage_net(), h.generator_current_net(), h.storage_voltage_net()];
+        (session.probe::<WaveformProbe>(capture).unwrap().terminals().clone(), nets)
     }
 
     #[test]
     fn power_and_voltage_waveforms_are_physical() {
-        let result = quick_result();
-        let power = output_power_waveform(&result);
-        assert_eq!(power.len(), result.terminals().len());
+        let (terminals, [vm, im, vc]) = quick_run();
+        let power = output_power_waveform(&terminals, vm, im);
+        assert_eq!(power.len(), terminals.len());
         // Average generated power must be positive (energy flows out of the
         // generator) and in the sub-milliwatt range for this device.
         let mean: f64 = power.iter().map(|(_, p)| *p).sum::<f64>() / power.len() as f64;
         assert!(mean > 0.0, "mean generated power {mean}");
         assert!(mean < 5e-3, "mean generated power {mean}");
 
-        let vc = supercap_voltage_waveform(&result);
-        assert_eq!(vc.len(), result.terminals().len());
-        assert!(vc.iter().all(|(_, v)| *v > 1.5 && *v < 4.0), "supercap voltage stays near 2.5 V");
+        let store = supercap_voltage_waveform(&terminals, vc);
+        assert_eq!(store.len(), terminals.len());
+        assert!(
+            store.iter().all(|(_, v)| *v > 1.5 && *v < 4.0),
+            "supercap voltage stays near 2.5 V"
+        );
     }
 
     #[test]
     fn rms_power_window_validation() {
-        let result = quick_result();
-        assert!(rms_power_in_window(&result, 0.2, 0.1).is_err());
-        assert!(rms_power_in_window(&result, 10.0, 11.0).is_err());
-        let rms = rms_power_in_window(&result, 0.05, 0.15).unwrap();
+        let (terminals, [vm, im, _]) = quick_run();
+        assert!(rms_power_in_window(&terminals, vm, im, 0.2, 0.1).is_err());
+        assert!(rms_power_in_window(&terminals, vm, im, 10.0, 11.0).is_err());
+        let rms = rms_power_in_window(&terminals, vm, im, 0.05, 0.15).unwrap();
         assert!(rms > 0.0);
     }
 
     #[test]
     fn power_report_contains_consistent_windows() {
-        let result = quick_result();
-        let report = power_report(&result).unwrap();
+        let (terminals, [vm, im, _]) = quick_run();
+        let report = power_report(&terminals, vm, im, 0.2).unwrap();
         assert!(report.rms_before_uw > 0.0);
         assert!(report.rms_after_uw > 0.0);
         assert!(report.dip_uw <= report.rms_before_uw.max(report.rms_after_uw) + 1e-9);
@@ -234,12 +220,12 @@ mod tests {
 
     #[test]
     fn identical_runs_compare_equal() {
-        let result = quick_result();
-        let comparison = compare_component(result.terminals(), result.terminals(), 0, 50).unwrap();
-        assert_eq!(comparison.max_deviation, 0.0);
-        assert_eq!(comparison.rms_deviation, 0.0);
-        assert!(comparison.compared_span_s > 0.0);
-        let self_compare = compare_supercap_voltage(&result, &result, 50).unwrap();
-        assert_eq!(self_compare.max_deviation, 0.0);
+        let (terminals, [_, _, vc]) = quick_run();
+        for component in [0, vc] {
+            let comparison = compare_component(&terminals, &terminals, component, 50).unwrap();
+            assert_eq!(comparison.max_deviation, 0.0);
+            assert_eq!(comparison.rms_deviation, 0.0);
+            assert!(comparison.compared_span_s > 0.0);
+        }
     }
 }

@@ -1,29 +1,17 @@
-//! Mixed analogue/digital co-simulation of the complete harvester.
+//! The vocabulary of the mixed analogue/digital co-simulation: which
+//! analogue engine a [`Session`] marches with, the work statistics it
+//! accumulates and the digital control actions it applies to the blocks.
+//! The co-simulation itself runs as a [`Session`]; checkpoints, the service
+//! and the server record and report these types.
 //!
-//! The analogue part (microgenerator, multiplier, supercapacitor) is solved by
-//! the linearised state-space engine (or by the Newton–Raphson baseline); the
-//! digital part (watchdog + microcontroller of Fig. 7) runs on the event-driven
-//! kernel of `harvsim-digital`. The two sides meet only at the digital event
-//! times: the analogue solver integrates up to the next scheduled event, the
-//! kernel then executes the due processes against a snapshot of the analogue
-//! quantities, and any control actions (load-mode switch, resonance retune) are
-//! applied to the blocks before the next analogue segment starts. Because the
-//! analogue solution is obtained in a single feed-forward sweep there is never
-//! any need to backtrack across a digital event — the property the paper
-//! highlights as making the technique easy to couple with a digital kernel.
+//! [`Session`]: crate::session::Session
 
-use harvsim_blocks::{ControllerConfig, LoadMode};
-use harvsim_linalg::DVector;
-use harvsim_ode::solution::Trajectory;
+use harvsim_blocks::LoadMode;
 
 use crate::baseline::{BaselineOptions, BaselineStats};
-use crate::harvester::TunableHarvester;
-use crate::probe::WaveformProbe;
-use crate::session;
 use crate::solver::{SolverOptions, SolverStats};
-use crate::CoreError;
 
-/// Which analogue engine drives the co-simulation.
+/// Which analogue engine drives a session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimulationEngine {
     /// The proposed linearised state-space technique (explicit Adams–Bashforth).
@@ -38,6 +26,16 @@ impl SimulationEngine {
         match self {
             SimulationEngine::StateSpace(_) => "linearised-state-space",
             SimulationEngine::NewtonRaphson(_) => "newton-raphson-baseline",
+        }
+    }
+
+    /// The engine's dense recording interval, in seconds: a
+    /// [`crate::probe::WaveformProbe`] at this spacing captures exactly the
+    /// decimated trajectories the engine's own recorder produces.
+    pub fn record_interval(&self) -> f64 {
+        match self {
+            SimulationEngine::StateSpace(options) => options.record_interval,
+            SimulationEngine::NewtonRaphson(options) => options.record_interval,
         }
     }
 }
@@ -63,111 +61,15 @@ pub struct ControlEvent {
     pub resonant_frequency_hz: f64,
 }
 
-/// Result of a mixed-signal co-simulation.
-#[derive(Debug, Clone)]
-pub struct MixedSignalResult {
-    /// Sampled global state trajectory.
-    pub states: Trajectory,
-    /// Sampled terminal (net) trajectory on the same grid.
-    pub terminals: Trajectory,
-    /// Final state.
-    pub final_state: DVector,
-    /// Analogue-engine work statistics.
-    pub engine_stats: EngineStats,
-    /// Digital events processed by the kernel.
-    pub digital_events: u64,
-    /// Control actions applied during the run.
-    pub control_events: Vec<ControlEvent>,
-    /// High-water probe memory of the underlying session. For this dense
-    /// shim it is dominated by the waveform capture (O(recorded samples));
-    /// streaming sessions keep it O(1) — see
-    /// [`crate::session::SessionReport::peak_probe_bytes`].
-    pub peak_probe_bytes: usize,
-}
-
-/// The mixed analogue/digital co-simulation driver.
-///
-/// Since the session redesign this is a **compatibility shim**: `run` opens a
-/// [`crate::session::Session`], attaches one dense
-/// [`crate::probe::WaveformProbe`] at the engine's record interval, and runs
-/// it to the end. The arithmetic is bit-identical to the pre-session driver
-/// (pinned by `tests/session_shim.rs`); new code that wants mid-run
-/// observation, pause/resume or O(1) sweeps should use the session API
-/// directly.
-#[derive(Debug)]
-pub struct MixedSignalSimulation {
-    engine: SimulationEngine,
-}
-
-impl MixedSignalSimulation {
-    /// Creates a co-simulation using the given analogue engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine option validation failures.
-    pub fn new(engine: SimulationEngine) -> Result<Self, CoreError> {
-        match &engine {
-            SimulationEngine::StateSpace(options) => options.validate()?,
-            SimulationEngine::NewtonRaphson(options) => options.validate()?,
-        }
-        Ok(MixedSignalSimulation { engine })
-    }
-
-    /// The configured engine.
-    pub fn engine(&self) -> &SimulationEngine {
-        &self.engine
-    }
-
-    /// Runs the complete mixed-technology simulation from `t = 0` to
-    /// `duration_s`, starting with the supercapacitor pre-charged to
-    /// `initial_supercap_voltage` and the microcontroller asleep until its
-    /// first watchdog wake-up. The caller's harvester is left in the run's
-    /// final state (retuned resonance, final load mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates analogue-engine and kernel failures.
-    pub fn run(
-        &self,
-        harvester: &mut TunableHarvester,
-        controller_config: ControllerConfig,
-        duration_s: f64,
-        initial_supercap_voltage: f64,
-    ) -> Result<MixedSignalResult, CoreError> {
-        let mut session = session::dense_capture_session(
-            harvester.clone(),
-            controller_config,
-            self.engine,
-            duration_s,
-            initial_supercap_voltage,
-        )?;
-        session.run_to_end()?;
-        let (report, probes, final_harvester) = session.into_parts();
-        *harvester = final_harvester;
-        let capture = probes
-            .into_iter()
-            .find_map(|probe| {
-                let probe: Box<dyn std::any::Any> = probe;
-                probe.downcast::<WaveformProbe>().ok()
-            })
-            .expect("the dense-capture session attached a waveform probe");
-        let (states, terminals) = capture.into_trajectories();
-        Ok(MixedSignalResult {
-            states,
-            terminals,
-            final_state: report.final_state,
-            engine_stats: report.engine_stats,
-            digital_events: report.digital_events,
-            control_events: report.control_events,
-            peak_probe_bytes: report.peak_probe_bytes,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvsim_blocks::{FrequencyProfile, HarvesterParameters, VibrationExcitation};
+    use crate::harvester::TunableHarvester;
+    use crate::probe::WaveformProbe;
+    use crate::session::{Session, Simulation};
+    use harvsim_blocks::{
+        ControllerConfig, FrequencyProfile, HarvesterParameters, VibrationExcitation,
+    };
 
     fn quick_solver_options() -> SolverOptions {
         SolverOptions { record_interval: 2e-3, ..Default::default() }
@@ -194,30 +96,29 @@ mod tests {
         }
     }
 
+    fn start(harvester: TunableHarvester, duration_s: f64, initial_v: f64) -> Session {
+        let engine = SimulationEngine::StateSpace(quick_solver_options());
+        Session::start(harvester, quick_controller_config(), engine, duration_s, initial_v).unwrap()
+    }
+
     #[test]
     fn engine_names_and_validation() {
-        assert_eq!(
-            SimulationEngine::StateSpace(SolverOptions::default()).name(),
-            "linearised-state-space"
-        );
-        assert_eq!(
-            SimulationEngine::NewtonRaphson(BaselineOptions::default()).name(),
-            "newton-raphson-baseline"
-        );
-        let bad = SolverOptions { ab_order: 0, ..Default::default() };
-        assert!(MixedSignalSimulation::new(SimulationEngine::StateSpace(bad)).is_err());
-        let sim =
-            MixedSignalSimulation::new(SimulationEngine::StateSpace(SolverOptions::default()))
-                .unwrap();
-        assert_eq!(sim.engine().name(), "linearised-state-space");
+        let state_space = SimulationEngine::StateSpace(SolverOptions::default());
+        assert_eq!(state_space.name(), "linearised-state-space");
+        assert_eq!(state_space.record_interval(), SolverOptions::default().record_interval);
+        let baseline = SimulationEngine::NewtonRaphson(BaselineOptions::default());
+        assert_eq!(baseline.name(), "newton-raphson-baseline");
+        assert_eq!(baseline.record_interval(), BaselineOptions::default().record_interval);
+        let bad = SimulationEngine::StateSpace(SolverOptions { ab_order: 0, ..Default::default() });
+        assert!(Simulation::scenario1().engine(bad).start().is_err());
     }
 
     #[test]
     fn rejects_non_positive_duration() {
-        let sim = MixedSignalSimulation::new(SimulationEngine::StateSpace(quick_solver_options()))
-            .unwrap();
-        let mut h = harvester(71.0, 0.1);
-        assert!(sim.run(&mut h, quick_controller_config(), 0.0, 2.4).is_err());
+        let engine = SimulationEngine::StateSpace(quick_solver_options());
+        let started =
+            Session::start(harvester(71.0, 0.1), quick_controller_config(), engine, 0.0, 2.4);
+        assert!(started.is_err());
     }
 
     /// A short but complete closed-loop run: the ambient frequency steps from
@@ -225,10 +126,11 @@ mod tests {
     /// and retunes the resonance to follow the ambient frequency.
     #[test]
     fn controller_retunes_the_resonance_in_closed_loop() {
-        let sim = MixedSignalSimulation::new(SimulationEngine::StateSpace(quick_solver_options()))
-            .unwrap();
-        let mut h = harvester(71.0, 0.05);
-        let result = sim.run(&mut h, quick_controller_config(), 1.6, 2.6).unwrap();
+        let mut session = start(harvester(71.0, 0.05), 1.6, 2.6);
+        let capture = session.add_probe(WaveformProbe::new(2e-3));
+        session.run_to_end().unwrap();
+        let report = session.report();
+        let h = session.harvester();
         // The resonance must have followed the ambient frequency.
         assert!(
             (h.resonant_frequency_hz() - 71.0).abs() < 0.2,
@@ -236,26 +138,26 @@ mod tests {
             h.resonant_frequency_hz()
         );
         // Control events were recorded and the kernel processed activity.
-        assert!(!result.control_events.is_empty());
-        assert!(result.digital_events > 0);
-        assert!(result.engine_stats.state_space.steps > 100);
+        assert!(!report.control_events.is_empty());
+        assert!(report.digital_events > 0);
+        assert!(report.engine_stats.state_space.steps > 100);
         // The run ends with the load back in sleep mode (tuning finished).
         assert_eq!(h.load_mode(), LoadMode::Sleep);
         // Trajectories cover the whole span on a common grid.
-        assert!((result.states.last_time() - 1.6).abs() < 1e-6);
-        assert_eq!(result.states.len(), result.terminals.len());
-        assert!(result.final_state.is_finite());
+        let waveform = session.probe::<WaveformProbe>(capture).unwrap();
+        assert!((waveform.states().last_time() - 1.6).abs() < 1e-6);
+        assert_eq!(waveform.states().len(), waveform.terminals().len());
+        assert!(report.final_state.is_finite());
     }
 
     #[test]
     fn low_energy_prevents_tuning() {
-        let sim = MixedSignalSimulation::new(SimulationEngine::StateSpace(quick_solver_options()))
-            .unwrap();
-        let mut h = harvester(71.0, 0.05);
         // Start with the supercapacitor nearly empty: the controller must skip tuning.
-        let result = sim.run(&mut h, quick_controller_config(), 1.0, 0.5).unwrap();
-        assert!((h.resonant_frequency_hz() - 70.0).abs() < 1e-9);
+        let mut session = start(harvester(71.0, 0.05), 1.0, 0.5);
+        session.run_to_end().unwrap();
+        assert!((session.harvester().resonant_frequency_hz() - 70.0).abs() < 1e-9);
         // The only control action (if any) is the load returning to sleep.
-        assert!(result.control_events.iter().all(|event| event.load_mode == LoadMode::Sleep));
+        let report = session.report();
+        assert!(report.control_events.iter().all(|event| event.load_mode == LoadMode::Sleep));
     }
 }

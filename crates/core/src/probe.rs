@@ -16,8 +16,8 @@
 //!   (the per-*order* histogram stays in [`crate::SolverStats`], which the
 //!   session reports alongside);
 //! * [`WaveformProbe`] — the one deliberately O(steps) probe: classic dense
-//!   decimated capture, used by the deprecated-shim path that must keep
-//!   returning full trajectories.
+//!   decimated capture, for runs that need full trajectories (the figures,
+//!   the Table II deviation, the bit-identity tests).
 //!
 //! A sweep point that attaches only streaming probes never materialises a
 //! dense [`Trajectory`] at all — the property the `repro --sweep` grid and
@@ -140,10 +140,9 @@ fn decode_trajectory(r: &mut ByteReader<'_>) -> Option<Trajectory> {
 /// probe. Retains a sample when at least `interval` seconds have passed since
 /// the last retained one within the current segment, plus every forced
 /// segment-end sample; the decimation clock resets at segment starts. With
-/// the interval taken from the engine options this reproduces the
-/// trajectories the pre-session engines recorded, bit for bit — which is
-/// exactly how the deprecated [`crate::ScenarioConfig::run`] shim keeps its
-/// output pinned.
+/// the interval taken from [`crate::SimulationEngine::record_interval`] this
+/// reproduces the trajectories the engines' own recorders produce, bit for
+/// bit (pinned by `tests/session_shim.rs`).
 #[derive(Debug, Clone)]
 pub struct WaveformProbe {
     interval: f64,
@@ -187,7 +186,7 @@ impl Probe for WaveformProbe {
 
     fn on_sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
         // One shared predicate with the solvers' own dense recorder, so the
-        // two recording paths the bit-identity shims compare cannot drift.
+        // two recording paths the bit-identity tests compare cannot drift.
         if DecimatedRecorder::due(self.last_recorded, self.interval, t) {
             self.states.push(t, states.clone());
             self.terminals.push(t, terminals.clone());

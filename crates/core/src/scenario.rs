@@ -6,19 +6,20 @@
 //!   maximum tuning range of the design, 70 → 84 Hz).
 //!
 //! A [`ScenarioConfig`] bundles the parameter set, the excitation profile, the
-//! controller configuration and the analogue engine; [`ScenarioConfig::run`]
-//! executes the closed-loop mixed-signal simulation and returns the recorded
-//! waveforms. `run_experimental_surrogate` produces the stand-in for the
-//! paper's measured curves (see DESIGN.md §3): the same scenario re-simulated
-//! with parasitic losses and small parameter perturbations that the nominal
-//! model does not include, mimicking the systematic differences between the
-//! HDL model and the physical device that the paper itself points out.
+//! controller configuration and the analogue engine; a
+//! [`crate::session::Simulation`] built from it runs the closed-loop
+//! mixed-signal simulation. [`ScenarioConfig::experimental_surrogate`]
+//! produces the stand-in for the paper's measured curves (see DESIGN.md §3):
+//! the same scenario with parasitic losses and small parameter perturbations
+//! that the nominal model does not include, mimicking the systematic
+//! differences between the HDL model and the physical device that the paper
+//! itself points out.
 
 use harvsim_blocks::{
     ControllerConfig, FrequencyProfile, HarvesterParameters, Scenario, VibrationExcitation,
 };
 
-use crate::mixed::{MixedSignalResult, MixedSignalSimulation, SimulationEngine};
+use crate::mixed::SimulationEngine;
 use crate::solver::SolverOptions;
 use crate::{CoreError, TunableHarvester};
 
@@ -43,9 +44,10 @@ pub struct ScenarioConfig {
     /// Analogue engine used for the run.
     pub engine: SimulationEngine,
     /// Optional human-readable label. [`ScenarioConfig::sweep`] stamps each
-    /// expanded point with its `param=value` path, and the batch runners
-    /// carry the label into error attribution ([`CoreError::Scenario`]) so a
-    /// failed grid point is identifiable without positional bookkeeping.
+    /// expanded point with its `param=value` path, and the explorer and the
+    /// session service carry the label into error attribution
+    /// ([`CoreError::Scenario`]) so a failed grid point is identifiable
+    /// without positional bookkeeping.
     pub label: Option<String>,
 }
 
@@ -72,14 +74,14 @@ impl ScenarioConfig {
         }
     }
 
-    /// The label batch errors and sweep rows identify this configuration by:
+    /// The label errors and sweep rows identify this configuration by:
     /// the explicit [`ScenarioConfig::label`] when set, the scenario id
     /// otherwise.
     pub fn effective_label(&self) -> String {
         self.label.clone().unwrap_or_else(|| self.scenario.id().to_string())
     }
 
-    /// Sets the label carried into sweep rows and batch error attribution.
+    /// Sets the label carried into sweep rows and error attribution.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
@@ -146,28 +148,13 @@ impl ScenarioConfig {
         TunableHarvester::new(self.parameters.clone(), excitation)
     }
 
-    /// Runs the closed-loop mixed-signal simulation of the scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration, solver and kernel failures.
-    pub fn run(&self) -> Result<ScenarioResult, CoreError> {
-        self.validate()?;
-        let mut harvester = self.build_harvester()?;
-        let simulation = MixedSignalSimulation::new(self.engine)?;
-        let result = simulation.run(
-            &mut harvester,
-            self.controller,
-            self.duration_s,
-            self.initial_supercap_voltage,
-        )?;
-        Ok(ScenarioResult { config: self.clone(), harvester, result })
-    }
-
     /// The "experimental" surrogate configuration of this scenario: the same
     /// run with parasitic leakage across the store (a 20 kΩ sleep-mode load
     /// instead of 1 GΩ), 10 % extra mechanical damping and 3 % weaker
-    /// transduction (see [`ScenarioConfig::run_experimental_surrogate`]).
+    /// transduction — loss mechanisms the nominal HDL-style model omits,
+    /// exactly the kind of discrepancy the paper attributes its
+    /// simulation/measurement differences to. The surrogate acts as the
+    /// measured curve in the Fig. 8(b)/Fig. 9 reproductions.
     pub fn experimental_surrogate(&self) -> ScenarioConfig {
         let mut surrogate = self.clone();
         surrogate.parameters.load_sleep_ohms = 2.0e4;
@@ -176,26 +163,10 @@ impl ScenarioConfig {
         surrogate
     }
 
-    /// Runs the "experimental" surrogate of the scenario: the same run with
-    /// parasitic leakage across the store (a 20 kΩ sleep-mode load instead of
-    /// 1 GΩ), 10 % extra mechanical damping and 3 % weaker transduction —
-    /// loss mechanisms the nominal HDL-style model omits, exactly the kind of
-    /// discrepancy the paper attributes its simulation/measurement differences
-    /// to. The surrogate acts as the measured curve in the Fig. 8(b)/Fig. 9
-    /// reproductions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the same failures as [`ScenarioConfig::run`].
-    pub fn run_experimental_surrogate(&self) -> Result<ScenarioResult, CoreError> {
-        self.experimental_surrogate().run()
-    }
-
     /// Expands this configuration into one clone per value of `param` — the
     /// grid-building step of a parameter sweep. [`SweepGrid`] chains calls
-    /// into the full cross product, and the expanded list fans through the
-    /// scoped-thread [`run_batch`] (or [`crate::SpeedComparison::run_batch`])
-    /// or the [`crate::explore::Explorer`] like any other batch.
+    /// into the full cross product, which the [`crate::explore::Explorer`]
+    /// (or any session loop) runs point by point.
     pub fn sweep(&self, param: SweepParameter, values: &[f64]) -> Vec<ScenarioConfig> {
         values
             .iter()
@@ -367,117 +338,11 @@ impl SweepParameter {
     }
 }
 
-/// Runs several scenario configurations concurrently on scoped worker
-/// threads (at most `available_parallelism()` in flight) and returns their
-/// results in input order — the first step toward the many-scenario sweeps
-/// of the roadmap. Every run owns its harvester, kernel and solver
-/// workspaces, so the workers share nothing and the per-run waveforms and
-/// statistics are bit-identical to sequential [`ScenarioConfig::run`] calls.
-///
-/// On a single-hardware-thread host (or for a single configuration) the runs
-/// execute sequentially instead: oversubscribing one core would interleave
-/// the workers and corrupt the wall-clock CPU timings the Table II records
-/// are built from, without finishing any sooner. That fallback is no longer
-/// silent: every successful run's [`crate::SolverStats::threads_used`] is
-/// stamped with the worker count actually used (`1` for the sequential
-/// fallback), so a single-core CI timing is attributable from the records
-/// alone.
-///
-/// Failures come back labelled: each error slot is a
-/// [`CoreError::Scenario`] carrying the originating configuration's
-/// [`ScenarioConfig::effective_label`] (the scenario id, or the sweep
-/// point's `scenario+param=value` path), so a failed grid point is
-/// identifiable from the error alone.
-pub fn run_batch(configs: &[ScenarioConfig]) -> Vec<Result<ScenarioResult, CoreError>> {
-    let (mut results, threads_used) = parallel_map(configs, |config| {
-        config.run().map_err(|err| err.for_scenario(config.effective_label()))
-    });
-    for result in results.iter_mut().flatten() {
-        // Only the engine that actually ran gets the fan-out stamped —
-        // writing it into a zeroed stats block would misattribute the
-        // batch's worker count to an engine that did no work.
-        let stats = &mut result.result.engine_stats.state_space;
-        if stats.steps > 0 {
-            stats.threads_used = threads_used;
-        }
-    }
-    results
-}
-
-/// Shared batch plumbing for [`run_batch`],
-/// [`crate::SpeedComparison::run_batch`] and external sweep drivers (the
-/// `repro --sweep` grid fans streaming sessions through it): applies `work`
-/// to every item, running at most `available_parallelism()` scoped worker
-/// threads at a time, and reports how many workers actually ran concurrently
-/// (`1` = sequential fallback) so the callers can surface it instead of
-/// hiding it.
-/// The chunking matters for more than throughput — the per-engine CPU times
-/// in the comparison reports are `Instant`-based wall-clock measurements, so
-/// oversubscribing the cores (16 sweeps on a 2-core runner) would fold
-/// scheduler wait into the very numbers the speed-up gates check. On a
-/// single-hardware-thread host (or a single item) everything runs
-/// sequentially for the same reason.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    work: impl Fn(&T) -> Result<R, CoreError> + Sync,
-) -> (Vec<Result<R, CoreError>>, usize) {
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if workers < 2 || items.len() < 2 {
-        return (items.iter().map(work).collect(), 1);
-    }
-    let mut results = Vec::with_capacity(items.len());
-    for chunk in items.chunks(workers) {
-        results.extend(std::thread::scope(|scope| {
-            let handles: Vec<_> = chunk.iter().map(|item| scope.spawn(|| work(item))).collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| {
-                        Err(CoreError::InvalidConfiguration(
-                            "batch worker thread panicked".to_string(),
-                        ))
-                    })
-                })
-                .collect::<Vec<_>>()
-        }));
-    }
-    (results, workers.min(items.len()))
-}
-
-/// The outcome of a scenario run: the configuration, the (possibly retuned)
-/// harvester and the recorded waveforms.
-#[derive(Debug)]
-pub struct ScenarioResult {
-    /// The configuration that produced this result.
-    pub config: ScenarioConfig,
-    /// The harvester in its final state (retuned resonance, final load mode).
-    pub harvester: TunableHarvester,
-    /// The recorded waveforms and statistics.
-    pub result: MixedSignalResult,
-}
-
-impl ScenarioResult {
-    /// Convenience accessor for the recorded state trajectory.
-    pub fn states(&self) -> &harvsim_ode::Trajectory {
-        &self.result.states
-    }
-
-    /// Convenience accessor for the recorded terminal trajectory.
-    pub fn terminals(&self) -> &harvsim_ode::Trajectory {
-        &self.result.terminals
-    }
-}
-
-impl std::ops::Deref for ScenarioResult {
-    type Target = MixedSignalResult;
-    fn deref(&self) -> &MixedSignalResult {
-        &self.result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::WaveformProbe;
+    use crate::session::Simulation;
 
     #[test]
     fn default_configurations_are_valid_and_match_the_paper() {
@@ -509,38 +374,6 @@ mod tests {
         let harvester = config.build_harvester().unwrap();
         assert_eq!(harvester.ambient_frequency_hz(0.0), 70.0);
         assert_eq!(harvester.ambient_frequency_hz(config.frequency_step_time_s + 1.0), 84.0);
-    }
-
-    /// The batch runner must agree bit for bit with sequential runs: a worker
-    /// thread changes where a run executes, never what it computes.
-    #[test]
-    fn batch_runs_match_sequential_runs_bit_for_bit() {
-        let mut narrow = ScenarioConfig::scenario1();
-        narrow.duration_s = 0.25;
-        narrow.frequency_step_time_s = 0.1;
-        let surrogate = narrow.experimental_surrogate();
-        let configs = [narrow.clone(), surrogate.clone()];
-
-        let batched = run_batch(&configs);
-        assert_eq!(batched.len(), 2);
-        let sequential = [narrow.run().unwrap(), surrogate.run().unwrap()];
-        for (batch, reference) in batched.into_iter().zip(sequential) {
-            let batch = batch.expect("batch run succeeds");
-            assert_eq!(batch.final_state, reference.final_state);
-            assert_eq!(batch.states().len(), reference.states().len());
-            assert_eq!(
-                batch.result.engine_stats.state_space.steps,
-                reference.result.engine_stats.state_space.steps
-            );
-            for (sample, expected) in
-                batch.states().states().iter().zip(reference.states().states())
-            {
-                assert_eq!(sample, expected);
-            }
-        }
-        // Empty and singleton batches behave like plain iteration.
-        assert!(run_batch(&[]).is_empty());
-        assert_eq!(run_batch(&configs[..1]).len(), 1);
     }
 
     /// Sweep expansion produces one configuration per value with only the
@@ -661,58 +494,21 @@ mod tests {
         assert_eq!(SweepParameter::from_label("nonsense"), None);
     }
 
-    /// The batch runner records how many worker threads actually ran, so a
-    /// sequential fallback (single-core host, singleton batch) is visible in
-    /// the statistics instead of silently matching the parallel path.
-    #[test]
-    fn batch_runs_record_the_worker_fanout() {
-        let mut config = ScenarioConfig::scenario1();
-        config.duration_s = 0.2;
-        config.frequency_step_time_s = 0.05;
-        let pair = [config.clone(), config.experimental_surrogate()];
-        let results = run_batch(&pair);
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let expected = if cores < 2 { 1 } else { 2 };
-        for result in results {
-            let run = result.expect("batch run succeeds");
-            assert_eq!(run.result.engine_stats.state_space.threads_used, expected);
-        }
-        // A singleton batch always reports the sequential fallback.
-        let single = run_batch(&pair[..1]);
-        assert_eq!(
-            single[0].as_ref().expect("runs").result.engine_stats.state_space.threads_used,
-            1
-        );
-    }
-
-    /// Errors surface per slot instead of poisoning the whole batch.
-    #[test]
-    fn batch_reports_per_scenario_errors() {
-        let good = {
-            let mut config = ScenarioConfig::scenario1();
-            config.duration_s = 0.1;
-            config.frequency_step_time_s = 0.05;
-            config
-        };
-        let mut bad = good.clone();
-        bad.duration_s = -1.0;
-        let results = run_batch(&[bad, good]);
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
-    }
-
     #[test]
     fn short_scenario_run_produces_waveforms() {
         let mut config = ScenarioConfig::scenario1();
         config.duration_s = 0.3;
         config.frequency_step_time_s = 0.1;
-        let result = config.run().unwrap();
-        assert!(result.states().len() > 10);
-        assert!((result.states().last_time() - 0.3).abs() < 1e-6);
-        assert!(result.final_state.is_finite());
         // The surrogate drains faster (leakage) but still runs.
-        let surrogate = config.run_experimental_surrogate().unwrap();
-        assert!(surrogate.states().len() > 10);
+        for config in [config.clone(), config.experimental_surrogate()] {
+            let mut session = Simulation::from_config(config.clone()).start().unwrap();
+            let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+            session.run_to_end().unwrap();
+            let states = session.probe::<WaveformProbe>(capture).unwrap().states();
+            assert!(states.len() > 10);
+            assert!((states.last_time() - 0.3).abs() < 1e-6);
+            assert!(session.report().final_state.is_finite());
+        }
         assert_eq!(
             ScenarioConfig::scenario1().with_engine(config.engine).engine.name(),
             "linearised-state-space"

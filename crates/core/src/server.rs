@@ -48,7 +48,7 @@ use crate::protocol::{
     parse_command, Command, FrameReader, FrameWriter, ProtocolError, Response, ServerStats,
     StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
 };
-use crate::service::{ClassQueues, JobClass};
+use crate::service::{engine_time, panic_payload, ClassQueues, JobClass};
 use crate::session::{Session, SessionReport, Simulation};
 use crate::store::SessionStore;
 use crate::CoreError;
@@ -1013,21 +1013,4 @@ fn final_state_fnv(report: &SessionReport) -> u64 {
         bytes.extend_from_slice(&value.to_le_bytes());
     }
     fnv1a64(&bytes)
-}
-
-fn engine_time(session: &Session) -> Duration {
-    // The report's total, not the raw engine counters: it folds in the
-    // mid-segment pending engine time, so slices preempted inside a segment
-    // still bill (and the deltas telescope to the final report exactly).
-    session.report().engine_time()
-}
-
-fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(message) => *message,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(message) => (*message).to_string(),
-            Err(_) => "non-string panic payload".into(),
-        },
-    }
 }

@@ -1170,8 +1170,8 @@ fn book_slice(
 }
 
 /// Stringifies a caught panic payload (the common `&str`/`String` cases;
-/// anything else gets a placeholder).
-fn panic_payload(payload: Box<dyn Any + Send>) -> String {
+/// anything else gets a placeholder). Shared with [`crate::server`].
+pub(crate) fn panic_payload(payload: Box<dyn Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(message) => *message,
         Err(payload) => match payload.downcast::<&'static str>() {
@@ -1181,12 +1181,14 @@ fn panic_payload(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// The billing measure: engine wall-clock booked into the session's closed
-/// segments. Carried inside checkpoints, so per-slice deltas telescope
-/// exactly across preemption, eviction, restore — and service restarts.
-fn engine_time(session: &Session) -> Duration {
-    let stats = session.engine_stats();
-    stats.state_space.cpu_time + stats.baseline.cpu_time
+/// The billing measure, shared with [`crate::server`]: the session report's
+/// total engine time. It folds in the in-flight segment's pending engine
+/// time, so a slice that ends inside an analogue segment still bills. The
+/// total is carried inside checkpoints, so per-slice deltas telescope exactly
+/// to the final report across preemption, eviction, restore — and service
+/// restarts.
+pub(crate) fn engine_time(session: &Session) -> Duration {
+    session.report().engine_time()
 }
 
 #[cfg(test)]
@@ -1339,6 +1341,36 @@ mod tests {
             2,
             "quarantine must not leak into neighbours"
         );
+    }
+
+    /// Slices that end inside an analogue segment bill the engine time they
+    /// spent: four 0.02 s slices inside one 0.25 s watchdog segment, then a
+    /// panic at the fifth slice boundary quarantines the job — its bill is
+    /// the four slices' engine time, not zero.
+    #[test]
+    fn quarantined_mid_segment_job_bills_its_slices() {
+        let mut config = ScenarioConfig::scenario1();
+        config.duration_s = 0.5;
+        config.frequency_step_time_s = 0.1;
+        config.controller.watchdog_period_s = 0.25;
+        let job = Simulation::from_config(config).label("mid-segment");
+        let plan = Arc::new(FaultPlan::new(7).with_site(FaultSite::SliceBoundary, 5, 1));
+        let service =
+            SessionService::new(ServiceOptions { fault_plan: Some(plan), ..options(1, 0.02) })
+                .unwrap();
+        let report = service.run(vec![job.clone()]);
+        assert_eq!(report.quarantined, 1);
+        let outcome = &report.outcomes[0];
+        assert!(matches!(outcome.result, Err(ServiceError::SessionPanicked { .. })));
+        assert_eq!(outcome.slices, 5, "four slices ran, the fifth boundary panicked");
+        // The same span inline never closes a segment, so the closed-segment
+        // counters alone would bill nothing.
+        let mut inline = job.start().unwrap();
+        inline.run_until(0.08).unwrap();
+        assert!(inline.engine_stats().state_space.cpu_time.is_zero());
+        assert!(inline.report().engine_time() > Duration::ZERO);
+        assert!(outcome.billed_engine_time > Duration::ZERO, "mid-segment slices must bill");
+        assert_eq!(report.total_billed, outcome.billed_engine_time);
     }
 
     #[test]

@@ -1,16 +1,25 @@
 //! The streaming simulation facade: a [`Simulation`] builder producing an
-//! observable, resumable [`Session`].
+//! observable, resumable [`Session`] — the one driver of the mixed-signal
+//! co-simulation.
 //!
-//! The pre-session API ran every simulation to completion and materialised
-//! two dense trajectories per run — O(steps) memory per sweep point, no
-//! mid-run observation, no early exit, and every measurement a post-hoc walk
-//! over recorded waveforms. A `Session` inverts that: the mixed-signal
-//! co-simulation (analogue march segments interleaved with digital-kernel
-//! events) becomes a state machine the caller advances explicitly —
-//! [`Session::step`], [`Session::run_until`], [`Session::run_to_end`] — while
-//! typed [`Probe`]s observe every accepted analogue point and every digital
-//! event as they happen. Pausing is simply returning from `run_until`;
-//! resuming is calling it again.
+//! The analogue part (microgenerator, multiplier, supercapacitor) is marched
+//! by the linearised state-space engine (or by the Newton–Raphson baseline);
+//! the digital part (watchdog + microcontroller of Fig. 7) runs on the
+//! event-driven kernel of `harvsim-digital`. The two sides meet only at the
+//! digital event times: the analogue march integrates up to the next
+//! scheduled event, the kernel then executes the due processes against a
+//! snapshot of the analogue quantities, and any control actions (load-mode
+//! switch, resonance retune) are applied to the blocks before the next
+//! analogue segment starts. Because the analogue solution is obtained in a
+//! single feed-forward sweep there is never any need to backtrack across a
+//! digital event — the property the paper highlights as making the technique
+//! easy to couple with a digital kernel.
+//!
+//! A `Session` is that co-simulation as a state machine the caller advances
+//! explicitly — [`Session::step`], [`Session::run_until`],
+//! [`Session::run_to_end`] — while typed [`Probe`]s observe every accepted
+//! analogue point and every digital event as they happen. Pausing is simply
+//! returning from `run_until`; resuming is calling it again.
 //!
 //! Two properties are load-bearing (and pinned by tests):
 //!
@@ -19,18 +28,16 @@
 //!   boundary at or past `t`, with the in-flight march (Adams–Bashforth
 //!   history, step-ladder rung, stability plan, Newton iterate) kept alive in
 //!   the session. The step sequence — and therefore every recorded number —
-//!   is identical to an uninterrupted run, for both engines, IMEX on or off.
+//!   is identical to an uninterrupted run, for both engines.
 //! * **Streaming runs are O(1) in the simulated span.** A session whose
 //!   probes are all streaming (envelope, power windows, histograms) allocates
 //!   no dense [`harvsim_ode::Trajectory`]; the high-water probe footprint is
 //!   reported as [`SessionReport::peak_probe_bytes`].
 //!
-//! The old entry points survive as thin shims re-seated on sessions:
-//! [`crate::MixedSignalSimulation::run`] (and through it
-//! [`crate::ScenarioConfig::run`]) attaches one dense [`WaveformProbe`] and
-//! runs to the end, reproducing the pre-session trajectories bit for bit.
-//! See DESIGN.md §8 for the ownership diagram and the probe dispatch cost
-//! budget.
+//! Dense waveforms are one probe away: a [`crate::probe::WaveformProbe`] at
+//! the engine's [`SimulationEngine::record_interval`] records exactly the
+//! decimated trajectories the engines' own dense recorders produce. See
+//! DESIGN.md §8 for the ownership diagram and the probe dispatch cost budget.
 
 use std::any::Any;
 use std::time::{Duration, Instant};
@@ -44,7 +51,7 @@ use crate::baseline::{BaselineMarch, BaselineOptions, BaselineStats, BaselineWor
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use crate::harvester::TunableHarvester;
 use crate::mixed::{ControlEvent, EngineStats, SimulationEngine};
-use crate::probe::{DigitalEvent, Probe, WaveformProbe};
+use crate::probe::{DigitalEvent, Probe};
 use crate::scenario::ScenarioConfig;
 use crate::solver::{SolverOptions, SolverStats, SolverWorkspace, StateSpaceMarch};
 use crate::CoreError;
@@ -296,9 +303,7 @@ impl HarvesterEnvironment for ControlMailbox {
 /// Created by [`Simulation::start`] (or [`Session::start`] from an explicit
 /// harvester). The session owns the harvester, the digital kernel, the
 /// engine workspace and the probes; advancing it interleaves resumable
-/// analogue march segments with digital-kernel event processing exactly as
-/// the pre-session driver did — the arithmetic is bit-identical, only the
-/// control flow is inverted.
+/// analogue march segments with digital-kernel event processing.
 pub struct Session {
     harvester: TunableHarvester,
     kernel: Kernel<ControlMailbox>,
@@ -1105,8 +1110,7 @@ impl Session {
             }
         }
         // Bill the segment's accumulated engine time (march time + the open
-        // and close bookkeeping, matching what the run-to-completion drivers
-        // measured) into the engine that ran it.
+        // and close bookkeeping) into the engine that ran it.
         let segment_cpu = self.pending_cpu + clock.elapsed();
         self.pending_cpu = Duration::ZERO;
         match &self.runtime {
@@ -1196,26 +1200,6 @@ impl std::fmt::Debug for Session {
             .field("control_events", &self.control_events.len())
             .finish()
     }
-}
-
-/// Convenience used by the mixed-signal shim: a session pre-loaded with one
-/// dense [`WaveformProbe`] at the engine's record interval — the exact
-/// recording policy the pre-session engines had built in.
-pub(crate) fn dense_capture_session(
-    harvester: TunableHarvester,
-    controller_config: ControllerConfig,
-    engine: SimulationEngine,
-    duration_s: f64,
-    initial_supercap_voltage: f64,
-) -> Result<Session, CoreError> {
-    let record_interval = match &engine {
-        SimulationEngine::StateSpace(options) => options.record_interval,
-        SimulationEngine::NewtonRaphson(options) => options.record_interval,
-    };
-    let mut session =
-        Session::start(harvester, controller_config, engine, duration_s, initial_supercap_voltage)?;
-    session.add_probe(WaveformProbe::new(record_interval));
-    Ok(session)
 }
 
 #[cfg(test)]
@@ -1340,8 +1324,7 @@ mod tests {
 
     /// The engine's device-evaluation policy is session-internal: a baseline
     /// session runs on exact Shockley companions, but the harvester handed
-    /// back by `into_parts` (and therefore the shims' `ScenarioResult`)
-    /// keeps the caller's configuration.
+    /// back by `into_parts` keeps the caller's configuration.
     #[test]
     fn engine_evaluation_policy_does_not_leak_into_the_returned_harvester() {
         let simulation = quick_simulation()
@@ -1357,13 +1340,6 @@ mod tests {
             !harvester.exact_diode_companions(),
             "the caller's harvester was configured with table companions"
         );
-        // And the run-to-completion shim inherits the guarantee.
-        let mut config = quick_simulation().config().clone();
-        config.duration_s = 0.05;
-        config.frequency_step_time_s = 0.02;
-        config.engine = crate::SimulationEngine::NewtonRaphson(crate::BaselineOptions::default());
-        let result = config.run().unwrap();
-        assert!(!result.harvester.exact_diode_companions());
     }
 
     #[test]

@@ -95,26 +95,10 @@ pub struct SolverOptions {
     /// Minimum spacing between recorded trajectory samples, in seconds
     /// (`0.0` records every accepted step).
     pub record_interval: f64,
-    /// Partitioned IMEX marching: advance the states the system declares
-    /// *stiff* ([`AnalogueSystem::stiff_states`]) with the exact exponential
-    /// update (second-order ETD: `x_s ← x_s + h·ϕ₁(h·A_ss)·ẋ_s +
-    /// h²·ϕ₂(h·A_ss)·u̇`) while the non-stiff partition keeps the explicit
-    /// Adams–Bashforth governor, whose stability plan is then priced on the
-    /// *non-stiff* spectrum only — so an artificial interface pole (the
-    /// harvester's −4.1·10⁴ s⁻¹ storage/rail modes) no longer sets the step.
-    /// Once those poles are gone the step is *accuracy*-limited instead of
-    /// stability-limited, so the partitioned march also runs an embedded
-    /// lower-order truncation-error controller (see
-    /// [`SolverOptions::lte_relative_tolerance`]) that shrinks the step
-    /// through the diode conduction fronts and rides the cap through the
-    /// linear phases. Disable for the exact-off A/B ablation; with it off (or
-    /// for systems declaring no stiff states) the march — including the step
-    /// controller, which only arms on the partitioned path — is bit-identical
-    /// to the classic unpartitioned one.
-    pub imex: bool,
     /// Relative weight of the embedded local-truncation-error estimate the
     /// partitioned march's accuracy controller targets (per-state tolerance
-    /// `atol + rtol·|x|`). Only read when the partitioned path is active.
+    /// `atol + rtol·|x|`). Only read when the partitioned path is active —
+    /// i.e. when the system declares stiff states (see the module docs).
     pub lte_relative_tolerance: f64,
     /// Absolute floor of the per-state error tolerance, in state units.
     pub lte_absolute_tolerance: f64,
@@ -131,7 +115,6 @@ impl Default for SolverOptions {
             stability_safety: 0.8,
             relinearise_threshold: 0.05,
             record_interval: 1e-3,
-            imex: true,
             // Retuned for the chord-companion diode model (this PR): the
             // model's segment kinks inject error the embedded estimator
             // cannot see, so the explicit tolerance is tightened until the
@@ -220,8 +203,8 @@ pub struct SolverStats {
     pub steps_by_order: [usize; MAX_ADAMS_BASHFORTH_ORDER],
     /// Steps on which the stiff partition advanced through the exact
     /// exponential update (the IMEX lane). Equal to [`SolverStats::steps`]
-    /// when the partitioned march is active, zero when `imex` is off or the
-    /// system declares no stiff states.
+    /// when the partitioned march is active, zero when the system declares
+    /// no stiff states.
     pub stiff_exact_steps: usize,
     /// Per-block Jacobian stamps (scatter + Eq. 3 monitor scan) skipped under
     /// the [`harvsim_blocks::JacobianStructure::Constant`] contract — the
@@ -232,15 +215,11 @@ pub struct SolverStats {
     /// the block's PWL segment set was unchanged since the last stamp, so the
     /// values in the buffer are exact and neither the scatter nor the Eq. 3
     /// scan ran (ROADMAP item b — the Dickson relinearise cost). For the
-    /// assembled harvester this counts the steps between diode
-    /// conduction-state changes, i.e. nearly all of them.
+    /// assembled harvester the skip fires on steps where no Dickson diode
+    /// changed PWL segment since the previous stamp — about 8 % of the steps
+    /// in the Table II scenarios (10 647 of 133 311 on scenario 1, 11 346 of
+    /// 131 907 on scenario 2).
     pub pwl_stamps_skipped: usize,
-    /// Worker threads the run was fanned across by a batch runner
-    /// ([`crate::run_batch`] / [`crate::SpeedComparison::run_batch`]); `0`
-    /// means the solver ran inline, `1` that a batch runner fell back to
-    /// sequential execution (single-core host or singleton batch) — recorded
-    /// so single-core CI timings are attributable instead of quietly honest.
-    pub threads_used: usize,
     /// `(Re λ, Im λ)` of the eigenvalue that priced the step limit at the
     /// most recent governor selection — `[0.0, 0.0]` when nothing constrained
     /// the step below the cap. With the partitioned march active this is a
@@ -270,11 +249,9 @@ impl SolverStats {
         self.stiff_exact_steps += other.stiff_exact_steps;
         self.constant_stamps_skipped += other.constant_stamps_skipped;
         self.pwl_stamps_skipped += other.pwl_stamps_skipped;
-        // Batch-runner metadata, not per-segment work: the widest fan-out
-        // seen wins, and the most recent segment's binding pole stands for
-        // the merged run (a later segment describes the march's present
-        // bottleneck, which is what the benchmark records are after).
-        self.threads_used = self.threads_used.max(other.threads_used);
+        // The most recent segment's binding pole stands for the merged run (a
+        // later segment describes the march's present bottleneck, which is
+        // what the benchmark records are after).
         if other.steps > 0 {
             self.binding_pole = other.binding_pole;
         }
@@ -297,7 +274,9 @@ impl SolverStats {
         w.put_usize(self.stiff_exact_steps);
         w.put_usize(self.constant_stamps_skipped);
         w.put_usize(self.pwl_stamps_skipped);
-        w.put_usize(self.threads_used);
+        // Former batch fan-out slot: always written as 0, so frames keep the
+        // version 1 layout.
+        w.put_usize(0);
         w.put_f64(self.binding_pole[0]);
         w.put_f64(self.binding_pole[1]);
         w.put_f64(self.max_jacobian_change);
@@ -320,7 +299,8 @@ impl SolverStats {
         stats.stiff_exact_steps = r.take_usize()?;
         stats.constant_stamps_skipped = r.take_usize()?;
         stats.pwl_stamps_skipped = r.take_usize()?;
-        stats.threads_used = r.take_usize()?;
+        // Former batch fan-out slot: read and discarded.
+        r.take_usize()?;
         stats.binding_pole = [r.take_f64()?, r.take_f64()?];
         stats.max_jacobian_change = r.take_f64()?;
         stats.cpu_time = Duration::from_nanos(r.take_u64()?);
@@ -786,12 +766,11 @@ impl StateSpaceMarch {
         }
         let n = system.state_count();
         let m = system.net_count();
-        // The stiff/non-stiff partition is fixed per segment: with `imex` on,
-        // the states the system declares stiff leave the explicit march for
-        // the exact exponential lane; with it off (or nothing declared) the
-        // partition is empty and the loop below is bit-identical to the
-        // classic unpartitioned path.
-        let stiff = if options.imex { system.stiff_states() } else { Vec::new() };
+        // The stiff/non-stiff partition is fixed per segment: the states the
+        // system declares stiff leave the explicit march for the exact
+        // exponential lane; with nothing declared the partition is empty and
+        // the loop below is the classic unpartitioned path.
+        let stiff = system.stiff_states();
         for &index in &stiff {
             if index >= n {
                 return Err(CoreError::InvalidConfiguration(format!(
@@ -955,7 +934,7 @@ impl StateSpaceMarch {
             ))
             .into());
         }
-        let stiff = if options.imex { system.stiff_states() } else { Vec::new() };
+        let stiff = system.stiff_states();
         for &index in &stiff {
             if index >= n {
                 return Err(malformed(format!("stiff state index {index} out of range")).into());
@@ -1536,7 +1515,6 @@ mod tests {
             stiff_exact_steps: 5,
             constant_stamps_skipped: 4,
             pwl_stamps_skipped: 3,
-            threads_used: 2,
             binding_pole: [-440.0, 62.0],
             max_jacobian_change: 0.2,
             cpu_time: Duration::from_millis(2),
@@ -1550,14 +1528,12 @@ mod tests {
         assert_eq!(a.stiff_exact_steps, 5);
         assert_eq!(a.constant_stamps_skipped, 4);
         assert_eq!(a.pwl_stamps_skipped, 3);
-        assert_eq!(a.threads_used, 2, "the widest batch fan-out wins");
         assert_eq!(a.binding_pole, [-440.0, 62.0], "the most recent segment's pole stands");
         assert_eq!(a.max_jacobian_change, 0.2);
         assert_eq!(a.cpu_time, Duration::from_millis(2));
-        // A zero-step segment must not clobber the binding pole or fan-out.
+        // A zero-step segment must not clobber the binding pole.
         a.absorb(&SolverStats::default());
         assert_eq!(a.binding_pole, [-440.0, 62.0]);
-        assert_eq!(a.threads_used, 2);
         // The stiff-exact lane stays separately accounted: the per-order
         // histogram still sums to the total step count.
         assert_eq!(a.steps_by_order.iter().sum::<usize>(), a.steps);

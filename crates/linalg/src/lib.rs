@@ -23,8 +23,8 @@
 //! * [`expm`] — small dense matrix exponential and the ϕ₁ function, the kernels
 //!   of the exponential rail integrator that advances the stiff partition of
 //!   the state space exactly instead of explicitly.
-//! * [`TripletBuilder`] — coordinate-format accumulation of matrix stamps, used
-//!   by the modified-nodal-analysis baseline simulator.
+//! * [`TripletBuilder`] — coordinate-format accumulation of matrix stamps.
+//!   The engine stamps its dense blocks directly and does not use it.
 //!
 //! # Example
 //!

@@ -66,7 +66,7 @@ impl<'a> DecimatedRecorder<'a> {
     /// last retained time and the minimum spacing. This single definition is
     /// shared by every dense recorder (the solvers' `DecimatedRecorder` and
     /// the session facade's waveform-capture probe), so the recording policy
-    /// cannot drift between the two paths the bit-identity shims compare.
+    /// cannot drift between the two paths the bit-identity tests compare.
     pub fn due(last_recorded: f64, interval: f64, t: f64) -> bool {
         t - last_recorded >= interval
     }

@@ -8,15 +8,16 @@
 //! depend on a single crate:
 //!
 //! * [`linalg`] — dense linear algebra (LU, eigenvalues, diagonal dominance).
-//! * [`ode`] — explicit (Adams–Bashforth) and implicit (Newton–Raphson)
-//!   integrators, stability and step control.
+//! * [`ode`] — the march's integration kernels: variable-step
+//!   Adams–Bashforth coefficients, the Eq. 7 stability limits and the exact
+//!   exponential update of the stiff partition.
 //! * [`digital`] — the event-driven digital kernel used for the
 //!   microcontroller process.
 //! * [`blocks`] — the harvester component-block models (microgenerator,
 //!   Dickson multiplier, supercapacitor, controller, excitation).
 //! * [`core`] — the linearised state-space engine, the complete harvester
-//!   model, the mixed-signal co-simulation, the evaluation scenarios and the
-//!   Newton–Raphson baseline.
+//!   model, the mixed-signal co-simulation session, the evaluation scenarios
+//!   and the Newton–Raphson baseline.
 //!
 //! The most common entry points are re-exported at the top level. The
 //! primary way to run a simulation is the streaming [`Simulation`] builder:
@@ -50,10 +51,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! The pre-session API ([`ScenarioConfig::run`] and friends) keeps working as
-//! a thin shim over sessions, returning dense trajectories bit-identical to
-//! earlier releases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,14 +65,13 @@ pub use harvsim_blocks::{
     HarvesterParameters, LoadMode, Scenario, StateSpaceBlock, VibrationExcitation,
 };
 pub use harvsim_core::{
-    fnv1a64, BaselineOptions, CheckpointError, Client, Command, ComparisonReport, CoreError,
-    DigitalEvent, DrainReport, EnvelopeProbe, ExploreReport, Explorer, Fault, FaultKind, FaultPlan,
-    FaultSite, FrameReader, FrameWriter, GridSpec, JobClass, JobOutcome, JobRequest,
-    MixedSignalSimulation, NewtonRaphsonBaseline, ObjectiveSummary, PointMetrics, PointOutcome,
-    PointRecord, PowerProbe, Probe, ProtocolError, RecoveryReport, Response, RetryPolicy,
-    ScenarioConfig, ScenarioResult, Server, ServerOptions, ServerStats, ServiceError,
-    ServiceOptions, ServiceReport, Session, SessionReport, SessionService, SessionStatus,
-    SessionStore, Simulation, SimulationEngine, SolverOptions, SpeedComparison, StateSpaceSolver,
+    fnv1a64, BaselineOptions, CheckpointError, Client, Command, CoreError, DigitalEvent,
+    DrainReport, EnvelopeProbe, ExploreReport, Explorer, Fault, FaultKind, FaultPlan, FaultSite,
+    FrameReader, FrameWriter, GridSpec, JobClass, JobOutcome, JobRequest, NewtonRaphsonBaseline,
+    ObjectiveSummary, PointMetrics, PointOutcome, PointRecord, PowerProbe, Probe, ProtocolError,
+    RecoveryReport, Response, RetryPolicy, ScenarioConfig, Server, ServerOptions, ServerStats,
+    ServiceError, ServiceOptions, ServiceReport, Session, SessionReport, SessionService,
+    SessionStatus, SessionStore, Simulation, SimulationEngine, SolverOptions, StateSpaceSolver,
     StatusInfo, StepHistogramProbe, StoreError, StoreOptions, SubmitSpec, SweepGrid,
     SweepParameter, TunableHarvester, WaveformProbe, WireError, WireState, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,

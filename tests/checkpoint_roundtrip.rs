@@ -1,7 +1,7 @@
 //! Durable checkpoint round-trip battery: `save → load → resume` must be
 //! **bit-identical** to an uninterrupted run — trajectories, final state,
 //! work statistics, digital events and control actions — for random pause
-//! points, both analogue engines, IMEX on and off. This generalises
+//! points and both analogue engines. This generalises
 //! `tests/session_resume.rs` (in-memory pause/resume) to the serialised
 //! path: the session is checkpointed to bytes, dropped, and rebuilt from the
 //! bytes alone. Only the wall-clock `cpu_time` statistics are excluded from
@@ -15,13 +15,12 @@ use harvsim::core::mixed::{ControlEvent, EngineStats};
 use harvsim::linalg::DVector;
 use harvsim::ode::Trajectory;
 use harvsim::{
-    BaselineOptions, ScenarioConfig, Session, Simulation, SimulationEngine, SolverOptions,
-    WaveformProbe,
+    BaselineOptions, ScenarioConfig, Session, Simulation, SimulationEngine, WaveformProbe,
 };
 use proptest::prelude::*;
 
-/// The comparable outcome of an uninterrupted run — a `Sync` extract of
-/// `ScenarioResult` (which owns the harvester and is not shareable across
+/// The comparable outcome of an uninterrupted run — a `Sync` extract of the
+/// finished session (which owns the harvester and is not shareable across
 /// the proptest cases).
 struct Reference {
     states: Trajectory,
@@ -33,14 +32,18 @@ struct Reference {
 }
 
 fn reference_for(scenario: &ScenarioConfig) -> Reference {
-    let result = scenario.run().expect("reference run");
+    let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
+    let capture = session.add_probe(WaveformProbe::new(record_interval(scenario)));
+    session.run_to_end().expect("reference run");
+    let report = session.report();
+    let probe = session.probe::<WaveformProbe>(capture).expect("typed probe");
     Reference {
-        states: result.states().clone(),
-        terminals: result.terminals().clone(),
-        final_state: result.final_state.clone(),
-        engine_stats: result.result.engine_stats,
-        digital_events: result.result.digital_events,
-        control_events: result.result.control_events.clone(),
+        states: probe.states().clone(),
+        terminals: probe.terminals().clone(),
+        final_state: report.final_state,
+        engine_stats: report.engine_stats,
+        digital_events: report.digital_events,
+        control_events: report.control_events,
     }
 }
 
@@ -152,17 +155,6 @@ fn state_space_reference() -> &'static (ScenarioConfig, Reference) {
     })
 }
 
-fn imex_off_reference() -> &'static (ScenarioConfig, Reference) {
-    static REF: OnceLock<(ScenarioConfig, Reference)> = OnceLock::new();
-    REF.get_or_init(|| {
-        let mut scenario = busy_scenario();
-        scenario.engine =
-            SimulationEngine::StateSpace(SolverOptions { imex: false, ..Default::default() });
-        let reference = reference_for(&scenario);
-        (scenario, reference)
-    })
-}
-
 fn baseline_reference() -> &'static (ScenarioConfig, Reference) {
     static REF: OnceLock<(ScenarioConfig, Reference)> = OnceLock::new();
     REF.get_or_init(|| {
@@ -180,12 +172,6 @@ proptest! {
     #[test]
     fn state_space_durable_roundtrip(p1 in 0.05f64..0.9, p2 in 0.05f64..0.9) {
         let (scenario, reference) = state_space_reference();
-        assert_durable_roundtrip(scenario, reference, [p1.min(p2), p1.max(p2)]);
-    }
-
-    #[test]
-    fn state_space_durable_roundtrip_imex_off(p1 in 0.05f64..0.9, p2 in 0.05f64..0.9) {
-        let (scenario, reference) = imex_off_reference();
         assert_durable_roundtrip(scenario, reference, [p1.min(p2), p1.max(p2)]);
     }
 

@@ -2,6 +2,8 @@
 //! stability of accepted steps (Eq. 7), consistency of terminal elimination
 //! (Eq. 4) and robustness of the assembled model across parameter variations.
 
+mod common;
+
 use harvsim::core::assembly::AnalogueSystem;
 use harvsim::linalg::{eigen, DMatrix, DVector};
 use harvsim::{HarvesterParameters, TunableHarvester};
@@ -77,10 +79,10 @@ proptest! {
         scenario.duration_s = 0.15;
         scenario.frequency_step_time_s = scenario.duration_s * step_fraction;
         scenario.initial_supercap_voltage = initial_v;
-        let outcome = scenario.run().expect("short scenario run succeeds");
+        let outcome = common::dense_run(&scenario);
         let offset = outcome.harvester.supercap_state_offset();
-        prop_assert!(outcome.states().len() > 10, "too few samples recorded");
-        for (t, state) in outcome.states().times().iter().zip(outcome.states().states()) {
+        prop_assert!(outcome.states.len() > 10, "too few samples recorded");
+        for (t, state) in outcome.states.times().iter().zip(outcome.states.states()) {
             for branch in 0..3 {
                 let v = state[offset + branch];
                 prop_assert!(v.is_finite(), "branch {branch} non-finite at t = {t}");

@@ -5,10 +5,13 @@
 //! debug builds; the release-mode benches and the `repro` binary exercise the
 //! longer paper-scale spans.
 
+mod common;
+
+use common::dense_run;
 use harvsim::core::measurement;
 use harvsim::{
     BaselineOptions, HarvesterParameters, ScenarioConfig, SimulationEngine, SolverOptions,
-    SpeedComparison, TunableHarvester,
+    TunableHarvester,
 };
 
 fn short_scenario1() -> ScenarioConfig {
@@ -34,8 +37,13 @@ fn complete_model_has_the_papers_dimensions() {
 
 #[test]
 fn scenario1_generates_power_and_holds_the_store_voltage() {
-    let outcome = short_scenario1().run().expect("scenario runs");
-    let report = measurement::power_report(&outcome).expect("power report");
+    let scenario = short_scenario1();
+    let outcome = dense_run(&scenario);
+    let vm = outcome.harvester.generator_voltage_net();
+    let im = outcome.harvester.generator_current_net();
+    let report =
+        measurement::power_report(&outcome.terminals, vm, im, scenario.frequency_step_time_s)
+            .expect("power report");
     // The operating point targets roughly 100 uW of generated power; accept a
     // generous band since the span is very short.
     assert!(
@@ -43,46 +51,60 @@ fn scenario1_generates_power_and_holds_the_store_voltage() {
         "RMS power before the step = {} uW",
         report.rms_before_uw
     );
-    let store = measurement::supercap_voltage_waveform(&outcome);
+    let vc = outcome.harvester.storage_voltage_net();
+    let store = measurement::supercap_voltage_waveform(&outcome.terminals, vc);
     assert!(store.iter().all(|(_, v)| *v > 2.0 && *v < 3.5), "store voltage stays physical");
 }
 
 #[test]
 fn proposed_and_baseline_engines_agree_on_the_waveforms() {
     let scenario = short_scenario1();
-    let comparison = SpeedComparison::with_defaults();
-    let report = comparison.run(&scenario).expect("comparison runs");
-    assert!(
-        report.accuracy.max_deviation < 0.05,
-        "supercap-voltage deviation between engines = {} V",
-        report.accuracy.max_deviation
+    let proposed = dense_run(&scenario);
+    let baseline = dense_run(
+        &scenario.clone().with_engine(SimulationEngine::NewtonRaphson(BaselineOptions::default())),
     );
-    assert!(report.speedup() > 1.0, "state-space engine must be faster, got {}", report.speedup());
+    let vc = proposed.harvester.storage_voltage_net();
+    let accuracy =
+        measurement::compare_component(&proposed.terminals, &baseline.terminals, vc, 400)
+            .expect("waveforms compare");
+    assert!(
+        accuracy.max_deviation < 0.05,
+        "supercap-voltage deviation between engines = {} V",
+        accuracy.max_deviation
+    );
+    let proposed_cpu = proposed.report.engine_stats.state_space.cpu_time;
+    let baseline_cpu = baseline.report.engine_stats.baseline.cpu_time;
+    assert!(
+        baseline_cpu > proposed_cpu,
+        "state-space engine must be faster: {proposed_cpu:?} vs baseline {baseline_cpu:?}"
+    );
 }
 
 #[test]
 fn engine_choice_is_configurable_through_the_public_api() {
     let scenario =
         short_scenario1().with_engine(SimulationEngine::NewtonRaphson(BaselineOptions::default()));
-    let outcome = scenario.run().expect("baseline scenario runs");
-    assert!(outcome.result.engine_stats.baseline.steps > 0);
-    assert_eq!(outcome.result.engine_stats.state_space.steps, 0);
+    let outcome = dense_run(&scenario);
+    assert!(outcome.report.engine_stats.baseline.steps > 0);
+    assert_eq!(outcome.report.engine_stats.state_space.steps, 0);
 
     let scenario = short_scenario1().with_engine(SimulationEngine::StateSpace(SolverOptions {
         ab_order: 2,
         ..Default::default()
     }));
-    let outcome = scenario.run().expect("state-space scenario runs");
-    assert!(outcome.result.engine_stats.state_space.steps > 0);
+    let outcome = dense_run(&scenario);
+    assert!(outcome.report.engine_stats.state_space.steps > 0);
 }
 
 #[test]
 fn experimental_surrogate_diverges_but_stays_correlated() {
     let scenario = short_scenario1();
-    let simulation = scenario.run().expect("simulation runs");
-    let surrogate = scenario.run_experimental_surrogate().expect("surrogate runs");
-    let comparison = measurement::compare_supercap_voltage(&simulation, &surrogate, 200)
-        .expect("waveforms compare");
+    let simulation = dense_run(&scenario);
+    let surrogate = dense_run(&scenario.experimental_surrogate());
+    let vc = simulation.harvester.storage_voltage_net();
+    let comparison =
+        measurement::compare_component(&simulation.terminals, &surrogate.terminals, vc, 200)
+            .expect("waveforms compare");
     // The surrogate has leakage and extra damping, so it must differ a little —
     // but not wildly (the paper's Fig. 8(b)/9 show close correlation).
     assert!(comparison.max_deviation > 0.0);

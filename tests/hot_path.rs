@@ -4,9 +4,12 @@
 //! the engine's cost asymmetry observable through [`harvsim::core::solver`]'s
 //! statistics.
 
+mod common;
+
+use common::HideStiff;
 use harvsim::core::solver::{SolverOptions, SolverWorkspace, StateSpaceSolver};
 use harvsim::ode::Trajectory;
-use harvsim::{HarvesterParameters, ScenarioConfig, TunableHarvester};
+use harvsim::{HarvesterParameters, ScenarioConfig, Simulation, TunableHarvester};
 
 fn harvester() -> TunableHarvester {
     TunableHarvester::with_constant_excitation(HarvesterParameters::practical_device(), 70.0)
@@ -99,18 +102,18 @@ fn harvester_steps_hit_the_cached_terminal_factorisation() {
     );
 }
 
-/// The PR 3 behaviour is preserved behind `imex: false`: the real
-/// rail/storage interface poles bind the march, so the governor rides the
-/// order-2 region (widest real-axis interval above order 1) through the
-/// steady state of the assembled harvester (DESIGN.md §6.2).
+/// For a system declaring no stiff states (the harvester seen through
+/// `HideStiff`) the real rail/storage interface poles still bind the march,
+/// so the governor rides the order-2 region (widest real-axis interval above
+/// order 1) through the steady state of the assembled harvester
+/// (DESIGN.md §6.2).
 #[test]
 fn imex_off_governor_still_rides_ab2_on_the_interface_poles() {
     let h = harvester();
     let x0 = h.initial_state(2.5).expect("initial state");
-    let solver =
-        StateSpaceSolver::new(SolverOptions { imex: false, ..Default::default() }).expect("solver");
-    let result = solver.solve(&h, 0.0, 0.1, &x0).expect("segment");
-    assert_eq!(result.stats.stiff_exact_steps, 0, "imex off never runs the exponential lane");
+    let solver = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
+    let result = solver.solve(&HideStiff(&h), 0.0, 0.1, &x0).expect("segment");
+    assert_eq!(result.stats.stiff_exact_steps, 0, "no stiff states, no exponential lane");
     assert!(
         result.stats.steps_by_order[1] > result.stats.steps / 2,
         "steps_by_order {:?}",
@@ -126,8 +129,9 @@ fn closed_loop_factorisations_scale_with_segments_not_steps() {
     let mut scenario = ScenarioConfig::scenario1();
     scenario.duration_s = 0.4;
     scenario.frequency_step_time_s = 0.1;
-    let run = scenario.run().expect("scenario runs");
-    let stats = run.result.engine_stats.state_space;
+    let mut session = Simulation::from_config(scenario).start().expect("session starts");
+    session.run_to_end().expect("scenario runs");
+    let stats = session.report().engine_stats.state_space;
     assert!(stats.steps > 500, "steps {}", stats.steps);
     assert!(
         stats.factorisations < stats.steps / 50,

@@ -1,100 +1,21 @@
-//! Integration tests for the partitioned stiff/non-stiff march (DESIGN.md §7):
-//! the IMEX-off fallback must reproduce the classic (PR 3) unpartitioned
-//! march bit for bit, the partition machinery must be inert for systems that
-//! declare no stiff states, and the partitioned harvester march must agree
+//! Integration tests for the partitioned stiff/non-stiff march (DESIGN.md §7).
+//! The partition is whatever the system declares through `stiff_states()`;
+//! the harvester seen through `common::HideStiff` declares none and so runs
+//! the classic unpartitioned march. The partition machinery must be
+//! inert for such systems, and the partitioned harvester march must agree
 //! with the fine-stepped unpartitioned reference while taking far fewer
 //! steps.
 
-use harvsim::core::assembly::{AnalogueSystem, GlobalLinearisation, StampReport};
-use harvsim::core::solver::{SolverOptions, StateSpaceSolver};
-use harvsim::core::CoreError;
-use harvsim::linalg::DVector;
+mod common;
+
+use common::{dense_run, direct_mixed_loop, HideStiff};
+use harvsim::core::solver::{SolverOptions, SolverWorkspace, StateSpaceSolver};
+use harvsim::ode::Trajectory;
 use harvsim::{HarvesterParameters, ScenarioConfig, TunableHarvester};
 
 fn harvester() -> TunableHarvester {
     TunableHarvester::with_constant_excitation(HarvesterParameters::practical_device(), 70.0)
         .expect("harvester builds")
-}
-
-/// Delegating wrapper that hides the blocks' stiff-state declarations, so the
-/// solver runs its classic unpartitioned path even with `imex: true` — the
-/// reference the IMEX-off regression below compares against.
-struct HideStiff<'a>(&'a TunableHarvester);
-
-impl AnalogueSystem for HideStiff<'_> {
-    fn state_count(&self) -> usize {
-        self.0.state_count()
-    }
-    fn net_count(&self) -> usize {
-        self.0.net_count()
-    }
-    fn state_names(&self) -> Vec<String> {
-        self.0.state_names()
-    }
-    fn net_names(&self) -> Vec<String> {
-        self.0.net_names()
-    }
-    fn linearise_global(
-        &self,
-        t: f64,
-        x: &DVector,
-        y: &DVector,
-    ) -> Result<GlobalLinearisation, CoreError> {
-        self.0.linearise_global(t, x, y)
-    }
-    fn linearise_global_into(
-        &self,
-        t: f64,
-        x: &DVector,
-        y: &DVector,
-        out: &mut GlobalLinearisation,
-    ) -> Result<(), CoreError> {
-        self.0.linearise_global_into(t, x, y, out)
-    }
-    fn relinearise_global_into(
-        &self,
-        t: f64,
-        x: &DVector,
-        y: &DVector,
-        out: &mut GlobalLinearisation,
-    ) -> Result<StampReport, CoreError> {
-        self.0.relinearise_global_into(t, x, y, out)
-    }
-    // Deliberately NOT forwarding `stiff_states`: the default (empty) hides
-    // the partition.
-}
-
-/// The acceptance regression: `imex: false` must execute exactly the
-/// arithmetic of the PR 3 unpartitioned march. The reference is the same
-/// solver run with `imex: true` against a system that declares no stiff
-/// states — by construction the pre-partition code path — and the two must be
-/// bit-identical on the full harvester, trajectories included.
-#[test]
-fn imex_off_reproduces_the_unpartitioned_march_bit_identically() {
-    let h = harvester();
-    let x0 = h.initial_state(2.5).expect("initial state");
-    let span = 0.08;
-
-    let off =
-        StateSpaceSolver::new(SolverOptions { imex: false, ..Default::default() }).expect("solver");
-    let off_run = off.solve(&h, 0.0, span, &x0).expect("imex-off run");
-
-    let on = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
-    let hidden = HideStiff(&h);
-    let reference = on.solve(&hidden, 0.0, span, &x0).expect("unpartitioned reference");
-
-    assert_eq!(off_run.final_state, reference.final_state, "final states must match bit for bit");
-    assert_eq!(off_run.stats.steps, reference.stats.steps);
-    assert_eq!(off_run.stats.steps_by_order, reference.stats.steps_by_order);
-    assert_eq!(off_run.stats.stiff_exact_steps, 0);
-    assert_eq!(reference.stats.stiff_exact_steps, 0);
-    assert_eq!(off_run.states.len(), reference.states.len());
-    for (sample, expected) in off_run.states.states().iter().zip(reference.states.states()) {
-        assert_eq!(sample, expected, "trajectory samples must match bit for bit");
-    }
-    for (sample, expected) in off_run.terminals.states().iter().zip(reference.terminals.states()) {
-        assert_eq!(sample, expected, "terminal samples must match bit for bit");
-    }
 }
 
 /// The partitioned march must stay close to the unpartitioned reference —
@@ -106,11 +27,9 @@ fn partitioned_march_agrees_with_the_unpartitioned_reference_and_takes_fewer_ste
     let x0 = h.initial_state(2.5).expect("initial state");
     let span = 0.1;
 
-    let on = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
-    let off =
-        StateSpaceSolver::new(SolverOptions { imex: false, ..Default::default() }).expect("solver");
-    let partitioned = on.solve(&h, 0.0, span, &x0).expect("partitioned run");
-    let reference = off.solve(&h, 0.0, span, &x0).expect("reference run");
+    let solver = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
+    let partitioned = solver.solve(&h, 0.0, span, &x0).expect("partitioned run");
+    let reference = solver.solve(&HideStiff(&h), 0.0, span, &x0).expect("reference run");
 
     // On this short start-up transient the margin is modest (the conduction
     // inrush dominates); full scenarios halve the step count (see
@@ -148,7 +67,8 @@ fn partitioned_march_agrees_with_the_unpartitioned_reference_and_takes_fewer_ste
 
 /// End-to-end closed-loop scenario check: the partitioned engine drives the
 /// same control trajectory (retune to the new ambient frequency) as the
-/// IMEX-off engine, and its stats record the partition's activity.
+/// unpartitioned march of the same closed loop, and its stats record the
+/// partition's activity.
 #[test]
 fn closed_loop_scenario_retunes_identically_under_both_integrators() {
     let mut scenario = ScenarioConfig::scenario1();
@@ -160,41 +80,57 @@ fn closed_loop_scenario_retunes_identically_under_both_integrators() {
     scenario.controller.tuning_rate_hz_per_s = 10.0;
     scenario.controller.tuning_update_interval_s = 0.02;
 
-    let partitioned = scenario.run().expect("partitioned closed loop");
-    let mut off = scenario.clone();
-    off.engine = harvsim::core::SimulationEngine::StateSpace(SolverOptions {
-        imex: false,
-        ..Default::default()
-    });
-    let reference = off.run().expect("imex-off closed loop");
+    let partitioned = dense_run(&scenario);
+    let solver = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
+    let mut unpartitioned = scenario.build_harvester().expect("harvester");
+    let (_, _, _, reference_steps, _) = direct_mixed_loop(
+        &mut unpartitioned,
+        scenario.controller,
+        &solver,
+        scenario.duration_s,
+        scenario.initial_supercap_voltage,
+        true,
+    );
 
     let tuned = partitioned.harvester.resonant_frequency_hz();
-    let tuned_reference = reference.harvester.resonant_frequency_hz();
+    let tuned_reference = unpartitioned.resonant_frequency_hz();
     assert!((tuned - 71.0).abs() < 0.2, "partitioned retune ended at {tuned}");
     assert!((tuned - tuned_reference).abs() < 0.1, "engines disagree on the retune");
-    let stats = partitioned.result.engine_stats.state_space;
+    let stats = partitioned.report.engine_stats.state_space;
     assert_eq!(stats.stiff_exact_steps, stats.steps);
     assert!(stats.constant_stamps_skipped > 0);
-    assert!(stats.steps < reference.result.engine_stats.state_space.steps / 2);
+    assert!(stats.steps < reference_steps / 2);
 }
 
-/// A system that declares no stiff states leaves every partition counter at
-/// zero and produces bit-identical results whether `imex` is on or off: the
-/// machinery must be inert, not merely close.
+/// The IMEX switch is the system's own `stiff_states()` declaration. A system
+/// that declares none leaves every partition counter at zero, and a workspace
+/// that just ran the partitioned march carries nothing of the partition into
+/// the next segment: marching the unpartitioned view through it is
+/// bit-identical to a fresh-workspace march. The machinery must be inert, not
+/// merely close.
 #[test]
 fn imex_flag_is_inert_for_systems_without_stiff_states() {
     let h = harvester();
     let hidden = HideStiff(&h);
     let x0 = h.initial_state(2.5).expect("initial state");
+    let solver = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
+    let fresh = solver.solve(&hidden, 0.0, 0.05, &x0).expect("unpartitioned march");
 
-    let on = StateSpaceSolver::new(SolverOptions::default()).expect("solver");
-    let off =
-        StateSpaceSolver::new(SolverOptions { imex: false, ..Default::default() }).expect("solver");
-    let a = on.solve(&hidden, 0.0, 0.05, &x0).expect("imex on, no stiff states");
-    let b = off.solve(&hidden, 0.0, 0.05, &x0).expect("imex off");
+    let mut workspace = SolverWorkspace::new();
+    let (mut states, mut terminals) = (Trajectory::new(), Trajectory::new());
+    let (_, partitioned) = solver
+        .solve_into_with(&h, 0.0, 0.05, &x0, &mut states, &mut terminals, &mut workspace)
+        .expect("partitioned march");
+    assert_eq!(partitioned.stiff_exact_steps, partitioned.steps);
+    let (mut states, mut terminals) = (Trajectory::new(), Trajectory::new());
+    let (reused, stats) = solver
+        .solve_into_with(&hidden, 0.0, 0.05, &x0, &mut states, &mut terminals, &mut workspace)
+        .expect("unpartitioned march through the reused workspace");
 
-    assert_eq!(a.final_state, b.final_state);
-    assert_eq!(a.stats.steps, b.stats.steps);
-    assert_eq!(a.stats.stiff_exact_steps, 0);
-    assert_eq!(b.stats.stiff_exact_steps, 0);
+    assert_eq!(reused, fresh.final_state);
+    assert_eq!(stats.steps, fresh.stats.steps);
+    assert_eq!(stats.steps_by_order, fresh.stats.steps_by_order);
+    assert_eq!(stats.stiff_exact_steps, 0);
+    assert_eq!(fresh.stats.stiff_exact_steps, 0);
+    assert_eq!(states.states(), fresh.states.states());
 }

@@ -1,16 +1,14 @@
 //! Acceptance tests for session pause/resume: a run paused at arbitrary
 //! `run_until` boundaries and resumed must be **bit-identical** to an
 //! uninterrupted run — trajectories, final state, work statistics and control
-//! actions — for both analogue engines, with the IMEX partition on and off.
+//! actions — for both analogue engines.
 //!
 //! The property holds by construction (pausing keeps the in-flight march —
 //! derivative history, step-ladder rung, stability plan, Newton iterate —
 //! alive in the session and never truncates a step to land on the pause
 //! time), and these tests pin it.
 
-use harvsim::{
-    BaselineOptions, ScenarioConfig, Simulation, SimulationEngine, SolverOptions, WaveformProbe,
-};
+use harvsim::{BaselineOptions, ScenarioConfig, Simulation, SimulationEngine, WaveformProbe};
 
 /// A short closed-loop scenario with enough digital activity (watchdog wakes,
 /// a retune) that pauses land inside analogue segments, at segment
@@ -29,17 +27,14 @@ fn busy_scenario() -> ScenarioConfig {
 
 /// Runs the scenario through a session, pausing at every time in `pauses`
 /// (plus a final run_to_end), with a dense capture probe mirroring the
-/// engine's record interval.
+/// engine's record interval. With no pauses this is the uninterrupted
+/// reference run.
 fn paused_run(
     scenario: &ScenarioConfig,
     pauses: &[f64],
 ) -> (harvsim::ode::Trajectory, harvsim::ode::Trajectory, harvsim::SessionReport) {
-    let record_interval = match &scenario.engine {
-        SimulationEngine::StateSpace(options) => options.record_interval,
-        SimulationEngine::NewtonRaphson(options) => options.record_interval,
-    };
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
-    let capture = session.add_probe(WaveformProbe::new(record_interval));
+    let capture = session.add_probe(WaveformProbe::new(scenario.engine.record_interval()));
     for &pause in pauses {
         let reached = session.run_until(pause).expect("segment runs");
         // Pausing overshoots to the next accepted boundary, never undershoots.
@@ -54,8 +49,8 @@ fn paused_run(
 }
 
 fn assert_resume_is_bit_identical(scenario: ScenarioConfig) {
-    // Reference: the uninterrupted dense shim.
-    let reference = scenario.run().expect("reference run");
+    // Reference: the uninterrupted dense run.
+    let (reference_states, reference_terminals, reference) = paused_run(&scenario, &[]);
 
     // Pause points chosen to land mid-segment, across watchdog boundaries and
     // right next to the span end.
@@ -63,20 +58,19 @@ fn assert_resume_is_bit_identical(scenario: ScenarioConfig) {
     let (states, terminals, report) = paused_run(&scenario, &pauses);
 
     assert_eq!(report.final_state, reference.final_state, "final states must match bit for bit");
-    assert_eq!(states.len(), reference.states().len(), "same recorded grid");
-    for (i, (sample, expected)) in
-        states.states().iter().zip(reference.states().states()).enumerate()
+    assert_eq!(states.len(), reference_states.len(), "same recorded grid");
+    for (i, (sample, expected)) in states.states().iter().zip(reference_states.states()).enumerate()
     {
         assert_eq!(sample, expected, "state sample {i}");
     }
     for (i, (sample, expected)) in
-        terminals.states().iter().zip(reference.terminals().states()).enumerate()
+        terminals.states().iter().zip(reference_terminals.states()).enumerate()
     {
         assert_eq!(sample, expected, "terminal sample {i}");
     }
-    assert_eq!(states.times(), reference.states().times(), "sample times match");
+    assert_eq!(states.times(), reference_states.times(), "sample times match");
     // Work statistics agree exactly: the paused run took the same steps.
-    let ref_stats = &reference.result.engine_stats;
+    let ref_stats = &reference.engine_stats;
     assert_eq!(report.engine_stats.state_space.steps, ref_stats.state_space.steps);
     assert_eq!(
         report.engine_stats.state_space.steps_by_order,
@@ -88,21 +82,13 @@ fn assert_resume_is_bit_identical(scenario: ScenarioConfig) {
         ref_stats.baseline.newton_iterations
     );
     // And the digital side saw the identical event/control sequence.
-    assert_eq!(report.digital_events, reference.result.digital_events);
-    assert_eq!(report.control_events, reference.result.control_events);
+    assert_eq!(report.digital_events, reference.digital_events);
+    assert_eq!(report.control_events, reference.control_events);
 }
 
 #[test]
 fn state_space_resume_is_bit_identical() {
     assert_resume_is_bit_identical(busy_scenario());
-}
-
-#[test]
-fn state_space_resume_is_bit_identical_with_imex_off() {
-    let mut scenario = busy_scenario();
-    scenario.engine =
-        SimulationEngine::StateSpace(SolverOptions { imex: false, ..Default::default() });
-    assert_resume_is_bit_identical(scenario);
 }
 
 #[test]
@@ -119,7 +105,7 @@ fn baseline_resume_is_bit_identical() {
 fn single_stepped_session_matches_the_uninterrupted_run() {
     let mut scenario = busy_scenario();
     scenario.duration_s = 0.3;
-    let reference = scenario.run().expect("reference run");
+    let (reference_states, _, reference) = paused_run(&scenario, &[]);
 
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
     let capture = session.add_probe(WaveformProbe::new(1e-3));
@@ -130,5 +116,5 @@ fn single_stepped_session_matches_the_uninterrupted_run() {
     }
     assert_eq!(session.report().final_state, reference.final_state);
     let probe = session.probe::<WaveformProbe>(capture).expect("typed probe");
-    assert_eq!(probe.states().len(), reference.states().len());
+    assert_eq!(probe.states().len(), reference_states.len());
 }

@@ -1,134 +1,23 @@
-//! Acceptance pin for the deprecated run-to-completion shims: driving
-//! `ScenarioConfig::run()` (which now routes scenario → mixed shim → session
-//! → resumable march) must produce **bit-identical** trajectories and work
-//! statistics to the direct pre-session mixed-signal loop — reimplemented
-//! here exactly as PR 4's driver had it: one kernel, one solver workspace,
-//! `solve_into_with` per analogue segment, control actions applied between
-//! segments.
+//! Acceptance pin for the dense session: a `Session` observed by one
+//! `WaveformProbe` at the engine's record interval must produce
+//! **bit-identical** trajectories and work statistics to the direct
+//! pre-session mixed-signal loop — reimplemented in `tests/common` exactly as
+//! the pre-session driver had it: one kernel, one solver workspace, `solve_into_with`
+//! per analogue segment, control actions applied between segments.
 //!
 //! Plus the streaming-memory half of the acceptance criteria: a sweep point
 //! run with streaming probes only allocates no dense trajectory — its probe
 //! footprint is a few hundred bytes, independent of the simulated span, while
-//! the dense shim's grows with it.
+//! the dense capture's grows with it.
 
-use harvsim::blocks::{ControllerConfig, HarvesterEnvironment, LoadMode, MicroController};
+mod common;
+
+use common::{dense_run, direct_mixed_loop};
 use harvsim::core::measurement;
-use harvsim::core::solver::SolverWorkspace;
 use harvsim::core::StateSpaceSolver;
-use harvsim::digital::{Kernel, SimTime};
-use harvsim::linalg::DVector;
-use harvsim::ode::Trajectory;
 use harvsim::{
     EnvelopeProbe, PowerProbe, ScenarioConfig, Simulation, SimulationEngine, StepHistogramProbe,
-    TunableHarvester,
 };
-
-/// The PR 4 control mailbox, reproduced verbatim for the reference loop.
-#[derive(Debug, Clone, Default)]
-struct Mailbox {
-    supercap_voltage: f64,
-    ambient_hz: f64,
-    resonant_hz: f64,
-    requested_load_mode: Option<LoadMode>,
-    requested_resonance_hz: Option<f64>,
-}
-
-impl HarvesterEnvironment for Mailbox {
-    fn supercapacitor_voltage(&self) -> f64 {
-        self.supercap_voltage
-    }
-    fn ambient_frequency_hz(&self) -> f64 {
-        self.ambient_hz
-    }
-    fn resonant_frequency_hz(&self) -> f64 {
-        self.requested_resonance_hz.unwrap_or(self.resonant_hz)
-    }
-    fn set_load_mode(&mut self, mode: LoadMode) {
-        self.requested_load_mode = Some(mode);
-    }
-    fn set_resonant_frequency(&mut self, frequency_hz: f64) {
-        self.requested_resonance_hz = Some(frequency_hz);
-    }
-}
-
-/// What the direct loop returns: `(states, terminals, final_state,
-/// accepted_steps, control_events)`.
-type DirectRunOutput = (Trajectory, Trajectory, DVector, usize, Vec<(f64, LoadMode, f64)>);
-
-/// PR 4's mixed-signal driver: run-to-completion, dense trajectories, one
-/// reused workspace, digital events processed at segment boundaries.
-fn direct_mixed_loop(
-    harvester: &mut TunableHarvester,
-    controller_config: ControllerConfig,
-    solver: &StateSpaceSolver,
-    duration_s: f64,
-    initial_supercap_voltage: f64,
-) -> DirectRunOutput {
-    let controller =
-        MicroController::new(controller_config, harvester.resonant_frequency_hz()).unwrap();
-    let mut kernel: Kernel<Mailbox> = Kernel::new();
-    kernel.spawn_at(SimTime::from_secs_f64(controller_config.watchdog_period_s), controller);
-
-    let mut states = Trajectory::new();
-    let mut terminals = Trajectory::new();
-    let mut workspace = SolverWorkspace::new();
-    let mut control_events = Vec::new();
-    let mut steps = 0usize;
-
-    let mut t = 0.0_f64;
-    let mut x = harvester.initial_state(initial_supercap_voltage).unwrap();
-
-    while t < duration_s - 1e-9 {
-        let next_event = kernel
-            .next_event_time()
-            .map(|time| time.as_secs_f64())
-            .unwrap_or(duration_s)
-            .min(duration_s);
-        let segment_end = next_event.max(t + 1e-9);
-
-        if segment_end > t + 1e-12 {
-            let (x_end, stats) = solver
-                .solve_into_with(
-                    &*harvester,
-                    t,
-                    segment_end,
-                    &x,
-                    &mut states,
-                    &mut terminals,
-                    &mut workspace,
-                )
-                .expect("segment integrates");
-            x = x_end;
-            steps += stats.steps;
-            t = segment_end;
-        }
-
-        if kernel.next_event_time().map(|time| time.as_secs_f64() <= t + 1e-12).unwrap_or(false) {
-            let mut mailbox = Mailbox {
-                supercap_voltage: harvester.supercapacitor_voltage(&x),
-                ambient_hz: harvester.ambient_frequency_hz(t),
-                resonant_hz: harvester.resonant_frequency_hz(),
-                requested_load_mode: None,
-                requested_resonance_hz: None,
-            };
-            kernel.run_until(SimTime::from_secs_f64(t), &mut mailbox).unwrap();
-            let mut acted = false;
-            if let Some(mode) = mailbox.requested_load_mode {
-                harvester.set_load_mode(mode);
-                acted = true;
-            }
-            if let Some(frequency) = mailbox.requested_resonance_hz {
-                harvester.set_resonant_frequency(frequency);
-                acted = true;
-            }
-            if acted {
-                control_events.push((t, harvester.load_mode(), harvester.resonant_frequency_hz()));
-            }
-        }
-    }
-
-    (states, terminals, x, steps, control_events)
-}
 
 fn busy_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::scenario1();
@@ -142,11 +31,13 @@ fn busy_scenario() -> ScenarioConfig {
     scenario
 }
 
-/// The headline pin: shim output ≡ PR 4 direct loop, bit for bit.
+/// The headline pin: a scenario run as a dense session — what the
+/// run-to-completion shim used to build — ≡ the direct pre-session loop, bit
+/// for bit.
 #[test]
 fn scenario_run_through_the_shim_matches_the_direct_pr4_loop() {
     let scenario = busy_scenario();
-    let shim = scenario.run().expect("shim run");
+    let dense = dense_run(&scenario);
 
     let solver_options = match scenario.engine {
         SimulationEngine::StateSpace(options) => options,
@@ -160,35 +51,36 @@ fn scenario_run_through_the_shim_matches_the_direct_pr4_loop() {
         &solver,
         scenario.duration_s,
         scenario.initial_supercap_voltage,
+        false,
     );
 
-    assert_eq!(shim.final_state, final_state, "final state must match bit for bit");
-    assert_eq!(shim.result.engine_stats.state_space.steps, steps, "same accepted steps");
-    assert_eq!(shim.states().len(), states.len(), "same recorded grid");
-    assert_eq!(shim.states().times(), states.times());
-    for (i, (sample, expected)) in shim.states().states().iter().zip(states.states()).enumerate() {
+    assert_eq!(dense.report.final_state, final_state, "final state must match bit for bit");
+    assert_eq!(dense.report.engine_stats.state_space.steps, steps, "same accepted steps");
+    assert_eq!(dense.states.len(), states.len(), "same recorded grid");
+    assert_eq!(dense.states.times(), states.times());
+    for (i, (sample, expected)) in dense.states.states().iter().zip(states.states()).enumerate() {
         assert_eq!(sample, expected, "state sample {i}");
     }
     for (i, (sample, expected)) in
-        shim.terminals().states().iter().zip(terminals.states()).enumerate()
+        dense.terminals.states().iter().zip(terminals.states()).enumerate()
     {
         assert_eq!(sample, expected, "terminal sample {i}");
     }
     // Identical control trajectory (time, mode, frequency per action).
-    assert_eq!(shim.result.control_events.len(), control_events.len());
-    for (event, (time, mode, hz)) in shim.result.control_events.iter().zip(&control_events) {
+    assert_eq!(dense.report.control_events.len(), control_events.len());
+    for (event, (time, mode, hz)) in dense.report.control_events.iter().zip(&control_events) {
         assert_eq!(event.time_s, *time);
         assert_eq!(event.load_mode, *mode);
         assert_eq!(event.resonant_frequency_hz, *hz);
     }
     // And the retuned harvester ends in the same place.
-    assert_eq!(shim.harvester.resonant_frequency_hz(), harvester.resonant_frequency_hz());
-    assert_eq!(shim.harvester.load_mode(), harvester.load_mode());
+    assert_eq!(dense.harvester.resonant_frequency_hz(), harvester.resonant_frequency_hz());
+    assert_eq!(dense.harvester.load_mode(), harvester.load_mode());
 }
 
 /// Streaming-memory acceptance: a sweep point observed only by streaming
 /// probes retains a constant few hundred bytes regardless of the simulated
-/// span, while the dense shim's footprint grows with it — no dense
+/// span, while the dense capture's footprint grows with it — no dense
 /// `Trajectory` exists anywhere on the streaming path.
 #[test]
 fn streaming_sweep_points_never_materialise_dense_trajectories() {
@@ -207,14 +99,14 @@ fn streaming_sweep_points_never_materialise_dense_trajectories() {
     assert_eq!(short, long, "streaming probe memory must be span-independent");
     assert!(short < 4096, "streaming probes stay in the hundreds of bytes: {short}");
 
-    // The dense shim, by contrast, retains O(recorded samples).
+    // The dense capture, by contrast, retains O(recorded samples).
     let mut scenario = busy_scenario();
     scenario.duration_s = 0.9;
-    let dense = scenario.run().expect("dense shim");
+    let dense = dense_run(&scenario);
     assert!(
-        dense.result.peak_probe_bytes > 10 * long,
+        dense.report.peak_probe_bytes > 10 * long,
         "dense capture {} B should dwarf streaming {} B",
-        dense.result.peak_probe_bytes,
+        dense.report.peak_probe_bytes,
         long
     );
 }
@@ -222,11 +114,13 @@ fn streaming_sweep_points_never_materialise_dense_trajectories() {
 /// The perf-gate criterion "passes with probes attached" in microcosm:
 /// attaching streaming probes must not change the computed trajectory at all
 /// (observation is read-only), so the probed session's final state matches
-/// the unobserved shim bit for bit.
+/// an unobserved session bit for bit.
 #[test]
 fn attached_probes_do_not_perturb_the_solution() {
     let scenario = busy_scenario();
-    let reference = scenario.run().expect("reference");
+    let mut unobserved = Simulation::from_config(scenario.clone()).start().expect("session");
+    unobserved.run_to_end().expect("runs");
+    let reference = unobserved.report();
     let mut session = Simulation::from_config(scenario).start().expect("session");
     let vc = session.harvester().storage_voltage_net();
     session.add_probe(EnvelopeProbe::terminal(vc));
@@ -235,7 +129,7 @@ fn attached_probes_do_not_perturb_the_solution() {
     assert_eq!(session.report().final_state, reference.final_state);
     assert_eq!(
         session.report().engine_stats.state_space.steps,
-        reference.result.engine_stats.state_space.steps
+        reference.engine_stats.state_space.steps
     );
 }
 
@@ -248,12 +142,14 @@ fn streaming_power_probe_agrees_with_the_post_hoc_report() {
     let mut scenario = busy_scenario();
     scenario.duration_s = 1.2;
     scenario.frequency_step_time_s = 0.3;
-    let dense = scenario.run().expect("dense shim");
-    let reference = measurement::power_report(&dense).expect("post-hoc report");
+    let dense = dense_run(&scenario);
+    let vm = dense.harvester.generator_voltage_net();
+    let im = dense.harvester.generator_current_net();
+    let reference =
+        measurement::power_report(&dense.terminals, vm, im, scenario.frequency_step_time_s)
+            .expect("post-hoc report");
 
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session");
-    let vm = session.harvester().generator_voltage_net();
-    let im = session.harvester().generator_current_net();
     let probe = session.add_probe(PowerProbe::new(
         vm,
         im,

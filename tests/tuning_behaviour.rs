@@ -2,8 +2,10 @@
 //! actuator + analogue model) and of the resonance physics of Eq. 12.
 
 use harvsim::blocks::ControllerConfig;
-use harvsim::core::mixed::{MixedSignalSimulation, SimulationEngine};
-use harvsim::{HarvesterParameters, LoadMode, ScenarioConfig, SolverOptions, VibrationExcitation};
+use harvsim::{
+    HarvesterParameters, LoadMode, ScenarioConfig, Session, Simulation, SimulationEngine,
+    SolverOptions, VibrationExcitation,
+};
 
 #[test]
 fn closed_loop_retunes_to_the_new_ambient_frequency() {
@@ -18,7 +20,7 @@ fn closed_loop_retunes_to_the_new_ambient_frequency() {
         },
     )
     .expect("excitation");
-    let mut harvester = harvsim::TunableHarvester::new(params, excitation).expect("harvester");
+    let harvester = harvsim::TunableHarvester::new(params, excitation).expect("harvester");
     let controller = ControllerConfig {
         watchdog_period_s: 0.3,
         energy_threshold_v: 2.0,
@@ -27,12 +29,10 @@ fn closed_loop_retunes_to_the_new_ambient_frequency() {
         tuning_rate_hz_per_s: 10.0,
         tuning_update_interval_s: 0.02,
     };
-    let sim = MixedSignalSimulation::new(SimulationEngine::StateSpace(SolverOptions {
-        record_interval: 2e-3,
-        ..Default::default()
-    }))
-    .expect("simulation");
-    let result = sim.run(&mut harvester, controller, 1.2, 2.6).expect("run");
+    let engine = SimulationEngine::StateSpace(SolverOptions::default());
+    let mut session = Session::start(harvester, controller, engine, 1.2, 2.6).expect("session");
+    session.run_to_end().expect("run");
+    let harvester = session.harvester();
 
     assert!(
         (harvester.resonant_frequency_hz() - 71.0).abs() < 0.2,
@@ -40,10 +40,10 @@ fn closed_loop_retunes_to_the_new_ambient_frequency() {
         harvester.resonant_frequency_hz()
     );
     assert_eq!(harvester.load_mode(), LoadMode::Sleep, "the run ends back in sleep mode");
-    assert!(!result.control_events.is_empty());
+    assert!(!session.control_events().is_empty());
     // The recorded control events show the Eq. 16 load modes being exercised.
-    assert!(result
-        .control_events
+    assert!(session
+        .control_events()
         .iter()
         .any(|event| event.load_mode == LoadMode::Tuning || event.load_mode == LoadMode::Sleep));
 }
@@ -55,9 +55,10 @@ fn insufficient_energy_defers_tuning() {
     scenario.frequency_step_time_s = 0.05;
     scenario.initial_supercap_voltage = 0.8; // well below the 2.2 V threshold
     scenario.controller.watchdog_period_s = 0.2;
-    let outcome = scenario.run().expect("scenario runs");
+    let mut session = Simulation::from_config(scenario).start().expect("session starts");
+    session.run_to_end().expect("scenario runs");
     assert!(
-        (outcome.harvester.resonant_frequency_hz() - 70.0).abs() < 1e-9,
+        (session.harvester().resonant_frequency_hz() - 70.0).abs() < 1e-9,
         "no tuning should happen with an empty store"
     );
 }
