@@ -11,6 +11,14 @@ Checks, in increasing tolerance for noise:
   high-water mark), and streaming `--sweep` rows keep it under a fixed bound
   independent of the simulated span — a sweep point must never materialise a
   dense trajectory (DESIGN.md S8);
+* the deterministic work counts of scenarios 1 and 2 (`PINNED_WORK` below:
+  steps, steps by AB order, factorisations, cached solves, stiff exact
+  steps, constant and PWL stamp skips, probe-memory high-water) equal the
+  recorded values exactly. A kernel change that drifts numerically after the
+  0.12 s checkpoint fixture still moves a step or a skip somewhere in the
+  5 s / 8 s spans, and the failure names the field that moved. The pins move
+  only with a deliberate numerics change, recorded in CHANGES.md together
+  with the new values;
 * min speed-up >= 4.2 — a wall-clock ratio, noisy on shared runners; the
   workflow retries the whole reproduction a couple of times before treating
   a miss as a regression.
@@ -33,6 +41,34 @@ with open("BENCH_table2.json") as f:
 
 STREAMING_PEAK_BYTES_BOUND = 65536  # streaming sweep rows must stay O(1)
 
+PINNED_WORK = {
+    "scenario1": {
+        "steps": 133311,
+        "steps_by_order": [14, 15, 3993, 129289],
+        "factorisations": 4,
+        "cached_solves": 133321,
+        "stiff_exact_steps": 133311,
+        "constant_stamps_skipped": 133297,
+        "pwl_stamps_skipped": 10647,
+        "peak_probe_bytes": 704704,
+    },
+    "scenario2": {
+        "steps": 131907,
+        "steps_by_order": [118, 118, 3380, 128291],
+        "factorisations": 3,
+        "cached_solves": 132022,
+        "stiff_exact_steps": 131907,
+        "constant_stamps_skipped": 131789,
+        "pwl_stamps_skipped": 11346,
+        "peak_probe_bytes": 1134688,
+    },
+}
+
+recorded = {scenario["name"] for scenario in record["scenarios"]}
+for name in PINNED_WORK:
+    if name not in recorded:
+        sys.exit(f"{name}: missing from the record")
+
 for scenario in record["scenarios"]:
     if "peak_probe_bytes" not in scenario:
         sys.exit(f"{scenario['name']}: record is missing peak_probe_bytes")
@@ -47,6 +83,14 @@ for scenario in record["scenarios"]:
         f"{scenario['binding_pole_im']:+}i, "
         f"steps_by_order {scenario['steps_by_order']})"
     )
+    for field, pinned in PINNED_WORK.get(scenario["name"], {}).items():
+        if scenario[field] != pinned:
+            sys.exit(
+                f"{scenario['name']}: {field} moved from {pinned} to "
+                f"{scenario[field]} — a deterministic work count changed; "
+                f"update PINNED_WORK only for a deliberate numerics change "
+                f"recorded in CHANGES.md"
+            )
     if scenario["max_deviation_v"] > 2e-4:
         sys.exit(
             f"{scenario['name']}: cross-engine deviation "

@@ -1,15 +1,19 @@
 //! Micro-benchmarks of the four-lane linalg kernels behind the march-in-time
 //! hot path: the `dot_unrolled` reduction, the `axpy_chunked` row update, the
-//! dense mat-vec/mat-mat products built on them, and the LU factorise/solve
-//! pair that serves the Eq. 4 terminal eliminations.
+//! dense mat-vec/mat-mat products built on them, the LU factorise/solve
+//! pair that serves the Eq. 4 terminal eliminations, and the ϕ₁/ϕ₂
+//! propagators of the stiff lane.
 //!
-//! Two sizes bracket the workloads: 12 matches the harvester's state
+//! Two sizes bracket the dense kernels: 12 matches the harvester's state
 //! dimension (the row width every per-step kernel sees), 48 approximates the
-//! multi-harvester assemblies the roadmap points at. The numbers let a
-//! regression in the chunked kernels be caught at the kernel level instead of
-//! surfacing only as a diluted Table II delta.
+//! multi-harvester assemblies the roadmap points at. The ϕ entries run at
+//! n = 3, the harvester's stiff partition, on the dense 9×9 reference and on
+//! the structured kernel the stiff lane calls. The numbers let a regression
+//! in these kernels be caught at the kernel level instead of surfacing only
+//! as a diluted Table II delta. Every label times one call.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use harvsim_linalg::expm::{phi1_phi2, phi1_phi2_into};
 use harvsim_linalg::{axpy_chunked, dot_unrolled, DMatrix, DVector};
 
 fn well_conditioned(n: usize) -> DMatrix {
@@ -33,63 +37,51 @@ fn bench_kernels(c: &mut Criterion) {
         let xs: Vec<f64> = x.as_slice().to_vec();
         let ys: Vec<f64> = x.as_slice().iter().map(|v| v * 1.7 - 0.3).collect();
         group.bench_function(format!("dot_unrolled_{n}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for _ in 0..1000 {
-                    acc += dot_unrolled(black_box(&xs), black_box(&ys));
-                }
-                acc
-            });
+            b.iter(|| dot_unrolled(black_box(&xs), black_box(&ys)));
         });
 
         group.bench_function(format!("axpy_chunked_{n}"), |b| {
             let mut dst = xs.clone();
-            b.iter(|| {
-                for _ in 0..1000 {
-                    axpy_chunked(black_box(&mut dst), 1.0000001, black_box(&ys));
-                }
-                dst[0]
-            });
+            b.iter(|| axpy_chunked(black_box(&mut dst), 1.0000001, black_box(&ys)));
         });
 
         group.bench_function(format!("mul_vector_into_{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..1000 {
-                    a.mul_vector_into(black_box(&x), &mut out);
-                }
-                out[0]
-            });
+            b.iter(|| a.mul_vector_into(black_box(&x), &mut out));
         });
 
         let mut prod = DMatrix::zeros(n, n);
         group.bench_function(format!("mul_matrix_into_{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..100 {
-                    a.mul_matrix_into(black_box(&a), &mut prod).expect("dimensions match");
-                }
-                prod[(0, 0)]
-            });
+            b.iter(|| a.mul_matrix_into(black_box(&a), &mut prod).expect("dimensions match"));
         });
 
         let mut lu = a.lu().expect("well-conditioned");
         group.bench_function(format!("lu_factor_into_{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..100 {
-                    lu.factor_into(black_box(&a)).expect("well-conditioned");
-                }
-                lu.determinant()
-            });
+            b.iter(|| lu.factor_into(black_box(&a)).expect("well-conditioned"));
         });
 
         group.bench_function(format!("lu_solve_into_{n}"), |b| {
-            b.iter(|| {
-                for _ in 0..1000 {
-                    lu.solve_into(black_box(&x), &mut out).expect("dimensions match");
-                }
-                out[0]
-            });
+            b.iter(|| lu.solve_into(black_box(&x), &mut out).expect("dimensions match"));
         });
     }
+
+    // The harvester's stiff sub-matrix (coil current, output stage, rail)
+    // times a mid-ladder step of 2e-4 s: ‖h·A_ss‖ ≈ 430, so 10 squarings.
+    let h_a_ss = DMatrix::from_rows(&[
+        &[-7.5e3, 0.0, -5e1],
+        &[0.0, -4.114444465024543e4, 0.0],
+        &[2.127659574468085e6, 0.0, -5.829145045775684e2],
+    ])
+    .expect("square")
+    .scaled(2e-4);
+    group.bench_function("phi1_phi2_dense_3", |b| {
+        b.iter(|| phi1_phi2(black_box(&h_a_ss)).expect("finite"));
+    });
+    let (mut phi1, mut phi2) = ([0.0; 9], [0.0; 9]);
+    group.bench_function("phi1_phi2_into_3", |b| {
+        b.iter(|| {
+            phi1_phi2_into(black_box(h_a_ss.as_slice()), 3, &mut phi1, &mut phi2).expect("finite")
+        });
+    });
     group.finish();
 }
 

@@ -849,10 +849,7 @@ impl Assembly {
                 // instead of rescanning Jacobians their contracts pin (the
                 // `Constant` affine-only refresh and the `Pwl`
                 // signature-matched skip both need it).
-                let jac_max =
-                    |m: &DMatrix| m.as_slice().iter().fold(0.0_f64, |a, v| a.max(v.abs()));
-                buffers.static_scale =
-                    jac_max(&lin.a).max(jac_max(&lin.b)).max(jac_max(&lin.c)).max(jac_max(&lin.d));
+                buffers.static_scale = jacobian_max(lin);
             }
             buffers.signature =
                 if slot.structure == JacobianStructure::Pwl { signature } else { None };
@@ -976,45 +973,14 @@ impl Assembly {
         }
         let mut scratch = self.scratch.borrow_mut();
 
-        // Two accumulator groups over (max |new|, max |new − old|): four fixed
-        // lanes fed by the contiguous row kernel below, plus one scalar pair
-        // for the net-scattered entries. Maxima are order-independent, so the
-        // combined result is exact.
+        // Four fixed lanes each of max |new| and max |new − old| over every
+        // restamped entry; a restamped block accumulates its scale in lanes
+        // of its own first, so a `Pwl` block's cached scale comes out of the
+        // same pass. Skipped blocks fold in their cached scale. Maxima are
+        // order-independent, so the combined result is exact.
         let mut scale = [0.0_f64; 4];
         let mut diff = [0.0_f64; 4];
-        // Contiguous row stamp: overwrite `dst` with `new` while accumulating
-        // the two monitor maxima in fixed four-wide lanes (the pattern the
-        // autovectoriser packs — no variable lane indexing on the hot path).
-        let mut stamp_row = |dst: &mut [f64], new: &[f64]| {
-            let mut dst_chunks = dst.chunks_exact_mut(4);
-            let mut new_chunks = new.chunks_exact(4);
-            for (d, s) in (&mut dst_chunks).zip(&mut new_chunks) {
-                for lane in 0..4 {
-                    let old = d[lane];
-                    d[lane] = s[lane];
-                    scale[lane] = scale[lane].max(s[lane].abs());
-                    diff[lane] = diff[lane].max((s[lane] - old).abs());
-                }
-            }
-            for (lane, (d, &s)) in
-                dst_chunks.into_remainder().iter_mut().zip(new_chunks.remainder()).enumerate()
-            {
-                let old = std::mem::replace(d, s);
-                scale[lane & 3] = scale[lane & 3].max(s.abs());
-                diff[lane & 3] = diff[lane & 3].max((s - old).abs());
-            }
-        };
-        let mut scale_scattered = 0.0_f64;
-        let mut diff_scattered = 0.0_f64;
-        macro_rules! stamp {
-            ($dst:expr, $new:expr) => {{
-                let new = $new;
-                let old = std::mem::replace($dst, new);
-                scale_scattered = scale_scattered.max(new.abs());
-                diff_scattered = diff_scattered.max((new - old).abs());
-            }};
-        }
-
+        let mut scale_cached = 0.0_f64;
         let mut constant_stamps_skipped = 0_usize;
         let mut pwl_stamps_skipped = 0_usize;
         for ((slot, block), buffers) in self.slots.iter().zip(blocks).zip(scratch.iter_mut()) {
@@ -1033,7 +999,7 @@ impl Assembly {
                 for row in 0..slot.constraint_count {
                     out.gy[slot.constraint_offset + row] = buffers.lin.g[row];
                 }
-                scale_scattered = scale_scattered.max(buffers.static_scale);
+                scale_cached = scale_cached.max(buffers.static_scale);
                 constant_stamps_skipped += 1;
                 continue;
             }
@@ -1048,7 +1014,7 @@ impl Assembly {
                 // the cached scale, exactly as a full restamp would report.
                 if let Some(signature) = buffers.signature {
                     if block.pwl_signature_matches(t, &buffers.x, &buffers.y, signature) {
-                        scale_scattered = scale_scattered.max(buffers.static_scale);
+                        scale_cached = scale_cached.max(buffers.static_scale);
                         pwl_stamps_skipped += 1;
                         continue;
                     }
@@ -1063,43 +1029,112 @@ impl Assembly {
                 "block {} returned inconsistent matrices",
                 slot.name
             );
-            if slot.structure == JacobianStructure::Pwl {
-                // Refresh the cached signature and scale so the next
-                // membership-matched skip folds in this stamp's maximum.
-                buffers.signature = signature;
-                let jac_max =
-                    |m: &DMatrix| m.as_slice().iter().fold(0.0_f64, |a, v| a.max(v.abs()));
-                buffers.static_scale =
-                    jac_max(&lin.a).max(jac_max(&lin.b)).max(jac_max(&lin.c)).max(jac_max(&lin.d));
-            }
-
+            let mut block_scale = [0.0_f64; 4];
             for row in 0..slot.state_count {
                 let global_row = slot.state_offset + row;
-                stamp_row(&mut out.jxx.row_mut(global_row)[states.clone()], lin.a.row(row));
-                let jxy_row = out.jxy.row_mut(global_row);
-                let b_row = lin.b.row(row);
-                for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                    stamp!(&mut jxy_row[net], b_row[local_terminal]);
-                }
+                stamp_row(
+                    &mut out.jxx.row_mut(global_row)[states.clone()],
+                    lin.a.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
+                stamp_scattered(
+                    out.jxy.row_mut(global_row),
+                    &slot.terminal_nets,
+                    lin.b.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
             }
             // Affine terms are not part of the Eq. 3 monitor: plain copies.
             out.ex.as_mut_slice()[states.clone()].copy_from_slice(lin.e.as_slice());
             for row in 0..slot.constraint_count {
                 let global_row = slot.constraint_offset + row;
-                stamp_row(&mut out.jyx.row_mut(global_row)[states.clone()], lin.c.row(row));
-                let jyy_row = out.jyy.row_mut(global_row);
-                let d_row = lin.d.row(row);
-                for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                    stamp!(&mut jyy_row[net], d_row[local_terminal]);
-                }
+                stamp_row(
+                    &mut out.jyx.row_mut(global_row)[states.clone()],
+                    lin.c.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
+                stamp_scattered(
+                    out.jyy.row_mut(global_row),
+                    &slot.terminal_nets,
+                    lin.d.row(row),
+                    &mut block_scale,
+                    &mut diff,
+                );
                 out.gy[global_row] = lin.g[row];
+            }
+            if slot.structure == JacobianStructure::Pwl {
+                // Refresh the cached signature and scale so the next
+                // membership-matched skip folds in this stamp's maximum:
+                // the lanes saw every entry of `a`, `b`, `c` and `d`.
+                buffers.signature = signature;
+                buffers.static_scale = lanes_max(block_scale);
+            }
+            for (total, lane) in scale.iter_mut().zip(block_scale) {
+                *total = total.max(lane);
             }
         }
 
-        let scale =
-            scale[0].max(scale[1]).max(scale[2]).max(scale[3]).max(scale_scattered).max(1e-30);
-        let diff = diff[0].max(diff[1]).max(diff[2]).max(diff[3]).max(diff_scattered);
-        Ok(StampReport { change: diff / scale, constant_stamps_skipped, pwl_stamps_skipped })
+        let scale = lanes_max(scale).max(scale_cached).max(1e-30);
+        Ok(StampReport {
+            change: lanes_max(diff) / scale,
+            constant_stamps_skipped,
+            pwl_stamps_skipped,
+        })
+    }
+}
+
+/// Largest |entry| over a block's four Jacobians — the Eq. 3 scale a
+/// skipped block contributes.
+fn jacobian_max(lin: &LocalLinearisation) -> f64 {
+    let max = |m: &DMatrix| m.as_slice().iter().fold(0.0_f64, |a, v| a.max(v.abs()));
+    max(&lin.a).max(max(&lin.b)).max(max(&lin.c)).max(max(&lin.d))
+}
+
+fn lanes_max(lanes: [f64; 4]) -> f64 {
+    lanes[0].max(lanes[1]).max(lanes[2]).max(lanes[3])
+}
+
+/// Contiguous row stamp: overwrites `dst` with `new` while accumulating the
+/// two monitor maxima in fixed four-wide lanes (the pattern the
+/// autovectoriser packs — no variable lane indexing on the hot path).
+#[inline]
+fn stamp_row(dst: &mut [f64], new: &[f64], scale: &mut [f64; 4], diff: &mut [f64; 4]) {
+    let mut dst_chunks = dst.chunks_exact_mut(4);
+    let mut new_chunks = new.chunks_exact(4);
+    for (d, s) in (&mut dst_chunks).zip(&mut new_chunks) {
+        for lane in 0..4 {
+            let old = d[lane];
+            d[lane] = s[lane];
+            scale[lane] = scale[lane].max(s[lane].abs());
+            diff[lane] = diff[lane].max((s[lane] - old).abs());
+        }
+    }
+    for (lane, (d, &s)) in
+        dst_chunks.into_remainder().iter_mut().zip(new_chunks.remainder()).enumerate()
+    {
+        let old = std::mem::replace(d, s);
+        scale[lane & 3] = scale[lane & 3].max(s.abs());
+        diff[lane & 3] = diff[lane & 3].max((s - old).abs());
+    }
+}
+
+/// Net-scattered stamp: writes local terminal `k`'s entry `new[k]` to
+/// `dst[nets[k]]`, accumulating the monitor maxima in lane `k mod 4`.
+#[inline]
+fn stamp_scattered(
+    dst: &mut [f64],
+    nets: &[usize],
+    new: &[f64],
+    scale: &mut [f64; 4],
+    diff: &mut [f64; 4],
+) {
+    for (k, (&net, &s)) in nets.iter().zip(new).enumerate() {
+        let old = std::mem::replace(&mut dst[net], s);
+        scale[k & 3] = scale[k & 3].max(s.abs());
+        diff[k & 3] = diff[k & 3].max((s - old).abs());
     }
 }
 
@@ -1246,6 +1281,96 @@ mod tests {
         // Total-step matrix equals -1/(RC) for this single-state system.
         let a = lin.total_step_matrix().unwrap();
         assert!((a[(0, 0)] + 1000.0).abs() < 1e-6);
+    }
+
+    /// A piecewise-linear block with 5 states and 6 terminals whose
+    /// Jacobians depend only on the segment `⌊x₀⌋ ∈ {0, 1, 2}`, which is also
+    /// its signature. The largest entry sits in `a`, in the scattered `b` or
+    /// in the scattered `d` depending on the segment.
+    struct PwlBlock;
+
+    impl PwlBlock {
+        fn segment(x: &DVector) -> usize {
+            x[0].clamp(0.0, 2.0) as usize
+        }
+    }
+
+    impl StateSpaceBlock for PwlBlock {
+        fn name(&self) -> &str {
+            "pwl"
+        }
+        fn state_count(&self) -> usize {
+            5
+        }
+        fn terminal_count(&self) -> usize {
+            6
+        }
+        fn constraint_count(&self) -> usize {
+            6
+        }
+        fn state_names(&self) -> Vec<String> {
+            (0..5).map(|i| format!("x{i}")).collect()
+        }
+        fn terminal_names(&self) -> Vec<String> {
+            (0..6).map(|i| format!("y{i}")).collect()
+        }
+        fn initial_state(&self) -> DVector {
+            DVector::zeros(5)
+        }
+        fn linearise(&self, _t: f64, x: &DVector, _y: &DVector) -> LocalLinearisation {
+            let segment = Self::segment(x);
+            let gain = 1.0 + segment as f64;
+            let entry = |r: usize, c: usize| gain * (((r * 7 + c * 3) % 11) as f64 - 5.0);
+            let mut lin = LocalLinearisation {
+                a: DMatrix::from_fn(5, 5, entry),
+                b: DMatrix::from_fn(5, 6, |r, c| entry(r + 5, c)),
+                e: DVector::zeros(5),
+                c: DMatrix::from_fn(6, 5, |r, c| entry(r + 1, c + 2)),
+                d: DMatrix::from_fn(6, 6, |r, c| if r == c { 1.0 } else { 0.0 }),
+                g: DVector::zeros(6),
+            };
+            match segment {
+                0 => lin.a[(3, 2)] = -90.0,
+                1 => lin.b[(4, 5)] = 120.0,
+                _ => lin.d[(5, 4)] = -150.0,
+            }
+            lin
+        }
+        fn jacobian_structure(&self) -> JacobianStructure {
+            JacobianStructure::Pwl
+        }
+        fn pwl_signature(&self, _t: f64, x: &DVector, _y: &DVector) -> Option<u64> {
+            Some(Self::segment(x) as u64)
+        }
+    }
+
+    #[test]
+    fn restamped_pwl_scale_equals_a_rescan_of_its_jacobians() {
+        let block = PwlBlock;
+        let mut builder = Assembly::builder();
+        let nets: Vec<String> = (0..6).map(|i| format!("n{i}")).collect();
+        let nets: Vec<&str> = nets.iter().map(String::as_str).collect();
+        builder.add_block(&block, &nets).unwrap();
+        let assembly = builder.build().unwrap();
+        let blocks: [&dyn StateSpaceBlock; 1] = [&block];
+        let y = DVector::zeros(6);
+        let at = |x0: f64| DVector::from_slice(&[x0, 0.0, 0.0, 0.0, 0.0]);
+        let mut lin = assembly.linearise_global(&blocks, 0.0, &at(0.5), &y).unwrap();
+        for x0 in [1.5, 2.5, 0.5, 2.5] {
+            let x = at(x0);
+            let previous = lin.clone();
+            let report = assembly.relinearise_global_into(&blocks, 0.0, &x, &y, &mut lin).unwrap();
+            assert_eq!(report.pwl_stamps_skipped, 0, "a new segment restamps");
+            let rescan = jacobian_max(&block.linearise(0.0, &x, &y));
+            assert_eq!(assembly.stamp_cache()[0].0.to_bits(), rescan.to_bits(), "x0 = {x0}");
+            let fresh = assembly.linearise_global(&blocks, 0.0, &x, &y).unwrap();
+            let change = fresh.jacobian_change(&previous).unwrap();
+            assert_eq!(report.change.to_bits(), change.to_bits(), "x0 = {x0}");
+            // The same segment again is skipped with a zero diff over the
+            // cached scale.
+            let again = assembly.relinearise_global_into(&blocks, 0.0, &x, &y, &mut lin).unwrap();
+            assert_eq!((again.pwl_stamps_skipped, again.change), (1, 0.0));
+        }
     }
 
     #[test]

@@ -20,11 +20,9 @@
 //! * [`dominance`] — diagonal-dominance tests and the largest step size `h` that
 //!   keeps `I + h·A` diagonally dominant; this is the cheap sufficient condition
 //!   the paper uses in place of an exact spectral radius.
-//! * [`expm`] — small dense matrix exponential and the ϕ₁ function, the kernels
-//!   of the exponential rail integrator that advances the stiff partition of
-//!   the state space exactly instead of explicitly.
-//! * [`TripletBuilder`] — coordinate-format accumulation of matrix stamps.
-//!   The engine stamps its dense blocks directly and does not use it.
+//! * [`expm`] — small dense matrix exponential and the ϕ₁/ϕ₂ functions, the
+//!   kernels of the exponential integrator that advances the stiff partition
+//!   of the state space exactly instead of explicitly.
 //!
 //! # Example
 //!
@@ -52,13 +50,11 @@ mod error;
 pub mod expm;
 pub mod lu;
 mod matrix;
-mod triplet;
 mod vector;
 
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::{axpy_chunked, dot_unrolled, DMatrix};
-pub use triplet::TripletBuilder;
 pub use vector::DVector;
 
 /// Convenient result alias used across the crate.

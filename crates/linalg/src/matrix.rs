@@ -338,7 +338,8 @@ impl DMatrix {
         // Row-major ikj order with the four-lane row kernel: each scalar of a
         // row of `self` scales a contiguous row of `other` into a contiguous
         // row of `out` (an `axpy`, which the autovectoriser packs), instead of
-        // strided per-element indexing.
+        // strided per-element indexing. `expm::phi1_phi2_into` reproduces
+        // this accumulation order bit for bit; its tests fail if it changes.
         for r in 0..self.rows {
             let out_row = &mut out.data[r * other.cols..(r + 1) * other.cols];
             for (k, &a) in self.row(r).iter().enumerate() {

@@ -2,10 +2,11 @@
 //! state space.
 //!
 //! The partitioned IMEX march splits the global state into a small *stiff*
-//! partition `x_s` (artificial fast modes declared by the blocks — for the
-//! assembled harvester: the multiplier's rail-regularisation state) and the
-//! *non-stiff* remainder `x_f` that keeps the explicit Adams–Bashforth
-//! governor. Over one step `h` the stiff partition obeys
+//! partition `x_s` (fast modes declared by the blocks — for the assembled
+//! harvester three states: the microgenerator's coil current and the
+//! multiplier's output stage and rail) and the *non-stiff* remainder `x_f`
+//! that keeps the explicit Adams–Bashforth governor. Over one step `h` the
+//! stiff partition obeys
 //!
 //! ```text
 //! ẋ_s = A_ss·x_s + u(t),    u(t) = A_sf·x_f(t) + b_s(t)
@@ -36,17 +37,24 @@
 //! mirroring exactly how the Adams–Bashforth lane regrows from order 1.
 //!
 //! [`StiffExponential`] owns the cached propagators `h·ϕ₁(h·A_ss)` and
-//! `h²·ϕ₂(h·A_ss)`: the ϕ evaluation (a 3n-dimensional matrix exponential,
-//! n ≤ 3 in practice) runs only when the step size or the stiff sub-matrix
-//! actually changes. On the settled march `h` is pinned at the governor's
-//! limit and `A_ss` only moves on relinearisation-refresh events, so
-//! steady-state steps pay a handful of fused multiply-adds per stiff state
-//! and no matrix function at all.
+//! `h²·ϕ₂(h·A_ss)` on flat storage: the ϕ evaluation
+//! ([`phi1_phi2_into`], the structured form of the 9×9 augmented exponential
+//! for the harvester's 3-state partition) runs only when the step size or the
+//! stiff sub-matrix actually changes. That is still thousands of times per
+//! Table II scenario (6 416 in S1, 4 331 in S2): each Eq. 3 refresh moves
+//! `A_ss`, and the march then visits about ten ladder rungs before the next
+//! one. Steps between misses pay a few multiply-adds per stiff state and no
+//! matrix function.
 
-use harvsim_linalg::expm::phi1_phi2;
+use harvsim_linalg::expm::phi1_phi2_into;
 use harvsim_linalg::DMatrix;
 
 use crate::OdeError;
+
+/// Memo entries kept before the propagator memo is cleared. The ladder bounds
+/// the distinct step sizes, but an adversarial caller could feed arbitrary
+/// `h` values; the cap keeps the memo from growing without bound.
+const MEMO_CAPACITY: usize = 64;
 
 /// Cached exact-update kernel for the stiff partition: applies the ETD2
 /// update `x_s ← x_s + h·ϕ₁(h·A_ss)·ẋ_s + h²·ϕ₂(h·A_ss)·u̇` with the
@@ -54,16 +62,22 @@ use crate::OdeError;
 /// coupling slope `u̇` estimated from the previous step's forcing.
 #[derive(Debug, Clone, Default)]
 pub struct StiffExponential {
-    /// The stiff sub-matrix the cached propagators were computed from.
+    /// The stiff sub-matrix the cached propagators were computed from
+    /// (row-major; the forcing recovery reads its rows directly).
     a_ss: DMatrix,
     /// Propagator memo, one entry per step size seen since the last `A_ss`
-    /// change: `(h, h·ϕ₁(h·A_ss), h²·ϕ₂(h·A_ss))`. The partitioned march
-    /// quantises its step to a geometric ladder, so the distinct `h` values
-    /// number a few dozen at most and an exact-match linear scan is cheaper
-    /// than any hashing — and crucially the march may *oscillate* between
-    /// adjacent rungs (accuracy controller pushing down, growth pushing up)
-    /// without ever re-evaluating a matrix exponential.
-    cache: Vec<(f64, DMatrix, DMatrix)>,
+    /// change, flat: entry `e` is `memo[e·w..(e + 1)·w]` with `w = 1 + 2n²`,
+    /// holding `h`, then `h·ϕ₁(h·A_ss)` and `h²·ϕ₂(h·A_ss)` row-major. The
+    /// partitioned march quantises its step to a geometric ladder, so the
+    /// distinct `h` values number a few dozen at most and an exact-match
+    /// linear scan is cheaper than any hashing — and crucially the march may
+    /// *oscillate* between adjacent rungs (accuracy controller pushing down,
+    /// growth pushing up) without ever re-evaluating a matrix exponential.
+    /// Clearing keeps the capacity, so a miss allocates nothing once the memo
+    /// has reached its working size.
+    memo: Vec<f64>,
+    /// `h·A_ss`, the ϕ argument of the latest miss (scratch).
+    scaled: Vec<f64>,
     /// Forcing `u = ẋ_s − A_ss·x_s` observed at the previous step start.
     prev_u: Vec<f64>,
     /// Step size that led to the previous forcing sample.
@@ -120,14 +134,14 @@ impl StiffExponential {
         } else {
             self.a_ss = a_ss.clone();
         }
-        self.cache.clear();
+        self.memo.clear();
         self.have_prev_u = false;
     }
 
     /// The loop-carried state of the kernel for checkpoint serialisation:
     /// `(A_ss, previous forcing sample, previous step, slope-basis validity)`.
     /// The ϕ propagator memo is deliberately excluded — it is pure derived
-    /// data of `(h, A_ss)` and `phi1_phi2` is deterministic, so a restored
+    /// data of `(h, A_ss)` and the ϕ evaluation is deterministic, so a restored
     /// kernel recomputes bit-identical propagators on first use.
     pub fn save_state(&self) -> (&DMatrix, &[f64], f64, bool) {
         (&self.a_ss, &self.prev_u, self.prev_h, self.have_prev_u)
@@ -170,7 +184,7 @@ impl StiffExponential {
         self.prev_u = prev_u;
         self.prev_h = prev_h;
         self.have_prev_u = have_prev_u;
-        self.cache.clear();
+        self.memo.clear();
         self.recomputations = 0;
         Ok(())
     }
@@ -190,8 +204,8 @@ impl StiffExponential {
     /// the forcing sample `u_n` is recovered internally) and `u̇` is the
     /// finite difference of the last two forcing samples (omitted on the
     /// first step after a reset). Recomputes the propagators on an
-    /// (`h`, `A_ss`) cache miss; steady-state calls are a few fused
-    /// multiply-adds per stiff state.
+    /// (`h`, `A_ss`) memo miss; other calls are a few multiply-adds per stiff
+    /// state.
     ///
     /// # Errors
     ///
@@ -212,53 +226,66 @@ impl StiffExponential {
                 "stiff exact step must be positive and finite, got {h}"
             )));
         }
+        let nn = n * n;
+        let width = 1 + 2 * nn;
         // Move-to-front memo: the march mostly repeats one step size (and
         // occasionally alternates between two adjacent ladder rungs), so the
-        // match is almost always at index 0 or 1.
-        match self.cache.iter().position(|(cached_h, ..)| *cached_h == h) {
+        // match is almost always at entry 0 or 1.
+        match self.memo.chunks_exact(width).position(|entry| entry[0] == h) {
             Some(0) => {}
-            Some(index) => self.cache.swap(0, index),
+            Some(index) => {
+                let (front, back) = self.memo.split_at_mut(index * width);
+                front[..width].swap_with_slice(&mut back[..width]);
+            }
             None => {
-                let scaled = self.a_ss.scaled(h);
-                let (mut p1, mut p2) = phi1_phi2(&scaled)?;
-                p1.scale_mut(h);
-                p2.scale_mut(h * h);
-                // The ladder bounds distinct step sizes, but an adversarial
-                // caller could feed arbitrary h values; cap the memo so it
-                // cannot grow without bound.
-                if self.cache.len() >= 64 {
-                    self.cache.clear();
+                self.scaled.clear();
+                self.scaled.extend(self.a_ss.as_slice().iter().map(|a| h * a));
+                let start = self.memo.len();
+                self.memo.resize(start + width, 0.0);
+                let (phi1, phi2) = self.memo[start + 1..].split_at_mut(nn);
+                if let Err(err) = phi1_phi2_into(&self.scaled, n, phi1, phi2) {
+                    self.memo.truncate(start);
+                    return Err(err.into());
                 }
-                self.cache.push((h, p1, p2));
+                phi1.iter_mut().for_each(|p| *p *= h);
+                let h2 = h * h;
+                phi2.iter_mut().for_each(|p| *p *= h2);
+                self.memo[start] = h;
                 self.recomputations += 1;
-                let last = self.cache.len() - 1;
-                self.cache.swap(0, last);
+                if start >= MEMO_CAPACITY * width {
+                    self.memo.drain(..start);
+                } else if start > 0 {
+                    let (front, back) = self.memo.split_at_mut(start);
+                    front[..width].swap_with_slice(back);
+                }
             }
         }
-        // Invariant after the match above: the propagators for `h` sit at
-        // cache index 0.
+        // Invariant after the match above: the propagators for `h` are
+        // memo entry 0.
         if self.u.len() != n {
             self.u = vec![0.0; n];
             self.prev_u = vec![0.0; n];
             self.have_prev_u = false;
         }
         // Recover the forcing sample u_n = ẋ_s − A_ss·x_s before x_s moves.
+        let a_ss = self.a_ss.as_slice();
         for (i, (u, dx)) in self.u.iter_mut().zip(dx_s).enumerate() {
             let mut coupled = 0.0;
-            for (j, x) in x_s.iter().enumerate() {
-                coupled += self.a_ss[(i, j)] * x;
+            for (a, x) in a_ss[i * n..(i + 1) * n].iter().zip(x_s.iter()) {
+                coupled += a * x;
             }
             *u = dx - coupled;
         }
-        let (_, propagator1, propagator2) = &self.cache[0];
+        let (propagator1, propagator2) = self.memo[1..width].split_at(nn);
+        let inv_prev_h = 1.0 / self.prev_h;
         for (i, x) in x_s.iter_mut().enumerate() {
+            let row = i * n..(i + 1) * n;
             let mut acc = 0.0;
-            for (p, dx) in propagator1.row(i).iter().zip(dx_s) {
+            for (p, dx) in propagator1[row.clone()].iter().zip(dx_s) {
                 acc += p * dx;
             }
             if self.have_prev_u {
-                let inv_prev_h = 1.0 / self.prev_h;
-                for ((p, u), prev) in propagator2.row(i).iter().zip(&self.u).zip(&self.prev_u) {
+                for ((p, u), prev) in propagator2[row].iter().zip(&self.u).zip(&self.prev_u) {
                     acc += p * (u - prev) * inv_prev_h;
                 }
             }
@@ -318,6 +345,60 @@ mod tests {
         exp.set_matrix(&a.scaled(1.5));
         exp.advance(2e-4, &mut x, &dx).unwrap();
         assert_eq!(exp.recomputations(), 3);
+    }
+
+    /// A 5-state partition is wider than the structured ϕ kernel, so every
+    /// miss runs the dense reference; the update must still be the ETD2
+    /// formula applied to its propagators, and the memo must still hit.
+    #[test]
+    fn five_state_partition_takes_the_dense_path() {
+        let a = DMatrix::from_fn(5, 5, |r, c| {
+            if r == c {
+                -2.0e3 * (1.0 + r as f64)
+            } else {
+                ((r * 5 + c) % 7) as f64 * 40.0 - 120.0
+            }
+        });
+        let forcing = [3.0e2, -1.0e2, 0.0, 5.0e1, 2.0e2];
+        let derivative = |x: &[f64; 5]| -> [f64; 5] {
+            std::array::from_fn(|i| (0..5).map(|j| a[(i, j)] * x[j]).sum::<f64>() + forcing[i])
+        };
+        let mut exp = StiffExponential::new();
+        exp.set_matrix(&a);
+        let mut x = [0.3, -0.2, 0.1, 0.4, -0.5];
+        let mut reference = x;
+        let mut prev: Option<([f64; 5], f64)> = None;
+        for &h in &[2e-4, 2e-4, 1e-4, 2e-4] {
+            let dx = derivative(&x);
+            exp.advance(h, &mut x, &dx).unwrap();
+
+            let (p1, p2) = harvsim_linalg::expm::phi1_phi2(&a.scaled(h)).unwrap();
+            let u: [f64; 5] = std::array::from_fn(|i| {
+                let mut coupled = 0.0;
+                for j in 0..5 {
+                    coupled += a[(i, j)] * reference[j];
+                }
+                dx[i] - coupled
+            });
+            for (i, value) in reference.iter_mut().enumerate() {
+                let mut acc = 0.0;
+                for j in 0..5 {
+                    acc += p1[(i, j)] * h * dx[j];
+                }
+                if let Some((prev_u, prev_h)) = prev {
+                    for j in 0..5 {
+                        acc += p2[(i, j)] * (h * h) * (u[j] - prev_u[j]) * (1.0 / prev_h);
+                    }
+                }
+                *value += acc;
+            }
+            prev = Some((u, h));
+            for (got, want) in x.iter().zip(&reference) {
+                assert_eq!(got.to_bits(), want.to_bits(), "h = {h}: {got:e} vs {want:e}");
+            }
+        }
+        // Two step sizes seen: the memo hit on the repeats and the return.
+        assert_eq!(exp.recomputations(), 2);
     }
 
     #[test]
