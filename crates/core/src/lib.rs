@@ -75,6 +75,7 @@ pub mod fault;
 pub mod harvester;
 pub mod measurement;
 pub mod mixed;
+mod pool;
 pub mod probe;
 pub mod protocol;
 pub mod scenario;

@@ -319,7 +319,8 @@ pub struct ServerStats {
     pub offered: u64,
     /// Sessions admitted.
     pub admitted: u64,
-    /// Sessions shed at admission (overload).
+    /// Submits shed at admission: refused by a class at capacity, or by a
+    /// drain in progress.
     pub shed: u64,
     /// Offers answered idempotently for an already-known id: a client
     /// retrying a dropped reply, or a batch resubmitted after a restart.

@@ -1,101 +1,94 @@
-//! A concurrent session scheduler: thread-per-core workers round-robinning
-//! many (thousands of) resumable [`Session`]s with preemption at
-//! [`Session::run_until`] boundaries, checkpoint-on-preempt, eviction under a
-//! resident-memory budget, per-session engine-time billing — and, since the
-//! durability layer, crash recovery from an on-disk [`SessionStore`], panic
-//! quarantine, poison-proof locking, a per-slice wall-clock watchdog, and
-//! deterministic fault injection.
+//! The batch front of the session executor: [`SessionService`] schedules a
+//! batch of resumable [`Session`](crate::session::Session)s to completion on
+//! the crate's one slice pool — the same pool the front-door
+//! [`crate::server::Server`] runs — and reports every job's outcome together
+//! with the pool's ledgers.
 //!
 //! # Scheduling model
 //!
 //! Jobs are submitted as [`Simulation`] builders (a validated
-//! [`crate::ScenarioConfig`] each) and enter a run queue. Every worker
-//! thread repeatedly pops the next runnable job, advances it by one *time
-//! slice* of simulated seconds ([`ServiceOptions::slice_s`]) via
-//! [`Session::run_until_deadline`], and pushes it back. The queue is a set
-//! of **scheduling classes** ([`JobClass`]: `interactive` > `batch` >
+//! [`crate::ScenarioConfig`] each) and admitted in submission order. A run
+//! starts `min(workers, admitted)` scoped worker threads; each repeatedly
+//! pops the next runnable job, advances it by one *time slice* of simulated
+//! seconds ([`ServiceOptions::slice_s`]) via
+//! [`Session::run_until_deadline`](crate::session::Session::run_until_deadline),
+//! and requeues it, until every admitted job resolves. The queue is a set of
+//! **scheduling classes** ([`JobClass`]: `interactive` > `batch` >
 //! `best-effort`) popped in strict priority order, with
 //! **earliest-deadline-first** ordering inside each class
 //! ([`JobRequest::deadline_s`]; deadline-less jobs order FIFO behind every
-//! deadline, so a single-class deadline-less batch — the [`SessionService::run`]
-//! path — degenerates to exactly the old round-robin FIFO lane and keeps its
-//! fairness bound). Cross-class starvation is bounded by **aging**: a class
-//! whose head job has been passed over [`ServiceOptions::aging_passes`]
-//! times is promoted for one pop, so even a flood of interactive work lets
-//! best-effort jobs through at a provable rate.
+//! deadline, so a single-class deadline-less batch — the
+//! [`SessionService::run`] path — is a plain round-robin FIFO lane).
+//! Cross-class starvation is bounded by **aging**: a class whose head job has
+//! been passed over [`ServiceOptions::aging_passes`] times is promoted for one
+//! pop.
 //!
 //! # Admission control
 //!
-//! [`ServiceOptions::class_capacity`] bounds the per-class accept queue:
-//! jobs offered beyond a class's capacity are **shed at admission** with a
-//! typed [`ServiceError::Overloaded`] outcome — zero slices, zero billing —
-//! and counted per class, so `admitted + shed = offered` holds exactly in
-//! [`ServiceReport::classes`]. Shedding is load *control*, not failure: the
-//! report tells the caller precisely which jobs to resubmit.
+//! A deadline must be non-negative and finite, else the job resolves with a
+//! typed [`CoreError::InvalidConfiguration`]. [`ServiceOptions::class_capacity`]
+//! bounds each class's admitted-and-unresolved jobs: jobs offered beyond it
+//! are **shed at admission** with a typed [`ServiceError::Overloaded`] — zero
+//! slices, zero billing — and counted per class, so `admitted + shed =
+//! offered` holds exactly in [`ServiceReport::classes`]. The whole batch is
+//! admitted before the first slice runs, so shedding depends only on the
+//! submission order.
 //!
-//! Preemption reuses the session facade's pause guarantee: slices stop at the
-//! first accepted step boundary at or past the slice target (or past the
-//! watchdog deadline), never truncating an integration step, so a scheduled
-//! run takes **exactly** the steps a sequential run takes — results are
-//! bit-identical regardless of worker count, slice length, eviction pattern,
-//! or watchdog preemption.
+//! Preemption happens only at accepted step boundaries (the slice target or
+//! the watchdog deadline), never truncating an integration step, so a
+//! scheduled run takes **exactly** the steps a sequential run takes —
+//! results are bit-identical regardless of worker count, slice length,
+//! eviction pattern or watchdog preemption.
 //!
 //! # Eviction under a memory budget
 //!
-//! Every preempted session is checkpointed ([`Session::checkpoint`]) — the
+//! Every preempted session is checkpointed ([`Session::checkpoint`](crate::session::Session::checkpoint)); the
 //! frame length is the job's resident-footprint estimate. If keeping the live
 //! session would push the sum of resident footprints past
-//! [`ServiceOptions::resident_budget_bytes`], the live session is dropped and
-//! only the checkpoint bytes are parked (*eviction*); the next slice restores
-//! it with [`Session::restore`]. Checkpoint round-trips are bit-identical, so
-//! eviction is invisible in the results — it only trades memory for
-//! restore time.
+//! [`ServiceOptions::resident_budget_bytes`], only the checkpoint bytes are
+//! parked (*eviction*) and the next slice restores them. Checkpoint
+//! round-trips are bit-identical, so eviction only trades memory for restore
+//! time.
 //!
 //! # Billing
 //!
 //! Each slice bills the job the growth of its engine wall-clock
-//! ([`SessionReport::engine_time`]) across the slice. The counters are
-//! carried inside the session (and inside its checkpoints), so the per-slice
-//! deltas telescope: when a job finishes, its billed total equals its final
-//! report's engine time exactly, and the sum over jobs equals the total
-//! engine time the service spent (billing conservation, pinned by
-//! `tests/service_stress.rs`). A job re-admitted from the on-disk store books
-//! its frame-carried engine time on its first slice, so conservation holds
-//! across service restarts too.
+//! ([`SessionReport::engine_time`]). The counters ride inside the session and
+//! its checkpoints, so the per-slice deltas telescope: a finished job's bill
+//! equals its final report's engine time exactly, and the service total is
+//! the sum of the job bills (pinned by `tests/service_stress.rs`). A job
+//! re-admitted from the store books its frame-carried engine time on its
+//! first slice, so this holds across restarts too.
 //!
 //! # Supervision & durability
 //!
-//! Every slice — materialisation, integration, checkpointing — runs under
-//! `catch_unwind`. A panicking session is **quarantined**: its outcome is a
-//! typed [`ServiceError::SessionPanicked`] carrying the panic payload, its
-//! last good checkpoint is retained ([`JobOutcome::last_checkpoint`], plus
-//! the store entry when one exists), and the remaining jobs are unaffected.
-//! Scheduler locks recover from poisoning instead of aborting (the worker
-//! never panics while holding the lock, and every critical section leaves
-//! the state consistent, so `PoisonError::into_inner` is sound here).
-//! [`ServiceOptions::slice_timeout`] arms a cooperative watchdog that
-//! preempts a runaway session at its next accepted step boundary.
+//! Every slice runs under `catch_unwind`. A panicking session is
+//! **quarantined**: its outcome is a typed [`ServiceError::SessionPanicked`]
+//! carrying the panic payload, its last good checkpoint is retained
+//! ([`JobOutcome::last_checkpoint`], plus the store entry when one exists),
+//! and the other jobs are unaffected. [`ServiceOptions::slice_timeout`] arms a
+//! cooperative watchdog that preempts a runaway session at its next accepted
+//! step boundary.
 //!
 //! With [`SessionService::run_with_store`], every preemption checkpoint is
-//! also persisted to a crash-safe [`SessionStore`]; at startup, jobs whose
-//! ids have a recovered frame resume from their last sealed slice instead of
-//! starting over. Store failures degrade gracefully: after the store's
-//! bounded retries, the slice continues on the resident frozen bytes and the
-//! outcome's [`JobOutcome::degraded_writes`] counter ticks — a sick disk
-//! slows recovery, it does not fail jobs. An injected
-//! [`crate::fault::Fault::KillService`] "crashes" the service mid-batch:
-//! workers stop dead, in-flight slices are lost (exactly as in a real kill),
-//! and unresolved jobs report [`ServiceError::Interrupted`]; a following
-//! `run_with_store` over the same store picks the batch back up.
+//! also persisted to a crash-safe [`SessionStore`]; jobs whose ids have a
+//! recovered frame resume from their last sealed slice instead of starting
+//! over. Store failures degrade: after the store's bounded retries the slice
+//! continues on its resident frame and [`JobOutcome::degraded_writes`] ticks.
+//! An injected [`crate::fault::Fault::KillService`] "crashes" the run
+//! mid-batch: workers stop dead, in-flight slices are lost, and unresolved
+//! jobs report [`ServiceError::Interrupted`]; a following `run_with_store`
+//! over the same store picks the batch back up.
 
-use std::any::Any;
-use std::collections::{BTreeMap, HashSet};
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::collections::HashSet;
+use std::sync::Arc;
+use std::time::Duration;
 
-use crate::fault::{Fault, FaultPlan, FaultSite};
-use crate::session::{Session, SessionReport, Simulation};
+use crate::fault::FaultPlan;
+#[cfg(test)]
+use crate::fault::FaultSite;
+use crate::pool::{Job, Parked, Pool, PoolOptions, Refusal};
+use crate::session::{SessionReport, Simulation};
 use crate::store::SessionStore;
 use crate::CoreError;
 
@@ -194,81 +187,6 @@ impl JobRequest {
     }
 }
 
-/// Maps an optional deadline to a totally-ordered `u64` key: non-negative
-/// finite deadlines order by value (IEEE-754 bit order), `None` sorts after
-/// every real deadline. Ties order FIFO by push sequence.
-fn deadline_key(deadline_s: Option<f64>) -> u64 {
-    match deadline_s {
-        // Valid deadlines are non-negative finite, whose bit patterns order
-        // like the values; MAX is reserved for "no deadline".
-        Some(d) => d.to_bits().min(u64::MAX - 1),
-        None => u64::MAX,
-    }
-}
-
-/// The class-aware run queue shared by the batch scheduler and the front-door
-/// server: strict priority across classes, earliest-deadline-first (FIFO on
-/// ties) within a class, and aging so no class starves. Not thread-safe —
-/// callers hold their scheduler lock.
-#[derive(Debug)]
-pub(crate) struct ClassQueues<T> {
-    queues: [BTreeMap<(u64, u64), T>; JobClass::COUNT],
-    next_seq: u64,
-    /// Consecutive pops in which a non-empty class was passed over.
-    skips: [u64; JobClass::COUNT],
-    aging_passes: u64,
-}
-
-impl<T> ClassQueues<T> {
-    pub(crate) fn new(aging_passes: u64) -> Self {
-        ClassQueues {
-            queues: Default::default(),
-            next_seq: 0,
-            skips: [0; JobClass::COUNT],
-            aging_passes,
-        }
-    }
-
-    /// Enqueues `item` under `class` with the given deadline.
-    pub(crate) fn push(&mut self, class: JobClass, deadline_s: Option<f64>, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queues[class.index()].insert((deadline_key(deadline_s), seq), item);
-    }
-
-    /// Jobs currently queued under `class`.
-    pub(crate) fn depth(&self, class: JobClass) -> usize {
-        self.queues[class.index()].len()
-    }
-
-    /// Pops the next runnable job: the starved-past-the-aging-bound class
-    /// with the most skips if one exists, else the highest-priority
-    /// non-empty class; within the class, the earliest deadline (FIFO on
-    /// ties). Every other non-empty class's skip counter ages by one.
-    pub(crate) fn pop(&mut self) -> Option<(JobClass, T)> {
-        let chosen = if self.aging_passes > 0 {
-            JobClass::ALL
-                .into_iter()
-                .filter(|c| !self.queues[c.index()].is_empty())
-                .filter(|c| self.skips[c.index()] >= self.aging_passes)
-                .max_by_key(|c| self.skips[c.index()])
-        } else {
-            None
-        };
-        let class = chosen
-            .or_else(|| JobClass::ALL.into_iter().find(|c| !self.queues[c.index()].is_empty()))?;
-        for other in JobClass::ALL {
-            if other != class && !self.queues[other.index()].is_empty() {
-                self.skips[other.index()] += 1;
-            }
-        }
-        self.skips[class.index()] = 0;
-        let key = *self.queues[class.index()].keys().next().expect("non-empty class queue");
-        let item = self.queues[class.index()].remove(&key).expect("key just observed");
-        Some((class, item))
-    }
-}
-
 /// Tuning knobs for a [`SessionService`].
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
@@ -320,24 +238,16 @@ impl Default for ServiceOptions {
 }
 
 impl ServiceOptions {
-    fn validate(&self) -> Result<(), CoreError> {
-        if !(self.slice_s > 0.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "service slice must be positive, got {}",
-                self.slice_s
-            )));
+    fn pool(&self) -> PoolOptions {
+        PoolOptions {
+            workers: self.workers,
+            slice_s: self.slice_s,
+            slice_timeout: self.slice_timeout,
+            resident_budget_bytes: self.resident_budget_bytes,
+            class_capacity: self.class_capacity,
+            aging_passes: self.aging_passes,
+            fault_plan: self.fault_plan.clone(),
         }
-        if self.workers == Some(0) {
-            return Err(CoreError::InvalidConfiguration(
-                "service worker count must be at least 1".into(),
-            ));
-        }
-        if self.class_capacity == Some(0) {
-            return Err(CoreError::InvalidConfiguration(
-                "class capacity must admit at least one job (use None for unbounded)".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -456,7 +366,7 @@ pub struct JobOutcome {
     pub degraded_writes: usize,
     /// For jobs that did not finish cleanly (quarantined, failed, or
     /// interrupted): the last good checkpoint frame taken before the
-    /// failure, restorable via [`Session::restore`]. `None` for successful
+    /// failure, restorable via [`crate::session::Session::restore`]. `None` for successful
     /// jobs and for jobs that never completed a slice.
     pub last_checkpoint: Option<Vec<u8>>,
 }
@@ -516,103 +426,7 @@ pub struct ServiceReport {
     pub degraded_writes: usize,
 }
 
-/// A parked job between slices.
-enum Parked {
-    /// Not started yet.
-    Fresh(Box<Simulation>),
-    /// Live session kept resident; the second field is the footprint the
-    /// budget accounting charged for it.
-    Live(Box<Session>, usize),
-    /// Evicted to checkpoint bytes (shared with [`JobSlot::last_frame`], so
-    /// retaining the last good checkpoint costs no copy).
-    Frozen(Arc<Vec<u8>>),
-}
-
-struct JobSlot {
-    parked: Option<Parked>,
-    id: String,
-    label: Option<String>,
-    class: JobClass,
-    deadline_s: Option<f64>,
-    billed: Duration,
-    slices: usize,
-    queue_latency: Duration,
-    first_pop_ordinal: Option<u64>,
-    evictions: usize,
-    restores: usize,
-    recovered: bool,
-    degraded_writes: usize,
-    /// The most recent sealed checkpoint frame — the resume point retained
-    /// for quarantined/failed/interrupted jobs.
-    last_frame: Option<Arc<Vec<u8>>>,
-    done: Option<Result<SessionReport, ServiceError>>,
-}
-
-/// A run-queue entry: the job's slot index plus its push timestamp (the
-/// queue-latency ledger's unit of account).
-struct QueueToken {
-    index: usize,
-    enqueued_at: Instant,
-}
-
-struct SchedulerState {
-    run_queue: ClassQueues<QueueToken>,
-    jobs: Vec<JobSlot>,
-    /// Jobs not yet finished or failed — the workers' exit condition.
-    unfinished: usize,
-    /// Global pop counter, stamping each job's first scheduling.
-    pops: u64,
-    /// A (fault-injected) service kill: workers stop dead, in-flight slices
-    /// are discarded, unresolved jobs report interrupted.
-    killed: bool,
-    quarantined: usize,
-    resident_bytes: usize,
-    peak_resident_bytes: usize,
-    total_evictions: usize,
-}
-
-struct Shared {
-    state: Mutex<SchedulerState>,
-    wake: Condvar,
-}
-
-/// A job popped from the run queue, ready for one slice.
-struct Task {
-    index: usize,
-    parked: Parked,
-    id: String,
-    /// First slice of a store-recovered job: bill from zero so the
-    /// frame-carried engine time is booked and conservation holds across
-    /// restarts.
-    carries_billing: bool,
-}
-
-/// What one supervised slice produced (built outside the scheduler lock).
-enum SliceRun {
-    /// Fault-injected service crash: discard everything, stop the pool.
-    Killed,
-    Failed {
-        err: CoreError,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
-    Finished {
-        report: Box<SessionReport>,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
-    Preempted {
-        session: Box<Session>,
-        frame: Arc<Vec<u8>>,
-        restored: bool,
-        billed: Duration,
-        degraded: usize,
-    },
-}
-
-/// The multi-session scheduler. Construction validates the options; one
+/// The batch scheduler. Construction validates the options; one
 /// [`SessionService::run`] call schedules one batch of jobs to completion.
 ///
 /// ```
@@ -654,10 +468,10 @@ impl SessionService {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfiguration`] for a non-positive slice or a zero
-    /// worker count.
+    /// [`CoreError::InvalidConfiguration`] for a non-positive slice, a zero
+    /// worker count or a zero class capacity.
     pub fn new(options: ServiceOptions) -> Result<Self, CoreError> {
-        options.validate()?;
+        options.pool().validate()?;
         Ok(SessionService { options })
     }
 
@@ -676,20 +490,17 @@ impl SessionService {
     /// ([`ServiceOptions::class_capacity`]) and per-class ledgers in the
     /// report.
     pub fn run_jobs(&self, jobs: Vec<JobRequest>) -> ServiceReport {
-        let slots: Vec<JobSlot> = jobs
+        let jobs = jobs
             .into_iter()
             .enumerate()
             .map(|(index, request)| {
-                let label = request.simulation.config().label.clone();
-                let id = label.clone().unwrap_or_else(|| format!("job-{index}"));
-                let mut slot =
-                    new_slot(Parked::Fresh(Box::new(request.simulation)), id, label, false);
-                slot.class = request.class;
-                slot.deadline_s = request.deadline_s;
-                slot
+                let mut job = fresh_job(index, request.simulation);
+                job.class = request.class;
+                job.deadline_s = request.deadline_s;
+                job
             })
             .collect();
-        self.run_inner(slots, None, 0)
+        self.run_inner(jobs, None, 0)
     }
 
     /// Like [`SessionService::run`], but crash-safe: every preemption
@@ -711,133 +522,91 @@ impl SessionService {
         jobs: Vec<Simulation>,
         store: &SessionStore,
     ) -> Result<ServiceReport, CoreError> {
-        self.run_jobs_with_store(jobs.into_iter().map(JobRequest::new).collect(), store)
-    }
-
-    /// [`SessionService::run_with_store`] with per-job classes and deadlines.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfiguration`] if two jobs share a session id.
-    pub fn run_jobs_with_store(
-        &self,
-        jobs: Vec<JobRequest>,
-        store: &SessionStore,
-    ) -> Result<ServiceReport, CoreError> {
         let mut seen: HashSet<String> = HashSet::with_capacity(jobs.len());
         let mut recovery_discarded = 0usize;
-        let mut slots: Vec<JobSlot> = Vec::with_capacity(jobs.len());
-        for (index, request) in jobs.into_iter().enumerate() {
-            let JobRequest { simulation, class, deadline_s } = request;
-            let label = simulation.config().label.clone();
-            let id = label.clone().unwrap_or_else(|| format!("job-{index}"));
-            if !seen.insert(id.clone()) {
+        let mut admitted = Vec::with_capacity(jobs.len());
+        for (index, simulation) in jobs.into_iter().enumerate() {
+            let mut job = fresh_job(index, simulation);
+            if !seen.insert(job.id.clone()) {
                 return Err(CoreError::InvalidConfiguration(format!(
-                    "duplicate session id `{id}` in batch: store-backed runs need unique ids"
+                    "duplicate session id `{}` in batch: store-backed runs need unique ids",
+                    job.id
                 )));
             }
-            let mut slot = if store.is_active(&id) {
-                match store.get(&id) {
+            if store.is_active(&job.id) {
+                match store.get(&job.id) {
                     Ok(bytes) => {
-                        let frame = Arc::new(bytes);
-                        let mut slot = new_slot(Parked::Frozen(frame.clone()), id, label, true);
-                        slot.last_frame = Some(frame);
-                        slot
+                        job.parked = Parked::Frozen(Arc::new(bytes));
+                        job.recovered = true;
                     }
-                    Err(_) => {
-                        // Typed store failure at admission: restart fresh
-                        // rather than failing the job — a discarded recovery
-                        // is always correct, just slower.
-                        recovery_discarded += 1;
-                        new_slot(Parked::Fresh(Box::new(simulation)), id, label, false)
-                    }
+                    // Typed store failure at admission: restart fresh rather
+                    // than failing the job — a discarded recovery is always
+                    // correct, just slower.
+                    Err(_) => recovery_discarded += 1,
                 }
-            } else {
-                new_slot(Parked::Fresh(Box::new(simulation)), id, label, false)
-            };
-            slot.class = class;
-            slot.deadline_s = deadline_s;
-            slots.push(slot);
+            }
+            admitted.push(job);
         }
-        Ok(self.run_inner(slots, Some(store), recovery_discarded))
+        Ok(self.run_inner(admitted, Some(store), recovery_discarded))
     }
 
     fn run_inner(
         &self,
-        mut slots: Vec<JobSlot>,
+        jobs: Vec<Job>,
         store: Option<&SessionStore>,
         recovery_discarded: usize,
     ) -> ServiceReport {
-        // Admission pass, in submission order: validate the deadline, check
-        // the class queue depth, then enqueue or shed. Shed jobs resolve
-        // right here — zero slices, zero billing.
-        let mut run_queue = ClassQueues::new(self.options.aging_passes);
-        let mut admitted = 0usize;
-        for (index, slot) in slots.iter_mut().enumerate() {
-            if let Some(deadline) = slot.deadline_s {
-                if !(deadline >= 0.0) || !deadline.is_finite() {
-                    slot.done = Some(Err(ServiceError::Session(CoreError::InvalidConfiguration(
-                        format!("job deadline must be non-negative and finite, got {deadline}"),
-                    ))));
-                    continue;
+        let pool: Pool<SessionReport, ()> = Pool::new(self.options.pool(), ());
+        // Admission, in submission order, before the first pop: a class's
+        // seats are then exactly its admitted-so-far count.
+        let admitted = {
+            let mut state = pool.lock();
+            for job in jobs {
+                match pool.refusal(&state, job.class, job.deadline_s, false) {
+                    None => {
+                        pool.admit(&mut state, job);
+                    }
+                    Some(refusal) => {
+                        let error = match refusal {
+                            Refusal::Deadline(detail) => {
+                                ServiceError::Session(CoreError::InvalidConfiguration(detail))
+                            }
+                            Refusal::Overloaded { class, depth, capacity } => {
+                                ServiceError::Overloaded { class, depth, capacity }
+                            }
+                            // A batch never drains.
+                            Refusal::Draining => ServiceError::Interrupted,
+                        };
+                        state.refuse(job, error);
+                    }
                 }
             }
-            // Nothing pops during admission, so the queue depth is exactly
-            // the class's admitted-so-far count.
-            let depth = run_queue.depth(slot.class);
-            if let Some(capacity) = self.options.class_capacity {
-                if depth >= capacity {
-                    slot.done =
-                        Some(Err(ServiceError::Overloaded { class: slot.class, depth, capacity }));
-                    continue;
-                }
-            }
-            admitted += 1;
-            run_queue.push(
-                slot.class,
-                slot.deadline_s,
-                QueueToken { index, enqueued_at: Instant::now() },
-            );
-        }
-        let shared = Shared {
-            state: Mutex::new(SchedulerState {
-                run_queue,
-                unfinished: admitted,
-                pops: 0,
-                killed: false,
-                quarantined: 0,
-                jobs: slots,
-                resident_bytes: 0,
-                peak_resident_bytes: 0,
-                total_evictions: 0,
-            }),
-            wake: Condvar::new(),
+            state.seats.iter().sum::<usize>()
         };
-        let default_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let workers = self.options.workers.unwrap_or(default_workers).min(admitted.max(1)).max(1);
+        let workers = pool.options().worker_count().min(admitted.max(1));
         if admitted > 0 {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
-                    scope.spawn(|| self.worker(&shared, store));
+                    scope
+                        .spawn(|| pool.work(store, |state| state.seats.iter().sum::<usize>() == 0));
                 }
             });
         }
-        let state = shared.state.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let interrupted = state.killed;
+        let state = pool.into_state();
         let mut recovered_jobs = 0usize;
         let mut degraded_writes = 0usize;
         let mut classes = [ClassReport::default(); JobClass::COUNT];
         let mut shed = 0usize;
         let outcomes: Vec<JobOutcome> = state
-            .jobs
+            .entries
             .into_iter()
-            .map(|slot| {
+            .map(|entry| {
                 // A job without a resolution was in flight (or queued) when
-                // the service died: typed, not a panic.
-                let result = slot.done.unwrap_or(Err(ServiceError::Interrupted));
-                recovered_jobs += usize::from(slot.recovered);
-                degraded_writes += slot.degraded_writes;
-                let ledger = &mut classes[slot.class.index()];
+                // the run was killed: typed, not a panic.
+                let result = entry.done.unwrap_or(Err(ServiceError::Interrupted));
+                recovered_jobs += usize::from(entry.recovered);
+                degraded_writes += entry.degraded_writes;
+                let ledger = &mut classes[entry.class.index()];
                 ledger.offered += 1;
                 if matches!(result, Err(ServiceError::Overloaded { .. })) {
                     ledger.shed += 1;
@@ -846,27 +615,23 @@ impl SessionService {
                     ledger.admitted += 1;
                 }
                 ledger.finished += usize::from(result.is_ok());
-                ledger.billed += slot.billed;
-                ledger.queue_latency += slot.queue_latency;
-                let last_checkpoint = if result.is_err() {
-                    slot.last_frame.map(|frame| frame.as_ref().clone())
-                } else {
-                    None
-                };
+                ledger.billed += entry.billed;
+                ledger.queue_latency += entry.queue_latency;
                 JobOutcome {
-                    label: slot.label,
-                    id: slot.id,
-                    class: slot.class,
+                    label: entry.label,
+                    id: entry.id,
+                    class: entry.class,
                     result,
-                    billed_engine_time: slot.billed,
-                    slices: slot.slices,
-                    queue_latency: slot.queue_latency,
-                    first_scheduled_ordinal: slot.first_pop_ordinal,
-                    evictions: slot.evictions,
-                    restores: slot.restores,
-                    recovered: slot.recovered,
-                    degraded_writes: slot.degraded_writes,
-                    last_checkpoint,
+                    billed_engine_time: entry.billed,
+                    slices: entry.slices,
+                    queue_latency: entry.queue_latency,
+                    first_scheduled_ordinal: entry.first_pop_ordinal,
+                    evictions: entry.evictions,
+                    restores: entry.restores,
+                    recovered: entry.recovered,
+                    degraded_writes: entry.degraded_writes,
+                    // The pool keeps a frame only for jobs that did not finish.
+                    last_checkpoint: entry.last_frame.map(|frame| frame.as_ref().clone()),
                 }
             })
             .collect();
@@ -876,319 +641,30 @@ impl SessionService {
             classes,
             shed,
             total_billed,
-            evictions: state.total_evictions,
+            evictions: state.evictions,
             peak_resident_bytes: state.peak_resident_bytes,
             workers,
-            interrupted,
+            interrupted: state.killed,
             quarantined: state.quarantined,
             recovered_jobs,
             recovery_discarded,
             degraded_writes,
         }
     }
-
-    /// One worker thread: pop-front / run-one-supervised-slice / commit,
-    /// until no unfinished jobs remain or the service is killed. The slice
-    /// body runs under `catch_unwind`, so an escaped panic quarantines the
-    /// one job instead of unwinding through the pool.
-    fn worker(&self, shared: &Shared, store: Option<&SessionStore>) {
-        loop {
-            let Some(task) = self.next_job(shared) else { return };
-            let Task { index, parked, id, carries_billing } = task;
-            let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_slice(parked, &id, carries_billing, store)
-            }));
-            match run {
-                Ok(slice) => self.commit_slice(shared, index, slice),
-                Err(payload) => self.quarantine(shared, index, payload),
-            }
-        }
-    }
-
-    /// Blocks until a job is runnable (returning it) or the pool should stop
-    /// (every job resolved, or the service was killed).
-    fn next_job(&self, shared: &Shared) -> Option<Task> {
-        let mut state = lock_state(shared);
-        loop {
-            if state.killed || state.unfinished == 0 {
-                return None;
-            }
-            if let Some((_, token)) = state.run_queue.pop() {
-                let QueueToken { index, enqueued_at } = token;
-                let ordinal = state.pops;
-                state.pops += 1;
-                let waited = enqueued_at.elapsed();
-                let slot = &mut state.jobs[index];
-                slot.queue_latency += waited;
-                slot.first_pop_ordinal.get_or_insert(ordinal);
-                let parked = slot
-                    .parked
-                    .take()
-                    .expect("queued job has a parked state (scheduler invariant)");
-                let carries_billing = slot.recovered && slot.slices == 0;
-                let id = slot.id.clone();
-                if let Parked::Live(_, footprint) = &parked {
-                    state.resident_bytes -= footprint;
-                }
-                return Some(Task { index, parked, id, carries_billing });
-            }
-            state = wait_state(shared, state);
-        }
-    }
-
-    /// One scheduling slice, run outside the scheduler lock (and inside the
-    /// worker's `catch_unwind`): materialise, advance, then either resolve
-    /// or checkpoint. Store traffic degrades instead of failing the job.
-    fn run_slice(
-        &self,
-        parked: Parked,
-        id: &str,
-        carries_billing: bool,
-        store: Option<&SessionStore>,
-    ) -> SliceRun {
-        let plan = self.options.fault_plan.as_deref();
-        match plan.and_then(|p| p.decide(FaultSite::SliceBoundary, 0)) {
-            Some(Fault::KillService) => return SliceRun::Killed,
-            Some(Fault::Panic) => panic!("{}", FaultPlan::PANIC_MESSAGE),
-            _ => {}
-        }
-        // Materialise a live session (start fresh, reuse resident, or thaw
-        // from checkpoint bytes).
-        let restored = matches!(parked, Parked::Frozen(_));
-        let session = match parked {
-            Parked::Fresh(simulation) => simulation.start().map(Box::new),
-            Parked::Live(session, _) => Ok(session),
-            Parked::Frozen(bytes) => {
-                if let Some(Fault::Panic) =
-                    plan.and_then(|p| p.decide(FaultSite::CheckpointDecode, bytes.len()))
-                {
-                    panic!("{}", FaultPlan::PANIC_MESSAGE);
-                }
-                Session::restore(&bytes).map(Box::new)
-            }
-        };
-        let mut session = match session {
-            Ok(session) => session,
-            Err(err) => {
-                return SliceRun::Failed { err, restored, billed: Duration::ZERO, degraded: 0 }
-            }
-        };
-        // Identity backstop for store-recovered frames: a frame whose
-        // embedded scenario label disagrees with the id it was keyed under
-        // must never run as that job (the manifest checksums make this
-        // near-impossible; this catches the residual cases typed).
-        if carries_billing {
-            if let Some(label) = session.scenario_label() {
-                if label != id {
-                    return SliceRun::Failed {
-                        err: CoreError::InvalidConfiguration(format!(
-                            "recovered checkpoint keyed `{id}` belongs to scenario `{label}`"
-                        )),
-                        restored,
-                        billed: Duration::ZERO,
-                        degraded: 0,
-                    };
-                }
-            }
-        }
-        let billed_before = if carries_billing { Duration::ZERO } else { engine_time(&session) };
-        let deadline = self.options.slice_timeout.map(|budget| Instant::now() + budget);
-        let target = session.time() + self.options.slice_s;
-        let advanced = session.run_until_deadline(target, deadline);
-        let billed = engine_time(&session).saturating_sub(billed_before);
-        if let Err(err) = advanced {
-            return SliceRun::Failed { err, restored, billed, degraded: 0 };
-        }
-        let mut degraded = 0usize;
-        if session.is_finished() {
-            // Completion: drop the store entry only after the result is in
-            // hand; a failure here degrades (the entry is re-run after a
-            // crash, idempotently) rather than failing the finished job.
-            if let Some(store) = store {
-                if store.is_active(id) && store.remove(id).is_err() {
-                    degraded += 1;
-                }
-            }
-            return SliceRun::Finished {
-                report: Box::new(session.report()),
-                restored,
-                billed,
-                degraded,
-            };
-        }
-        // Checkpoint-on-preempt: the frame is the eviction currency, the
-        // durable store payload, and the footprint estimate in one.
-        if let Some(Fault::Panic) = plan.and_then(|p| p.decide(FaultSite::CheckpointEncode, 0)) {
-            panic!("{}", FaultPlan::PANIC_MESSAGE);
-        }
-        let frame = match session.checkpoint() {
-            Ok(bytes) => Arc::new(bytes),
-            Err(err) => return SliceRun::Failed { err, restored, billed, degraded },
-        };
-        if let Some(store) = store {
-            if store.put(id, &frame).is_err() {
-                // Graceful degradation: the resident frozen bytes still
-                // carry the job; only crash-recoverability of this slice is
-                // lost.
-                degraded += 1;
-            }
-        }
-        SliceRun::Preempted { session, frame, restored, billed, degraded }
-    }
-
-    /// Books a slice's outcome into the scheduler state. After a service
-    /// kill, in-flight results are discarded — exactly what a real crash
-    /// does to work that never reached the store.
-    fn commit_slice(&self, shared: &Shared, index: usize, run: SliceRun) {
-        let mut state = lock_state(shared);
-        if state.killed {
-            return;
-        }
-        match run {
-            SliceRun::Killed => {
-                state.killed = true;
-                shared.wake.notify_all();
-            }
-            SliceRun::Failed { err, restored, billed, degraded } => {
-                let slot = book_slice(&mut state, index, restored, billed, degraded);
-                let err = match &slot.label {
-                    Some(label) => err.for_scenario(label.clone()),
-                    None => err,
-                };
-                slot.done = Some(Err(ServiceError::Session(err)));
-                state.unfinished -= 1;
-                shared.wake.notify_all();
-            }
-            SliceRun::Finished { report, restored, billed, degraded } => {
-                let slot = book_slice(&mut state, index, restored, billed, degraded);
-                slot.done = Some(Ok(*report));
-                state.unfinished -= 1;
-                shared.wake.notify_all();
-            }
-            SliceRun::Preempted { session, frame, restored, billed, degraded } => {
-                let footprint = frame.len();
-                let evict = match self.options.resident_budget_bytes {
-                    Some(budget) => state.resident_bytes + footprint > budget,
-                    None => false,
-                };
-                let slot = book_slice(&mut state, index, restored, billed, degraded);
-                slot.last_frame = Some(frame.clone());
-                if evict {
-                    slot.evictions += 1;
-                    slot.parked = Some(Parked::Frozen(frame));
-                    state.total_evictions += 1;
-                } else {
-                    slot.parked = Some(Parked::Live(session, footprint));
-                    state.resident_bytes += footprint;
-                    state.peak_resident_bytes = state.peak_resident_bytes.max(state.resident_bytes);
-                }
-                let (class, deadline_s) = {
-                    let slot = &state.jobs[index];
-                    (slot.class, slot.deadline_s)
-                };
-                state.run_queue.push(
-                    class,
-                    deadline_s,
-                    QueueToken { index, enqueued_at: Instant::now() },
-                );
-                shared.wake.notify_one();
-            }
-        }
-    }
-
-    /// Quarantines a job whose slice panicked: typed outcome, last good
-    /// checkpoint retained, neighbours unaffected. After a kill, the panic
-    /// is discarded with the rest of the in-flight work.
-    fn quarantine(&self, shared: &Shared, index: usize, payload: Box<dyn Any + Send>) {
-        let payload = panic_payload(payload);
-        let mut state = lock_state(shared);
-        if state.killed {
-            return;
-        }
-        let slot = &mut state.jobs[index];
-        slot.slices += 1;
-        slot.done = Some(Err(ServiceError::SessionPanicked { id: slot.id.clone(), payload }));
-        state.quarantined += 1;
-        state.unfinished -= 1;
-        shared.wake.notify_all();
-    }
 }
 
-fn new_slot(parked: Parked, id: String, label: Option<String>, recovered: bool) -> JobSlot {
-    JobSlot {
-        parked: Some(parked),
-        id,
+/// A batch-class, deadline-less, not-yet-started job keyed by its label, or
+/// `job-<index>` when unlabelled.
+fn fresh_job(index: usize, simulation: Simulation) -> Job {
+    let label = simulation.config().label.clone();
+    Job {
+        id: label.clone().unwrap_or_else(|| format!("job-{index}")),
         label,
         class: JobClass::Batch,
         deadline_s: None,
-        billed: Duration::ZERO,
-        slices: 0,
-        queue_latency: Duration::ZERO,
-        first_pop_ordinal: None,
-        evictions: 0,
-        restores: 0,
-        recovered,
-        degraded_writes: 0,
-        last_frame: None,
-        done: None,
+        parked: Parked::Fresh(Box::new(simulation)),
+        recovered: false,
     }
-}
-
-/// Scheduler-lock acquisition that recovers from poisoning: a panicking
-/// session is quarantined by design, and every critical section leaves the
-/// state consistent, so inheriting the guard is sound — aborting the whole
-/// pool (the old `expect`) is exactly what the supervision layer exists to
-/// prevent.
-fn lock_state(shared: &Shared) -> MutexGuard<'_, SchedulerState> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn wait_state<'a>(
-    shared: &'a Shared,
-    guard: MutexGuard<'a, SchedulerState>,
-) -> MutexGuard<'a, SchedulerState> {
-    shared.wake.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Books one slice's common accounting and returns the slot for the
-/// caller's outcome-specific writes. Callers hold the scheduler lock.
-fn book_slice(
-    state: &mut SchedulerState,
-    index: usize,
-    restored: bool,
-    billed: Duration,
-    degraded: usize,
-) -> &mut JobSlot {
-    let slot = &mut state.jobs[index];
-    slot.slices += 1;
-    slot.billed += billed;
-    slot.degraded_writes += degraded;
-    if restored {
-        slot.restores += 1;
-    }
-    slot
-}
-
-/// Stringifies a caught panic payload (the common `&str`/`String` cases;
-/// anything else gets a placeholder). Shared with [`crate::server`].
-pub(crate) fn panic_payload(payload: Box<dyn Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(message) => *message,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(message) => (*message).to_string(),
-            Err(_) => "non-string panic payload".into(),
-        },
-    }
-}
-
-/// The billing measure, shared with [`crate::server`]: the session report's
-/// total engine time. It folds in the in-flight segment's pending engine
-/// time, so a slice that ends inside an analogue segment still bills. The
-/// total is carried inside checkpoints, so per-slice deltas telescope exactly
-/// to the final report across preemption, eviction, restore — and service
-/// restarts.
-pub(crate) fn engine_time(session: &Session) -> Duration {
-    session.report().engine_time()
 }
 
 #[cfg(test)]

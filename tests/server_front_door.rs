@@ -529,6 +529,14 @@ fn drain_then_restart_resumes_bit_identically_with_billing_conserved() {
             server.execute(Command::Submit(quick_spec(7, JobClass::Batch))),
             Response::Error(WireError::Draining)
         ));
+        // The refused submit is still an offer: it is booked as shed.
+        let stats = server.stats();
+        assert_eq!(stats.shed, 1, "a submit refused while draining is shed");
+        assert_eq!(
+            stats.admitted + stats.shed + stats.resubmitted,
+            stats.offered,
+            "every offer is accounted admitted, shed or resubmitted"
+        );
         for spec in &specs {
             match server.execute(Command::Status { id: spec.id.clone() }) {
                 Response::Status(info) => {
@@ -690,6 +698,134 @@ fn kill_during_drain_is_recoverable_bit_identically() {
         server.join();
     }
     assert_no_temp_litter(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovered_resubmit_after_drain_is_refused_and_shed() {
+    let dir = unique_dir("drain-readmit");
+    let spec = long_spec("readmit-0", JobClass::Batch);
+    let options = ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() };
+
+    // Phase 1: make progress, then drain: one durable frame.
+    {
+        let server = start_server(&dir, options.clone());
+        assert!(matches!(
+            server.execute(Command::Submit(spec.clone())),
+            Response::Submitted { .. }
+        ));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !matches!(
+            server.execute(Command::Status { id: spec.id.clone() }),
+            Response::Status(info) if info.time_s > 0.0
+        ) {
+            assert!(Instant::now() < deadline, "{} never progressed", spec.id);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(matches!(
+            server.execute(Command::Drain),
+            Response::Drained { checkpointed: 1, .. }
+        ));
+        server.join();
+    }
+
+    // Phase 2: a restarted server drains before the client resubmits. No
+    // worker is left to run a re-admitted session, so the recovered id is
+    // refused like a fresh one and stays paused in the store.
+    let server = start_server(&dir, options);
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 1, .. }));
+    assert_eq!(server.execute(Command::Submit(spec.clone())), Response::Error(WireError::Draining));
+    assert_eq!(
+        server.execute(Command::Resume { id: spec.id.clone() }),
+        Response::Error(WireError::Draining)
+    );
+    match server.execute(Command::Status { id: spec.id.clone() }) {
+        Response::Status(info) => {
+            assert_eq!(info.state, WireState::Paused, "the refused resubmit changed the entry");
+            assert!(info.recovered);
+        }
+        other => panic!("status answered {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!((stats.offered, stats.admitted, stats.shed, stats.resubmitted), (1, 0, 1, 0));
+    assert_eq!(stats.depths, [0, 1, 0], "the recovered session keeps its batch seat");
+    server.join();
+
+    let store = SessionStore::open(&dir).expect("reopen store");
+    assert_eq!(store.active_ids(), vec![spec.id.clone()], "the frame stays durable");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn in_process_submits_with_malformed_deadlines_are_refused_typed() {
+    let dir = unique_dir("deadline");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() },
+    );
+    for (k, bad) in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY].into_iter().enumerate() {
+        let mut spec = quick_spec(k, JobClass::Batch);
+        spec.deadline_s = Some(bad);
+        match server.execute(Command::Submit(spec.clone())) {
+            Response::Error(WireError::Protocol(detail)) => {
+                assert!(detail.contains("deadline"), "unhelpful rejection: {detail}");
+            }
+            other => panic!("deadline {bad} answered {other:?}"),
+        }
+        assert!(matches!(
+            server.execute(Command::Status { id: spec.id }),
+            Response::Error(WireError::UnknownSession { .. })
+        ));
+    }
+    // Like a line that fails to parse, a malformed deadline books no offer.
+    let stats = server.stats();
+    assert_eq!((stats.offered, stats.admitted, stats.shed), (0, 0, 0));
+    assert_eq!(stats.depths, [0, 0, 0]);
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_encode_panic_quarantines_one_session() {
+    let dir = unique_dir("quarantine");
+    // The second checkpoint any slice seals panics; every quick spec is
+    // preempted several times, so the fault lands mid-run.
+    let plan = Arc::new(FaultPlan::new(0xC0DE).with_site(FaultSite::CheckpointEncode, 2, 1));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(2),
+            slice_s: 0.002,
+            fault_plan: Some(plan.clone()),
+            ..ServerOptions::default()
+        },
+    );
+    let specs: Vec<SubmitSpec> = (0..3).map(|k| quick_spec(k, JobClass::Batch)).collect();
+    for spec in &specs {
+        assert!(matches!(
+            server.execute(Command::Submit(spec.clone())),
+            Response::Submitted { .. }
+        ));
+    }
+    let mut failed = 0;
+    for spec in &specs {
+        let info = await_state(&server, &spec.id, &[WireState::Done, WireState::Failed]);
+        if info.state == WireState::Failed {
+            failed += 1;
+            assert_eq!(info.final_state_fnv, None);
+        } else {
+            assert_eq!(info.final_state_fnv, Some(reference_fnv(spec)), "{} diverged", spec.id);
+        }
+    }
+    assert_eq!(failed, 1, "exactly one session is quarantined");
+    plan.drained().expect("the armed encode fault fired");
+    let stats = server.stats();
+    assert_eq!((stats.done, stats.failed), (2, 1));
+    assert_eq!(stats.depths, [0, 0, 0], "the quarantined session gave its seat back");
+    assert_eq!(stats.admitted + stats.shed + stats.resubmitted, stats.offered);
+    server.execute(Command::Drain);
+    server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
