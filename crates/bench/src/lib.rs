@@ -68,9 +68,9 @@ pub struct Table2Record {
     pub stiff_exact_steps: usize,
     /// Per-block Jacobian stamps skipped under the constant-contract split.
     pub constant_stamps_skipped: usize,
-    /// Per-block stamps skipped under the PWL segment-signature contract (the
-    /// Dickson scatter skip — ROADMAP item b): the segment set was unchanged,
-    /// so neither the scatter nor the Eq. 3 scan ran.
+    /// Per-block stamps skipped under the per-device PWL contract (the
+    /// Dickson stamp skip): no diode changed table segment, so neither the
+    /// scatter nor the Eq. 3 scan ran.
     pub pwl_stamps_skipped: usize,
     /// High-water probe memory of the proposed engine's session, in bytes.
     /// Headline rows capture dense waveforms (O(recorded samples)); `--sweep`

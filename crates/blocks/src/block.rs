@@ -164,6 +164,131 @@ impl LocalLinearisation {
         r += &self.g;
         r
     }
+
+    /// The Jacobian `which` of this linearisation.
+    pub fn jacobian(&self, which: Jacobian) -> &DMatrix {
+        match which {
+            Jacobian::A => &self.a,
+            Jacobian::B => &self.b,
+            Jacobian::C => &self.c,
+            Jacobian::D => &self.d,
+        }
+    }
+}
+
+/// One of the four Jacobians of a [`LocalLinearisation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Jacobian {
+    /// `A = ∂f_x/∂x` (`states × states`).
+    A,
+    /// `B = ∂f_x/∂y` (`states × terminals`).
+    B,
+    /// `C = ∂f_y/∂x` (`constraints × states`).
+    C,
+    /// `D = ∂f_y/∂y` (`constraints × terminals`).
+    D,
+}
+
+impl Jacobian {
+    /// All four Jacobians, in the order `A`, `B`, `C`, `D`.
+    pub const ALL: [Jacobian; 4] = [Jacobian::A, Jacobian::B, Jacobian::C, Jacobian::D];
+
+    /// `(rows, cols)` of this Jacobian for a block with `states` states,
+    /// `terminals` terminals and `constraints` constraint rows.
+    pub fn shape(self, states: usize, terminals: usize, constraints: usize) -> (usize, usize) {
+        match self {
+            Jacobian::A => (states, states),
+            Jacobian::B => (states, terminals),
+            Jacobian::C => (constraints, states),
+            Jacobian::D => (constraints, terminals),
+        }
+    }
+}
+
+/// The structural nonzero pattern of a block's Jacobians: the
+/// `(matrix, row, column)` entries its stamps may write anything but `+0.0`
+/// to. Every entry outside the pattern must be exactly `+0.0` at every
+/// operating point and in every configuration of the block, so the
+/// assembler can restamp and monitor (Eq. 3) the pattern alone and leave the
+/// rest of the global buffer as the segment-opening full stamp wrote it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JacobianPattern {
+    /// Sorted, duplicate-free entries.
+    entries: Vec<(Jacobian, usize, usize)>,
+}
+
+impl JacobianPattern {
+    /// A pattern of the given entries (order and duplicates are irrelevant;
+    /// entries already listed in sorted order skip the sort).
+    pub fn new(mut entries: Vec<(Jacobian, usize, usize)>) -> Self {
+        if !entries.windows(2).all(|pair| pair[0] < pair[1]) {
+            entries.sort_unstable();
+            entries.dedup();
+        }
+        JacobianPattern { entries }
+    }
+
+    /// Every entry of a block with `states` states, `terminals` terminals and
+    /// `constraints` constraint rows — the conservative default.
+    pub fn dense(states: usize, terminals: usize, constraints: usize) -> Self {
+        let mut entries = Vec::with_capacity((states + constraints) * (states + terminals));
+        for which in Jacobian::ALL {
+            let (rows, cols) = which.shape(states, terminals, constraints);
+            for row in 0..rows {
+                entries.extend((0..cols).map(|col| (which, row, col)));
+            }
+        }
+        JacobianPattern { entries }
+    }
+
+    /// The entries, sorted by matrix, then row, then column.
+    pub fn entries(&self) -> &[(Jacobian, usize, usize)] {
+        &self.entries
+    }
+
+    /// Number of structural nonzeros.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the pattern declares no entry at all.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Whether every entry of `lin`'s Jacobians outside the pattern is
+    /// exactly `+0.0` (and every pattern entry lies inside the matrices) —
+    /// the contract [`StateSpaceBlock::jacobian_pattern`] promises.
+    pub fn admits(&self, lin: &LocalLinearisation) -> bool {
+        // One merge pass: the sorted entries follow the row-major order of A,
+        // B, C, D, so each matrix entry either is the next declared one or
+        // must be +0.0. A declared entry outside the matrices is never
+        // reached and is left over at the end.
+        let mut declared = self.entries.iter().peekable();
+        for which in Jacobian::ALL {
+            let matrix = lin.jacobian(which);
+            for (index, value) in matrix.as_slice().iter().enumerate() {
+                let entry = (which, index / matrix.cols(), index % matrix.cols());
+                if declared.next_if_eq(&&entry).is_none() && value.to_bits() != 0 {
+                    return false;
+                }
+            }
+        }
+        declared.next().is_none()
+    }
+}
+
+/// The piecewise-linear devices of a [`JacobianStructure::Pwl`] block as the
+/// assembler tracks them between relinearisations: `count` devices (the
+/// Dickson multiplier's diodes), each operating in one of `segments` lookup
+/// table segments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PwlDevices {
+    /// Number of devices.
+    pub count: usize,
+    /// Number of table segments a device can occupy (valid indices are
+    /// `0..segments`).
+    pub segments: usize,
 }
 
 /// How a block's Jacobian contribution evolves along a trajectory — the
@@ -183,10 +308,15 @@ pub enum JacobianStructure {
     /// affine terms through [`StateSpaceBlock::affine_into`].
     Constant,
     /// Piecewise-linear: the Jacobians jump when the operating point crosses
-    /// a PWL table segment boundary and are constant in between. The block is
-    /// restamped on every relinearisation (a crossing can happen on any
-    /// step), but its changes arrive as kinks — exactly the discontinuities
-    /// the solver's Eq. 3 monitor turns into history truncations.
+    /// a PWL table segment boundary and are constant in between, and the
+    /// whole stamp (affine terms included) is a function of the segment each
+    /// device operates in. A block that declares its devices
+    /// ([`StateSpaceBlock::pwl_devices`]) has them tracked per device: a
+    /// relinearisation at which no device changed segment skips the block
+    /// entirely, and one at which some did rewrites only what the movers
+    /// feed ([`StateSpaceBlock::restamp_pwl_into`]). Its changes arrive as
+    /// kinks — exactly the discontinuities the solver's Eq. 3 monitor turns
+    /// into history truncations.
     Pwl,
     /// Smoothly state-dependent Jacobians: restamped on every linearisation,
     /// the conservative default.
@@ -270,53 +400,55 @@ pub trait StateSpaceBlock {
         Vec::new()
     }
 
-    /// A compact *segment signature* for blocks under the
-    /// [`JacobianStructure::Pwl`] contract: a value that fully determines the
-    /// block's **entire** local linearisation — Jacobians *and* affine terms —
-    /// at `(t, x, y)`. Typically this packs the indices of the PWL table
-    /// segments every nonlinear device currently operates in.
-    ///
-    /// Returning `Some(s)` is a promise: any two calls to
-    /// [`StateSpaceBlock::linearise_into`] whose signatures are both `s`
-    /// produce bit-identical outputs. The assembler uses that promise on the
-    /// relinearisation hot path to skip the block's whole scatter + Eq. 3
-    /// monitor scan when the signature has not moved since the last stamp
-    /// (the dominant remaining per-step cost of the Dickson multiplier —
-    /// ROADMAP item b). The default returns `None`, which disables the skip
-    /// and keeps every existing block correct unchanged; blocks must also
-    /// return `None` whenever they cannot encode their state exactly (e.g.
-    /// too many devices or segments for the packing).
-    fn pwl_signature(&self, _t: f64, _x: &DVector, _y: &DVector) -> Option<u64> {
+    /// The structural nonzero pattern of the block's Jacobians (see
+    /// [`JacobianPattern`]): the entries the assembler's relinearisation
+    /// scatters and feeds to the Eq. 3 monitor. Queried once, when the block
+    /// is added to an assembly, so it must cover every configuration the
+    /// block can be switched to afterwards. The default is dense, which is
+    /// correct for any block.
+    fn jacobian_pattern(&self) -> JacobianPattern {
+        JacobianPattern::dense(self.state_count(), self.terminal_count(), self.constraint_count())
+    }
+
+    /// The devices of a [`JacobianStructure::Pwl`] block whose table
+    /// segments fully determine its stamp — Jacobians *and* affine terms —
+    /// or `None` when the block cannot be tracked per device in its present
+    /// configuration. Returning `Some` promises that
+    /// [`StateSpaceBlock::restamp_pwl_into`] implements the per-device
+    /// contract. The assembler asks at every full stamp; the default
+    /// declines, which keeps the block restamped on every relinearisation.
+    fn pwl_devices(&self) -> Option<PwlDevices> {
         None
     }
 
-    /// Fused stamp: [`StateSpaceBlock::linearise_into`] plus the
-    /// [`StateSpaceBlock::pwl_signature`] of the same point, returned from
-    /// one pass. Blocks whose stamp already performs the per-device segment
-    /// lookups (the Dickson multiplier) override this so the signature costs
-    /// no second lookup; the default simply calls both. Implementations must
-    /// keep it equivalent to calling the two methods separately.
-    fn linearise_into_with_signature(
+    /// Per-device restamp under the [`JacobianStructure::Pwl`] contract.
+    ///
+    /// `segments` holds one table segment per device (the
+    /// [`StateSpaceBlock::pwl_devices`] count): on entry the segments `out`
+    /// was stamped from — or, with `rewrite_all`, any values at all, which
+    /// serve only as search hints — and on exit the segments at `(t, x, y)`,
+    /// exactly as a fresh lookup finds them. Returns whether any device
+    /// changed segment.
+    ///
+    /// When none did and `rewrite_all` is false, `out` is left untouched: the
+    /// segments determine the stamp, so it already holds the values at
+    /// `(t, x, y)` bit for bit. Otherwise `out` ends equal to what
+    /// [`StateSpaceBlock::linearise_into`] writes at `(t, x, y)`, bit for
+    /// bit; without `rewrite_all` an implementation may rewrite only the
+    /// entries the moved devices feed, relying on `out` holding the stamp of
+    /// the entry segments. The default ignores `segments` and restamps in
+    /// full, reporting a move.
+    fn restamp_pwl_into(
         &self,
         t: f64,
         x: &DVector,
         y: &DVector,
+        _segments: &mut [usize],
+        _rewrite_all: bool,
         out: &mut LocalLinearisation,
-    ) -> Option<u64> {
+    ) -> bool {
         self.linearise_into(t, x, y, out);
-        self.pwl_signature(t, x, y)
-    }
-
-    /// Cheap test that `signature` — previously returned by this block for an
-    /// earlier operating point — is still the signature at `(t, x, y)`,
-    /// without recomputing it. Must be exactly equivalent to
-    /// `self.pwl_signature(t, x, y) == Some(signature)`; the payoff is that a
-    /// membership test ("is every device still inside its recorded segment?")
-    /// needs only comparisons where recomputing indices would pay a lookup
-    /// per device. This runs once per accepted solver step on the
-    /// relinearisation hot path.
-    fn pwl_signature_matches(&self, t: f64, x: &DVector, y: &DVector, signature: u64) -> bool {
-        self.pwl_signature(t, x, y) == Some(signature)
+        true
     }
 
     /// Refreshes only the affine terms `e`/`g` of `out` at `(t, x, y)`,
@@ -456,20 +588,58 @@ mod tests {
                 sample_linearisation()
             }
         }
-        // Defaults: restamp everything, declare nothing stiff, no signature.
+        // Defaults: restamp everything, declare nothing stiff, track no
+        // devices, declare every entry structural.
         assert_eq!(Plain.jacobian_structure(), JacobianStructure::Nonlinear);
         assert!(Plain.stiff_states().is_empty());
-        assert_eq!(Plain.pwl_signature(0.0, &DVector::zeros(2), &DVector::zeros(1)), None);
+        assert_eq!(Plain.pwl_devices(), None);
+        assert_eq!(Plain.jacobian_pattern(), JacobianPattern::dense(2, 1, 1));
+        assert_eq!(Plain.jacobian_pattern().len(), 4 + 2 + 2 + 1);
         // The default affine refresh is a full restamp, so it is always safe.
         let x = DVector::zeros(2);
         let y = DVector::zeros(1);
         let mut out = LocalLinearisation::zeros(2, 1, 1);
         Plain.affine_into(0.0, &x, &y, &mut out);
         assert_eq!(out, Plain.linearise(0.0, &x, &y));
+        // So is the default per-device restamp: a full stamp reporting a move.
+        let mut out = LocalLinearisation::zeros(2, 1, 1);
+        assert!(Plain.restamp_pwl_into(0.0, &x, &y, &mut [], false, &mut out));
+        assert_eq!(out, Plain.linearise(0.0, &x, &y));
         // Structure names for diagnostics.
         assert_eq!(JacobianStructure::Constant.name(), "constant");
         assert_eq!(JacobianStructure::Pwl.name(), "piecewise-linear");
         assert_eq!(JacobianStructure::Nonlinear.name(), "nonlinear");
+    }
+
+    #[test]
+    fn patterns_admit_exactly_the_entries_outside_them_at_positive_zero() {
+        let lin = sample_linearisation();
+        // A dense pattern admits anything of the right shape.
+        assert!(JacobianPattern::dense(2, 1, 1).admits(&lin));
+        // The sample's nonzeros: A diagonal, B(0,0), C(0,0), D(0,0).
+        let exact = JacobianPattern::new(vec![
+            (Jacobian::D, 0, 0),
+            (Jacobian::A, 1, 1),
+            (Jacobian::A, 0, 0),
+            (Jacobian::B, 0, 0),
+            (Jacobian::C, 0, 0),
+            (Jacobian::A, 0, 0),
+        ]);
+        assert_eq!(exact.len(), 5, "duplicates collapse");
+        assert_eq!(exact.entries()[0], (Jacobian::A, 0, 0), "entries sort by matrix first");
+        assert!(exact.admits(&lin));
+        // Dropping a nonzero entry breaks the contract ...
+        let missing = JacobianPattern::new(vec![(Jacobian::A, 0, 0), (Jacobian::A, 1, 1)]);
+        assert!(!missing.admits(&lin));
+        // ... and so does −0.0 outside the pattern: only +0.0 is structural.
+        let mut signed = lin.clone();
+        signed.a[(0, 1)] = -0.0;
+        assert!(!exact.admits(&signed));
+        // An entry outside the matrices is never admitted.
+        let outside = JacobianPattern::new(vec![(Jacobian::A, 2, 0)]);
+        assert!(!outside.admits(&LocalLinearisation::zeros(2, 1, 1)));
+        assert!(JacobianPattern::new(Vec::new()).is_empty());
+        assert_eq!(lin.jacobian(Jacobian::C), &lin.c);
     }
 
     #[test]

@@ -9,8 +9,15 @@
 //! (`V_c`, `I_c`), and its diodes are represented by the piecewise-linear
 //! companion models of [`crate::diode`]: at every linearisation point each
 //! diode contributes a conductance `G_i` and a companion current source `J_i`
-//! looked up from tables, so the march-in-time loop never evaluates an
-//! exponential (the paper's central modelling trick for the power processor).
+//! read from a lookup table instead of evaluated from the Shockley equation
+//! (the paper's central modelling trick for the power processor). The stamp
+//! is a function of the table segment each diode operates in, so the
+//! assembler tracks the segments between relinearisations
+//! ([`StateSpaceBlock::restamp_pwl_into`]): a step at which no diode changed
+//! segment costs two comparisons per diode, one at which some did rewrites
+//! only the rows the movers feed, and the closed-form segment lookup (one
+//! `exp()`) runs only for first stamps and for diodes that jumped further than
+//! a short breakpoint walk.
 //!
 //! # Topology
 //!
@@ -35,7 +42,10 @@
 
 use harvsim_linalg::DVector;
 
-use crate::block::{BlockError, JacobianStructure, LocalLinearisation, StateSpaceBlock};
+use crate::block::{
+    BlockError, Jacobian, JacobianPattern, JacobianStructure, LocalLinearisation, PwlDevices,
+    StateSpaceBlock,
+};
 use crate::diode::DiodeModel;
 use crate::params::HarvesterParameters;
 
@@ -149,7 +159,7 @@ impl DicksonMultiplier {
     /// commercial tools the Newton–Raphson baseline reproduces; an `exp()`
     /// per diode per linearisation). In exact mode the block's Jacobians vary
     /// smoothly, so it reports [`JacobianStructure::Nonlinear`] and declines
-    /// the segment-signature stamp skip.
+    /// per-device segment tracking.
     pub fn set_exact_companions(&mut self, exact: bool) {
         self.exact_companions = exact;
     }
@@ -196,11 +206,10 @@ impl DicksonMultiplier {
 
     /// Walks every diode's operating-point voltage `V_{d,i} = n_{i−1} − n_i`
     /// (1-based diode index), recovering the node voltages from the state
-    /// slice exactly once. This is the single definition the stamp, the
-    /// signature computation and the signature membership test all share —
-    /// the stamp-skip contract ("equal signature ⇒ bit-identical stamp")
-    /// requires all three to see identical voltages, so the recovery must
-    /// not be allowed to drift between copies.
+    /// slice exactly once. This is the single definition the full stamp and
+    /// the per-device restamp share — the tracking contract ("unchanged
+    /// segments ⇒ bit-identical stamp") requires both to see identical
+    /// voltages, so the recovery must not be allowed to drift between copies.
     #[inline]
     fn for_each_diode_voltage(&self, xs: &[f64], mut visit: impl FnMut(usize, f64)) {
         let n = self.stages;
@@ -213,141 +222,160 @@ impl DicksonMultiplier {
         }
     }
 
-    /// Whether this configuration can encode a PWL segment signature at all
-    /// (table-companion mode, packable stage count and table size).
-    fn signature_fits(&self) -> bool {
-        !self.exact_companions
-            && self.stages <= SIGNATURE_MAX_DIODES
-            && self.diode.total_segments() < (1 << SEGMENT_BITS)
+    /// The quotients of a diode with companion pair `(g, j)`.
+    fn quotients(&self, (g, j): (f64, f64)) -> CompanionQuotients {
+        CompanionQuotients {
+            g_cap: g / self.stage_capacitance,
+            j_cap: j / self.stage_capacitance,
+            g_cin: g / self.input_capacitance,
+            j_cin: j / self.input_capacitance,
+        }
     }
 
-    /// Stamps the linearisation into `out` using the given per-diode companion
-    /// scratch (1-based, with a zero sentinel at index `stages + 1`), and
-    /// returns the PWL segment signature of the point when the configuration
-    /// supports one — computed from the *same* per-diode segment lookups the
-    /// companions need, so the signature is free. Shared by the
-    /// stack-buffered hot path and the heap fallback of
-    /// [`StateSpaceBlock::linearise_into`].
-    fn stamp_linearisation(
-        &self,
-        x: &DVector,
-        conductance: &mut [f64],
-        companion: &mut [f64],
-        out: &mut LocalLinearisation,
-    ) -> Option<u64> {
+    /// Runs `stamp` over a per-diode quotient scratch indexed by 1-based
+    /// diode number (index 0 unused): on the stack for any physical ladder,
+    /// on the heap beyond [`MAX_STACK_STAGES`].
+    fn with_quotients<R>(&self, stamp: impl FnOnce(&mut [CompanionQuotients]) -> R) -> R {
         let n = self.stages;
-        let cap = self.stage_capacitance;
-        let cin = self.input_capacitance;
-        out.clear();
+        if n <= MAX_STACK_STAGES {
+            let mut quotients = [CompanionQuotients::default(); MAX_STACK_STAGES + 1];
+            stamp(&mut quotients[..=n])
+        } else {
+            stamp(&mut vec![CompanionQuotients::default(); n + 1])
+        }
+    }
 
-        // Companion model (G_i, J_i) of every diode at the present operating
-        // point, reading the state through one slice borrow. In table mode
-        // each diode costs one segment lookup, shared between the chord read
-        // and the signature packing.
-        let mut signature = if self.signature_fits() { Some(0u64) } else { None };
-        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
-            let (g, j) = if self.exact_companions {
-                self.diode.exact_companion(vd)
-            } else {
-                let segment = self.diode.companion_segment(vd);
-                if let Some(bits) = signature.as_mut() {
-                    *bits = (*bits << SEGMENT_BITS) | segment as u64;
-                }
-                self.diode.companion_in_segment(segment)
-            };
-            conductance[i] = g;
-            companion[i] = j;
-        });
+    /// Rail-coefficient step `s_{i−1} − s_i` across diode `D_i`: +1 for even
+    /// `i` (a pump node behind it, a grounded node ahead), −1 for odd `i < N`
+    /// and 0 for an odd `i = N` (both ends grounded) — the closed form of
+    /// `rail_coefficient(i − 1) − rail_coefficient(i)`.
+    fn rail_step(&self, i: usize) -> f64 {
+        if i.is_multiple_of(2) {
+            1.0
+        } else if i < self.stages {
+            -1.0
+        } else {
+            0.0
+        }
+    }
 
+    /// Rewrites stage row `row` (1-based) of `A` and `e` from the quotients
+    /// of its inflow diode `D_row` and outflow diode `D_{row+1}`. Each entry
+    /// is assigned once, as the sum of the diodes' contributions onto the
+    /// cleared row's `+0.0` in inflow-then-outflow order (bit-identical to
+    /// accumulating them in place); the row's other entries are structural
+    /// zeros that no stamp ever writes.
+    fn write_stage_row(&self, row: usize, q: &[CompanionQuotients], out: &mut LocalLinearisation) {
         // Partial derivatives of the diode current i_i = G_i·(n_{i-1} - n_i) + J_i
         // with node voltages n_i = V_i + s_i·V_rail (V_rail is state index n):
         //   ∂i_i/∂V_{i-1}  = +G_i, ∂i_i/∂V_i = -G_i,
         //   ∂i_i/∂V_rail   = G_i·(s_{i-1} - s_i).
-        let rail = |i: usize| self.rail_coefficient(i);
+        let n = self.stages;
+        let r = row - 1;
+        let a_row = out.a.row_mut(r);
 
-        for row in 1..=n {
-            let r = row - 1;
-            let g_in = conductance[row];
-            let g_out = if row < n { conductance[row + 1] } else { 0.0 };
-            // All of row `r`'s stamps land in one mutable row slice.
-            let a_row = out.a.row_mut(r);
-
-            // Inflow diode D_row.
-            if row >= 2 {
-                a_row[row - 2] += g_in / cap;
-            }
-            a_row[r] += -g_in / cap;
-            a_row[n] += g_in * (rail(row - 1) - rail(row)) / cap;
-            out.e[r] += companion[row] / cap;
-
-            // Outflow diode D_{row+1}.
-            if row < n {
-                a_row[r] += -g_out / cap;
-                a_row[row] += g_out / cap;
-                a_row[n] += -g_out * (rail(row) - rail(row + 1)) / cap;
-                out.e[r] -= companion[row + 1] / cap;
-            }
-
-            // Output current leaves the final node.
-            if row == n {
-                out.b.add_to(r, 3, -1.0 / cap);
-            }
+        // Inflow diode D_row.
+        let inflow = q[row];
+        if row >= 2 {
+            a_row[row - 2] = 0.0 + inflow.g_cap;
         }
+        let mut diagonal = 0.0 + -inflow.g_cap;
+        let mut rail = 0.0 + inflow.g_cap * self.rail_step(row);
+        let mut e = 0.0 + inflow.j_cap;
 
-        // Rail state equation: C_in·dV_rail/dt = Im + Σ_{pump i} (i_i − i_{i+1}).
-        // Each pump capacitor's displacement current (i_i − i_{i+1} at its node
-        // plate) exits at its rail plate, so it adds to the generator current in
-        // the rail's KCL; with C_in → 0 this reduces to the algebraic input-
-        // current constraint the block previously imposed.
-        out.b.add_to(n, 1, 1.0 / cin);
+        // Outflow diode D_{row+1}.
+        if row < n {
+            let outflow = q[row + 1];
+            diagonal += -outflow.g_cap;
+            a_row[row] = 0.0 + outflow.g_cap;
+            rail += -outflow.g_cap * self.rail_step(row + 1);
+            e -= outflow.j_cap;
+        }
+        a_row[r] = diagonal;
+        a_row[n] = rail;
+        out.e[r] = e;
+    }
+
+    /// Rewrites the rail row of `A` and `e`: C_in·dV_rail/dt = Im +
+    /// Σ_{pump i} (i_i − i_{i+1}). Each pump capacitor's displacement current
+    /// (i_i − i_{i+1} at its node plate) exits at its rail plate, so it adds
+    /// to the generator current in the rail's KCL; with C_in → 0 this reduces
+    /// to the algebraic input-current constraint the block previously imposed.
+    /// As in [`Self::write_stage_row`], each entry is assigned once with the
+    /// in-place accumulation's order: pump `i` (odd, `< N`) owns columns
+    /// `i − 1` and `i`, and column `i` also takes the inflow term of pump
+    /// `i + 2`.
+    fn write_rail_row(&self, q: &[CompanionQuotients], out: &mut LocalLinearisation) {
+        let n = self.stages;
         let a_rail = out.a.row_mut(n);
+        let mut rail = 0.0;
         let mut e_rail = 0.0;
-        for i in 1..=n {
-            if !self.is_pump_capacitor(i) {
-                continue;
-            }
+        // Column i − 2 as the previous pump left it.
+        let mut carried = 0.0;
+        let mut i = 1;
+        while i < n {
             // + i_i terms.
-            let g_in = conductance[i];
+            let inflow = q[i];
             if i >= 2 {
-                a_rail[i - 2] += g_in / cin;
+                a_rail[i - 2] = carried + inflow.g_cin;
             }
-            a_rail[i - 1] += -g_in / cin;
-            a_rail[n] += g_in * (rail(i - 1) - rail(i)) / cin;
-            e_rail += companion[i] / cin;
+            rail += inflow.g_cin * self.rail_step(i);
+            e_rail += inflow.j_cin;
             // − i_{i+1} terms.
-            if i < n {
-                let g_out = conductance[i + 1];
-                a_rail[i - 1] += -g_out / cin;
-                a_rail[i] += g_out / cin;
-                a_rail[n] += -g_out * (rail(i) - rail(i + 1)) / cin;
-                e_rail -= companion[i + 1] / cin;
-            }
+            let outflow = q[i + 1];
+            a_rail[i - 1] = (0.0 + -inflow.g_cin) + -outflow.g_cin;
+            carried = 0.0 + outflow.g_cin;
+            rail += -outflow.g_cin * self.rail_step(i + 1);
+            e_rail -= outflow.j_cin;
+            i += 2;
         }
-        out.e[n] += e_rail;
+        a_rail[i - 2] = carried;
+        a_rail[n] = rail;
+        out.e[n] = 0.0 + e_rail;
+    }
 
+    /// Writes the whole local linearisation from the per-diode quotients.
+    fn stamp_all(&self, q: &[CompanionQuotients], out: &mut LocalLinearisation) {
+        let n = self.stages;
+        out.clear();
+        for row in 1..=n {
+            self.write_stage_row(row, q, out);
+        }
+        self.write_rail_row(q, out);
+        // Output current leaves the final node; the generator current
+        // charges the rail shunt capacitor.
+        out.b[(n - 1, 3)] = -1.0 / self.stage_capacitance;
+        out.b[(n, 1)] = 1.0 / self.input_capacitance;
         // Constraint 1: Vc - V_N = 0.
         out.c[(0, n - 1)] = -1.0;
         out.d[(0, 2)] = 1.0;
-
         // Constraint 2: Vm - V_rail = 0 (the port voltage is the rail state).
         out.d[(1, 0)] = 1.0;
         out.c[(1, n)] = -1.0;
-        signature
     }
 }
 
-/// Bits per diode in the packed segment signature (table sizes up to 1023
-/// segments).
-const SEGMENT_BITS: usize = 10;
+/// One diode's companion pair divided by the capacitances its current
+/// charges: `G/C` and `J/C` for the stage rows, `G/C_in` and `J/C_in` for the
+/// rail row, each formed once per stamp. Every entry the diode feeds is one
+/// of them times a rail-coefficient difference of −1, 0 or 1, for which
+/// `(G·d)/C` and `(G/C)·d` round identically, sign of zero included — so the
+/// stamp is bit-identical to dividing once per entry.
+#[derive(Debug, Clone, Copy, Default)]
+struct CompanionQuotients {
+    g_cap: f64,
+    j_cap: f64,
+    g_cin: f64,
+    j_cin: f64,
+}
 
-/// Largest diode count the 64-bit signature packs at [`SEGMENT_BITS`] bits
-/// each.
-const SIGNATURE_MAX_DIODES: usize = 6;
+/// Bits 1, 3, 5, …: the pump capacitors of any ladder, masked to `i < N`.
+const ODD_BITS: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
-/// Largest stage count for which the per-diode companion scratch fits on the
+/// Largest stage count for which the per-diode quotient scratch lives on the
 /// stack; taller ladders (far beyond any physical design — the paper's device
 /// has five stages) fall back to a heap-allocated scratch.
-const MAX_STACK_STAGES: usize = 30;
+const MAX_STACK_STAGES: usize = 16;
 
 impl StateSpaceBlock for DicksonMultiplier {
     fn name(&self) -> &str {
@@ -387,49 +415,17 @@ impl StateSpaceBlock for DicksonMultiplier {
         out
     }
 
-    fn linearise_into(&self, t: f64, x: &DVector, y: &DVector, out: &mut LocalLinearisation) {
-        self.linearise_into_with_signature(t, x, y, out);
-    }
-
-    /// Fused stamp + signature: the per-diode segment lookups the companion
-    /// chords need also produce the packed signature, so tracking it costs
-    /// nothing over a plain stamp.
-    fn linearise_into_with_signature(
-        &self,
-        _t: f64,
-        x: &DVector,
-        _y: &DVector,
-        out: &mut LocalLinearisation,
-    ) -> Option<u64> {
-        let n = self.stages;
-        if n <= MAX_STACK_STAGES {
-            // 1-based scratch with a zero sentinel at n+1, on the stack.
-            let mut conductance = [0.0; MAX_STACK_STAGES + 2];
-            let mut companion = [0.0; MAX_STACK_STAGES + 2];
-            self.stamp_linearisation(x, &mut conductance[..n + 2], &mut companion[..n + 2], out)
-        } else {
-            let mut conductance = vec![0.0; n + 2];
-            let mut companion = vec![0.0; n + 2];
-            self.stamp_linearisation(x, &mut conductance, &mut companion, out)
-        }
-    }
-
-    /// Lookup-free signature validity: every diode voltage must still lie in
-    /// the table segment recorded in `signature` — two comparisons per diode,
-    /// no index computation. Exactly equivalent to recomputing the signature
-    /// and comparing (the membership test mirrors the index clamping).
-    fn pwl_signature_matches(&self, _t: f64, x: &DVector, _y: &DVector, signature: u64) -> bool {
-        if !self.signature_fits() {
-            return false;
-        }
-        let n = self.stages;
-        let mut matches = true;
-        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
-            let segment =
-                (signature >> ((n - i) * SEGMENT_BITS)) as usize & ((1 << SEGMENT_BITS) - 1);
-            matches = matches && self.diode.segment_contains(segment, vd);
+    fn linearise_into(&self, _t: f64, x: &DVector, _y: &DVector, out: &mut LocalLinearisation) {
+        self.with_quotients(|q| {
+            self.for_each_diode_voltage(x.as_slice(), |i, vd| {
+                q[i] = self.quotients(if self.exact_companions {
+                    self.diode.exact_companion(vd)
+                } else {
+                    self.diode.companion(vd)
+                });
+            });
+            self.stamp_all(q, out);
         });
-        matches
     }
 
     /// The diode companion conductances come from piecewise-linear lookup
@@ -445,28 +441,118 @@ impl StateSpaceBlock for DicksonMultiplier {
         }
     }
 
-    /// Per-diode PWL segment signature. The multiplier's entire local
-    /// linearisation is a pure function of which lookup-table segment each
-    /// diode operates in: the companion pairs `(G_i, J_i)` are segment chords
-    /// (constant within a segment, see [`DiodeModel::companion`]), every
-    /// Jacobian entry is a fixed combination of the `G_i` and the capacitor
-    /// values, the affine terms are fixed combinations of the `J_i`, and the
-    /// `B`/`C`/`D` stamps are constants. Packing the segment indices (10 bits
-    /// per diode) therefore yields an *exact* key: an unchanged signature
-    /// guarantees a bit-identical stamp, so the assembler can skip the scatter
-    /// and the Eq. 3 monitor for this block entirely. Ladders taller than six
-    /// diodes or tables with ≥ 1024 segments do not fit the packing and
-    /// decline the skip (`None`) — the paper's device is five stages over a
-    /// 600-segment table.
-    fn pwl_signature(&self, _t: f64, x: &DVector, _y: &DVector) -> Option<u64> {
-        if !self.signature_fits() {
-            return None;
+    /// The diodes, tracked per device in table mode: the multiplier's entire
+    /// local linearisation is a pure function of which lookup-table segment
+    /// each diode operates in. The companion pairs `(G_i, J_i)` are segment
+    /// chords (constant within a segment, see [`DiodeModel::companion`]),
+    /// every Jacobian entry is a fixed combination of the `G_i` and the
+    /// capacitor values, the affine terms are fixed combinations of the
+    /// `J_i`, and the `B`/`C`/`D` stamps are constants. Exact-evaluation mode
+    /// has no segments and declines.
+    fn pwl_devices(&self) -> Option<PwlDevices> {
+        (!self.exact_companions)
+            .then(|| PwlDevices { count: self.stages, segments: self.diode.total_segments() })
+    }
+
+    /// Per-diode restamp: every diode voltage is tested against its recorded
+    /// segment (two comparisons); a diode that left it is relocated by a
+    /// short breakpoint walk from the old segment
+    /// ([`DiodeModel::companion_segment_from`]). When some diode moved, only
+    /// the rows it feeds are rewritten — stage rows `i − 1` and `i` for
+    /// `D_i`, plus the rail row when `D_i` charges a pump capacitor.
+    fn restamp_pwl_into(
+        &self,
+        t: f64,
+        x: &DVector,
+        y: &DVector,
+        segments: &mut [usize],
+        rewrite_all: bool,
+        out: &mut LocalLinearisation,
+    ) -> bool {
+        if self.exact_companions {
+            self.linearise_into(t, x, y, out);
+            return true;
         }
-        let mut signature = 0u64;
-        self.for_each_diode_voltage(x.as_slice(), |_i, vd| {
-            signature = (signature << SEGMENT_BITS) | self.diode.companion_segment(vd) as u64;
+        let n = self.stages;
+        assert_eq!(segments.len(), n, "one tracked segment per diode");
+        // Bit i marks a move of D_i; ladders too tall for the mask rewrite
+        // every row on any move.
+        let mut moved = 0_u64;
+        let mut any_moved = false;
+        self.for_each_diode_voltage(x.as_slice(), |i, vd| {
+            let segment = &mut segments[i - 1];
+            if !self.diode.segment_contains(*segment, vd) {
+                let found = self.diode.companion_segment_from(*segment, vd);
+                if found != *segment {
+                    *segment = found;
+                    any_moved = true;
+                    moved |= 1_u64.checked_shl(i as u32).unwrap_or(0);
+                }
+            }
         });
-        Some(signature)
+        if !any_moved && !rewrite_all {
+            return false;
+        }
+        let rewrite_all = rewrite_all || n >= u64::BITS as usize - 1;
+        self.with_quotients(|q| {
+            for (i, &segment) in segments.iter().enumerate() {
+                q[i + 1] = self.quotients(self.diode.companion_in_segment(segment));
+            }
+            if rewrite_all {
+                self.stamp_all(q, out);
+                return;
+            }
+            // D_i feeds stage rows i − 1 and i (bit r marks row r), and the
+            // rail row when it charges a pump capacitor C_i or C_{i−1}.
+            let mut rows = (moved | moved >> 1) & !1;
+            while rows != 0 {
+                self.write_stage_row(rows.trailing_zeros() as usize, q, out);
+                rows &= rows - 1;
+            }
+            let pumps = ODD_BITS & ((1 << n) - 1);
+            if moved & (pumps | pumps << 1) != 0 {
+                self.write_rail_row(q, out);
+            }
+        });
+        any_moved
+    }
+
+    /// The ladder's structural nonzeros: each stage row couples its own node
+    /// to its neighbours (and to the rail where a diode spans a pump and a
+    /// grounded capacitor), the rail row couples every pump node, plus the
+    /// constant port entries — 18/25/28/35 of the 48/63/80/99 entries for
+    /// 3/4/5/6 stages. The pattern is the same in table and exact mode.
+    fn jacobian_pattern(&self) -> JacobianPattern {
+        let n = self.stages;
+        // Listed in sorted order, as the row writers touch them.
+        let mut entries = Vec::with_capacity(4 * n + 8);
+        for row in 1..=n {
+            let r = row - 1;
+            if row >= 2 {
+                entries.push((Jacobian::A, r, row - 2));
+            }
+            entries.push((Jacobian::A, r, r));
+            if row < n {
+                entries.push((Jacobian::A, r, row));
+            }
+            if self.rail_step(row) != 0.0 || (row < n && self.rail_step(row + 1) != 0.0) {
+                entries.push((Jacobian::A, r, n));
+            }
+        }
+        // The pump capacitors 1, 3, … below N cover columns 0 up to the last
+        // pump's, and every pump diode spans a rail step.
+        let last_pump = if n.is_multiple_of(2) { n - 1 } else { n - 2 };
+        entries.extend((0..=last_pump).map(|col| (Jacobian::A, n, col)));
+        entries.extend([
+            (Jacobian::A, n, n),
+            (Jacobian::B, n - 1, 3),
+            (Jacobian::B, n, 1),
+            (Jacobian::C, 0, n - 1),
+            (Jacobian::C, 1, n),
+            (Jacobian::D, 0, 2),
+            (Jacobian::D, 1, 0),
+        ]);
+        JacobianPattern::new(entries)
     }
 
     /// The block's two *interface* states are stiff by construction, not by
@@ -667,48 +753,148 @@ mod tests {
         assert_eq!(m2.ideal_no_load_voltage(2.0, 0.0), 4.0);
     }
 
-    /// The segment signature is an exact stamp key: equal signatures must mean
-    /// bit-identical linearisations, and a diode crossing a table segment must
-    /// change it.
+    /// Every diode's table segment at `x`, by the closed-form lookup.
+    fn segments_at(m: &DicksonMultiplier, x: &DVector) -> Vec<usize> {
+        (1..=m.stage_count()).map(|i| m.diode().companion_segment(m.diode_voltage(i, x))).collect()
+    }
+
+    /// Bit patterns of every entry, so `-0.0` and `+0.0` differ.
+    fn bits(lin: &LocalLinearisation) -> Vec<u64> {
+        [lin.a.as_slice(), lin.b.as_slice(), lin.e.as_slice()]
+            .into_iter()
+            .chain([lin.c.as_slice(), lin.d.as_slice(), lin.g.as_slice()])
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The diode segments are an exact stamp key: equal segments must mean
+    /// bit-identical linearisations, a diode crossing a table segment must
+    /// change them, and the per-device restamp must land on the full stamp.
     #[test]
-    fn pwl_signature_keys_the_stamp_exactly() {
+    fn diode_segments_key_the_stamp_exactly() {
         let m = multiplier();
         let y = DVector::from_slice(&[1.5, 0.0, 1.9, 1e-5]);
         let x_a = DVector::from_slice(&[0.5, 1.2, 0.8, 2.0, 1.9, 1.5]);
+        let devices = m.pwl_devices().expect("table mode tracks its diodes");
+        assert_eq!(devices, PwlDevices { count: 5, segments: m.diode().total_segments() });
+        let seg_a = segments_at(&m, &x_a);
         // Nudge every state by much less than one table segment (~10 mV).
         let mut x_b = x_a.clone();
         for i in 0..6 {
             x_b[i] += 1e-6;
         }
-        let sig_a = m.pwl_signature(0.0, &x_a, &y).expect("5 stages / 600 segments fit");
-        let sig_b = m.pwl_signature(0.0, &x_b, &y).expect("fits");
-        if sig_a == sig_b {
-            // The promise: equal signature ⇒ bit-identical stamp.
-            assert_eq!(m.linearise(0.0, &x_a, &y), m.linearise(0.0, &x_b, &y));
+        if seg_a == segments_at(&m, &x_b) {
+            // The promise: equal segments ⇒ bit-identical stamp, and the
+            // restamp reports no move and leaves its buffer alone.
+            assert_eq!(bits(&m.linearise(0.0, &x_a, &y)), bits(&m.linearise(0.0, &x_b, &y)));
+            let mut out = m.linearise(0.0, &x_a, &y);
+            let mut segments = seg_a.clone();
+            assert!(!m.restamp_pwl_into(0.0, &x_b, &y, &mut segments, false, &mut out));
+            assert_eq!(segments, seg_a);
+            assert_eq!(bits(&out), bits(&m.linearise(0.0, &x_a, &y)));
         }
         // Moving a forward-biased diode through the knee region crosses fine
-        // segments and must change the signature (D5 sits at
-        // vd = V4 − V5 = 0.1 V here, inside the fine knee grid).
+        // segments and must change the segments (D5 sits at
+        // vd = V4 − V5 = 0.1 V here, inside the fine knee grid) ...
         let mut x_c = x_a.clone();
         x_c[4] -= 0.05;
-        assert_ne!(sig_a, m.pwl_signature(0.0, &x_c, &y).expect("fits"));
-        // A deep-reverse swing stays inside one coarse segment: the signature
-        // holds and the contract still guarantees a bit-identical stamp.
+        let seg_c = segments_at(&m, &x_c);
+        assert_ne!(seg_a, seg_c);
+        // ... and the per-device restamp from the old stamp, rewriting only
+        // the rows the movers feed, reproduces the full stamp bit for bit.
+        let mut out = m.linearise(0.0, &x_a, &y);
+        let mut segments = seg_a.clone();
+        assert!(m.restamp_pwl_into(0.0, &x_c, &y, &mut segments, false, &mut out));
+        assert_eq!(segments, seg_c);
+        assert_eq!(bits(&out), bits(&m.linearise(0.0, &x_c, &y)));
+        // With `rewrite_all` any hints and any buffer contents do.
+        let mut out = LocalLinearisation::zeros(6, 4, 2);
+        out.a.fill(7.0);
+        let mut segments = vec![usize::MAX, 0, 3, 10_000, 1];
+        m.restamp_pwl_into(0.0, &x_c, &y, &mut segments, true, &mut out);
+        assert_eq!(segments, seg_c);
+        assert_eq!(bits(&out), bits(&m.linearise(0.0, &x_c, &y)));
+        // A deep-reverse swing stays inside one coarse segment: the segments
+        // hold and the contract still guarantees a bit-identical stamp.
         let mut x_d = x_a.clone();
         x_d[5] += 0.3;
-        if m.pwl_signature(0.0, &x_d, &y) == Some(sig_a) {
+        if segments_at(&m, &x_d) == seg_a {
             assert_eq!(m.linearise(0.0, &x_a, &y).a, m.linearise(0.0, &x_d, &y).a);
         }
         // Exact-evaluation mode declines the contract entirely.
         let mut exact = multiplier();
         exact.set_exact_companions(true);
-        assert_eq!(exact.pwl_signature(0.0, &x_a, &y), None);
+        assert_eq!(exact.pwl_devices(), None);
         assert_eq!(exact.jacobian_structure(), JacobianStructure::Nonlinear);
-        // Configurations outside the packing decline the skip.
+        // Any table size is declared; whether it fits the assembler's
+        // checkpoint packing is the assembler's call (a 2048-segment table
+        // does not, and is never skipped there).
         let fine = m.diode().with_table_segments(2048).unwrap();
         let mut wide = multiplier();
         wide.set_diode(fine);
-        assert_eq!(wide.pwl_signature(0.0, &x_a, &y), None);
+        assert_eq!(wide.pwl_devices().map(|d| d.segments), Some(wide.diode().total_segments()));
+    }
+
+    /// The closed-form rail step the row writers and the pattern use is the
+    /// difference of the rail coefficients it replaces, on every ladder.
+    #[test]
+    fn rail_steps_match_the_rail_coefficients() {
+        for stages in 2..=12 {
+            let m = small_multiplier(stages);
+            for i in 1..=stages {
+                let expected = m.rail_coefficient(i - 1) - m.rail_coefficient(i);
+                assert_eq!(m.rail_step(i).to_bits(), expected.to_bits(), "{stages} stages, D{i}");
+            }
+        }
+    }
+
+    /// Ladders beyond the assembler's tracking (7 and 20 stages, the latter
+    /// on the heap scratch) and past the 63-diode move mask still restamp per
+    /// device bit-identically to a full stamp, diode move by diode move.
+    #[test]
+    fn per_device_restamp_matches_the_full_stamp_on_tall_ladders() {
+        let y = DVector::from_slice(&[0.3, 0.0, 1.0, 0.0]);
+        for stages in [7, 20, 64] {
+            let m =
+                DicksonMultiplier::with_components(stages, 1e-6, DiodeModel::schottky().unwrap())
+                    .unwrap();
+            // Every diode inside the knee grid, within ±0.05 V of zero.
+            let mut x = DVector::from_fn(stages + 1, |i| 0.013 * (i % 3) as f64);
+            let mut out = m.linearise(0.0, &x, &y);
+            let mut segments = segments_at(&m, &x);
+            let mut moves = 0;
+            for k in 0..3 * stages {
+                // Move one node at a time by a few millivolts (crossing knee
+                // segments), alternating up and down.
+                let node = (7 * k) % (stages + 1);
+                x[node] += if k % 2 == 0 { 4e-3 } else { -2.5e-3 };
+                let before = segments.clone();
+                let moved = m.restamp_pwl_into(0.0, &x, &y, &mut segments, false, &mut out);
+                assert_eq!(segments, segments_at(&m, &x), "{stages} stages, move {k}");
+                assert_eq!(moved, segments != before, "{stages} stages, move {k}");
+                assert_eq!(bits(&out), bits(&m.linearise(0.0, &x, &y)), "{stages}, move {k}");
+                moves += usize::from(moved);
+            }
+            assert!(moves > stages, "{stages} stages: only {moves} restamps moved a diode");
+        }
+    }
+
+    /// The declared pattern holds 18/25/28/35 entries for 3–6 stages and the
+    /// stamp writes nothing outside it.
+    #[test]
+    fn jacobian_pattern_counts_and_covers_the_stamp() {
+        for (stages, nonzeros) in [(3, 18), (4, 25), (5, 28), (6, 35)] {
+            let m = small_multiplier(stages);
+            let pattern = m.jacobian_pattern();
+            assert_eq!(pattern.len(), nonzeros, "{stages} stages");
+            let x = DVector::from_fn(stages + 1, |i| 0.37 * i as f64 - 0.2);
+            let lin = m.linearise(0.0, &x, &DVector::from_slice(&[0.4, 0.0, 1.0, 0.0]));
+            assert!(pattern.admits(&lin), "{stages} stages");
+        }
+        let supercap =
+            crate::Supercapacitor::new(&HarvesterParameters::practical_device()).unwrap();
+        assert_eq!(supercap.jacobian_pattern().len(), 11);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `Id = Is·(exp(Vd/Vt) − 1)` into a conductance `G` and a companion current
 //! source `J` such that `Id ≈ G·Vd + J` around the operating point, with the
 //! values stored in a lookup table so the march-in-time loop never evaluates
-//! an exponential.
+//! the device equations.
 //!
 //! The companion pair is the *chord* of the tabulated current curve's segment
 //! containing `Vd`: the diode the solver actually integrates is the genuine
@@ -13,12 +13,20 @@
 //! **constant while the operating point stays inside one segment** and jump
 //! only at segment crossings. That invariant is what the paper's
 //! `JacobianStructure::Pwl` contract promises, and it is what lets the
-//! assembler skip the Dickson block's whole Jacobian scatter when the
-//! per-diode segment signature has not moved since the last stamp
-//! (the `pwl_stamps_skipped` counter). The model error against the exact
+//! assembler track each diode's segment between relinearisations and skip
+//! the Dickson block's stamp when no diode changed segment (the
+//! `pwl_stamps_skipped` counter). The model error against the exact
 //! Shockley curve is the table's interpolation error, which "can be
 //! arbitrarily fine since the size of the look-up tables does not affect the
 //! simulation speed".
+//!
+//! Finding a segment is not free of exponentials: the closed-form index of
+//! the knee grid ([`DiodeModel::companion_segment`]) evaluates one `exp()`.
+//! The march therefore calls it only for a diode's first stamp and when a
+//! diode jumps further than a short breakpoint walk covers
+//! ([`DiodeModel::companion_segment_from`]); every other relinearisation
+//! costs two comparisons per diode ([`DiodeModel::segment_contains`]), plus
+//! a few more for a diode that moved a handful of segments.
 
 use crate::block::BlockError;
 use crate::pwl::PiecewiseLinearTable;
@@ -32,13 +40,19 @@ pub const DEFAULT_GMIN: f64 = 1e-9;
 /// table (below ~8·n·Vt, where the Shockley curve *is* the straight line
 /// `−Is + GMIN·Vd` to within `Is·e⁻⁸`): exactly one, deliberately — a
 /// reverse-swinging diode then never leaves its segment, which is what keeps
-/// the Dickson block's PWL segment signature stable between conduction
-/// events (the stamp-skip hit rate).
+/// the Dickson block's diodes in place between conduction events (the
+/// stamp-skip hit rate).
 const COARSE_REVERSE_SEGMENTS: usize = 1;
 
 /// Number of segments covering the overflow-limited region above
 /// `limit_voltage`, where the model is linear by construction.
 const LIMIT_SEGMENTS: usize = 2;
+
+/// Largest number of breakpoints [`DiodeModel::companion_segment_from`] walks
+/// before it falls back to the closed-form lookup. Within 8 segments the walk
+/// covers about 90 % of the Dickson diodes' segment changes on Table II's
+/// scenario 1 and 95 % on scenario 2.
+const SEGMENT_WALK_BUDGET: usize = 8;
 
 /// Grid-stretch exponent `p` of the knee zone: breakpoints are uniform in
 /// `u = exp(Vd/(p·n·Vt))`. `p = 2` equalises the *absolute* chord error per
@@ -219,26 +233,27 @@ impl DiodeModel {
         // segment chords, so the integrated device is the true piecewise-
         // linear curve through these breakpoints.
         //
-        // The knee grid is *equal-error*: breakpoints uniform in
-        // `u = exp(Vd/(2·n·Vt))`, which makes the chord interpolation error of
-        // the exponential the same for every segment (≈ Is·Δu²/2) — provably
-        // the optimal way to spend a segment budget on this curve. The
-        // consequences are exactly what the march needs:
+        // The knee grid: breakpoints uniform in `u = exp(Vd/(p·n·Vt))` with
+        // `p = EXP_GRID_STRETCH` (4) from `v_knee = −8·n·Vt` to the top of the
+        // exponential region. `p = 2` would equalise the absolute chord error
+        // per segment and `p → ∞` (uniform in `Vd`) the relative error; `p = 4`
+        // is the compromise the march needs:
         //
-        // * deep-reverse and sub-threshold segments are tens of millivolts
-        //   wide (the curve is almost straight there), so a diode riding the
-        //   rail oscillation stays inside one segment for most of a cycle —
-        //   this is what gives the Dickson segment-signature stamp skip its
-        //   hit rate;
-        // * conduction-edge segments are fractions of a millivolt, an order
-        //   finer than a uniform grid of the same size, which tightens the
-        //   PWL model against the exact Shockley curve the Newton–Raphson
-        //   baseline evaluates;
+        // * sub-threshold segments stay several millivolts wide (the curve is
+        //   almost straight there), so a diode riding the rail oscillation
+        //   stays inside one segment for much of a cycle — this is what gives
+        //   the Dickson block's stamp skip its hit rate;
+        // * conduction-edge segments are much finer than a uniform grid of the
+        //   same size, which tightens the PWL model against the exact Shockley
+        //   curve the Newton–Raphson baseline evaluates;
         // * the segment index is a closed-form expression (`u` is uniform),
-        //   so lookups stay O(1) with no binary search on the hot path.
+        //   so a lookup is O(1) with no binary search, at the price of one
+        //   `exp()`.
         //
-        // Below `knee_lo` the curve is `−Is + GMIN·Vd` to within `Is·Δu`, and
-        // a handful of coarse uniform-in-v segments cover it.
+        // Below `v_knee` the curve is `−Is + GMIN·Vd` to within `Is·e⁻⁸`, and
+        // `COARSE_REVERSE_SEGMENTS` (one) uniform-in-`Vd` segment covers it;
+        // above the overflow-limiting voltage `LIMIT_SEGMENTS` segments cover
+        // the linear extrapolation.
         let stretched = EXP_GRID_STRETCH * nvt;
         let v_knee = -8.0 * nvt;
         let v_hi_exp = table_range.1.min(limit_voltage);
@@ -416,19 +431,51 @@ impl DiodeModel {
         self.grid.table().segment_chord(self.grid.segment_index(vd))
     }
 
-    /// Index of the lookup-table segment the operating point `vd` falls in —
-    /// the diode's contribution to a block-level PWL segment signature. Two
+    /// Index of the lookup-table segment the operating point `vd` falls in,
+    /// from the grid's closed-form recipe (one `exp()` in the knee zone). Two
     /// calls returning the same index are guaranteed to produce bit-identical
     /// [`DiodeModel::companion`] pairs.
     pub fn companion_segment(&self, vd: f64) -> usize {
         self.grid.segment_index(vd)
     }
 
+    /// [`DiodeModel::companion_segment`] at `vd`, found by walking the
+    /// breakpoints from segment `hint` (typically the segment the diode was
+    /// last stamped in; out-of-range hints are clamped). The walk returns
+    /// exactly what the closed-form lookup returns for every input; it falls
+    /// back to that lookup when `vd` is NaN or lies more than 8 segments away
+    /// from the hint, so a diode drifting across a few segments per step
+    /// never pays the `exp()`.
+    pub fn companion_segment_from(&self, hint: usize, vd: f64) -> usize {
+        if vd.is_nan() {
+            return self.companion_segment(vd);
+        }
+        let points = self.grid.table().breakpoints();
+        let last = points.len() - 2;
+        let mut segment = hint.min(last);
+        let mut budget = SEGMENT_WALK_BUDGET;
+        while segment > 0 && vd < points[segment].0 {
+            if budget == 0 {
+                return self.companion_segment(vd);
+            }
+            budget -= 1;
+            segment -= 1;
+        }
+        while segment < last && vd >= points[segment + 1].0 {
+            if budget == 0 {
+                return self.companion_segment(vd);
+            }
+            budget -= 1;
+            segment += 1;
+        }
+        segment
+    }
+
     /// Companion pair of a known segment (skipping the index lookup): the
     /// chord of table segment `segment`. Pair with
     /// [`DiodeModel::companion_segment`] /
     /// [`DiodeModel::segment_contains`] on paths that track segments
-    /// explicitly (the Dickson multiplier's fused stamp-and-signature pass).
+    /// explicitly (the Dickson multiplier's per-device restamp).
     ///
     /// # Panics
     ///
@@ -440,11 +487,14 @@ impl DiodeModel {
     /// Whether [`DiodeModel::companion_segment`] at `vd` would return
     /// `segment` — a pure membership test (two comparisons), no lookup. The
     /// extrapolation regions belong to the first/last segment, mirroring the
-    /// index clamping.
+    /// index clamping; an index past the last segment contains nothing, and
+    /// neither does any segment of a multi-segment table contain NaN.
     pub fn segment_contains(&self, segment: usize, vd: f64) -> bool {
         let points = self.grid.table().breakpoints();
         let last = points.len() - 2;
-        (segment == 0 || vd >= points[segment].0) && (segment >= last || vd < points[segment + 1].0)
+        segment <= last
+            && (segment == 0 || vd >= points[segment].0)
+            && (segment == last || vd < points[segment + 1].0)
     }
 
     /// *Exact* companion pair `(G, J)` from the analytic Shockley equations
@@ -518,9 +568,9 @@ mod tests {
     }
 
     /// The companion pair must be *constant* within a table segment and equal
-    /// the chord of that segment — the invariant the assembler's
-    /// segment-signature stamp skip relies on (two linearisations in the same
-    /// segment produce bit-identical Jacobian contributions).
+    /// the chord of that segment — the invariant the assembler's per-device
+    /// stamp skip relies on (two linearisations in the same segment produce
+    /// bit-identical Jacobian contributions).
     #[test]
     fn companion_is_constant_within_a_segment() {
         let d = DiodeModel::schottky().unwrap();
@@ -566,5 +616,113 @@ mod tests {
         assert!(err_fine < err_coarse, "fine {err_fine} vs coarse {err_coarse}");
         assert_eq!(coarse.table_segments(), 20);
         assert_eq!(fine.table_segments(), 2000);
+    }
+
+    /// Deterministic splitmix64 stream for the seeded searches below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in `[lo, hi)`.
+    fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (splitmix(state) >> 11) as f64 / (1_u64 << 53) as f64
+    }
+
+    /// The models the hinted search must agree with: knee grids of several
+    /// sizes (with and without a limit zone, the harvester's own table
+    /// included) and a degenerate range that falls back to a uniform grid.
+    fn search_models() -> Vec<DiodeModel> {
+        let practical = |segments| DiodeModel::new(1e-6, 0.02585, 1.05, (-6.0, 0.20), segments);
+        let mut models = vec![
+            DiodeModel::schottky().unwrap(),
+            DiodeModel::silicon().unwrap(),
+            DiodeModel::new(1e-6, 0.02585, 1.05, (0.1, 0.5), 50).unwrap(),
+        ];
+        for segments in [16, 150, 600, 1023] {
+            models.push(practical(segments).unwrap());
+        }
+        assert!(matches!(models[2].grid, TableGrid::Uniform(_)), "degenerate range is uniform");
+        models
+    }
+
+    /// Asserts the walk from every interesting hint lands on the closed-form
+    /// segment of `vd`: the answer itself and its neighbours, hints beyond
+    /// the walk budget on both sides, both table ends and out-of-range hints.
+    fn assert_walk_agrees(d: &DiodeModel, vd: f64, extra_hint: usize) {
+        let expected = d.companion_segment(vd);
+        let last = d.total_segments() - 1;
+        let mut hints = vec![0, 1, last, last + 1, usize::MAX, extra_hint];
+        for offset in
+            [1, 2, SEGMENT_WALK_BUDGET - 1, SEGMENT_WALK_BUDGET, SEGMENT_WALK_BUDGET + 1, 40]
+        {
+            hints.push(expected + offset);
+            hints.push(expected.saturating_sub(offset));
+        }
+        hints.push(expected);
+        for hint in hints {
+            assert_eq!(d.companion_segment_from(hint, vd), expected, "vd = {vd:e}, hint {hint}");
+        }
+        if !vd.is_nan() {
+            assert!(d.segment_contains(expected, vd), "vd = {vd:e} outside its own segment");
+            assert!(!d.segment_contains(expected + 1, vd) || expected == last);
+            assert!(expected == 0 || !d.segment_contains(expected - 1, vd));
+        }
+    }
+
+    /// The hinted walk returns exactly `companion_segment(vd)` for random
+    /// voltages and hints, at every breakpoint, beyond both table ends, for
+    /// non-finite input and for jumps longer than the walk budget.
+    #[test]
+    fn hinted_segment_search_matches_the_closed_form() {
+        let mut rng = 0x5eed_d10d_u64;
+        for d in search_models() {
+            let points = d.grid.table().breakpoints().to_vec();
+            let (lo, hi) = (points[0].0, points[points.len() - 1].0);
+            let segments = d.total_segments();
+            // Random voltages over the table and a margin past both ends,
+            // from random (including out-of-range) hints.
+            for _ in 0..2_000 {
+                let vd = uniform(&mut rng, lo - 1.0, hi + 1.0);
+                let hint = (splitmix(&mut rng) % (segments as u64 + 8)) as usize;
+                assert_walk_agrees(&d, vd, hint);
+            }
+            // Every breakpoint exactly, and the neighbouring floats.
+            for &(v, _) in &points {
+                for vd in [v, v.next_up(), v.next_down()] {
+                    assert_walk_agrees(&d, vd, 0);
+                }
+            }
+            // Far beyond both ends, and non-finite input.
+            for vd in [lo - 100.0, hi + 100.0, f64::MAX, f64::MIN, f64::INFINITY] {
+                assert_walk_agrees(&d, vd, segments / 2);
+            }
+            for vd in [f64::NEG_INFINITY, f64::NAN, -f64::NAN, 0.0, -0.0] {
+                assert_walk_agrees(&d, vd, segments / 2);
+            }
+            // Jumps across the knee zone, far longer than the walk budget.
+            for _ in 0..200 {
+                let from = uniform(&mut rng, lo, hi);
+                let to = uniform(&mut rng, lo, hi);
+                assert_walk_agrees(&d, to, d.companion_segment(from));
+            }
+        }
+    }
+
+    /// Only a real index can contain a voltage: a hint past the table is
+    /// never mistaken for the last segment.
+    #[test]
+    fn segment_membership_rejects_out_of_range_indices() {
+        let d = DiodeModel::schottky().unwrap();
+        let last = d.total_segments() - 1;
+        assert!(d.segment_contains(last, 1e3));
+        assert!(!d.segment_contains(last + 1, 1e3));
+        assert!(!d.segment_contains(usize::MAX, 0.1));
+        assert!(d.segment_contains(0, -1e3));
+        assert!(!d.segment_contains(0, f64::NAN));
+        assert!(!d.segment_contains(last, f64::NAN));
     }
 }

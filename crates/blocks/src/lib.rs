@@ -54,7 +54,10 @@ pub mod pwl;
 pub mod supercapacitor;
 
 pub use actuator::TuningActuator;
-pub use block::{BlockError, JacobianStructure, LocalLinearisation, StateSpaceBlock};
+pub use block::{
+    BlockError, Jacobian, JacobianPattern, JacobianStructure, LocalLinearisation, PwlDevices,
+    StateSpaceBlock,
+};
 pub use controller::{ControllerConfig, ControllerState, HarvesterEnvironment, MicroController};
 pub use dickson::DicksonMultiplier;
 pub use diode::DiodeModel;

@@ -21,7 +21,9 @@
 
 use harvsim_linalg::DVector;
 
-use crate::block::{BlockError, JacobianStructure, LocalLinearisation, StateSpaceBlock};
+use crate::block::{
+    BlockError, Jacobian, JacobianPattern, JacobianStructure, LocalLinearisation, StateSpaceBlock,
+};
 use crate::excitation::VibrationExcitation;
 use crate::params::HarvesterParameters;
 
@@ -204,6 +206,24 @@ impl StateSpaceBlock for Microgenerator {
     /// its scatter + Eq. 3 monitoring on every subsequent relinearisation.
     fn jacobian_structure(&self) -> JacobianStructure {
         JacobianStructure::Constant
+    }
+
+    /// Eq. 13's couplings: `ż` drives `z`, the spring, damper and coil force
+    /// act on `ż`, the back-EMF and coil resistance on `i_L`, the port
+    /// voltage on the coil, and the port current equals `i_L` — 9 of the 20
+    /// entries.
+    fn jacobian_pattern(&self) -> JacobianPattern {
+        JacobianPattern::new(vec![
+            (Jacobian::A, 0, 1),
+            (Jacobian::A, 1, 0),
+            (Jacobian::A, 1, 1),
+            (Jacobian::A, 1, 2),
+            (Jacobian::A, 2, 1),
+            (Jacobian::A, 2, 2),
+            (Jacobian::B, 2, 0),
+            (Jacobian::C, 0, 2),
+            (Jacobian::D, 0, 1),
+        ])
     }
 
     /// Only the inertial excitation force varies along a segment; every other

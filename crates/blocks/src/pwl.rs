@@ -230,7 +230,7 @@ impl PiecewiseLinearTable {
     /// This is the piecewise-linear view the companion models need: within a
     /// segment the pair is *constant*, so two linearisations whose operating
     /// points fall in the same segment produce bit-identical companion values
-    /// — the invariant behind the assembler's segment-signature stamp skip.
+    /// — the invariant behind the assembler's per-device stamp skip.
     ///
     /// # Panics
     ///

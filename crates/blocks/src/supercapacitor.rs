@@ -25,7 +25,9 @@
 
 use harvsim_linalg::DVector;
 
-use crate::block::{BlockError, JacobianStructure, LocalLinearisation, StateSpaceBlock};
+use crate::block::{
+    BlockError, Jacobian, JacobianPattern, JacobianStructure, LocalLinearisation, StateSpaceBlock,
+};
 use crate::params::{HarvesterParameters, LoadMode};
 
 /// Index of the immediate-branch voltage state `V_i`.
@@ -192,6 +194,19 @@ impl StateSpaceBlock for Supercapacitor {
     /// classification is a genuine modelling fact, not an omission).
     fn jacobian_structure(&self) -> JacobianStructure {
         JacobianStructure::Nonlinear
+    }
+
+    /// The branches are decoupled from one another: `A` is diagonal, `B`
+    /// feeds `V_c` into every branch, and the KCL row couples all three
+    /// branches, `V_c` and `I_c` — 11 of the 20 entries, in every load mode.
+    fn jacobian_pattern(&self) -> JacobianPattern {
+        let branches = [STATE_IMMEDIATE, STATE_DELAYED, STATE_LONG_TERM];
+        let mut entries = Vec::with_capacity(11);
+        entries.extend(branches.map(|branch| (Jacobian::A, branch, branch)));
+        entries.extend(branches.map(|branch| (Jacobian::B, branch, 0)));
+        entries.extend(branches.map(|branch| (Jacobian::C, 0, branch)));
+        entries.extend([(Jacobian::D, 0, 0), (Jacobian::D, 0, 1)]);
+        JacobianPattern::new(entries)
     }
 }
 

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 
 use harvsim_blocks::block::LocalLinearisation;
-use harvsim_blocks::{JacobianStructure, StateSpaceBlock};
+use harvsim_blocks::{Jacobian, JacobianPattern, JacobianStructure, PwlDevices, StateSpaceBlock};
 use harvsim_linalg::{dot_unrolled, DMatrix, DVector, LuDecomposition};
 
 use crate::CoreError;
@@ -35,10 +35,9 @@ pub struct StampReport {
     pub constant_stamps_skipped: usize,
     /// Number of [`JacobianStructure::Pwl`] blocks whose *entire* stamp
     /// (scatter, monitor scan and affine refresh) was skipped this pass
-    /// because their [`StateSpaceBlock::pwl_signature`] matched the signature
-    /// of the values already in the buffer — the segment set is unchanged, so
-    /// the contract guarantees a restamp would be bit-identical (ROADMAP item
-    /// b: the Dickson relinearise scatter).
+    /// because none of their tracked devices changed table segment since the
+    /// values already in the buffer were stamped — the contract guarantees a
+    /// restamp would be bit-identical.
     pub pwl_stamps_skipped: usize,
 }
 
@@ -449,6 +448,49 @@ struct BlockSlot {
     /// registration so the relinearisation pass can skip the scatter +
     /// monitor for `Constant` contributions without re-asking the block.
     structure: JacobianStructure,
+    /// The block's PWL devices at registration (`Pwl` blocks only): the
+    /// shape a restored checkpoint's packed segments must fit.
+    devices: Option<PwlDevices>,
+    /// `Assembly::scatter[map[k]..map[k + 1]]` maps the block's Jacobian
+    /// `Jacobian::ALL[k]`; filled in by [`AssemblyBuilder::build`] once
+    /// every net is known.
+    map: [usize; 5],
+}
+
+/// Appends `slot`'s structural nonzeros to `scatter` as flat `(local,
+/// global)` index pairs into the row-major storage of the block's local
+/// Jacobians and of the global ones they land in (`A → Jxx`, `B → Jxy`,
+/// `C → Jyx`, `D → Jyy`), for a system of `states` states and `nets` nets,
+/// and records where each Jacobian's run starts in `slot.map`.
+fn append_scatter_map(
+    scatter: &mut Vec<(usize, usize)>,
+    slot: &mut BlockSlot,
+    pattern: &JacobianPattern,
+    states: usize,
+    nets: usize,
+) {
+    let terminals = slot.terminal_nets.len();
+    // Pattern entries are sorted by Jacobian, so each one's run is contiguous.
+    for (start, which) in slot.map.iter_mut().zip(Jacobian::ALL) {
+        *start = scatter.len() + pattern.entries().partition_point(|entry| entry.0 < which);
+    }
+    scatter.extend(pattern.entries().iter().map(|&(which, row, col)| match which {
+        Jacobian::A => (
+            row * slot.state_count + col,
+            (slot.state_offset + row) * states + slot.state_offset + col,
+        ),
+        Jacobian::B => {
+            (row * terminals + col, (slot.state_offset + row) * nets + slot.terminal_nets[col])
+        }
+        Jacobian::C => (
+            row * slot.state_count + col,
+            (slot.constraint_offset + row) * states + slot.state_offset + col,
+        ),
+        Jacobian::D => {
+            (row * terminals + col, (slot.constraint_offset + row) * nets + slot.terminal_nets[col])
+        }
+    }));
+    slot.map[4] = scatter.len();
 }
 
 /// Builder that wires blocks together net by net.
@@ -462,6 +504,9 @@ pub struct AssemblyBuilder {
     /// Global indices of the states the blocks declared stiff, in ascending
     /// order (blocks are registered with increasing state offsets).
     stiff_states: Vec<usize>,
+    /// Each registered block's structural nonzero pattern, turned into the
+    /// assembly's scatter map at [`AssemblyBuilder::build`].
+    patterns: Vec<JacobianPattern>,
 }
 
 impl AssemblyBuilder {
@@ -502,6 +547,18 @@ impl AssemblyBuilder {
             };
             terminal_nets.push(index);
         }
+        let pattern = block.jacobian_pattern();
+        if let Some(&(which, row, col)) = pattern.entries().iter().find(|&&(which, row, col)| {
+            let (rows, cols) =
+                which.shape(block.state_count(), block.terminal_count(), block.constraint_count());
+            row >= rows || col >= cols
+        }) {
+            return Err(CoreError::InvalidConfiguration(format!(
+                "block {} declares Jacobian pattern entry {which:?}({row}, {col}) outside its \
+                 matrices",
+                block.name()
+            )));
+        }
         for local in block.stiff_states() {
             if local >= block.state_count() {
                 return Err(CoreError::InvalidConfiguration(format!(
@@ -515,6 +572,7 @@ impl AssemblyBuilder {
                 self.stiff_states.push(global);
             }
         }
+        let structure = block.jacobian_structure();
         let slot = BlockSlot {
             name: block.name().to_string(),
             state_offset: self.state_count,
@@ -522,7 +580,9 @@ impl AssemblyBuilder {
             constraint_offset: self.constraint_count,
             constraint_count: block.constraint_count(),
             terminal_nets,
-            structure: block.jacobian_structure(),
+            structure,
+            devices: if structure == JacobianStructure::Pwl { block.pwl_devices() } else { None },
+            map: [0; 5],
         };
         for state_name in block.state_names() {
             self.state_names.push(format!("{}.{}", block.name(), state_name));
@@ -530,6 +590,7 @@ impl AssemblyBuilder {
         self.state_count += block.state_count();
         self.constraint_count += block.constraint_count();
         self.slots.push(slot);
+        self.patterns.push(pattern);
         Ok(self.slots.len() - 1)
     }
 
@@ -540,7 +601,7 @@ impl AssemblyBuilder {
     /// Returns [`CoreError::IllPosedSystem`] if the total constraint count does
     /// not equal the number of nets (the algebraic system of Eq. 4 would not be
     /// square) or no blocks were added.
-    pub fn build(self) -> Result<Assembly, CoreError> {
+    pub fn build(mut self) -> Result<Assembly, CoreError> {
         if self.slots.is_empty() {
             return Err(CoreError::IllPosedSystem("no blocks were added".to_string()));
         }
@@ -563,10 +624,16 @@ impl AssemblyBuilder {
                     slot.constraint_count,
                 ),
                 static_scale: 0.0,
-                signature: None,
+                devices: DeviceTracker::new(slot.devices),
+                lin_current: false,
                 stamped: false,
             })
             .collect();
+        let (states, nets) = (self.state_count, self.net_names.len());
+        let mut scatter = Vec::with_capacity(self.patterns.iter().map(JacobianPattern::len).sum());
+        for (slot, pattern) in self.slots.iter_mut().zip(&self.patterns) {
+            append_scatter_map(&mut scatter, slot, pattern, states, nets);
+        }
         // Assignment-based stamping is valid only when no block wires two of
         // its own terminals to the same net (otherwise its contributions to
         // that net's column must accumulate).
@@ -584,6 +651,7 @@ impl AssemblyBuilder {
             constraint_count: self.constraint_count,
             stiff_states: self.stiff_states,
             scatter_by_copy,
+            scatter,
             scratch: RefCell::new(scratch),
         })
     }
@@ -599,20 +667,98 @@ struct BlockScratch {
     lin: LocalLinearisation,
     /// Largest |entry| over the block's Jacobians at the last full stamp —
     /// the skipped block's contribution to the Eq. 3 monitor's scale, so
-    /// skipping a `Constant` or signature-matched `Pwl` block leaves the
-    /// monitor value bit-identical to a full restamp (its diff contribution
-    /// is exactly zero, its scale contribution is this cached maximum).
+    /// skipping a `Constant` or an unmoved `Pwl` block leaves the monitor
+    /// value bit-identical to a full restamp (its diff contribution is
+    /// exactly zero, its scale contribution is this cached maximum).
     static_scale: f64,
-    /// The block's [`StateSpaceBlock::pwl_signature`] at the last full stamp
-    /// (`None` for blocks that decline the contract). A `Pwl` block whose
-    /// fresh signature equals this value is skipped wholesale on the
-    /// relinearisation pass: the contract guarantees the values in the global
-    /// buffer are already exact.
-    signature: Option<u64>,
-    /// Whether a full stamp has populated `lin` (plus `static_scale` and
-    /// `signature`) since construction — the precondition for both fast
+    /// The table segment of each PWL device behind the values in the global
+    /// buffer (tracked `Pwl` blocks only).
+    devices: DeviceTracker,
+    /// Whether `lin` holds the stamp the global buffer holds. A checkpoint
+    /// carries the tracked segments but not the local buffers, so after a
+    /// restore the next per-device restamp rewrites every row.
+    lin_current: bool,
+    /// Whether a full stamp has populated `lin` (plus `static_scale` and the
+    /// device segments) since construction — the precondition for both fast
     /// paths.
     stamped: bool,
+}
+
+/// Bits per device in the packed checkpoint slot of a tracked `Pwl` block
+/// (table sizes up to 1 023 segments).
+const SEGMENT_BITS: usize = 10;
+
+/// Largest device count the 64-bit checkpoint slot packs at
+/// [`SEGMENT_BITS`] bits each.
+const MAX_PACKED_DEVICES: usize = 6;
+
+/// Loop-carried per-device state of a [`JacobianStructure::Pwl`] block: the
+/// table segment each device's stamp in the global buffer was computed from.
+/// Tracking is limited to what the checkpoint's 64-bit slot encodes; a block
+/// with more devices or larger tables is restamped on every relinearisation.
+#[derive(Debug, Clone)]
+struct DeviceTracker {
+    /// Whether the segments are live: the last full stamp found the block
+    /// declaring devices that fit the packing (or a checkpoint restored them).
+    tracked: bool,
+    /// Table segment per device.
+    segments: Vec<usize>,
+    /// The block's devices as last declared — at registration, then at every
+    /// full stamp; `None` for a block without PWL devices.
+    declared: Option<PwlDevices>,
+}
+
+impl DeviceTracker {
+    fn new(declared: Option<PwlDevices>) -> Self {
+        let count = declared.map_or(0, |devices| devices.count);
+        DeviceTracker { tracked: false, segments: vec![0; count], declared }
+    }
+
+    /// Whether the checkpoint slot can encode these devices' segments.
+    fn packable(devices: PwlDevices) -> bool {
+        devices.count <= MAX_PACKED_DEVICES && devices.segments < 1 << SEGMENT_BITS
+    }
+
+    /// (Re)starts tracking at a full stamp when the block declares packable
+    /// devices, and stops it otherwise. The present segments stay as search
+    /// hints. Returns whether the devices are tracked.
+    fn track(&mut self, declared: Option<PwlDevices>) -> bool {
+        self.declared = declared;
+        self.tracked = match declared {
+            Some(devices) if Self::packable(devices) => {
+                self.segments.resize(devices.count, 0);
+                true
+            }
+            _ => false,
+        };
+        self.tracked
+    }
+
+    /// The checkpoint slot: the segments packed first device highest, or
+    /// `None` when untracked.
+    fn packed(&self) -> Option<u64> {
+        self.tracked.then(|| {
+            self.segments.iter().fold(0_u64, |bits, &segment| bits << SEGMENT_BITS | segment as u64)
+        })
+    }
+
+    /// The segments `bits` packs for the declared devices, or `None` when
+    /// they cannot describe them (no devices declared, too many devices or
+    /// table segments for the packing, stray high bits, or a segment past
+    /// the table).
+    fn unpack(&self, bits: u64) -> Option<Vec<usize>> {
+        let devices = self.declared.filter(|&devices| Self::packable(devices))?;
+        if bits >> (devices.count * SEGMENT_BITS) != 0 {
+            return None;
+        }
+        let segments: Vec<usize> = (0..devices.count)
+            .map(|i| {
+                (bits >> ((devices.count - 1 - i) * SEGMENT_BITS)) as usize
+                    & ((1 << SEGMENT_BITS) - 1)
+            })
+            .collect();
+        segments.iter().all(|&segment| segment < devices.segments).then_some(segments)
+    }
 }
 
 /// The immutable wiring plan of the assembled system.
@@ -631,6 +777,10 @@ pub struct Assembly {
     /// distinct nets — writing onto the cleared matrices is then equivalent
     /// and avoids per-element read-modify-write on the hot path).
     scatter_by_copy: bool,
+    /// Every block's structural nonzeros as flat `(local, global)` index
+    /// pairs (see `BlockSlot::map`) — what the relinearisation pass restamps
+    /// and monitors instead of the dense rows.
+    scatter: Vec<(usize, usize)>,
     /// Per-block hot-path buffers behind interior mutability, because the
     /// solver linearises through `&self` (the assembly is shared read-only
     /// between the engine and the measurement layer). The borrow is scoped to
@@ -644,34 +794,51 @@ impl Assembly {
         AssemblyBuilder::new()
     }
 
-    /// Exports the per-block stamp-cache triples `(static scale, PWL
-    /// signature, stamped)` for checkpointing. These are loop-carried: the
-    /// relinearisation skip paths compare fresh signatures against them and
-    /// feed the cached scale into the Eq. 3 monitor, so a bit-identical
-    /// resume (including the `constant/pwl_stamps_skipped` counters) must
-    /// restore them rather than start cold. The block-local `lin` buffers are
-    /// deliberately excluded — every path that reads them rewrites them first.
+    /// Exports the per-block stamp-cache triples `(static scale, packed PWL
+    /// device segments, stamped)` for checkpointing. These are loop-carried:
+    /// the relinearisation skip paths test devices against their segments and
+    /// feed the cached scale into the Eq. 3 monitor, so a bit-identical resume
+    /// (including the `constant/pwl_stamps_skipped` counters) must restore
+    /// them rather than start cold. The segments of a tracked block travel
+    /// packed [`SEGMENT_BITS`] bits per device, first device highest; an
+    /// untracked block exports `None`. The block-local `lin` buffers are
+    /// deliberately excluded — after a restore the first per-device restamp
+    /// rewrites them in full.
     pub(crate) fn stamp_cache(&self) -> Vec<(f64, Option<u64>, bool)> {
         self.scratch
             .borrow()
             .iter()
-            .map(|buffers| (buffers.static_scale, buffers.signature, buffers.stamped))
+            .map(|buffers| (buffers.static_scale, buffers.devices.packed(), buffers.stamped))
             .collect()
     }
 
     /// Restores the stamp cache exported by [`Assembly::stamp_cache`].
-    /// Returns `false` (leaving the cache untouched) on a block-count
-    /// mismatch — the checkpoint was taken from a differently assembled
-    /// system.
+    /// Returns `false` (leaving the cache untouched) when the cache does not
+    /// fit this assembly: a block-count mismatch, or packed segments that
+    /// cannot describe the block's devices — the checkpoint was taken from a
+    /// differently assembled system.
     pub(crate) fn restore_stamp_cache(&self, cache: &[(f64, Option<u64>, bool)]) -> bool {
         let mut scratch = self.scratch.borrow_mut();
         if scratch.len() != cache.len() {
             return false;
         }
-        for (buffers, &(static_scale, signature, stamped)) in scratch.iter_mut().zip(cache) {
+        let mut restored = Vec::with_capacity(cache.len());
+        for (buffers, &(_, packed, _)) in scratch.iter().zip(cache) {
+            match packed.map(|bits| buffers.devices.unpack(bits)) {
+                Some(None) => return false,
+                segments => restored.push(segments.flatten()),
+            }
+        }
+        for ((buffers, &(static_scale, _, stamped)), segments) in
+            scratch.iter_mut().zip(cache).zip(restored)
+        {
             buffers.static_scale = static_scale;
-            buffers.signature = signature;
             buffers.stamped = stamped;
+            buffers.lin_current = false;
+            buffers.devices.tracked = segments.is_some();
+            if let Some(segments) = segments {
+                buffers.devices.segments = segments;
+            }
         }
         true
     }
@@ -835,24 +1002,37 @@ impl Assembly {
             for (i, &net) in slot.terminal_nets.iter().enumerate() {
                 buffers.y[i] = y[net];
             }
-            let signature =
-                block.linearise_into_with_signature(t, &buffers.x, &buffers.y, &mut buffers.lin);
+            // A `Pwl` block whose devices fit the checkpoint packing stamps
+            // through its per-device path, which records every device's
+            // segment (the previous segments serve as search hints).
+            let tracked = slot.structure == JacobianStructure::Pwl
+                && buffers.devices.track(block.pwl_devices());
+            if tracked {
+                let segments = &mut buffers.devices.segments;
+                block.restamp_pwl_into(t, &buffers.x, &buffers.y, segments, true, &mut buffers.lin);
+            } else {
+                block.linearise_into(t, &buffers.x, &buffers.y, &mut buffers.lin);
+            }
+            buffers.lin_current = true;
             let lin = &buffers.lin;
             debug_assert!(
                 lin.is_consistent(),
                 "block {} returned inconsistent matrices",
                 slot.name
             );
+            debug_assert!(
+                self.maps_every_nonzero(slot, lin),
+                "block {} stamped outside its declared Jacobian pattern",
+                slot.name
+            );
             if slot.structure != JacobianStructure::Nonlinear {
                 // Record the block's Eq. 3 scale contribution once: the
                 // relinearisation fast paths fold this cached maximum in
                 // instead of rescanning Jacobians their contracts pin (the
-                // `Constant` affine-only refresh and the `Pwl`
-                // signature-matched skip both need it).
+                // `Constant` affine-only refresh and the unmoved `Pwl` skip
+                // both need it).
                 buffers.static_scale = jacobian_max(lin);
             }
-            buffers.signature =
-                if slot.structure == JacobianStructure::Pwl { signature } else { None };
             buffers.stamped = true;
 
             if self.scatter_by_copy {
@@ -911,16 +1091,33 @@ impl Assembly {
         Ok(())
     }
 
+    /// Whether the scatter map of `slot` holds every entry of `lin`'s
+    /// Jacobians that is not exactly `+0.0` — the block's pattern contract,
+    /// checked against what the relinearisation pass actually scatters.
+    fn maps_every_nonzero(&self, slot: &BlockSlot, lin: &LocalLinearisation) -> bool {
+        let nonzero = |value: f64| value.to_bits() != 0;
+        [&lin.a, &lin.b, &lin.c, &lin.d].into_iter().enumerate().all(|(k, matrix)| {
+            let values = matrix.as_slice();
+            let map = &self.scatter[slot.map[k]..slot.map[k + 1]];
+            // Map entries are distinct, so the counts agree exactly when no
+            // entry outside the map differs from +0.0.
+            map.iter().filter(|&&(local, _)| nonzero(values[local])).count()
+                == values.iter().filter(|&&value| nonzero(value)).count()
+        })
+    }
+
     /// Fused relinearisation: re-stamps `out` in place — which must hold the
     /// linearisation this assembly produced at the previous accepted point —
     /// and computes the Eq. 3 relative Jacobian change against those previous
-    /// contents during the same pass. Every stamped destination is read once
-    /// (the previous value) and written once (the new value), so the
-    /// steady-state solver step needs neither a second linearisation buffer
-    /// nor a separate change-scan pass. Entries outside the stamp pattern are
-    /// structurally zero in both linearisations and contribute nothing to
-    /// either maximum, which makes the result identical to
-    /// [`GlobalLinearisation::jacobian_change`] on two full buffers.
+    /// contents during the same pass. A restamped block's Jacobians are
+    /// scattered through its flat structural map ([`JacobianPattern`]):
+    /// every mapped destination is read once (the previous value) and
+    /// written once (the new value), so the steady-state solver step needs
+    /// neither a second linearisation buffer nor a separate change-scan
+    /// pass. Entries outside the patterns are `+0.0` in both linearisations
+    /// and contribute nothing to either maximum, which makes the result
+    /// identical to [`GlobalLinearisation::jacobian_change`] on two full
+    /// buffers.
     ///
     /// Blocks under the [`JacobianStructure::Constant`] contract are not
     /// restamped at all: their Jacobian rows in `out` are already exact (the
@@ -929,7 +1126,12 @@ impl Assembly {
     /// scale contribution is folded in from the maximum cached at the full
     /// stamp — so the returned monitor value is bit-identical to a full
     /// restamp while the pass touches only their affine terms (via
-    /// [`StateSpaceBlock::affine_into`]). The report counts the skips.
+    /// [`StateSpaceBlock::affine_into`]). A [`JacobianStructure::Pwl`] block
+    /// with tracked devices is handed its device segments
+    /// ([`StateSpaceBlock::restamp_pwl_into`]): when no device changed
+    /// segment it is skipped the same way, affine terms included; otherwise
+    /// it rewrites only what its moved devices feed before the scatter. The
+    /// report counts both kinds of skip.
     ///
     /// Falls back to a stamp-plus-dense-scan when the assembly wires one
     /// block terminal pair to a shared net (accumulating scatter), which no
@@ -973,7 +1175,7 @@ impl Assembly {
         }
         let mut scratch = self.scratch.borrow_mut();
 
-        // Four fixed lanes each of max |new| and max |new − old| over every
+        // Four lanes each of max |new| and max |new − old| over every
         // restamped entry; a restamped block accumulates its scale in lanes
         // of its own first, so a `Pwl` block's cached scale comes out of the
         // same pass. Skipped blocks fold in their cached scale. Maxima are
@@ -1004,25 +1206,32 @@ impl Assembly {
                 continue;
             }
 
-            if slot.structure == JacobianStructure::Pwl && buffers.stamped {
-                // Pwl contract: when the block's segment signature is
-                // unchanged since the values in `out` were stamped, the
-                // contract guarantees a restamp would reproduce them bit for
-                // bit — Jacobians *and* affine terms — so the whole stamp is
-                // skipped. The check is the lookup-free membership test
-                // (`pwl_signature_matches`), the monitor sees a zero diff and
-                // the cached scale, exactly as a full restamp would report.
-                if let Some(signature) = buffers.signature {
-                    if block.pwl_signature_matches(t, &buffers.x, &buffers.y, signature) {
-                        scale_cached = scale_cached.max(buffers.static_scale);
-                        pwl_stamps_skipped += 1;
-                        continue;
-                    }
+            if buffers.devices.tracked && buffers.stamped {
+                // Pwl contract: when no device changed segment since the
+                // values in `out` were stamped, a restamp would reproduce
+                // them bit for bit — Jacobians *and* affine terms — so the
+                // whole stamp is skipped, and the monitor sees a zero diff
+                // and the cached scale, exactly as a full restamp would
+                // report. Otherwise the block has rewritten what its moved
+                // devices feed, and the scatter below carries it over.
+                let moved = block.restamp_pwl_into(
+                    t,
+                    &buffers.x,
+                    &buffers.y,
+                    &mut buffers.devices.segments,
+                    !buffers.lin_current,
+                    &mut buffers.lin,
+                );
+                buffers.lin_current = true;
+                if !moved {
+                    scale_cached = scale_cached.max(buffers.static_scale);
+                    pwl_stamps_skipped += 1;
+                    continue;
                 }
+            } else {
+                block.linearise_into(t, &buffers.x, &buffers.y, &mut buffers.lin);
+                buffers.lin_current = true;
             }
-
-            let signature =
-                block.linearise_into_with_signature(t, &buffers.x, &buffers.y, &mut buffers.lin);
             let lin = &buffers.lin;
             debug_assert!(
                 lin.is_consistent(),
@@ -1030,46 +1239,26 @@ impl Assembly {
                 slot.name
             );
             let mut block_scale = [0.0_f64; 4];
-            for row in 0..slot.state_count {
-                let global_row = slot.state_offset + row;
-                stamp_row(
-                    &mut out.jxx.row_mut(global_row)[states.clone()],
-                    lin.a.row(row),
-                    &mut block_scale,
-                    &mut diff,
-                );
-                stamp_scattered(
-                    out.jxy.row_mut(global_row),
-                    &slot.terminal_nets,
-                    lin.b.row(row),
+            let targets = [&mut out.jxx, &mut out.jxy, &mut out.jyx, &mut out.jyy];
+            let sources = [&lin.a, &lin.b, &lin.c, &lin.d];
+            for (k, (target, source)) in targets.into_iter().zip(sources).enumerate() {
+                stamp_mapped(
+                    target.as_mut_slice(),
+                    source.as_slice(),
+                    &self.scatter[slot.map[k]..slot.map[k + 1]],
                     &mut block_scale,
                     &mut diff,
                 );
             }
             // Affine terms are not part of the Eq. 3 monitor: plain copies.
-            out.ex.as_mut_slice()[states.clone()].copy_from_slice(lin.e.as_slice());
+            out.ex.as_mut_slice()[states].copy_from_slice(lin.e.as_slice());
             for row in 0..slot.constraint_count {
-                let global_row = slot.constraint_offset + row;
-                stamp_row(
-                    &mut out.jyx.row_mut(global_row)[states.clone()],
-                    lin.c.row(row),
-                    &mut block_scale,
-                    &mut diff,
-                );
-                stamp_scattered(
-                    out.jyy.row_mut(global_row),
-                    &slot.terminal_nets,
-                    lin.d.row(row),
-                    &mut block_scale,
-                    &mut diff,
-                );
-                out.gy[global_row] = lin.g[row];
+                out.gy[slot.constraint_offset + row] = lin.g[row];
             }
             if slot.structure == JacobianStructure::Pwl {
-                // Refresh the cached signature and scale so the next
-                // membership-matched skip folds in this stamp's maximum:
-                // the lanes saw every entry of `a`, `b`, `c` and `d`.
-                buffers.signature = signature;
+                // Refresh the cached scale so the next unmoved skip folds in
+                // this stamp's maximum: the lanes saw every structural
+                // nonzero of `a`, `b`, `c` and `d`.
                 buffers.static_scale = lanes_max(block_scale);
             }
             for (total, lane) in scale.iter_mut().zip(block_scale) {
@@ -1097,44 +1286,47 @@ fn lanes_max(lanes: [f64; 4]) -> f64 {
     lanes[0].max(lanes[1]).max(lanes[2]).max(lanes[3])
 }
 
-/// Contiguous row stamp: overwrites `dst` with `new` while accumulating the
-/// two monitor maxima in fixed four-wide lanes (the pattern the
-/// autovectoriser packs — no variable lane indexing on the hot path).
+/// Mapped stamp: for every `(local, global)` pair overwrites `dst[global]`
+/// with `src[local]` while accumulating the two monitor maxima, `|new|` and
+/// `|new − old|`, in four register-held lanes (independent dependency chains
+/// for the max reductions; entry `k` of the map lands in lane `k mod 4`).
 #[inline]
-fn stamp_row(dst: &mut [f64], new: &[f64], scale: &mut [f64; 4], diff: &mut [f64; 4]) {
-    let mut dst_chunks = dst.chunks_exact_mut(4);
-    let mut new_chunks = new.chunks_exact(4);
-    for (d, s) in (&mut dst_chunks).zip(&mut new_chunks) {
-        for lane in 0..4 {
-            let old = d[lane];
-            d[lane] = s[lane];
-            scale[lane] = scale[lane].max(s[lane].abs());
-            diff[lane] = diff[lane].max((s[lane] - old).abs());
-        }
-    }
-    for (lane, (d, &s)) in
-        dst_chunks.into_remainder().iter_mut().zip(new_chunks.remainder()).enumerate()
-    {
-        let old = std::mem::replace(d, s);
-        scale[lane & 3] = scale[lane & 3].max(s.abs());
-        diff[lane & 3] = diff[lane & 3].max((s - old).abs());
-    }
-}
-
-/// Net-scattered stamp: writes local terminal `k`'s entry `new[k]` to
-/// `dst[nets[k]]`, accumulating the monitor maxima in lane `k mod 4`.
-#[inline]
-fn stamp_scattered(
+fn stamp_mapped(
     dst: &mut [f64],
-    nets: &[usize],
-    new: &[f64],
+    src: &[f64],
+    map: &[(usize, usize)],
     scale: &mut [f64; 4],
     diff: &mut [f64; 4],
 ) {
-    for (k, (&net, &s)) in nets.iter().zip(new).enumerate() {
-        let old = std::mem::replace(&mut dst[net], s);
-        scale[k & 3] = scale[k & 3].max(s.abs());
-        diff[k & 3] = diff[k & 3].max((s - old).abs());
+    let (mut s, mut d) = (*scale, *diff);
+    let mut stamp = |lane: usize, (local, global): (usize, usize)| {
+        let new = src[local];
+        let old = std::mem::replace(&mut dst[global], new);
+        s[lane] = fold_max(s[lane], new.abs());
+        d[lane] = fold_max(d[lane], (new - old).abs());
+    };
+    let mut chunks = map.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &pair) in chunk.iter().enumerate() {
+            stamp(lane, pair);
+        }
+    }
+    for (lane, &pair) in chunks.remainder().iter().enumerate() {
+        stamp(lane, pair);
+    }
+    (*scale, *diff) = (s, d);
+}
+
+/// `max(acc, value)` for a non-NaN accumulator `acc ≥ +0.0` and a `value`
+/// that is `≥ +0.0` or NaN — exactly [`f64::max`] on that domain (a NaN
+/// value leaves the accumulator, ties are the same bits), as one compare
+/// instead of `f64::max`'s NaN-propagation fix-up.
+#[inline]
+fn fold_max(acc: f64, value: f64) -> f64 {
+    if value > acc {
+        value
+    } else {
+        acc
     }
 }
 
@@ -1283,10 +1475,10 @@ mod tests {
         assert!((a[(0, 0)] + 1000.0).abs() < 1e-6);
     }
 
-    /// A piecewise-linear block with 5 states and 6 terminals whose
-    /// Jacobians depend only on the segment `⌊x₀⌋ ∈ {0, 1, 2}`, which is also
-    /// its signature. The largest entry sits in `a`, in the scattered `b` or
-    /// in the scattered `d` depending on the segment.
+    /// A piecewise-linear block with 5 states and 6 terminals and one
+    /// tracked device whose segment `⌊x₀⌋ ∈ {0, 1, 2}` alone determines the
+    /// Jacobians. The largest entry sits in `a`, in the scattered `b` or in
+    /// the scattered `d` depending on the segment.
     struct PwlBlock;
 
     impl PwlBlock {
@@ -1339,8 +1531,25 @@ mod tests {
         fn jacobian_structure(&self) -> JacobianStructure {
             JacobianStructure::Pwl
         }
-        fn pwl_signature(&self, _t: f64, x: &DVector, _y: &DVector) -> Option<u64> {
-            Some(Self::segment(x) as u64)
+        fn pwl_devices(&self) -> Option<PwlDevices> {
+            Some(PwlDevices { count: 1, segments: 3 })
+        }
+        fn restamp_pwl_into(
+            &self,
+            t: f64,
+            x: &DVector,
+            y: &DVector,
+            segments: &mut [usize],
+            rewrite_all: bool,
+            out: &mut LocalLinearisation,
+        ) -> bool {
+            let segment = Self::segment(x);
+            let moved = segment != segments[0];
+            segments[0] = segment;
+            if moved || rewrite_all {
+                *out = self.linearise(t, x, y);
+            }
+            moved
         }
     }
 
@@ -1362,7 +1571,9 @@ mod tests {
             let report = assembly.relinearise_global_into(&blocks, 0.0, &x, &y, &mut lin).unwrap();
             assert_eq!(report.pwl_stamps_skipped, 0, "a new segment restamps");
             let rescan = jacobian_max(&block.linearise(0.0, &x, &y));
-            assert_eq!(assembly.stamp_cache()[0].0.to_bits(), rescan.to_bits(), "x0 = {x0}");
+            let cache = assembly.stamp_cache()[0];
+            assert_eq!(cache.0.to_bits(), rescan.to_bits(), "x0 = {x0}");
+            assert_eq!(cache.1, Some(PwlBlock::segment(&x) as u64), "the device's segment");
             let fresh = assembly.linearise_global(&blocks, 0.0, &x, &y).unwrap();
             let change = fresh.jacobian_change(&previous).unwrap();
             assert_eq!(report.change.to_bits(), change.to_bits(), "x0 = {x0}");
@@ -1371,6 +1582,218 @@ mod tests {
             let again = assembly.relinearise_global_into(&blocks, 0.0, &x, &y, &mut lin).unwrap();
             assert_eq!((again.pwl_stamps_skipped, again.change), (1, 0.0));
         }
+    }
+
+    /// Deterministic splitmix64 stream for the seeded walks below.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform draw in `[lo, hi)`.
+    fn uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (splitmix(state) >> 11) as f64 / (1_u64 << 53) as f64
+    }
+
+    /// Bit patterns of every entry of a global linearisation.
+    fn global_bits(lin: &GlobalLinearisation) -> Vec<u64> {
+        [lin.jxx.as_slice(), lin.jxy.as_slice(), lin.ex.as_slice()]
+            .into_iter()
+            .chain([lin.jyx.as_slice(), lin.jyy.as_slice(), lin.gy.as_slice()])
+            .flatten()
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The harvester's diode voltages and segments at `x`, recomputed here
+    /// the way the multiplier recovers its node voltages.
+    fn diode_segments(h: &crate::TunableHarvester, x: &DVector) -> Vec<usize> {
+        let m = h.multiplier();
+        let (offset, n) = (h.multiplier_state_offset(), m.stage_count());
+        let pump = |i: usize| if i % 2 == 1 && i != n { 1.0 } else { 0.0 };
+        let node =
+            |i: usize| if i == 0 { 0.0 } else { x[offset + i - 1] + pump(i) * x[offset + n] };
+        (1..=n).map(|i| m.diode().companion_segment(node(i - 1) - node(i))).collect()
+    }
+
+    /// Sets the multiplier's states so its diode voltages are `vd` (up to
+    /// rounding) with the rail at `vrail`.
+    fn place_diodes(h: &crate::TunableHarvester, x: &mut DVector, vd: &[f64], vrail: f64) {
+        let (offset, n) = (h.multiplier_state_offset(), vd.len());
+        let mut node = 0.0;
+        for (i, v) in (1..=n).zip(vd) {
+            node -= v;
+            let rail = if i % 2 == 1 && i != n { vrail } else { 0.0 };
+            x[offset + i - 1] = node - rail;
+        }
+        x[offset + n] = vrail;
+    }
+
+    /// The per-device equivalence battery: seeded random walks of operating
+    /// points (small drifts, kink crossings, large jumps, repeats and
+    /// checkpoint-style cache restores) over 2–6 stages and tables of 16,
+    /// 150, 600, 1 022 and 1 023 knee segments. After every
+    /// `relinearise_global_into` the buffer and the report must equal a fresh
+    /// `linearise_global` on an independent harvester plus
+    /// `jacobian_change` bit for bit, and a skip must be counted exactly when
+    /// no diode changed segment (never, for a table past the packing).
+    #[test]
+    fn per_device_restamps_match_fresh_stamps_bit_for_bit() {
+        let mut rng = 0x0dd_ba11_u64;
+        for stages in 2..=6 {
+            for knee_segments in [16, 150, 600, 1022, 1023] {
+                let mut params = harvsim_blocks::HarvesterParameters::practical_device();
+                params.multiplier_stages = stages;
+                params.diode_table_segments = knee_segments;
+                let build = || {
+                    crate::TunableHarvester::with_constant_excitation(params.clone(), 70.0).unwrap()
+                };
+                let (mut h, reference) = (build(), build());
+                let tracked = h.multiplier().diode().total_segments() < 1 << SEGMENT_BITS;
+                let label = format!("{stages} stages, {knee_segments} knee segments");
+
+                let mut x = h.initial_state(2.5).unwrap();
+                let mut vd: Vec<f64> = (0..stages).map(|_| uniform(&mut rng, -0.3, 0.25)).collect();
+                let mut vrail = 1.0;
+                place_diodes(&h, &mut x, &vd, vrail);
+                let y = DVector::from_fn(h.net_count(), |i| 0.1 * i as f64);
+                let mut t = 0.0;
+                let mut lin = h.linearise_global(t, &x, &y).unwrap();
+                let mut segments = diode_segments(&h, &x);
+                let (mut skips, mut restamps) = (0, 0);
+                for step in 0..300 {
+                    let kind = uniform(&mut rng, 0.0, 1.0);
+                    if kind < 0.4 {
+                        // Small drift: usually inside every segment.
+                        for v in &mut vd {
+                            *v += uniform(&mut rng, -3e-5, 3e-5);
+                        }
+                        vrail += uniform(&mut rng, -1e-3, 1e-3);
+                    } else if kind < 0.75 {
+                        // Kink crossing: one diode moves a few (average
+                        // knee) segments.
+                        let i = (splitmix(&mut rng) % stages as u64) as usize;
+                        let reach = 3.0 * 0.45 / knee_segments as f64;
+                        vd[i] += uniform(&mut rng, -reach, reach);
+                    } else if kind < 0.85 {
+                        // Large jump: every diode to a new point, mostly
+                        // across the knee grid, sometimes deep reverse or
+                        // past the table's top.
+                        for v in &mut vd {
+                            *v = if uniform(&mut rng, 0.0, 1.0) < 0.8 {
+                                uniform(&mut rng, -0.25, 0.22)
+                            } else {
+                                uniform(&mut rng, -1.5, 0.45)
+                            };
+                        }
+                        vrail = uniform(&mut rng, -3.0, 3.0);
+                    }
+                    // (Otherwise a repeat of the same point.)
+                    place_diodes(&h, &mut x, &vd, vrail);
+                    x[h.supercap_state_offset()] += uniform(&mut rng, -1e-4, 1e-4);
+                    t += 1e-5;
+                    if step % 50 == 49 {
+                        // A checkpoint restore: a freshly built harvester
+                        // takes over the stamp cache (the segments) and the
+                        // global buffer, but not the block-local buffers.
+                        let restored = build();
+                        let cache = h.assembly().stamp_cache();
+                        assert!(restored.assembly().restore_stamp_cache(&cache), "{label}");
+                        h = restored;
+                    }
+
+                    let previous = lin.clone();
+                    let report = h.relinearise_global_into(t, &x, &y, &mut lin).unwrap();
+                    let fresh = reference.linearise_global(t, &x, &y).unwrap();
+                    assert_eq!(global_bits(&lin), global_bits(&fresh), "{label}, step {step}");
+                    let change = fresh.jacobian_change(&previous).unwrap();
+                    assert_eq!(report.change.to_bits(), change.to_bits(), "{label}, step {step}");
+                    assert_eq!(report.constant_stamps_skipped, 1, "{label}, step {step}");
+                    let now = diode_segments(&h, &x);
+                    let unmoved = now == segments;
+                    assert_eq!(
+                        report.pwl_stamps_skipped,
+                        usize::from(tracked && unmoved),
+                        "{label}, step {step}: segments {segments:?} -> {now:?}"
+                    );
+                    segments = now;
+                    skips += report.pwl_stamps_skipped;
+                    restamps += usize::from(!unmoved);
+                }
+                assert!(restamps > 30, "{label}: the walk must move diodes ({restamps})");
+                if tracked {
+                    assert!(skips > 30, "{label}: the walk must also hold still ({skips})");
+                } else {
+                    assert_eq!(h.assembly().stamp_cache()[1].1, None, "{label}: untracked");
+                }
+            }
+        }
+    }
+
+    /// Ladders and tables outside the checkpoint's 64-bit slot (7 diodes; a
+    /// 2048-segment table) are not tracked: every relinearisation restamps
+    /// them, and the checkpoint slot carries no segments.
+    #[test]
+    fn configurations_outside_the_packing_restamp_every_step() {
+        for (stages, knee_segments) in [(7, 600), (5, 2048)] {
+            let mut params = harvsim_blocks::HarvesterParameters::practical_device();
+            params.multiplier_stages = stages;
+            params.diode_table_segments = knee_segments;
+            let h = crate::TunableHarvester::with_constant_excitation(params, 70.0).unwrap();
+            let x = h.initial_state(2.5).unwrap();
+            let y = DVector::zeros(h.net_count());
+            let mut lin = h.linearise_global(0.0, &x, &y).unwrap();
+            for _ in 0..3 {
+                let report = h.relinearise_global_into(0.0, &x, &y, &mut lin).unwrap();
+                assert_eq!(report.pwl_stamps_skipped, 0, "{stages} stages, {knee_segments}");
+                assert_eq!(report.change, 0.0);
+            }
+            assert_eq!(h.assembly().stamp_cache()[1].1, None);
+        }
+        // Inside the packing the same repeat is skipped.
+        let h = crate::TunableHarvester::with_constant_excitation(
+            harvsim_blocks::HarvesterParameters::practical_device(),
+            70.0,
+        )
+        .unwrap();
+        let x = h.initial_state(2.5).unwrap();
+        let y = DVector::zeros(h.net_count());
+        let mut lin = h.linearise_global(0.0, &x, &y).unwrap();
+        let report = h.relinearise_global_into(0.0, &x, &y, &mut lin).unwrap();
+        assert_eq!(report.pwl_stamps_skipped, 1);
+    }
+
+    /// Restored stamp caches are validated: packed segments must describe
+    /// the block's devices, and a mismatch leaves the cache untouched.
+    #[test]
+    fn stamp_cache_restores_only_segments_that_fit() {
+        let h = crate::TunableHarvester::with_constant_excitation(
+            harvsim_blocks::HarvesterParameters::practical_device(),
+            70.0,
+        )
+        .unwrap();
+        let x = h.initial_state(2.5).unwrap();
+        let y = DVector::zeros(h.net_count());
+        h.linearise_global(0.0, &x, &y).unwrap();
+        let cache = h.assembly().stamp_cache();
+        let packed = cache[1].1.expect("five diodes over 601 segments are tracked");
+        assert_eq!(cache[0].1, None, "the microgenerator has no devices");
+        let table = h.multiplier().diode().total_segments() as u64;
+        for bad in [packed | 1 << 60, (packed & !0x3ff) | table, u64::MAX] {
+            let mut doctored = cache.clone();
+            doctored[1].1 = Some(bad);
+            assert!(!h.assembly().restore_stamp_cache(&doctored), "{bad:#x}");
+        }
+        let mut doctored = cache.clone();
+        doctored[0].1 = Some(0);
+        assert!(!h.assembly().restore_stamp_cache(&doctored), "no devices to restore into");
+        assert!(!h.assembly().restore_stamp_cache(&cache[..2]));
+        assert_eq!(h.assembly().stamp_cache(), cache, "failed restores change nothing");
+        assert!(h.assembly().restore_stamp_cache(&cache));
+        assert_eq!(h.assembly().stamp_cache(), cache);
     }
 
     #[test]

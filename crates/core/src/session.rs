@@ -779,10 +779,10 @@ impl Session {
         // skip paths and the Eq. 3 monitor scale.
         let stamp_cache = self.harvester.assembly().stamp_cache();
         w.put_usize(stamp_cache.len());
-        for (static_scale, signature, stamped) in stamp_cache {
+        for (static_scale, segments, stamped) in stamp_cache {
             w.put_f64(static_scale);
-            w.put_bool(signature.is_some());
-            w.put_u64(signature.unwrap_or(0));
+            w.put_bool(segments.is_some());
+            w.put_u64(segments.unwrap_or(0));
             w.put_bool(stamped);
         }
         // The in-flight march, if the session is paused mid-segment.
@@ -931,16 +931,15 @@ impl Session {
         let mut stamp_cache = Vec::new();
         for _ in 0..cache_len {
             let static_scale = r.take_f64()?;
-            let has_signature = r.take_bool()?;
-            let signature = r.take_u64()?;
+            let has_segments = r.take_bool()?;
+            let segments = r.take_u64()?;
             let stamped = r.take_bool()?;
-            stamp_cache.push((static_scale, has_signature.then_some(signature), stamped));
+            stamp_cache.push((static_scale, has_segments.then_some(segments), stamped));
         }
         if !session.harvester.assembly().restore_stamp_cache(&stamp_cache) {
-            return Err(checkpoint::malformed(
-                "stamp-cache block count does not match the rebuilt assembly",
-            )
-            .into());
+            return Err(
+                checkpoint::malformed("stamp cache does not match the rebuilt assembly").into()
+            );
         }
         // The in-flight march. The tag must agree with the engine the
         // configuration selects — the config is digest-pinned, so a

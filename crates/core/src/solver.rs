@@ -210,11 +210,11 @@ pub struct SolverStats {
     /// the [`harvsim_blocks::JacobianStructure::Constant`] contract — the
     /// observable payoff of the constant-part/delta stamp split.
     pub constant_stamps_skipped: usize,
-    /// Per-block stamps skipped wholesale under the
-    /// [`harvsim_blocks::JacobianStructure::Pwl`] segment-signature contract:
-    /// the block's PWL segment set was unchanged since the last stamp, so the
+    /// Per-block stamps skipped wholesale under the per-device
+    /// [`harvsim_blocks::JacobianStructure::Pwl`] contract: no tracked device
+    /// of the block changed table segment since the last stamp, so the
     /// values in the buffer are exact and neither the scatter nor the Eq. 3
-    /// scan ran (ROADMAP item b — the Dickson relinearise cost). For the
+    /// scan ran. For the
     /// assembled harvester the skip fires on steps where no Dickson diode
     /// changed PWL segment since the previous stamp — about 8 % of the steps
     /// in the Table II scenarios (10 647 of 133 311 on scenario 1, 11 346 of

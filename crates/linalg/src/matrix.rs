@@ -138,6 +138,12 @@ impl DMatrix {
         &self.data
     }
 
+    /// Mutably borrow the underlying row-major storage (element `(r, c)` at
+    /// `r * cols + c`) — the target of the assembler's flat scatter maps.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns element `(r, c)`, or `None` if out of bounds.
     pub fn get(&self, r: usize, c: usize) -> Option<f64> {
         if r < self.rows && c < self.cols {

@@ -182,6 +182,54 @@ proptest! {
     }
 }
 
+/// Ladders for the per-device battery: `(stages, knee segments)`. The first
+/// three fit the checkpoint's 64-bit slot (10 bits per diode, at most six
+/// diodes), so their diode segments travel in the frame; the last two (seven
+/// diodes; 1 201 table segments) do not and restamp on every step.
+const LADDERS: [(usize, usize); 5] = [(3, 600), (5, 600), (6, 600), (7, 600), (5, 1200)];
+
+fn ladder_reference(index: usize) -> &'static (ScenarioConfig, Reference) {
+    static REFS: [OnceLock<(ScenarioConfig, Reference)>; LADDERS.len()] =
+        [const { OnceLock::new() }; LADDERS.len()];
+    REFS[index].get_or_init(|| {
+        let (stages, knee_segments) = LADDERS[index];
+        let mut scenario = busy_scenario();
+        scenario.duration_s = 0.3;
+        scenario.parameters.multiplier_stages = stages;
+        scenario.parameters.diode_table_segments = knee_segments;
+        let reference = reference_for(&scenario);
+        (scenario, reference)
+    })
+}
+
+/// Per-device stamp state across durable round-trips: pausing at random
+/// accepted steps of 3-, 5- and 6-stage ladders — whose tracked diode
+/// segments ride in the checkpoint while the block-local stamp buffers do
+/// not — must resume bit-identically, `pwl_stamps_skipped` included. A
+/// 7-stage ladder and a 1 200-segment table, outside the slot, must resume
+/// just as exactly on the restamp-every-step path.
+#[test]
+fn per_device_stamp_state_survives_durable_roundtrips() {
+    let mut seed = 0x9e37_79b9_u64;
+    let mut fraction = || {
+        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        0.05 + 0.85 * (seed >> 11) as f64 / (1_u64 << 53) as f64
+    };
+    for (index, &(stages, knee_segments)) in LADDERS.iter().enumerate() {
+        let (scenario, reference) = ladder_reference(index);
+        let skipped = reference.engine_stats.state_space.pwl_stamps_skipped;
+        if stages <= 6 && knee_segments < 1023 {
+            assert!(skipped > 0, "{stages} stages / {knee_segments}: tracked ladders skip");
+        } else {
+            assert_eq!(skipped, 0, "{stages} stages / {knee_segments}: restamp every step");
+        }
+        for _ in 0..2 {
+            let (p1, p2) = (fraction(), fraction());
+            assert_durable_roundtrip(scenario, reference, [p1.min(p2), p1.max(p2)]);
+        }
+    }
+}
+
 /// A checkpoint at `t = 0` (nothing run yet) and one after the session
 /// finished both round-trip cleanly — the boundary cases the random pause
 /// fractions cannot hit.
