@@ -1,20 +1,24 @@
 //! Micro-benchmarks of the four-lane linalg kernels behind the march-in-time
 //! hot path: the `dot_unrolled` reduction, the `axpy_chunked` row update, the
 //! dense mat-vec/mat-mat products built on them, the LU factorise/solve
-//! pair that serves the Eq. 4 terminal eliminations, and the ϕ₁/ϕ₂
-//! propagators of the stiff lane.
+//! pair that serves the Eq. 4 terminal eliminations, the ϕ₁/ϕ₂
+//! propagators of the stiff lane, and the variable-step Adams–Bashforth
+//! coefficients of the explicit lane.
 //!
 //! Two sizes bracket the dense kernels: 12 matches the harvester's state
 //! dimension (the row width every per-step kernel sees), 48 approximates the
 //! multi-harvester assemblies the roadmap points at. The ϕ entries run at
 //! n = 3, the harvester's stiff partition, on the dense 9×9 reference and on
-//! the structured kernel the stiff lane calls. The numbers let a regression
+//! the structured kernel the stiff lane calls. The Adams–Bashforth entries
+//! run the order-4 quadrature on a non-uniform history, alone and with the
+//! order-3 set the march's error estimate needs. The numbers let a regression
 //! in these kernels be caught at the kernel level instead of surfacing only
 //! as a diluted Table II delta. Every label times one call.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use harvsim_linalg::expm::{phi1_phi2, phi1_phi2_into};
 use harvsim_linalg::{axpy_chunked, dot_unrolled, DMatrix, DVector};
+use harvsim_ode::explicit::adams_bashforth_coefficients_into;
 
 fn well_conditioned(n: usize) -> DMatrix {
     let mut m = DMatrix::from_fn(n, n, |r, c| ((r * 31 + c * 17) % 13) as f64 * 0.1 - 0.6);
@@ -80,6 +84,23 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("phi1_phi2_into_3", |b| {
         b.iter(|| {
             phi1_phi2_into(black_box(h_a_ss.as_slice()), 3, &mut phi1, &mut phi2).expect("finite")
+        });
+    });
+
+    // A history mid-way through a conduction front: the step has just
+    // shrunk one ladder rung, so the uniform-grid constants do not apply.
+    let times = [1.0, 1.0 - 4e-5, 1.0 - 8e-5, 1.0 - 1.2e-4];
+    let (mut high, mut low) = ([0.0; 4], [0.0; 4]);
+    group.bench_function("ab_coefficients_4", |b| {
+        b.iter(|| {
+            adams_bashforth_coefficients_into(black_box(&times), 3e-5, &mut high, None)
+                .expect("admissible history")
+        });
+    });
+    group.bench_function("ab_coefficients_pair", |b| {
+        b.iter(|| {
+            adams_bashforth_coefficients_into(black_box(&times), 3e-5, &mut high, Some(&mut low))
+                .expect("admissible history")
         });
     });
     group.finish();

@@ -39,18 +39,25 @@
 //! - **Protocol faults**: connection handlers run the fault-injected
 //!   [`FrameReader`]/[`FrameWriter`]; hostile bytes produce typed errors and
 //!   never touch admitted sessions.
+//! - **Event-driven listener**: [`Server::serve_unix`] blocks in `accept`.
+//!   Every transition into shutdown (a drain completing, a kill) connects
+//!   once to each listening socket, and the listener re-checks the shutdown
+//!   flag after every accepted connection, so an idle server never polls.
+//!   Only a stale *socket* at the listening path is replaced; any other file
+//!   there is refused and left on disk.
 //!
 //! Commands execute atomically under the pool lock; slices (the expensive
 //! part) run outside it.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::checkpoint::fnv1a64;
 use crate::fault::FaultPlan;
-use crate::pool::{Job, Parked, Pool, PoolOptions, Refusal};
+use crate::pool::{Job, Parked, Pool, PoolOptions, Refusal, State};
 use crate::protocol::{
     parse_command, Command, FrameReader, FrameWriter, ProtocolError, Response, ServerStats,
     StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
@@ -162,12 +169,42 @@ struct Book {
     resubmitted: u64,
     shed: u64,
     drained: Option<DrainReport>,
+    /// Socket paths whose listener is blocked in `accept`, taken by the
+    /// shutdown wake.
+    listeners: Vec<PathBuf>,
 }
 
 struct ServerShared {
     store: SessionStore,
     options: ServerOptions,
     pool: Pool<StateFnv, Book>,
+}
+
+/// Whether the server has stopped: drained, or fault-killed.
+fn shut_down(state: &State<StateFnv, Book>) -> bool {
+    state.front.drained.is_some() || state.killed
+}
+
+impl ServerShared {
+    /// Wakes every listener blocked in `accept` once the server has shut
+    /// down: one connection per recorded socket path, made outside the pool
+    /// lock, errors ignored. A no-op while the server runs, and idempotent —
+    /// the paths are taken, so each listener is woken once.
+    fn wake_listeners(&self) {
+        let paths = {
+            let mut state = self.pool.lock();
+            if !shut_down(&state) {
+                return;
+            }
+            std::mem::take(&mut state.front.listeners)
+        };
+        for path in paths {
+            #[cfg(unix)]
+            let _ = std::os::unix::net::UnixStream::connect(path);
+            #[cfg(not(unix))]
+            let _ = path;
+        }
+    }
 }
 
 /// The front-door server. Cheap to clone (connection handlers share one
@@ -214,7 +251,12 @@ impl Server {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    shared.pool.work(Some(&shared.store), |state| state.draining)
+                    shared.pool.work(Some(&shared.store), |state| state.draining);
+                    // A fault-injected kill ends the worker loops without a
+                    // drain (a drain wakes the listeners itself).
+                    if shared.pool.lock().killed {
+                        shared.wake_listeners();
+                    }
                 })
             })
             .collect();
@@ -228,8 +270,7 @@ impl Server {
 
     /// Whether the server has stopped (drained, or fault-killed).
     pub fn is_shutdown(&self) -> bool {
-        let state = self.shared.pool.lock();
-        state.front.drained.is_some() || state.killed
+        shut_down(&self.shared.pool.lock())
     }
 
     /// Joins the worker pool (call after a drain or kill).
@@ -381,8 +422,8 @@ impl Server {
 
     /// Graceful drain: stop admissions and scheduling, wait out in-flight
     /// slices, persist every resident session (sealing the store manifest
-    /// with each write); the workers exit. Idempotent — a second `drain`
-    /// returns the same report.
+    /// with each write); the workers exit and the listeners are woken.
+    /// Idempotent — a second `drain` returns the same report.
     fn drain(&self) -> Response {
         let started = Instant::now();
         let state = self.shared.pool.lock();
@@ -393,14 +434,17 @@ impl Server {
             return Response::Error(WireError::Failed("server was killed".into()));
         }
         let mut state = self.shared.pool.quiesce(state);
-        let Some((checkpointed, not_started)) =
-            self.shared.pool.park_all(&mut state, &self.shared.store)
-        else {
-            return Response::Error(WireError::Failed("server was killed during drain".into()));
+        let response = match self.shared.pool.park_all(&mut state, &self.shared.store) {
+            Some((checkpointed, not_started)) => {
+                let report = DrainReport { checkpointed, not_started, duration: started.elapsed() };
+                state.front.drained = Some(report);
+                drained_response(report)
+            }
+            None => Response::Error(WireError::Failed("server was killed during drain".into())),
         };
-        let report = DrainReport { checkpointed, not_started, duration: started.elapsed() };
-        state.front.drained = Some(report);
-        drained_response(report)
+        drop(state);
+        self.shared.wake_listeners();
+        response
     }
 
     /// Serves one connection: frames in, typed responses out, faults
@@ -463,39 +507,71 @@ impl Server {
     }
 
     /// Binds `path` and serves unix-socket connections (one handler thread
-    /// each) until the server shuts down (drain or kill). A stale socket
-    /// file at `path` is replaced.
+    /// each) until the server shuts down (drain or kill), then removes the
+    /// socket file. The listener blocks in `accept`; the shutdown wakes it
+    /// with one connection. A stale socket file at `path` is replaced.
     ///
     /// # Errors
     ///
-    /// The bind/accept error, if the listener itself fails.
+    /// [`std::io::ErrorKind::AlreadyExists`] if `path` holds anything but a
+    /// socket (the file is left as it is), else the bind/accept error, if
+    /// the listener itself fails.
     #[cfg(unix)]
-    pub fn serve_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let _ = std::fs::remove_file(path);
+    pub fn serve_unix(&self, path: &Path) -> std::io::Result<()> {
+        remove_socket(path)?;
         let listener = std::os::unix::net::UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        while !self.is_shutdown() {
+        let served = self.accept_until_shutdown(&listener, path);
+        let _ = remove_socket(path);
+        served
+    }
+
+    #[cfg(unix)]
+    fn accept_until_shutdown(
+        &self,
+        listener: &std::os::unix::net::UnixListener,
+        path: &Path,
+    ) -> std::io::Result<()> {
+        // Registered atomically with the shutdown check: a later shutdown
+        // wakes this listener, an earlier one ends it here.
+        {
+            let mut state = self.shared.pool.lock();
+            if shut_down(&state) {
+                return Ok(());
+            }
+            state.front.listeners.push(path.to_path_buf());
+        }
+        let served = loop {
             match listener.accept() {
+                Ok(_) if self.is_shutdown() => break Ok(()),
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let server = self.clone();
                     std::thread::spawn(move || {
                         let Ok(read_half) = stream.try_clone() else { return };
                         let _ = server.handle_connection(read_half, stream);
                     });
                 }
-                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
                 Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(err) => {
-                    let _ = std::fs::remove_file(path);
-                    return Err(err);
-                }
+                Err(err) => break Err(err),
             }
-        }
-        let _ = std::fs::remove_file(path);
-        Ok(())
+        };
+        self.shared.pool.lock().front.listeners.retain(|listening| listening != path);
+        served
+    }
+}
+
+/// Removes the socket file at `path`, if there is one. Anything else there
+/// is refused and stays on disk, so a mistyped path cannot delete a file.
+#[cfg(unix)]
+fn remove_socket(path: &Path) -> std::io::Result<()> {
+    use std::os::unix::fs::FileTypeExt;
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path),
+        Ok(_) => Err(std::io::Error::new(
+            std::io::ErrorKind::AlreadyExists,
+            format!("{} exists and is not a socket; refusing to replace it", path.display()),
+        )),
+        Err(err) if err.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(err) => Err(err),
     }
 }
 

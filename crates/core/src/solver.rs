@@ -1202,21 +1202,33 @@ impl StateSpaceMarch {
 
         // 6. Advance with the variable-step Adams–Bashforth formula (Eq. 5)
         //    at the selected order, rotating the fixed derivative ring
-        //    instead of re-allocating. On the partitioned march the
-        //    whole-vector update below also touches the stiff entries;
-        //    their step-start values and derivatives are saved first and
-        //    the entries are then rewritten by the exact exponential
-        //    update, so the stiff partition never sees an explicit
-        //    multi-step formula (and the four-lane axpy kernel stays
-        //    branch-free).
+        //    instead of re-allocating. On the partitioned march the update
+        //    runs over the non-stiff rows only: the stiff entries advance by
+        //    the exact exponential update instead, so the stiff partition
+        //    never sees an explicit multi-step formula.
         workspace.history.push(t, &workspace.dx);
         let order = order.min(workspace.history.filled);
+        // Accuracy controller of the partitioned march. With the stiff poles
+        // priced out, stability stops limiting the step, so accuracy must:
+        // the difference between the order-`k` and order-`k−1`
+        // Adams–Bashforth updates (free — both read the same derivative ring)
+        // estimates the lower order's local truncation error, and an integer
+        // rung controller turns it into ladder moves. Through the diode
+        // conduction fronts the derivatives bend sharply, the estimate spikes
+        // and the step shrinks to tens of µs; across the linear sleep phases
+        // it rides `max_step`. The unpartitioned path must not run this
+        // (bit-identical PR 3 reproduction), and there stability binds far
+        // below the accuracy limit anyway.
+        let estimate = partitioned && order >= 2;
+        // Order-`k−1` coefficients, zero from index `k−1` on, so the oldest
+        // derivative's order-`k` term enters the estimate whole.
+        let mut low = [0.0_f64; MAX_ADAMS_BASHFORTH_ORDER];
         // On the partitioned march's settled ladder rungs the history is
         // equispaced at `step` (to rounding), where the variable-step
         // quadrature reduces to the textbook constants — read them
-        // directly and skip two quadrature evaluations per step. The
-        // unpartitioned path always takes the quadrature so its
-        // arithmetic stays bit-identical to the classic march.
+        // directly and skip the quadrature. The unpartitioned path always
+        // takes the quadrature so its arithmetic stays bit-identical to the
+        // classic march.
         let uniform = partitioned
             && workspace.history.times()[..order]
                 .windows(2)
@@ -1228,11 +1240,18 @@ impl StateSpaceMarch {
             {
                 *slot = step * b;
             }
+            if estimate {
+                for (slot, b) in low.iter_mut().zip(adams_bashforth_uniform_coefficients(order - 1))
+                {
+                    *slot = step * b;
+                }
+            }
         } else {
             adams_bashforth_coefficients_into(
                 &workspace.history.times()[..order],
                 step,
                 &mut workspace.coefficients,
+                estimate.then_some(&mut low[..]),
             )?;
         }
         if partitioned {
@@ -1241,10 +1260,26 @@ impl StateSpaceMarch {
                 workspace.dx_stiff[k] = workspace.dx[s];
             }
         }
-        for (coefficient, derivative) in
-            workspace.coefficients[..order].iter().zip(&workspace.history.derivatives()[..order])
-        {
-            self.x.axpy(*coefficient, derivative)?;
+        // One pass over the non-stiff rows (every row when unpartitioned):
+        // each row accumulates its update and its error estimate in the
+        // order the whole-vector `axpy`s and the separate estimate loop did.
+        let coefficients = &workspace.coefficients[..order];
+        let derivatives = workspace.history.derivatives();
+        let x = self.x.as_mut_slice();
+        let mut err_norm = 0.0_f64;
+        for &r in &workspace.nonstiff {
+            let (mut x_r, mut error) = (x[r], 0.0);
+            for ((&c, &l), derivative) in coefficients.iter().zip(&low).zip(derivatives) {
+                let d = derivative[r];
+                x_r += c * d;
+                error += (c - l) * d;
+            }
+            x[r] = x_r;
+            if estimate {
+                let tolerance = self.options.lte_absolute_tolerance
+                    + self.options.lte_relative_tolerance * x_r.abs();
+                err_norm = err_norm.max(error.abs() / tolerance);
+            }
         }
         if partitioned {
             // Exact stiff advance: second-order ETD — exact for the
@@ -1258,66 +1293,25 @@ impl StateSpaceMarch {
                 self.x[s] = workspace.x_stiff[k];
             }
             self.stats.stiff_exact_steps += 1;
-
-            // Accuracy controller of the partitioned march. With the
-            // stiff poles priced out, stability stops limiting the step,
-            // so accuracy must: the difference between the order-`k` and
-            // order-`k−1` Adams–Bashforth updates (free — both read the
-            // same derivative ring) estimates the lower order's local
-            // truncation error, and an integer rung controller turns it
-            // into ladder moves. Through the diode conduction fronts the
-            // derivatives bend sharply, the estimate spikes and the step
-            // shrinks to tens of µs; across the linear sleep phases it
-            // rides `max_step`. The unpartitioned path must not run this
-            // (bit-identical PR 3 reproduction), and there stability
-            // binds far below the accuracy limit anyway.
-            if order >= 2 {
-                let mut low = [0.0_f64; MAX_ADAMS_BASHFORTH_ORDER];
-                if uniform {
-                    for (slot, b) in low[..order - 1]
-                        .iter_mut()
-                        .zip(adams_bashforth_uniform_coefficients(order - 1))
-                    {
-                        *slot = step * b;
-                    }
-                } else {
-                    adams_bashforth_coefficients_into(
-                        &workspace.history.times()[..order - 1],
-                        step,
-                        &mut low,
-                    )?;
-                }
-                let derivatives = workspace.history.derivatives();
-                let mut err_norm = 0.0_f64;
-                for &r in &workspace.nonstiff {
-                    let mut estimate = 0.0;
-                    for i in 0..order {
-                        let low_i = if i < order - 1 { low[i] } else { 0.0 };
-                        estimate += (workspace.coefficients[i] - low_i) * derivatives[i][r];
-                    }
-                    let tolerance = self.options.lte_absolute_tolerance
-                        + self.options.lte_relative_tolerance * self.x[r].abs();
-                    err_norm = err_norm.max(estimate.abs() / tolerance);
-                }
-                // Integer rung control: shrink by the fewest rungs that
-                // project the estimate back under the 0.9 target (each
-                // rung divides the order-k error by (1/RUNG)^k), and
-                // permit growth only when one rung of it would still
-                // leave the projection under target — transcendental-free
-                // and hysteretic, so the settled march neither wiggles
-                // the step nor recomputes a propagator.
-                let per_rung = LADDER_GAIN[order];
-                let mut projected = err_norm;
-                let mut shrink = 0usize;
-                while projected > 0.9 && shrink < 6 {
-                    projected /= per_rung;
-                    shrink += 1;
-                }
-                if shrink > 0 {
-                    self.rung = (self.rung + shrink).min(workspace.ladder.len() - 1);
-                }
-                self.grow_rung = projected * per_rung <= 0.9;
+        }
+        if estimate {
+            // Integer rung control: shrink by the fewest rungs that project
+            // the estimate back under the 0.9 target (each rung divides the
+            // order-k error by (1/RUNG)^k), and permit growth only when one
+            // rung of it would still leave the projection under target —
+            // transcendental-free and hysteretic, so the settled march
+            // neither wiggles the step nor recomputes a propagator.
+            let per_rung = LADDER_GAIN[order];
+            let mut projected = err_norm;
+            let mut shrink = 0usize;
+            while projected > 0.9 && shrink < 6 {
+                projected /= per_rung;
+                shrink += 1;
             }
+            if shrink > 0 {
+                self.rung = (self.rung + shrink).min(workspace.ladder.len() - 1);
+            }
+            self.grow_rung = projected * per_rung <= 0.9;
         }
         self.t = t + step;
         self.stats.steps += 1;

@@ -61,7 +61,7 @@ pub fn adams_bashforth_coefficients(
     h_next: f64,
 ) -> Result<Vec<f64>, OdeError> {
     let mut coefficients = vec![0.0; history_times.len().min(MAX_ADAMS_BASHFORTH_ORDER)];
-    adams_bashforth_coefficients_into(history_times, h_next, &mut coefficients)?;
+    adams_bashforth_coefficients_into(history_times, h_next, &mut coefficients, None)?;
     Ok(coefficients)
 }
 
@@ -70,14 +70,23 @@ pub fn adams_bashforth_coefficients(
 /// stack array of length [`MAX_ADAMS_BASHFORTH_ORDER`]). This is the routine
 /// the `harvsim-core` march-in-time loop calls every accepted step.
 ///
+/// With `lower`, the same pass also writes the order-`k − 1` coefficients (those
+/// of `history_times[..k − 1]`) into its first `k − 1` entries — the pair the
+/// march's embedded error estimate differences. Each order-`k − 1` basis
+/// product is an exact prefix of its order-`k` one, because the oldest point's
+/// factor is multiplied last, so both sets are bit-identical to two separate
+/// calls.
+///
 /// # Errors
 ///
 /// Same failure modes as [`adams_bashforth_coefficients`], plus
-/// [`OdeError::InvalidParameter`] if `out` is shorter than the history.
+/// [`OdeError::InvalidParameter`] if `out` is shorter than the history or
+/// `lower` shorter than the history less one.
 pub fn adams_bashforth_coefficients_into(
     history_times: &[f64],
     h_next: f64,
     out: &mut [f64],
+    mut lower: Option<&mut [f64]>,
 ) -> Result<(), OdeError> {
     let k = history_times.len();
     if k == 0 || k > MAX_ADAMS_BASHFORTH_ORDER {
@@ -89,6 +98,13 @@ pub fn adams_bashforth_coefficients_into(
         return Err(OdeError::InvalidParameter(format!(
             "coefficient buffer holds {} entries but the history has {k}",
             out.len()
+        )));
+    }
+    if let Some(lower) = lower.as_deref().filter(|lower| lower.len() < k - 1) {
+        return Err(OdeError::InvalidParameter(format!(
+            "lower-order coefficient buffer holds {} entries but needs {}",
+            lower.len(),
+            k - 1
         )));
     }
     if !(h_next > 0.0) || !h_next.is_finite() {
@@ -114,32 +130,44 @@ pub fn adams_bashforth_coefficients_into(
     let nodes = [mid - half * sqrt35, mid, mid + half * sqrt35];
     let weights = [5.0 / 9.0 * half, 8.0 / 9.0 * half, 5.0 / 9.0 * half];
 
-    for (i, coeff) in out[..k].iter_mut().enumerate() {
+    for i in 0..k {
+        let with_lower = lower.is_some() && i + 1 < k;
         // The Lagrange basis denominator Π_{j≠i}(t_i − t_j) does not depend on
         // the quadrature node, so it is inverted once per coefficient instead
         // of dividing inside the node loop (divisions dominate this routine's
         // cost on the per-step hot path).
-        let mut denominator = 1.0;
-        for (j, &tj) in history_times.iter().enumerate() {
-            if j != i {
-                denominator *= history_times[i] - tj;
-            }
-        }
+        let (denominator, lower_denominator) = basis_products(history_times, i, history_times[i]);
         let inv_denominator = 1.0 / denominator;
-        let mut integral = 0.0;
-        for (node, weight) in nodes.iter().zip(weights.iter()) {
+        let inv_lower_denominator = if with_lower { 1.0 / lower_denominator } else { 0.0 };
+        let (mut integral, mut lower_integral) = (0.0, 0.0);
+        for (&node, weight) in nodes.iter().zip(weights.iter()) {
             // Lagrange basis polynomial L_i evaluated at the quadrature node.
-            let mut numerator = 1.0;
-            for (j, &tj) in history_times.iter().enumerate() {
-                if j != i {
-                    numerator *= node - tj;
-                }
-            }
+            let (numerator, lower_numerator) = basis_products(history_times, i, node);
             integral += weight * (numerator * inv_denominator);
+            lower_integral += weight * (lower_numerator * inv_lower_denominator);
         }
-        *coeff = integral;
+        out[i] = integral;
+        if let Some(lower) = lower.as_deref_mut().filter(|_| with_lower) {
+            lower[i] = lower_integral;
+        }
     }
     Ok(())
+}
+
+/// `Π_{j≠i}(x − t_j)` over the whole history, and the same product without
+/// the oldest point's factor: multiplied last, so the second is an exact
+/// prefix of the first (for `i` the oldest point, both are the full product).
+#[inline]
+fn basis_products(times: &[f64], i: usize, x: f64) -> (f64, f64) {
+    let oldest = times.len() - 1;
+    let mut prefix = 1.0;
+    for (j, &tj) in times[..oldest].iter().enumerate() {
+        if j != i {
+            prefix *= x - tj;
+        }
+    }
+    let full = if i == oldest { prefix } else { prefix * (x - times[oldest]) };
+    (full, prefix)
 }
 
 #[cfg(test)]
@@ -196,9 +224,9 @@ mod tests {
     #[test]
     fn adams_bashforth_rejects_bad_order() {
         let mut out = [0.0; MAX_ADAMS_BASHFORTH_ORDER + 1];
-        assert!(adams_bashforth_coefficients_into(&[], 0.1, &mut out).is_err());
+        assert!(adams_bashforth_coefficients_into(&[], 0.1, &mut out, None).is_err());
         let five = [0.0, -0.1, -0.2, -0.3, -0.4];
-        assert!(adams_bashforth_coefficients_into(&five, 0.1, &mut out).is_err());
+        assert!(adams_bashforth_coefficients_into(&five, 0.1, &mut out, None).is_err());
         for order in [0, MAX_ADAMS_BASHFORTH_ORDER + 1] {
             assert!(
                 std::panic::catch_unwind(|| adams_bashforth_uniform_coefficients(order)).is_err()
@@ -330,5 +358,144 @@ mod proptests {
             let exact = 0.5 * h_next * h_next; // ∫_0^h t dt with t_n = 0
             prop_assert!((weighted - exact).abs() < 1e-10);
         }
+
+        /// The lower-order set a call fills alongside is bit for bit the one
+        /// a separate call on the shortened history returns, and the main
+        /// set is bit for bit the straightforward quadrature — on random,
+        /// exactly uniform and 1e-12-perturbed uniform histories.
+        #[test]
+        fn coefficient_pair_matches_separate_calls_bit_for_bit(
+            order in 1usize..=MAX_ADAMS_BASHFORTH_ORDER,
+            shape in 0usize..3,
+            exponents in prop::collection::vec(-6.0f64..-0.3, MAX_ADAMS_BASHFORTH_ORDER),
+            wiggles in prop::collection::vec(-1.0f64..1.0, MAX_ADAMS_BASHFORTH_ORDER),
+            t_n in 0.0f64..8.0,
+            h_exponent in -6.0f64..-0.3,
+        ) {
+            let h_next = 10f64.powf(h_exponent);
+            let times = history(order, shape, &exponents, &wiggles, t_n, h_next);
+            let mut single = [f64::NAN; MAX_ADAMS_BASHFORTH_ORDER];
+            adams_bashforth_coefficients_into(&times, h_next, &mut single, None).unwrap();
+            let reference = reference_coefficients(&times, h_next);
+            prop_assert_eq!(bits(&single[..order]), bits(&reference));
+
+            let (mut high, mut lower) =
+                ([f64::NAN; MAX_ADAMS_BASHFORTH_ORDER], [f64::NAN; MAX_ADAMS_BASHFORTH_ORDER]);
+            adams_bashforth_coefficients_into(&times, h_next, &mut high, Some(&mut lower))
+                .unwrap();
+            prop_assert_eq!(bits(&high), bits(&single));
+            if order >= 2 {
+                let mut separate = [f64::NAN; MAX_ADAMS_BASHFORTH_ORDER];
+                adams_bashforth_coefficients_into(&times[..order - 1], h_next, &mut separate, None)
+                    .unwrap();
+                prop_assert_eq!(bits(&lower), bits(&separate));
+            } else {
+                prop_assert_eq!(bits(&lower), bits(&[f64::NAN; MAX_ADAMS_BASHFORTH_ORDER]));
+            }
+        }
+
+        /// Asking for the lower-order set changes no error case: every
+        /// malformed history, step or buffer fails the same way with and
+        /// without it, and only a lower buffer too short for it adds one.
+        #[test]
+        fn coefficient_pair_keeps_the_error_cases(
+            order in 1usize..=MAX_ADAMS_BASHFORTH_ORDER,
+            defect in 0usize..6,
+            exponents in prop::collection::vec(-6.0f64..-0.3, MAX_ADAMS_BASHFORTH_ORDER),
+            t_n in 0.0f64..8.0,
+            h_exponent in -6.0f64..-0.3,
+        ) {
+            let mut h_next = 10f64.powf(h_exponent);
+            let mut times = history(order, 0, &exponents, &[0.0; 4], t_n, h_next);
+            let mut out_len = MAX_ADAMS_BASHFORTH_ORDER;
+            match defect {
+                0 => times.clear(),
+                1 => times = (0..=MAX_ADAMS_BASHFORTH_ORDER).map(|i| t_n - i as f64).collect(),
+                2 => times.push(*times.last().expect("non-empty")),
+                3 => h_next = -h_next,
+                4 => h_next = f64::INFINITY,
+                _ => out_len = times.len() - 1,
+            }
+            let mut single = [0.0; MAX_ADAMS_BASHFORTH_ORDER];
+            let (mut high, mut lower) = ([0.0; MAX_ADAMS_BASHFORTH_ORDER], [0.0; MAX_ADAMS_BASHFORTH_ORDER]);
+            let alone = adams_bashforth_coefficients_into(&times, h_next, &mut single[..out_len], None);
+            let paired = adams_bashforth_coefficients_into(
+                &times,
+                h_next,
+                &mut high[..out_len],
+                Some(&mut lower),
+            );
+            prop_assert!(alone.is_err(), "defect {} was accepted", defect);
+            prop_assert_eq!(format!("{alone:?}"), format!("{paired:?}"));
+
+            if order >= 2 {
+                let valid = history(order, 0, &exponents, &[0.0; 4], t_n, 1e-3);
+                let short = &mut lower[..order - 2];
+                prop_assert!(
+                    adams_bashforth_coefficients_into(&valid, 1e-3, &mut high, Some(short)).is_err()
+                );
+            }
+        }
+    }
+
+    /// A strictly decreasing history of `order` times ending at `t_n`:
+    /// random gaps (`shape` 0), gaps of exactly `h_next` (1), or those gaps
+    /// perturbed by up to 1e-12 relative (2).
+    fn history(
+        order: usize,
+        shape: usize,
+        exponents: &[f64],
+        wiggles: &[f64],
+        t_n: f64,
+        h_next: f64,
+    ) -> Vec<f64> {
+        let mut times = vec![t_n];
+        for i in 1..order {
+            let gap = match shape {
+                0 => 10f64.powf(exponents[i]),
+                1 => h_next,
+                _ => h_next * (1.0 + 1e-12 * wiggles[i]),
+            };
+            times.push(times[i - 1] - gap);
+        }
+        times
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|value| value.to_bits()).collect()
+    }
+
+    /// The quadrature written out directly: each basis product in index
+    /// order, one inverted denominator per coefficient.
+    fn reference_coefficients(times: &[f64], h_next: f64) -> Vec<f64> {
+        let t_n = times[0];
+        let t_next = t_n + h_next;
+        let half = 0.5 * (t_next - t_n);
+        let mid = 0.5 * (t_next + t_n);
+        let sqrt35 = (3.0f64 / 5.0).sqrt();
+        let nodes = [mid - half * sqrt35, mid, mid + half * sqrt35];
+        let weights = [5.0 / 9.0 * half, 8.0 / 9.0 * half, 5.0 / 9.0 * half];
+        (0..times.len())
+            .map(|i| {
+                let mut denominator = 1.0;
+                for (j, &tj) in times.iter().enumerate() {
+                    if j != i {
+                        denominator *= times[i] - tj;
+                    }
+                }
+                let inv_denominator = 1.0 / denominator;
+                let mut integral = 0.0;
+                for (node, weight) in nodes.iter().zip(weights.iter()) {
+                    let mut numerator = 1.0;
+                    for (j, &tj) in times.iter().enumerate() {
+                        if j != i {
+                            numerator *= node - tj;
+                        }
+                    }
+                    integral += weight * (numerator * inv_denominator);
+                }
+                integral
+            })
+            .collect()
     }
 }

@@ -1,7 +1,9 @@
 //! The hardened front door, end to end: full command lifecycle over a real
 //! socket transport, idempotent retry after a dropped reply, deterministic
 //! admission-control shedding, graceful drain with bit-identical resumption
-//! after a restart, and the kill-during-drain torture.
+//! after a restart, the kill-during-drain torture, and the unix-socket
+//! listener itself (`Server::serve_unix`: bind, drain and kill wake-ups, the
+//! non-socket refusal).
 //!
 //! Bit-identity is witnessed at the wire level: the `status` line of a
 //! finished session carries the FNV-1a-64 digest of its final state vector,
@@ -10,9 +12,10 @@
 
 #![cfg(unix)]
 
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::io::ErrorKind;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use harvsim::core::store::SessionStore;
@@ -837,4 +840,165 @@ fn assert_no_temp_litter(dir: &PathBuf) {
         let name = name.to_string_lossy().into_owned();
         assert!(!name.ends_with(".tmp"), "temp staging file {name:?} leaked into the store");
     }
+}
+
+/// Runs `serve_unix` on a thread of its own; its result arrives on the
+/// returned channel.
+fn spawn_listener(server: &Server, socket: &Path) -> mpsc::Receiver<std::io::Result<()>> {
+    let (done, result) = mpsc::channel();
+    let server = server.clone();
+    let socket = socket.to_path_buf();
+    std::thread::spawn(move || {
+        let _ = done.send(server.serve_unix(&socket));
+    });
+    result
+}
+
+/// Connects the moment the listener is bound: retries, without sleeping,
+/// only the refusals of the instants before `bind` and `listen` complete.
+fn connect_when_bound(socket: &Path) -> UnixStream {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match UnixStream::connect(socket) {
+            Ok(stream) => return stream,
+            Err(err)
+                if matches!(err.kind(), ErrorKind::NotFound | ErrorKind::ConnectionRefused) =>
+            {
+                assert!(Instant::now() < deadline, "{socket:?} was never bound: {err}");
+                std::thread::yield_now();
+            }
+            Err(err) => panic!("connect {socket:?}: {err}"),
+        }
+    }
+}
+
+/// A single-attempt [`Client`] over the server's unix socket.
+fn socket_client(
+    socket: &Path,
+) -> Client<UnixStream, impl FnMut(&RetryPolicy) -> std::io::Result<(UnixStream, UnixStream)>> {
+    let socket = socket.to_path_buf();
+    Client::new(
+        move |policy: &RetryPolicy| -> std::io::Result<(UnixStream, UnixStream)> {
+            let stream = connect_when_bound(&socket);
+            stream.set_read_timeout(Some(policy.deadline))?;
+            Ok((stream.try_clone()?, stream))
+        },
+        RetryPolicy {
+            attempts: 1,
+            deadline: Duration::from_secs(20),
+            backoff: Duration::from_millis(5),
+        },
+    )
+}
+
+#[test]
+fn serve_unix_answers_a_connect_right_after_bind_and_returns_on_drain() {
+    let dir = unique_dir("listen");
+    let socket = dir.with_extension("sock");
+    // A listener that died without cleaning up leaves its socket file
+    // behind; the next server replaces it.
+    drop(UnixListener::bind(&socket).expect("bind a stale socket"));
+    assert!(socket.exists());
+
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() },
+    );
+    let finished = spawn_listener(&server, &socket);
+    let mut client = socket_client(&socket);
+    assert_eq!(client.send(&Command::Ping).expect("ping right after bind"), Response::Pong);
+    // A second, idle connection: its handler stays blocked reading, which
+    // must not keep the listener alive past the drain.
+    let idle = connect_when_bound(&socket);
+    assert!(
+        matches!(finished.try_recv(), Err(mpsc::TryRecvError::Empty)),
+        "the listener returned before any shutdown"
+    );
+
+    // Drain with a slice in flight: the worker leaves its loop before the
+    // drain completes, so the wake must come from the drain itself.
+    let spec = long_spec("listen-0", JobClass::Batch);
+    assert!(matches!(
+        client.send(&Command::Submit(spec.clone())).expect("submit"),
+        Response::Submitted { .. }
+    ));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !matches!(
+        server.execute(Command::Status { id: spec.id.clone() }),
+        Response::Status(info) if info.time_s > 0.0
+    ) {
+        assert!(Instant::now() < deadline, "{} never progressed", spec.id);
+        std::thread::yield_now();
+    }
+    assert!(matches!(
+        client.send(&Command::Drain).expect("drain"),
+        Response::Drained { checkpointed: 1, .. }
+    ));
+    let served = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_unix must return once the drain completes");
+    served.expect("a drained listener returns Ok");
+    assert!(!socket.exists(), "the listener must remove its socket file");
+    server.join();
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn injected_kill_wakes_the_blocked_listener() {
+    let dir = unique_dir("listen-kill");
+    let socket = dir.with_extension("sock");
+    let plan = Arc::new(FaultPlan::new(0x50C).with_kills(3, 1));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(1),
+            slice_s: 0.002,
+            fault_plan: Some(plan.clone()),
+            ..ServerOptions::default()
+        },
+    );
+    let finished = spawn_listener(&server, &socket);
+    let mut client = socket_client(&socket);
+    // The listener is registered and blocked in `accept` before the job that
+    // carries the kill is submitted.
+    assert_eq!(client.send(&Command::Ping).expect("ping"), Response::Pong);
+    assert!(matches!(
+        client.send(&Command::Submit(long_spec("listen-kill-0", JobClass::Batch))).expect("submit"),
+        Response::Submitted { .. }
+    ));
+
+    let served = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("serve_unix must return once a kill stops the server");
+    served.expect("a killed server's listener returns Ok");
+    assert_eq!(plan.kills(), 1, "the kill schedule must have fired exactly once");
+    assert!(server.is_shutdown());
+    assert!(!socket.exists(), "the listener must remove its socket file");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_unix_refuses_a_path_that_is_not_a_socket() {
+    let dir = unique_dir("listen-refuse");
+    let server = start_server(&dir, ServerOptions { workers: Some(1), ..ServerOptions::default() });
+    // A mistyped `--socket` pointing at the store's own manifest, or at a
+    // directory, must fail typed and leave the file as it was.
+    let manifest = dir.join("MANIFEST");
+    let before = std::fs::read(&manifest).expect("the opened store has a manifest");
+    for victim in [&manifest, &dir] {
+        let refused = spawn_listener(&server, victim)
+            .recv_timeout(Duration::from_secs(30))
+            .expect("serve_unix must refuse instead of serving");
+        let err = refused.expect_err("a non-socket path must be refused");
+        assert_eq!(err.kind(), ErrorKind::AlreadyExists, "{victim:?}: {err}");
+    }
+    assert_eq!(std::fs::read(&manifest).expect("manifest survives"), before);
+    assert!(dir.is_dir());
+    assert!(SessionStore::open(&dir).is_ok(), "the store still opens");
+
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { .. }));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
