@@ -18,8 +18,9 @@
 //!
 //! `repro explore` runs the design-space exploration subsystem
 //! (DESIGN.md §12): a declarative grid over the extended sweep axes executed
-//! on the work-stealing, warm-starting [`Explorer`], streamed into a durable
-//! result store and distilled into a Pareto report (`BENCH_explore.json`):
+//! on the warm-starting [`Explorer`] (whole chains from one shared list),
+//! streamed into a durable result store and distilled into a Pareto report
+//! (`BENCH_explore.json`):
 //!
 //! ```bash
 //! cargo run --release -p harvsim-bench --bin repro -- \
@@ -440,10 +441,9 @@ fn print_explore_report(report: &ExploreReport) {
         report.skipped
     );
     println!(
-        "workers {} ({} engaged), steals {}, warm {} / cold {}, resumed {}, dropped regions {}",
+        "workers {} ({} engaged), warm {} / cold {}, resumed {}, dropped regions {}",
         report.workers,
         report.threads_used,
-        report.steals,
         report.warm_hits,
         report.cold_starts,
         report.resumed,

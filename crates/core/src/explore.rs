@@ -5,10 +5,13 @@
 //! consumer: a declarative [`GridSpec`] (a [`SweepGrid`] cross product plus
 //! deterministic subsampling/refinement) driven by an [`Explorer`] that
 //!
-//! * executes points on a **work-stealing scheduler** — per-worker deques of
-//!   warm-start chains; an idle worker steals whole chains totalling about
-//!   half of a victim's remaining points (chains, not single points, because
-//!   a chain's points depend on each other — see below);
+//! * executes whole warm-start chains (not single points, because a chain's
+//!   points depend on each other — see below) from **one shared list**:
+//!   every chain is known before the first one runs, so each worker pops the
+//!   next chain until the list is empty, and nothing needs stealing. Chains
+//!   are not jobs of the session slice pool: a pool job is one sliced,
+//!   checkpointed, billed session, while a chain is several unsliced
+//!   sessions handing a donor state along;
 //! * **warm-starts** each point from its predecessor along the innermost
 //!   grid axis: the donor's fast states (mechanical, coil, rail, intermediate
 //!   Dickson stages) are adopted through
@@ -34,7 +37,7 @@
 //! `repro explore` wraps this into a CLI and emits `BENCH_explore.json`;
 //! DESIGN.md §12 documents the model and the file format.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,7 +134,7 @@ impl GridSpec {
     /// The [`SweepGrid`] this spec expands through — the same builder
     /// `repro table2 --sweep` uses, so the `scenario+p1=v1+p2=v2` label path
     /// is shared verbatim.
-    pub fn sweep_grid(&self) -> SweepGrid {
+    fn sweep_grid(&self) -> SweepGrid {
         let mut grid = SweepGrid::new(self.base.clone());
         for (param, values) in &self.axes {
             grid = grid.axis(*param, values);
@@ -334,7 +337,8 @@ pub struct ExploreReport {
     pub workers: usize,
     /// Worker threads that executed at least one point this run.
     pub threads_used: usize,
-    /// Warm-start chains migrated between workers by stealing.
+    /// Always 0: the workers share one chain list and never steal. Kept
+    /// because `perfbench` reads it; a benchmark change removes it.
     pub steals: usize,
     /// Points executed this run that adopted a warm-start donor.
     pub warm_hits: usize,
@@ -368,8 +372,9 @@ enum Mode {
     ReportOnly,
 }
 
-/// Executes a [`GridSpec`] on a work-stealing worker pool with warm starts
-/// and an optional durable result store. See the module docs for the model.
+/// Executes a [`GridSpec`] on worker threads that share one list of
+/// warm-start chains, with an optional durable result store. See the module
+/// docs for the model.
 #[derive(Debug, Clone)]
 pub struct Explorer {
     spec: GridSpec,
@@ -380,11 +385,10 @@ pub struct Explorer {
 
 impl Explorer {
     /// Creates an explorer over `spec` with the default worker count:
-    /// `max(2, available_parallelism)`. Unlike the Table II batch runner —
-    /// which falls back to sequential on a single-core host to keep its
-    /// wall-clock *measurements* honest — the explorer is a throughput
+    /// `max(2, available_parallelism)`. The explorer is a throughput
     /// workload: per-point wall-times are informational (the deterministic
-    /// cost axis is the step count), so it always fans out.
+    /// cost axis is the step count), so it fans out even on a single-core
+    /// host.
     pub fn new(spec: GridSpec) -> Self {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(2);
         Explorer { spec, workers, warm_start: true, store_path: None }
@@ -512,44 +516,37 @@ impl Explorer {
             _ => None,
         };
 
-        // Work-stealing execution: chains are dealt round-robin onto
-        // per-worker deques; owners pop LIFO at the back, thieves take whole
-        // chains from the front totalling about half the victim's remaining
-        // points. Completed records stream back over a channel and are
-        // appended (and flushed) to the store one frame at a time, so a kill
-        // at any instant loses at most the frame in flight.
-        let worker_count = self.workers.min(chains.len()).max(1);
-        let queues: Vec<Mutex<VecDeque<Chain>>> =
-            (0..worker_count).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, chain) in chains.into_iter().enumerate() {
-            queues[i % worker_count].lock().expect("queue lock").push_back(chain);
-        }
-        let steals = AtomicUsize::new(0);
+        // Greedy list scheduling: every chain is known up front, so the
+        // workers share one list and each pops the next chain until it is
+        // empty. Popping from the back is deliberate: later chains in grid
+        // order hold the heavy points (the default study's last chains, at
+        // 0.9 m/s² and 5 stages, are its heaviest), so they start first and
+        // light chains fill the tail. Completed records stream back over a
+        // channel and are appended (and flushed) to the store one frame at
+        // a time, so a kill at any instant loses at most the frame in
+        // flight.
+        let worker_count = self.workers.min(chains.len());
+        let chains = Mutex::new(chains);
         let engaged = AtomicUsize::new(0);
         let warm_enabled = self.warm_start;
         let mut executed: Vec<PointRecord> = Vec::new();
-        let has_work = queues.iter().any(|q| !q.lock().expect("queue lock").is_empty());
-        if has_work {
-            let (tx, rx) = mpsc::channel::<PointRecord>();
-            std::thread::scope(|scope| -> Result<(), CoreError> {
-                for id in 0..worker_count {
-                    let tx = tx.clone();
-                    let queues = &queues;
-                    let steals = &steals;
-                    let engaged = &engaged;
-                    scope.spawn(move || worker_loop(id, queues, warm_enabled, tx, steals, engaged));
+        let (tx, rx) = mpsc::channel::<PointRecord>();
+        std::thread::scope(|scope| -> Result<(), CoreError> {
+            for _ in 0..worker_count {
+                let tx = tx.clone();
+                let (chains, engaged) = (&chains, &engaged);
+                scope.spawn(move || worker_loop(chains, warm_enabled, tx, engaged));
+            }
+            drop(tx);
+            for record in rx {
+                if let Some(file) = store_file.as_mut() {
+                    let path = self.store_path.as_ref().expect("store file implies path");
+                    append_record(file, path, digest, &record)?;
                 }
-                drop(tx);
-                for record in rx {
-                    if let Some(file) = store_file.as_mut() {
-                        let path = self.store_path.as_ref().expect("store file implies path");
-                        append_record(file, path, digest, &record)?;
-                    }
-                    executed.push(record);
-                }
-                Ok(())
-            })?;
-        }
+                executed.push(record);
+            }
+            Ok(())
+        })?;
 
         let warm_hits = executed.iter().filter(|record| record.warm).count();
         let cold_starts = executed.len() - warm_hits;
@@ -576,7 +573,7 @@ impl Explorer {
             skipped: offered - completed - failed,
             workers: self.workers,
             threads_used: engaged.load(Ordering::Relaxed),
-            steals: steals.load(Ordering::Relaxed),
+            steals: 0,
             warm_hits,
             cold_starts,
             resumed,
@@ -593,9 +590,7 @@ impl Explorer {
 /// (donors for their chain successors). Executed sequentially by one worker
 /// so every point's donor is ready when the point runs — which is what makes
 /// warm-started results independent of the worker count.
-struct Chain {
-    slots: Vec<Slot>,
-}
+type Chain = Vec<Slot>;
 
 enum Slot {
     Run(Box<PointPlan>),
@@ -604,12 +599,6 @@ enum Slot {
     /// failures (a failure contributes no donor, matching the fresh-run
     /// rule).
     Donor(Option<Vec<f64>>),
-}
-
-impl Chain {
-    fn run_len(&self) -> usize {
-        self.slots.iter().filter(|slot| matches!(slot, Slot::Run(_))).count()
-    }
 }
 
 fn build_chains(
@@ -637,68 +626,26 @@ fn build_chains(
     }
     groups
         .into_iter()
-        .map(|(_, slots)| Chain { slots })
-        .filter(|chain| chain.run_len() > 0)
+        .map(|(_, slots)| slots)
+        .filter(|slots| slots.iter().any(|slot| matches!(slot, Slot::Run(_))))
         .collect()
 }
 
+/// Pops chains off the shared list until it is empty; counts itself in
+/// `engaged` if it got at least one.
 fn worker_loop(
-    id: usize,
-    queues: &[Mutex<VecDeque<Chain>>],
+    chains: &Mutex<Vec<Chain>>,
     warm_enabled: bool,
     tx: mpsc::Sender<PointRecord>,
-    steals: &AtomicUsize,
     engaged: &AtomicUsize,
 ) {
-    let mut worked = false;
-    loop {
-        let own = queues[id].lock().expect("queue lock").pop_back();
-        let Some(chain) = own.or_else(|| steal(id, queues, steals)) else { break };
-        if !worked {
-            worked = true;
-            engaged.fetch_add(1, Ordering::Relaxed);
-        }
+    let mut next = std::iter::from_fn(|| chains.lock().expect("chain list lock").pop()).peekable();
+    if next.peek().is_some() {
+        engaged.fetch_add(1, Ordering::Relaxed);
+    }
+    for chain in next {
         execute_chain(chain, warm_enabled, &tx);
     }
-}
-
-/// Steals work for worker `id`: scans the other queues and takes whole
-/// chains from the victim's front totalling about half of its remaining
-/// points (`⌈points/2⌉`). Whole chains, because splitting one would break
-/// the warm-start dependency order; "half the points" (not half the chains)
-/// because chains can be unequal. Returns the first stolen chain and queues
-/// the rest locally.
-fn steal(id: usize, queues: &[Mutex<VecDeque<Chain>>], steals: &AtomicUsize) -> Option<Chain> {
-    for offset in 1..queues.len() {
-        let victim = (id + offset) % queues.len();
-        let mut stolen = {
-            let mut queue = queues[victim].lock().expect("queue lock");
-            let total: usize = queue.iter().map(Chain::run_len).sum();
-            if total == 0 {
-                continue;
-            }
-            let target = total.div_ceil(2);
-            let mut taken = Vec::new();
-            let mut got = 0usize;
-            while got < target {
-                let Some(chain) = queue.pop_front() else { break };
-                got += chain.run_len();
-                taken.push(chain);
-            }
-            taken
-        };
-        if stolen.is_empty() {
-            continue;
-        }
-        steals.fetch_add(stolen.len(), Ordering::Relaxed);
-        let first = stolen.remove(0);
-        if !stolen.is_empty() {
-            let mut own = queues[id].lock().expect("queue lock");
-            own.extend(stolen);
-        }
-        return Some(first);
-    }
-    None
 }
 
 fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord>) {
@@ -707,7 +654,7 @@ fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord
     // successor warm-starts from the last good neighbour — deterministic,
     // because the chain order is fixed by the grid).
     let mut donor: Option<Vec<f64>> = None;
-    for slot in chain.slots {
+    for slot in chain {
         match slot {
             Slot::Donor(state) => {
                 if state.is_some() {
@@ -1189,6 +1136,23 @@ mod tests {
         // Rows arrive sorted by grid index whatever the completion order.
         for pair in report.rows.windows(2) {
             assert!(pair[0].index < pair[1].index);
+        }
+
+        // More workers than chains: at most one worker per chain engages,
+        // and every deterministic field matches the 2-worker run.
+        let wide = Explorer::new(quick_spec()).workers(5).run().unwrap();
+        assert!(wide.threads_used <= 2);
+        assert_eq!((report.steals, wide.steals), (0, 0));
+        assert_eq!((wide.cold_starts, wide.warm_hits), (2, 4));
+        assert_eq!(wide.rows.len(), report.rows.len());
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, b) in report.rows.iter().zip(&wide.rows) {
+            assert_eq!(a.index, b.index);
+            let (ma, mb) = (a.metrics().unwrap(), b.metrics().unwrap());
+            assert_eq!(ma.steps, mb.steps);
+            assert_eq!(ma.energy_gain_j.to_bits(), mb.energy_gain_j.to_bits());
+            assert_eq!(ma.dip_v.to_bits(), mb.dip_v.to_bits());
+            assert_eq!(bits(&ma.final_state), bits(&mb.final_state));
         }
     }
 

@@ -507,7 +507,8 @@ impl Server {
     }
 
     /// Binds `path` and serves unix-socket connections (one handler thread
-    /// each) until the server shuts down (drain or kill), then removes the
+    /// each) until the server shuts down (drain or kill), then shuts the read
+    /// side of every open connection, so idle handlers end, and removes the
     /// socket file. The listener blocks in `accept`; the shutdown wakes it
     /// with one connection. A stale socket file at `path` is replaced.
     ///
@@ -540,21 +541,36 @@ impl Server {
             }
             state.front.listeners.push(path.to_path_buf());
         }
+        // Each running handler's connection, held so the shutdown can wake
+        // a handler blocked in `read`; finished ones are dropped per accept.
+        let mut handlers: Vec<(std::os::unix::net::UnixStream, std::thread::JoinHandle<()>)> =
+            Vec::new();
         let served = loop {
             match listener.accept() {
                 Ok(_) if self.is_shutdown() => break Ok(()),
                 Ok((stream, _)) => {
+                    handlers.retain(|(_, handler)| !handler.is_finished());
+                    let Ok(held) = stream.try_clone() else { continue };
                     let server = self.clone();
-                    std::thread::spawn(move || {
-                        let Ok(read_half) = stream.try_clone() else { return };
-                        let _ = server.handle_connection(read_half, stream);
+                    let handler = std::thread::spawn(move || {
+                        let _ = server.handle_connection(&stream, &stream);
+                        // `held` keeps the socket open past this drop, so
+                        // close the connection explicitly.
+                        let _ = stream.shutdown(std::net::Shutdown::Both);
                     });
+                    handlers.push((held, handler));
                 }
                 Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(err) => break Err(err),
             }
         };
         self.shared.pool.lock().front.listeners.retain(|listening| listening != path);
+        // Read side only: the handler that ran the drain writes its reply
+        // after this wake. Not joined, so a peer that stops reading cannot
+        // hold up the return.
+        for (held, _) in &handlers {
+            let _ = held.shutdown(std::net::Shutdown::Read);
+        }
         served
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! This example drives the `explore` subsystem (DESIGN.md §12) in memory: a
 //! declarative [`GridSpec`] over multiplier depth × excitation × pre-charge
-//! is executed by the work-stealing, warm-starting [`Explorer`], and the
-//! resulting rows are distilled into an exact Pareto front over (harvested
-//! energy ↑, store-voltage dip ↓, engine steps ↓). Every point runs as a
+//! is executed by the warm-starting [`Explorer`], and the resulting rows are
+//! distilled into an exact Pareto front over (harvested energy ↑,
+//! store-voltage dip ↓, engine steps ↓). Every point runs as a
 //! streaming session observed by O(1) probes, so the grid's memory footprint
 //! is independent of both its width and the simulated span — which is what
 //! makes "as many scenarios as you can imagine" a memory non-event. For the
@@ -33,19 +33,18 @@ fn main() -> Result<(), harvsim::CoreError> {
         .axis(SweepParameter::InitialSupercapVoltage, &[2.3, 2.5, 2.7]);
 
     println!("== design exploration: stages x acceleration x pre-charge ==");
-    println!("grid: {} points, executed by the work-stealing explorer\n", spec.offered());
+    println!("grid: {} points, executed by the explorer\n", spec.offered());
 
     let report = Explorer::new(spec).run()?;
     println!(
         "completed {} / failed {} / skipped {} of {} offered  \
-         (workers {}, {} engaged, {} steals, warm {} / cold {})",
+         (workers {}, {} engaged, warm {} / cold {})",
         report.completed,
         report.failed,
         report.skipped,
         report.offered,
         report.workers,
         report.threads_used,
-        report.steals,
         report.warm_hits,
         report.cold_starts
     );

@@ -4,7 +4,7 @@
 //!
 //! 1. **Scheduler independence** — the same `GridSpec` + seed produces
 //!    bit-identical per-point results and an identical Pareto front whether
-//!    the grid runs on 1 worker or on a steal-heavy pool. This is the payoff
+//!    the grid runs on 1 worker or on a 4-worker pool. This is the payoff
 //!    of the fixed-donor chain design: the warm-start donor of every point
 //!    is decided by the grid (nearest preceding completed point along the
 //!    innermost axis), never by execution order.
@@ -22,7 +22,7 @@ fn quick_base() -> ScenarioConfig {
     base
 }
 
-/// 4 chains × 3 points — enough chains that a 4-worker pool actually steals.
+/// 4 chains × 3 points — as many chains as a 4-worker pool has workers.
 fn pinned_spec() -> GridSpec {
     GridSpec::new(quick_base())
         .axis(SweepParameter::AccelerationAmplitude, &[0.45, 0.55, 0.65, 0.75])

@@ -12,7 +12,7 @@
 
 #![cfg(unix)]
 
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -908,8 +908,18 @@ fn serve_unix_answers_a_connect_right_after_bind_and_returns_on_drain() {
     let mut client = socket_client(&socket);
     assert_eq!(client.send(&Command::Ping).expect("ping right after bind"), Response::Pong);
     // A second, idle connection: its handler stays blocked reading, which
-    // must not keep the listener alive past the drain.
-    let idle = connect_when_bound(&socket);
+    // must not keep the listener alive past the drain, and the listener's
+    // return must end that handler.
+    let mut idle = connect_when_bound(&socket);
+    // A connection its handler closes (an undecodable frame) gets the typed
+    // reply and then end of stream while the listener keeps running.
+    let mut refused = connect_when_bound(&socket);
+    refused.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    refused.write_all(b"\xff\n").expect("send a non-UTF-8 frame");
+    let mut reply = Vec::new();
+    let read = refused.read_to_end(&mut reply);
+    assert!(read.is_ok(), "the handler's close did not reach the client: {read:?}");
+    assert!(reply.starts_with(b"err protocol"), "{}", String::from_utf8_lossy(&reply));
     assert!(
         matches!(finished.try_recv(), Err(mpsc::TryRecvError::Empty)),
         "the listener returned before any shutdown"
@@ -939,8 +949,12 @@ fn serve_unix_answers_a_connect_right_after_bind_and_returns_on_drain() {
         .expect("serve_unix must return once the drain completes");
     served.expect("a drained listener returns Ok");
     assert!(!socket.exists(), "the listener must remove its socket file");
+    // The idle connection's handler wakes from `read`, returns and closes
+    // the connection: its client reads end-of-stream, not a timeout.
+    idle.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let read = idle.read(&mut [0u8; 16]);
+    assert!(matches!(read, Ok(0)), "the idle handler outlived the listener: {read:?}");
     server.join();
-    drop(idle);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
