@@ -631,8 +631,9 @@ fn build_chains(
         .collect()
 }
 
-/// Pops chains off the shared list until it is empty; counts itself in
-/// `engaged` if it got at least one.
+/// Pops chains off the shared list until it is empty or the receiver is
+/// gone (a failed store append ended the run); counts itself in `engaged`
+/// if it got at least one.
 fn worker_loop(
     chains: &Mutex<Vec<Chain>>,
     warm_enabled: bool,
@@ -644,11 +645,15 @@ fn worker_loop(
         engaged.fetch_add(1, Ordering::Relaxed);
     }
     for chain in next {
-        execute_chain(chain, warm_enabled, &tx);
+        if !execute_chain(chain, warm_enabled, &tx) {
+            break;
+        }
     }
 }
 
-fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord>) {
+/// Runs one chain in order, sending each record. Returns `false` as soon as
+/// a send fails: nobody receives the rest of the run.
+fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord>) -> bool {
     // The running donor: the final state of the nearest *completed*
     // predecessor in the chain (failures leave it untouched, so a failure's
     // successor warm-starts from the last good neighbour — deterministic,
@@ -668,11 +673,12 @@ fn execute_chain(chain: Chain, warm_enabled: bool, tx: &mpsc::Sender<PointRecord
                     donor = Some(metrics.final_state.clone());
                 }
                 if tx.send(record).is_err() {
-                    return;
+                    return false;
                 }
             }
         }
     }
+    true
 }
 
 fn run_point(plan: &PointPlan, donor: Option<&[f64]>) -> PointRecord {
@@ -1154,6 +1160,24 @@ mod tests {
             assert_eq!(ma.dip_v.to_bits(), mb.dip_v.to_bits());
             assert_eq!(bits(&ma.final_state), bits(&mb.final_state));
         }
+    }
+
+    #[test]
+    fn a_worker_stops_popping_once_the_receiver_is_gone() {
+        // Three chains of two points; the receiver hangs up before the first
+        // record, as the main thread's does when a store append fails.
+        let spec = GridSpec::new(quick_base())
+            .axis(SweepParameter::AccelerationAmplitude, &[0.5, 0.6, 0.7])
+            .axis(SweepParameter::InitialSupercapVoltage, &[2.4, 2.6]);
+        let chains = build_chains(&spec.plan().unwrap(), &[], &HashSet::new(), spec.chain_stride());
+        assert_eq!(chains.len(), 3);
+        let chains = Mutex::new(chains);
+        let (tx, rx) = mpsc::channel();
+        drop(rx);
+        let engaged = AtomicUsize::new(0);
+        worker_loop(&chains, true, tx, &engaged);
+        assert_eq!(engaged.load(Ordering::Relaxed), 1);
+        assert_eq!(chains.lock().unwrap().len(), 2, "only the chain in flight was popped");
     }
 
     #[test]

@@ -36,6 +36,28 @@
 //! *done* in the manifest *before* unlinking the frame (a crash in between
 //! is swept as done-with-leftover-frame).
 //!
+//! # Lock scope
+//!
+//! The store has two locks:
+//!
+//! * **the published map** (id → manifest record) is held only for short
+//!   in-memory sections, never across I/O, so [`SessionStore::is_active`],
+//!   [`SessionStore::get`] and [`SessionStore::active_ids`] never wait
+//!   behind an fsync;
+//! * **the manifest-writer lock** serialises manifest writers. Under it a
+//!   writer ([`SessionStore::put`], [`SessionStore::remove`]) snapshots the
+//!   published map plus its own change, writes that manifest, and publishes
+//!   the change only once the write has succeeded. Every later snapshot
+//!   therefore includes every earlier commit, and the map never holds a
+//!   record the durable manifest lacks.
+//!
+//! A put's `.prev` link and its atomic frame write run outside both locks,
+//! so frame writes for different ids overlap. That rests on the **per-id
+//! contract**: calls for one id never overlap. The slice pool guarantees it
+//! (a job runs on one worker at a time, and a drain parks only after
+//! quiescing the workers); calls for different ids may run concurrently
+//! from any number of threads.
+//!
 //! # Degradation & fault injection
 //!
 //! Writes retry with bounded exponential backoff ([`StoreOptions`]); callers
@@ -206,15 +228,23 @@ struct ManifestEntry {
     frame_checksum: u64,
 }
 
-/// The crash-safe on-disk session store. All methods take `&self` and are
-/// safe to call from many scheduler workers at once; the manifest is
-/// serialised internally. See the module docs for the durability contract.
+/// The crash-safe on-disk session store. All methods take `&self` and may
+/// be called from many scheduler workers at once, provided calls for one id
+/// never overlap (the slice pool runs a job on one worker at a time). Frame
+/// writes for different ids proceed in parallel; manifest writers are
+/// serialised on their own lock, and lookups take only a short in-memory
+/// lock that is never held across I/O. See the module docs for the lock
+/// scope and the durability contract.
 #[derive(Debug)]
 pub struct SessionStore {
     dir: PathBuf,
     options: StoreOptions,
     fault_plan: Option<Arc<FaultPlan>>,
+    /// The published records. Each one is in the durable manifest: writers
+    /// insert only after their manifest write succeeded.
     entries: Mutex<BTreeMap<String, ManifestEntry>>,
+    /// Serialises manifest writers (see [`SessionStore::commit`]).
+    manifest_writer: Mutex<()>,
     recovery: RecoveryReport,
 }
 
@@ -241,6 +271,7 @@ impl SessionStore {
             options,
             fault_plan: None,
             entries: Mutex::new(BTreeMap::new()),
+            manifest_writer: Mutex::new(()),
             recovery: RecoveryReport::default(),
         };
         store.recovery = store.reconcile()?;
@@ -281,6 +312,10 @@ impl SessionStore {
     /// Durably stores `frame` under `id` (atomic write, bounded retries, then
     /// manifest update). On success the frame survives a process kill at any
     /// later point. On failure the previous frame (if any) is untouched.
+    ///
+    /// The frame write runs outside the store's locks; only the manifest
+    /// update waits for other writers. Must not overlap another call for the
+    /// same `id`.
     pub fn put(&self, id: &str, frame: &[u8]) -> Result<(), StoreError> {
         validate_id(id)?;
         let path = self.frame_path(id);
@@ -290,46 +325,40 @@ impl SessionStore {
             frame_len: frame.len() as u64,
             frame_checksum: fnv1a64(frame),
         };
-        let mut entries = self.lock_entries();
         // Preserve the committed frame across the rename-vs-manifest crash
         // window (overwrites only): a hard link is free and atomic; recovery
         // promotes it back if the manifest still points at it.
         let _ = fs::remove_file(&prev);
-        let preserved = entries.get(id).is_some_and(|e| e.state == EntryState::Active)
+        let preserved = self.is_active(id)
             && (fs::hard_link(&path, &prev).is_ok() || fs::copy(&path, &prev).is_ok());
         if let Err(err) = self.with_retries(|| self.write_file_atomic(&path, frame)) {
             let _ = fs::remove_file(&prev);
             return Err(err);
         }
-        let previous_entry = entries.insert(id.to_string(), entry);
-        let result = self.with_retries(|| self.persist_manifest(&entries));
-        match &result {
-            Ok(()) => {
+        if let Err(err) = self.commit(id, entry) {
+            if preserved {
+                // The manifest still records the previous frame: roll the
+                // file back so disk, the map and a restart all agree on it.
+                let _ = fs::rename(&prev, &path);
+            } else {
+                // No previous frame to fall back to: drop the now-unaccounted
+                // frame, and the record of one that could not be preserved,
+                // so the map matches what a restart would conclude.
+                self.lock_entries().remove(id);
                 let _ = fs::remove_file(&prev);
+                let _ = fs::remove_file(&path);
             }
-            Err(_) => match previous_entry {
-                Some(old) if preserved => {
-                    // Manifest still records the previous frame: roll the
-                    // file back so disk, memory and a restart all agree on
-                    // that frame.
-                    let _ = fs::rename(&prev, &path);
-                    entries.insert(id.to_string(), old);
-                }
-                _ => {
-                    // No previous frame to fall back to: drop the record
-                    // (and the now-unaccounted frame) so the in-memory view
-                    // matches what a restart would conclude.
-                    entries.remove(id);
-                    let _ = fs::remove_file(&prev);
-                    let _ = fs::remove_file(&path);
-                }
-            },
+            return Err(err);
         }
-        result
+        let _ = fs::remove_file(&prev);
+        Ok(())
     }
 
     /// Loads the active frame stored under `id`, re-validating it end to end
-    /// (manifest length/checksum, then the sealed-frame checks).
+    /// (manifest length/checksum, then the sealed-frame checks). Never waits
+    /// behind a manifest write. Must not overlap a put or remove for the same
+    /// `id`: the frame file could change under the record it is checked
+    /// against.
     pub fn get(&self, id: &str) -> Result<Vec<u8>, StoreError> {
         validate_id(id)?;
         let entry = match self.lock_entries().get(id) {
@@ -358,22 +387,22 @@ impl SessionStore {
     /// Marks `id` complete and removes its frame: the record goes *done* in
     /// the manifest first, then the frame is unlinked (a crash in between is
     /// swept at the next open). After this, the session is no longer
-    /// recoverable — call it only once the job's result is delivered.
+    /// recoverable — call it only once the job's result is delivered. If the
+    /// manifest write fails, the entry stays active in memory as on disk.
+    /// Must not overlap another call for the same `id`.
     pub fn remove(&self, id: &str) -> Result<(), StoreError> {
         validate_id(id)?;
-        let mut entries = self.lock_entries();
-        let Some(entry) = entries.get_mut(id) else {
+        let Some(entry) = self.lock_entries().get(id).cloned() else {
             return Err(StoreError::UnknownSession { id: id.to_string() });
         };
-        entry.state = EntryState::Done;
-        self.with_retries(|| self.persist_manifest(&entries))?;
+        self.commit(id, ManifestEntry { state: EntryState::Done, ..entry })?;
         let path = self.frame_path(id);
         match fs::remove_file(&path) {
             Ok(()) => {}
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
             Err(err) => return Err(io_error("remove", &path, &err)),
         }
-        entries.remove(id);
+        self.lock_entries().remove(id);
         Ok(())
     }
 
@@ -387,6 +416,22 @@ impl SessionStore {
         // Manifest state stays consistent even if a panicking thread held the
         // lock: every mutation is a whole-entry insert/update.
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Commits one record change: under the manifest-writer lock, writes the
+    /// published map with `id` set to `entry` (bounded retries), then
+    /// publishes the change. Writers publish before releasing the lock, so
+    /// each manifest includes every earlier commit; a failed write publishes
+    /// nothing.
+    fn commit(&self, id: &str, entry: ManifestEntry) -> Result<(), StoreError> {
+        // The guard protects no data, so a writer that panicked left nothing
+        // half-updated.
+        let _writer = self.manifest_writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut manifest = self.lock_entries().clone();
+        manifest.insert(id.to_string(), entry.clone());
+        self.with_retries(|| self.persist_manifest(&manifest))?;
+        self.lock_entries().insert(id.to_string(), entry);
+        Ok(())
     }
 
     /// Runs `attempt` up to `write_attempts` times with doubling backoff.
@@ -472,8 +517,8 @@ impl SessionStore {
         Ok(bytes)
     }
 
-    /// Serialises and durably writes the manifest (callers hold the entry
-    /// lock, so manifest writers are serialised).
+    /// Serialises and durably writes the manifest (callers hold the
+    /// manifest-writer lock or, at open, `&mut self`).
     fn persist_manifest(
         &self,
         entries: &BTreeMap<String, ManifestEntry>,
@@ -936,6 +981,157 @@ mod tests {
         assert!(!dir.join("orphan.ckpt").exists());
         assert!(dir.join("orphan.ckpt.corrupt").exists(), "rejected frames are quarantined");
         assert!(!dir.join("stale.ckpt.tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One attempt per write and every `period`-th `StoreWrite` an I/O error.
+    fn store_failing_every(dir: &Path, period: u64) -> SessionStore {
+        let mut store = SessionStore::open_with(
+            dir,
+            StoreOptions { write_attempts: 1, retry_backoff: Duration::ZERO },
+        )
+        .unwrap();
+        store.set_fault_plan(Some(Arc::new(FaultPlan::new(13).with_site_kinds(
+            FaultSite::StoreWrite,
+            period,
+            u64::MAX,
+            &[FaultKind::Io],
+        ))));
+        store
+    }
+
+    #[test]
+    fn a_failed_remove_leaves_the_entry_active_in_memory_and_on_disk() {
+        let dir = unique_dir("remove-fault");
+        SessionStore::open(&dir).unwrap().put("epsilon", &frame(8)).unwrap();
+        let store = store_failing_every(&dir, 1);
+        assert!(matches!(store.remove("epsilon"), Err(StoreError::Io { .. })));
+        assert!(store.is_active("epsilon"), "the manifest still records the entry active");
+        assert_eq!(store.active_ids(), vec!["epsilon".to_string()]);
+        drop(store);
+
+        let store = SessionStore::open(&dir).unwrap();
+        assert_eq!(store.recovery().recovered, vec!["epsilon".to_string()], "a reopen agrees");
+        assert_eq!(store.get("epsilon").unwrap(), frame(8));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_manifest_write_rolls_a_put_back_on_disk() {
+        let dir = unique_dir("put-fault");
+        SessionStore::open(&dir).unwrap().put("zeta", &frame(9)).unwrap();
+        // Each put writes its frame, then the manifest: period 2 fails
+        // every manifest write and no frame write.
+        let store = store_failing_every(&dir, 2);
+        assert!(matches!(store.put("zeta", &frame(10)), Err(StoreError::Io { .. })));
+        assert_eq!(store.get("zeta").unwrap(), frame(9), "the previous frame is back");
+        assert!(matches!(store.put("eta", &frame(11)), Err(StoreError::Io { .. })));
+        assert!(!store.is_active("eta"));
+        assert!(!store.frame_path("eta").exists(), "an unrecorded frame is dropped");
+        drop(store);
+
+        let store = SessionStore::open(&dir).unwrap();
+        let recovery = store.recovery();
+        assert_eq!(recovery.recovered, vec!["zeta".to_string()]);
+        assert!(recovery.discarded.is_empty(), "{:?}", recovery.discarded);
+        assert_eq!((recovery.restored_previous, recovery.swept_temp_files), (0, 0));
+        assert_eq!(store.get("zeta").unwrap(), frame(9));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The active records of a manifest map, comparable across maps.
+    fn active_records(entries: &BTreeMap<String, ManifestEntry>) -> Vec<(String, u64, u64)> {
+        entries
+            .iter()
+            .filter(|(_, entry)| entry.state == EntryState::Active)
+            .map(|(id, entry)| (id.clone(), entry.frame_len, entry.frame_checksum))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_puts_and_removes_commit_every_last_frame() {
+        const THREADS: u8 = 4;
+        const ROUNDS: u8 = 8;
+        let tag = |thread: u8, round: u8| round * THREADS + thread;
+        let dir = unique_dir("concurrent");
+        let store = SessionStore::open(&dir).unwrap();
+        let barrier = std::sync::Barrier::new(usize::from(THREADS));
+        let problems: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (store, barrier) = (&store, &barrier);
+                    scope.spawn(move || {
+                        let (keep, gone) = (format!("keep-{thread}"), format!("gone-{thread}"));
+                        let mut problems = Vec::new();
+                        for round in 0..ROUNDS {
+                            // The barrier lines the threads up each round, so
+                            // their frame and manifest writes overlap. Failures
+                            // are collected, not raised: a thread that panicked
+                            // would leave the others waiting here for ever.
+                            barrier.wait();
+                            let bytes = frame(tag(thread, round));
+                            let kept = store.put(&keep, &bytes).and_then(|()| store.get(&keep));
+                            if kept.as_ref() != Ok(&bytes) {
+                                problems.push(format!("{keep} round {round}: {kept:?}"));
+                            }
+                            if thread % 2 == 0 {
+                                let gone_now =
+                                    store.put(&gone, &bytes).and_then(|()| store.remove(&gone));
+                                if gone_now.is_err() || store.is_active(&gone) {
+                                    problems.push(format!("{gone} round {round}: {gone_now:?}"));
+                                }
+                            }
+                            // The others wait at the next round's barrier, so
+                            // the leader sees the store at rest: the durable
+                            // manifest records exactly the published entries.
+                            if barrier.wait().is_leader() {
+                                let durable = fs::read(store.dir().join(MANIFEST_NAME))
+                                    .ok()
+                                    .and_then(|bytes| SessionStore::parse_manifest(&bytes).ok());
+                                let published = active_records(&store.lock_entries());
+                                if durable.as_ref().map(active_records) != Some(published) {
+                                    problems.push(format!("round {round}: manifest is stale"));
+                                }
+                            }
+                        }
+                        problems
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|worker| worker.join().unwrap()).collect()
+        });
+        assert!(problems.is_empty(), "{problems:#?}");
+        let keep: Vec<String> = (0..THREADS).map(|thread| format!("keep-{thread}")).collect();
+        let holds_last_frames = |store: &SessionStore| {
+            (0..THREADS).all(|thread| {
+                store.get(&keep[usize::from(thread)]).ok() == Some(frame(tag(thread, ROUNDS - 1)))
+            })
+        };
+        assert_eq!(store.active_ids(), keep);
+        assert!(holds_last_frames(&store));
+        drop(store);
+
+        let leftovers: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(TMP_SUFFIX) || name.ends_with(PREV_SUFFIX))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        let mut store = SessionStore::open(&dir).unwrap();
+        let recovery = store.recovery().clone();
+        assert_eq!(recovery.recovered, keep, "a reopen recovers exactly the active ids");
+        assert!(recovery.discarded.is_empty(), "{:?}", recovery.discarded);
+        assert_eq!((recovery.restored_previous, recovery.swept_temp_files), (0, 0));
+        assert!(holds_last_frames(&store), "a reopen holds every last frame");
+
+        // The durability cost per put is unchanged: two atomic writes (frame,
+        // then manifest), each one write and one rename; a remove is one.
+        let plan = Arc::new(FaultPlan::new(0));
+        store.set_fault_plan(Some(Arc::clone(&plan)));
+        store.put("keep-0", &frame(200)).unwrap();
+        assert_eq!((plan.calls(FaultSite::StoreWrite), plan.calls(FaultSite::StoreRename)), (2, 2));
+        store.remove("keep-0").unwrap();
+        assert_eq!((plan.calls(FaultSite::StoreWrite), plan.calls(FaultSite::StoreRename)), (3, 3));
         fs::remove_dir_all(&dir).unwrap();
     }
 }
