@@ -186,7 +186,6 @@ mod tests {
             panic!("the proposed engine is the state-space march");
         };
         assert_eq!(options.ab_order, 4);
-        assert!(options.adaptive_order);
         let SimulationEngine::NewtonRaphson(options) = baseline else {
             panic!("the reference engine is the Newton–Raphson baseline");
         };

@@ -57,11 +57,6 @@ impl TuningActuator {
         })
     }
 
-    /// The slew rate, in Hz/s.
-    pub fn rate_hz_per_s(&self) -> f64 {
-        self.rate_hz_per_s
-    }
-
     /// The presently achieved resonant frequency, in hertz.
     pub fn current_hz(&self) -> f64 {
         self.current_hz
@@ -113,7 +108,7 @@ impl TuningActuator {
     }
 
     /// Remaining move time at the configured rate, in seconds.
-    pub fn time_to_complete(&self) -> f64 {
+    fn time_to_complete(&self) -> f64 {
         (self.target_hz - self.current_hz).abs() / self.rate_hz_per_s
     }
 
@@ -194,6 +189,6 @@ mod tests {
         a.advance(100.0);
         assert!((a.total_travel_hz() - 3.0).abs() < 1e-9);
         assert_eq!(a.completed_moves(), 2);
-        assert_eq!(a.rate_hz_per_s(), 2.0);
+        assert_eq!(a.rate_hz_per_s, 2.0);
     }
 }

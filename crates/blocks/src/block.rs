@@ -153,20 +153,8 @@ impl LocalLinearisation {
         dx
     }
 
-    /// Evaluates the constraint residual `C·x + D·y + g` (zero when satisfied).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x`/`y` do not match the linearisation dimensions.
-    pub fn constraint_residual(&self, x: &DVector, y: &DVector) -> DVector {
-        let mut r = self.c.mul_vector(x);
-        r += &self.d.mul_vector(y);
-        r += &self.g;
-        r
-    }
-
     /// The Jacobian `which` of this linearisation.
-    pub fn jacobian(&self, which: Jacobian) -> &DMatrix {
+    fn jacobian(&self, which: Jacobian) -> &DMatrix {
         match which {
             Jacobian::A => &self.a,
             Jacobian::B => &self.b,
@@ -502,9 +490,6 @@ mod tests {
         // dx0 = -1*2 + 1*3 + 0.5 = 1.5 ; dx1 = -2*1 + 0 + 0 = -2
         assert!((dx[0] - 1.5).abs() < 1e-14);
         assert!((dx[1] + 2.0).abs() < 1e-14);
-        let r = lin.constraint_residual(&x, &y);
-        // r = x0 - y0 = -1
-        assert!((r[0] + 1.0).abs() < 1e-14);
     }
 
     #[test]

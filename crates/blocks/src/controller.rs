@@ -22,7 +22,7 @@ use harvsim_digital::{Process, SimTime};
 
 use crate::actuator::TuningActuator;
 use crate::block::BlockError;
-use crate::params::{HarvesterParameters, LoadMode};
+use crate::params::LoadMode;
 
 /// The analogue-side quantities and knobs the digital controller can access.
 pub trait HarvesterEnvironment {
@@ -62,18 +62,6 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Builds the configuration from the shared parameter set.
-    pub fn from_parameters(params: &HarvesterParameters) -> Self {
-        ControllerConfig {
-            watchdog_period_s: params.watchdog_period_s,
-            energy_threshold_v: params.energy_threshold_v,
-            frequency_tolerance_hz: params.frequency_tolerance_hz,
-            measurement_duration_s: params.measurement_duration_s,
-            tuning_rate_hz_per_s: params.tuning_rate_hz_per_s,
-            tuning_update_interval_s: 0.05,
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -378,8 +366,6 @@ mod tests {
         let mut bad = config();
         bad.frequency_tolerance_hz = -1.0;
         assert!(bad.validate().is_err());
-        let params = HarvesterParameters::practical_device();
-        assert!(ControllerConfig::from_parameters(&params).validate().is_ok());
         assert!(MicroController::new(config(), 0.0).is_err());
     }
 

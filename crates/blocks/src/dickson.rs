@@ -101,7 +101,7 @@ impl DicksonMultiplier {
     ///
     /// Returns [`BlockError::InvalidParameter`] for fewer than two stages or a
     /// non-positive capacitance.
-    pub fn with_components(
+    fn with_components(
         stages: usize,
         stage_capacitance: f64,
         diode: DiodeModel,
@@ -149,11 +149,6 @@ impl DicksonMultiplier {
         &self.diode
     }
 
-    /// Replaces the diode model (used by the PWL-granularity ablation).
-    pub fn set_diode(&mut self, diode: DiodeModel) {
-        self.diode = diode;
-    }
-
     /// Switches between the PWL-table companions (default — the paper's
     /// technique) and exact analytic Shockley evaluation (the policy of the
     /// commercial tools the Newton–Raphson baseline reproduces; an `exp()`
@@ -186,6 +181,12 @@ impl DicksonMultiplier {
         }
     }
 
+    /// Replaces the diode model (the tests swap table granularities with it).
+    #[cfg(test)]
+    fn set_diode(&mut self, diode: DiodeModel) {
+        self.diode = diode;
+    }
+
     /// Diode voltage `V_{d,i} = n_{i−1} − n_i` for the present state (the rail
     /// voltage is the last state entry, `x[stages]`). The hot stamping path
     /// inlines this computation over a slice borrow; the method remains the
@@ -199,8 +200,9 @@ impl DicksonMultiplier {
     }
 
     /// Ideal no-load DC output estimate `2·⌊N/2⌋·v_amplitude − N·diode_drop`,
-    /// used by tests and examples as a sanity bound.
-    pub fn ideal_no_load_voltage(&self, v_amplitude: f64, diode_drop: f64) -> f64 {
+    /// the tests' sanity bound.
+    #[cfg(test)]
+    fn ideal_no_load_voltage(&self, v_amplitude: f64, diode_drop: f64) -> f64 {
         2.0 * (self.stages / 2) as f64 * v_amplitude - self.stages as f64 * diode_drop
     }
 

@@ -34,7 +34,7 @@ use crate::pwl::PiecewiseLinearTable;
 /// Default minimum conductance added in parallel with every diode (the SPICE
 /// `GMIN` device) so that the algebraic system of Eq. 4 stays non-singular when
 /// all diodes are off.
-pub const DEFAULT_GMIN: f64 = 1e-9;
+const DEFAULT_GMIN: f64 = 1e-9;
 
 /// Number of coarse segments covering the deep-reverse region of the lookup
 /// table (below ~8·n·Vt, where the Shockley curve *is* the straight line
@@ -333,16 +333,6 @@ impl DiodeModel {
         DiodeModel::new(1e-6, 0.02585, 1.05, (-5.0, 0.6), 600)
     }
 
-    /// A standard silicon junction diode (`Is = 10 fA`, `n = 1.0`), tabulated
-    /// over −5 V … +0.9 V.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors (cannot occur for these constants).
-    pub fn silicon() -> Result<Self, BlockError> {
-        DiodeModel::new(1e-14, 0.02585, 1.0, (-5.0, 0.9), 900)
-    }
-
     /// Rebuilds the model with a different lookup-table granularity (used by the
     /// PWL-granularity ablation benchmark).
     ///
@@ -363,21 +353,6 @@ impl DiodeModel {
     /// Saturation current `Is` in amperes.
     pub fn saturation_current(&self) -> f64 {
         self.saturation_current
-    }
-
-    /// Thermal voltage `Vt` in volts.
-    pub fn thermal_voltage(&self) -> f64 {
-        self.thermal_voltage
-    }
-
-    /// Ideality (emission) coefficient `n`.
-    pub fn emission_coefficient(&self) -> f64 {
-        self.emission_coefficient
-    }
-
-    /// Minimum parallel conductance (`GMIN`).
-    pub fn gmin(&self) -> f64 {
-        self.gmin
     }
 
     /// Number of fine segments resolving the forward knee — the granularity
@@ -521,15 +496,15 @@ mod tests {
         assert!(DiodeModel::new(1e-9, 0.025, 1.0, (0.6, -1.0), 10).is_err());
         let d = DiodeModel::schottky().unwrap();
         assert!(d.saturation_current() > 0.0);
-        assert!(d.thermal_voltage() > 0.0);
-        assert!(d.emission_coefficient() >= 1.0);
-        assert_eq!(d.gmin(), DEFAULT_GMIN);
+        assert!(d.thermal_voltage > 0.0);
+        assert!(d.emission_coefficient >= 1.0);
+        assert_eq!(d.gmin, DEFAULT_GMIN);
         assert_eq!(d.table_segments(), 600);
     }
 
     #[test]
     fn shockley_limits() {
-        let d = DiodeModel::silicon().unwrap();
+        let d = DiodeModel::new(1e-14, 0.02585, 1.0, (-5.0, 0.9), 900).unwrap();
         // Strong reverse bias: current ≈ -Is (plus the tiny gmin term).
         assert!((d.current(-2.0) - (-1e-14 + DEFAULT_GMIN * -2.0)).abs() < 1e-12);
         // Zero bias: zero current.
@@ -593,7 +568,7 @@ mod tests {
 
     #[test]
     fn high_voltage_limiting_prevents_overflow() {
-        let d = DiodeModel::silicon().unwrap();
+        let d = DiodeModel::new(1e-14, 0.02585, 1.0, (-5.0, 0.9), 900).unwrap();
         let huge = d.current(10.0);
         assert!(huge.is_finite());
         assert!(d.conductance(10.0).is_finite());
@@ -639,7 +614,7 @@ mod tests {
         let practical = |segments| DiodeModel::new(1e-6, 0.02585, 1.05, (-6.0, 0.20), segments);
         let mut models = vec![
             DiodeModel::schottky().unwrap(),
-            DiodeModel::silicon().unwrap(),
+            DiodeModel::new(1e-14, 0.02585, 1.0, (-5.0, 0.9), 900).unwrap(),
             DiodeModel::new(1e-6, 0.02585, 1.05, (0.1, 0.5), 50).unwrap(),
         ];
         for segments in [16, 150, 600, 1023] {

@@ -3,11 +3,7 @@
 //! The harvester is driven by base acceleration `a(t)`; the input force on the
 //! proof mass is `F_a = m·a(t)` (Eq. 8). The paper's two evaluation scenarios
 //! step the ambient frequency (70 → 71 Hz and 70 → 84 Hz) while keeping the
-//! amplitude constant; this module also provides linear sweeps and optional
-//! band-limited random jitter for robustness experiments.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! amplitude constant; this module also provides linear sweeps.
 
 use crate::block::BlockError;
 
@@ -111,27 +107,21 @@ impl FrequencyProfile {
     }
 }
 
-/// Sinusoidal base-acceleration excitation with a time-varying frequency and
-/// optional band-limited amplitude jitter.
+/// Sinusoidal base-acceleration excitation with a time-varying frequency.
 ///
-/// The acceleration is `a(t) = A·(1 + jitter(t))·sin(φ(t))` with the phase
-/// accumulated from the instantaneous frequency, `φ̇ = 2π·f(t)`, so that a
-/// frequency step produces a continuous waveform (no phase jump), matching how
-/// a real shaker behaves.
+/// The acceleration is `a(t) = A·sin(φ(t))` with the phase accumulated from
+/// the instantaneous frequency, `φ̇ = 2π·f(t)`, so that a frequency step
+/// produces a continuous waveform (no phase jump), matching how a real shaker
+/// behaves.
 #[derive(Debug, Clone)]
 pub struct VibrationExcitation {
     amplitude: f64,
     profile: FrequencyProfile,
-    jitter_fraction: f64,
-    jitter_seed: u64,
-    /// Cached phase integration support: phase is integrated analytically for
-    /// the piecewise profiles used here (constant / step / linear sweep).
-    phase_reference: f64,
 }
 
 impl VibrationExcitation {
     /// Creates an excitation with acceleration amplitude `amplitude` (m/s²) and
-    /// the given frequency profile, with no amplitude jitter.
+    /// the given frequency profile.
     ///
     /// # Errors
     ///
@@ -146,39 +136,7 @@ impl VibrationExcitation {
             });
         }
         profile.validate()?;
-        Ok(VibrationExcitation {
-            amplitude,
-            profile,
-            jitter_fraction: 0.0,
-            jitter_seed: 0,
-            phase_reference: 0.0,
-        })
-    }
-
-    /// Adds multiplicative amplitude jitter of the given fraction (e.g. 0.05 for
-    /// ±5 %), generated reproducibly from `seed`. Used by robustness tests; the
-    /// paper's scenarios use a clean sinusoid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BlockError::InvalidParameter`] if the fraction is negative or ≥ 1.
-    pub fn with_amplitude_jitter(mut self, fraction: f64, seed: u64) -> Result<Self, BlockError> {
-        if !(0.0..1.0).contains(&fraction) {
-            return Err(BlockError::InvalidParameter {
-                name: "jitter_fraction",
-                value: fraction,
-                constraint: "must lie in [0, 1)",
-            });
-        }
-        self.jitter_fraction = fraction;
-        self.jitter_seed = seed;
-        Ok(self)
-    }
-
-    /// Shifts the sinusoid's phase reference (radians at `t = 0`).
-    pub fn with_initial_phase(mut self, phase: f64) -> Self {
-        self.phase_reference = phase;
-        self
+        Ok(VibrationExcitation { amplitude, profile })
     }
 
     /// The acceleration amplitude in m/s².
@@ -198,9 +156,9 @@ impl VibrationExcitation {
         self.profile.frequency_at(t)
     }
 
-    /// Accumulated phase `φ(t) = φ₀ + 2π ∫₀ᵗ f(τ) dτ`, computed analytically for
+    /// Accumulated phase `φ(t) = 2π ∫₀ᵗ f(τ) dτ`, computed analytically for
     /// the supported profiles.
-    pub fn phase_at(&self, t: f64) -> f64 {
+    fn phase_at(&self, t: f64) -> f64 {
         let two_pi = 2.0 * std::f64::consts::PI;
         let integral = match self.profile {
             FrequencyProfile::Constant { frequency_hz } => frequency_hz * t,
@@ -228,23 +186,12 @@ impl VibrationExcitation {
                 }
             }
         };
-        self.phase_reference + two_pi * integral
+        two_pi * integral
     }
 
     /// Base acceleration `a(t)` in m/s².
-    pub fn acceleration_at(&self, t: f64) -> f64 {
-        let jitter = if self.jitter_fraction > 0.0 {
-            // Deterministic per-sample jitter: seeded by the integer millisecond
-            // index so the waveform is reproducible and piecewise-constant over
-            // 1 ms windows (band-limited well below the vibration frequency).
-            let window = (t * 1000.0).floor() as u64;
-            let mut rng =
-                StdRng::seed_from_u64(self.jitter_seed ^ window.wrapping_mul(0x9E37_79B9));
-            1.0 + self.jitter_fraction * rng.gen_range(-1.0..1.0)
-        } else {
-            1.0
-        };
-        self.amplitude * jitter * self.phase_at(t).sin()
+    fn acceleration_at(&self, t: f64) -> f64 {
+        self.amplitude * self.phase_at(t).sin()
     }
 
     /// Inertial force `F_a = m·a(t)` applied to a proof mass of `mass` kilograms.
@@ -303,9 +250,7 @@ mod tests {
     fn excitation_validation() {
         let profile = FrequencyProfile::Constant { frequency_hz: 70.0 };
         assert!(VibrationExcitation::new(0.0, profile.clone()).is_err());
-        assert!(VibrationExcitation::new(0.6, profile.clone()).is_ok());
-        let e = VibrationExcitation::new(0.6, profile).unwrap();
-        assert!(e.with_amplitude_jitter(1.5, 0).is_err());
+        assert!(VibrationExcitation::new(0.6, profile).is_ok());
     }
 
     #[test]
@@ -359,27 +304,5 @@ mod tests {
             assert!(phase - prev < 2.0 * std::f64::consts::PI * 84.0 * 0.011);
             prev = phase;
         }
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_reproducible() {
-        let base = VibrationExcitation::new(1.0, FrequencyProfile::Constant { frequency_hz: 70.0 })
-            .unwrap();
-        let jittered = base.clone().with_amplitude_jitter(0.1, 42).unwrap();
-        let again = base.clone().with_amplitude_jitter(0.1, 42).unwrap();
-        for k in 0..200 {
-            let t = k as f64 * 1.3e-3;
-            let a = jittered.acceleration_at(t);
-            assert!((a - again.acceleration_at(t)).abs() < 1e-15, "jitter must be reproducible");
-            assert!(a.abs() <= 1.1 + 1e-12, "jitter must stay within ±10 %");
-        }
-    }
-
-    #[test]
-    fn initial_phase_offset_shifts_waveform() {
-        let e = VibrationExcitation::new(1.0, FrequencyProfile::Constant { frequency_hz: 70.0 })
-            .unwrap()
-            .with_initial_phase(std::f64::consts::FRAC_PI_2);
-        assert!((e.acceleration_at(0.0) - 1.0).abs() < 1e-12);
     }
 }

@@ -27,12 +27,9 @@ use crate::block::{
 use crate::excitation::VibrationExcitation;
 use crate::params::HarvesterParameters;
 
-/// Index of the displacement state `z` within the block's state vector.
-pub const STATE_DISPLACEMENT: usize = 0;
-/// Index of the velocity state `ż`.
-pub const STATE_VELOCITY: usize = 1;
-/// Index of the coil-current state `i_L`.
-pub const STATE_COIL_CURRENT: usize = 2;
+/// Index of the coil-current state `i_L` within the block's state vector
+/// (after the displacement `z` and the velocity `ż`).
+const STATE_COIL_CURRENT: usize = 2;
 
 /// The tunable electromagnetic microgenerator block.
 #[derive(Debug, Clone)]
@@ -117,22 +114,6 @@ impl Microgenerator {
     /// Effective spring stiffness including the tuning contribution, in N/m.
     pub fn effective_stiffness(&self) -> f64 {
         self.spring_stiffness * (1.0 + self.tuning_force / self.buckling_load)
-    }
-
-    /// Back-EMF `V_em = Φ·ż` (Eq. 9) for a relative velocity `velocity`.
-    pub fn back_emf(&self, velocity: f64) -> f64 {
-        self.flux_linkage * velocity
-    }
-
-    /// Electromagnetic reaction force `F_em = Φ·i_L` (Eq. 11).
-    pub fn electromagnetic_force(&self, coil_current: f64) -> f64 {
-        self.flux_linkage * coil_current
-    }
-
-    /// Instantaneous electrical power delivered at the terminals, `V_m·I_m`,
-    /// the quantity plotted in the paper's Fig. 8(a).
-    pub fn output_power(&self, terminal_voltage: f64, terminal_current: f64) -> f64 {
-        terminal_voltage * terminal_current
     }
 }
 
@@ -334,14 +315,6 @@ mod tests {
         assert!(g.resonant_frequency_hz() <= params.max_tuned_frequency() + 1e-9);
         g.set_tuning_force(-5.0);
         assert_eq!(g.tuning_force(), 0.0);
-    }
-
-    #[test]
-    fn electromagnetic_relations() {
-        let g = generator();
-        assert!((g.back_emf(0.1) - 1.5).abs() < 1e-12);
-        assert!((g.electromagnetic_force(0.01) - 0.15).abs() < 1e-12);
-        assert_eq!(g.output_power(2.0, 0.001), 0.002);
     }
 
     #[test]

@@ -221,12 +221,6 @@ impl HarvesterParameters {
         self.proof_mass * omega * omega
     }
 
-    /// The mechanical quality factor `Q = m·ω_r / c_p` of the untuned resonator.
-    pub fn mechanical_q(&self) -> f64 {
-        let omega = 2.0 * std::f64::consts::PI * self.untuned_resonance_hz;
-        self.proof_mass * omega / self.parasitic_damping
-    }
-
     /// Equivalent load resistance for a [`LoadMode`] (Eq. 16).
     pub fn load_resistance(&self, mode: LoadMode) -> f64 {
         match mode {
@@ -352,7 +346,6 @@ mod tests {
         // f = (1/2π)·sqrt(k/m) must recover 70 Hz.
         let f = (ks / p.proof_mass).sqrt() / (2.0 * std::f64::consts::PI);
         assert!((f - 70.0).abs() < 1e-9);
-        assert!(p.mechanical_q() > 50.0 && p.mechanical_q() < 500.0);
     }
 
     #[test]

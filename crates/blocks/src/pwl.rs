@@ -199,31 +199,6 @@ impl PiecewiseLinearTable {
         (y1 - y0) / (x1 - x0)
     }
 
-    /// Value and slope at `x` in a single lookup (the common case for companion
-    /// models, which need both `G` and the tangent intercept).
-    pub fn value_and_slope(&self, x: f64) -> (f64, f64) {
-        let i = self.segment_index(x);
-        let (x0, y0) = self.points[i];
-        let (x1, y1) = self.points[i + 1];
-        let slope = (y1 - y0) / (x1 - x0);
-        (y0 + slope * (x - x0), slope)
-    }
-
-    /// Interpolated value at `x` inside a known segment, skipping the binary
-    /// search. Two tables sampled on the *same* breakpoint grid (such as the
-    /// diode's `G` and `J` companion tables) can share one
-    /// [`PiecewiseLinearTable::segment_index`] lookup and read both values with
-    /// this accessor — halving the search cost on the linearisation hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segment >= self.len() - 1`.
-    pub fn value_in_segment(&self, segment: usize, x: f64) -> f64 {
-        let (x0, y0) = self.points[segment];
-        let (x1, y1) = self.points[segment + 1];
-        y0 + (y1 - y0) / (x1 - x0) * (x - x0)
-    }
-
     /// Chord `(slope, intercept)` of a segment: the constants `(s, c)` such
     /// that the interpolant over the segment is exactly `y(x) = s·x + c`.
     ///
@@ -243,9 +218,10 @@ impl PiecewiseLinearTable {
     }
 
     /// Maximum absolute interpolation error against `f`, probed at `probes`
-    /// points per segment. Used by tests and by the PWL-granularity ablation to
-    /// verify the "arbitrarily fine granularity" claim.
-    pub fn max_error_against(&self, mut f: impl FnMut(f64) -> f64, probes: usize) -> f64 {
+    /// points per segment: the test oracle for the "arbitrarily fine
+    /// granularity" claim.
+    #[cfg(test)]
+    fn max_error_against(&self, mut f: impl FnMut(f64) -> f64, probes: usize) -> f64 {
         let mut max_err: f64 = 0.0;
         for w in self.points.windows(2) {
             let (x0, x1) = (w[0].0, w[1].0);
@@ -285,9 +261,6 @@ mod tests {
         assert_eq!(t.value(1.0), 2.0);
         assert_eq!(t.slope(-0.5), -1.0);
         assert_eq!(t.slope(1.0), 2.0);
-        let (v, s) = t.value_and_slope(0.5);
-        assert_eq!(v, 1.0);
-        assert_eq!(s, 2.0);
     }
 
     #[test]
@@ -297,15 +270,6 @@ mod tests {
         assert_eq!(t.value(3.0), 6.0); // slope 2 extended right
         assert_eq!(t.segment_index(-5.0), 0);
         assert_eq!(t.segment_index(5.0), 1);
-    }
-
-    #[test]
-    fn value_in_segment_matches_value() {
-        let t = table();
-        for x in [-2.0, -0.5, 0.5, 1.0, 3.0] {
-            let i = t.segment_index(x);
-            assert_eq!(t.value_in_segment(i, x), t.value(x));
-        }
     }
 
     #[test]
@@ -384,13 +348,6 @@ mod proptests {
             let hi = y0.max(y1) + 1e-9;
             let v = t.value(x);
             prop_assert!(v >= lo && v <= hi, "value {v} outside [{lo}, {hi}]");
-        }
-
-        #[test]
-        fn value_and_slope_agree_with_separate_calls(t in arbitrary_table(), x in -10.0f64..10.0) {
-            let (v, s) = t.value_and_slope(x);
-            prop_assert!((v - t.value(x)).abs() < 1e-12);
-            prop_assert!((s - t.slope(x)).abs() < 1e-12);
         }
     }
 }

@@ -31,11 +31,11 @@ use crate::block::{
 use crate::params::{HarvesterParameters, LoadMode};
 
 /// Index of the immediate-branch voltage state `V_i`.
-pub const STATE_IMMEDIATE: usize = 0;
+const STATE_IMMEDIATE: usize = 0;
 /// Index of the delayed-branch voltage state `V_d`.
-pub const STATE_DELAYED: usize = 1;
+const STATE_DELAYED: usize = 1;
 /// Index of the long-term-branch voltage state `V_l`.
-pub const STATE_LONG_TERM: usize = 2;
+const STATE_LONG_TERM: usize = 2;
 
 /// The three-branch supercapacitor with its mode-dependent equivalent load.
 #[derive(Debug, Clone)]
@@ -102,7 +102,7 @@ impl Supercapacitor {
     /// `v` (the Zubieta model's voltage-dependent term). The local linearisation
     /// treats this value as constant over one step; the error this introduces is
     /// part of the LLE the engine monitors.
-    pub fn immediate_capacitance(&self, v: f64) -> f64 {
+    fn immediate_capacitance(&self, v: f64) -> f64 {
         self.ci0 + self.ci1 * v.max(0.0)
     }
 

@@ -225,7 +225,7 @@ impl GlobalLinearisation {
     ///
     /// Returns a dimension-mismatch error if the two linearisations describe
     /// differently sized systems.
-    pub fn jacobian_change(&self, previous: &GlobalLinearisation) -> Result<f64, CoreError> {
+    pub(crate) fn jacobian_change(&self, previous: &GlobalLinearisation) -> Result<f64, CoreError> {
         // One fused pass per Jacobian block computes both maxima the monitor
         // needs (this runs once per accepted solver step).
         let (s_xx, d_xx) = self.jxx.max_abs_and_diff(&previous.jxx)?;
@@ -393,9 +393,9 @@ pub trait AnalogueSystem {
     /// monitor in one operation: on entry `out` must hold the linearisation of
     /// *this* system at the previous accepted point; on exit it holds the
     /// linearisation at `(t, x, y)` and the returned report carries the
-    /// relative Jacobian change between the two (the same maximum
-    /// [`GlobalLinearisation::jacobian_change`] computes) plus the number of
-    /// constant-contract block stamps the pass skipped.
+    /// relative Jacobian change between the two (the largest entry-wise change
+    /// of the four Jacobian blocks over their largest entry) plus the number
+    /// of constant-contract block stamps the pass skipped.
     ///
     /// This is the solver's steady-state entry point — fusing the change scan
     /// into the stamping pass lets hot implementations
@@ -1116,8 +1116,7 @@ impl Assembly {
     /// neither a second linearisation buffer nor a separate change-scan
     /// pass. Entries outside the patterns are `+0.0` in both linearisations
     /// and contribute nothing to either maximum, which makes the result
-    /// identical to [`GlobalLinearisation::jacobian_change`] on two full
-    /// buffers.
+    /// identical to the dense change scan of two full buffers.
     ///
     /// Blocks under the [`JacobianStructure::Constant`] contract are not
     /// restamped at all: their Jacobian rows in `out` are already exact (the

@@ -17,10 +17,10 @@
 //! * inner loop: damped Newton–Raphson with an `(N+M)×(N+M)` LU factorisation
 //!   per iteration.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use harvsim_linalg::{DMatrix, DVector, LuDecomposition};
-use harvsim_ode::solution::{DecimatedRecorder, SampleSink, Trajectory};
+use harvsim_ode::solution::SampleSink;
 
 use crate::assembly::{AnalogueSystem, GlobalLinearisation};
 use crate::checkpoint::{ByteReader, ByteWriter, CheckpointError};
@@ -111,7 +111,7 @@ impl BaselineOptions {
                 self.damping
             )));
         }
-        if self.record_interval < 0.0 {
+        if !(self.record_interval >= 0.0) {
             return Err(CoreError::InvalidConfiguration(
                 "record interval must be non-negative".into(),
             ));
@@ -161,19 +161,6 @@ impl BaselineStats {
             cpu_time: Duration::from_nanos(r.take_u64()?),
         })
     }
-}
-
-/// Result of a baseline run.
-#[derive(Debug, Clone)]
-pub struct BaselineResult {
-    /// Sampled state trajectory.
-    pub states: Trajectory,
-    /// Sampled terminal trajectory.
-    pub terminals: Trajectory,
-    /// Final state.
-    pub final_state: DVector,
-    /// Work statistics.
-    pub stats: BaselineStats,
 }
 
 /// Preallocated buffers for the baseline's Newton iteration. The baseline must
@@ -234,104 +221,11 @@ impl BaselineWorkspace {
     }
 }
 
-/// The implicit Newton–Raphson DAE solver standing in for the commercial tools.
-#[derive(Debug, Clone)]
-pub struct NewtonRaphsonBaseline {
-    options: BaselineOptions,
-}
-
-impl NewtonRaphsonBaseline {
-    /// Creates the baseline solver.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BaselineOptions::validate`] failures.
-    pub fn new(options: BaselineOptions) -> Result<Self, CoreError> {
-        options.validate()?;
-        Ok(NewtonRaphsonBaseline { options })
-    }
-
-    /// The active options.
-    pub fn options(&self) -> &BaselineOptions {
-        &self.options
-    }
-
-    /// Integrates `system` over `[t0, t_end]`, recording into fresh trajectories.
-    ///
-    /// # Errors
-    ///
-    /// Reports Newton non-convergence, singular Jacobians and non-finite states.
-    pub fn solve(
-        &self,
-        system: &dyn AnalogueSystem,
-        t0: f64,
-        t_end: f64,
-        x0: &DVector,
-    ) -> Result<BaselineResult, CoreError> {
-        let mut states = Trajectory::new();
-        let mut terminals = Trajectory::new();
-        let (final_state, stats) =
-            self.solve_into(system, t0, t_end, x0, &mut states, &mut terminals)?;
-        Ok(BaselineResult { states, terminals, final_state, stats })
-    }
-
-    /// Integrates one segment, appending to existing trajectories (mirror of
-    /// [`crate::StateSpaceSolver::solve_into`] so the mixed-signal loop can use
-    /// either engine interchangeably).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`NewtonRaphsonBaseline::solve`].
-    pub fn solve_into(
-        &self,
-        system: &dyn AnalogueSystem,
-        t0: f64,
-        t_end: f64,
-        x0: &DVector,
-        states: &mut Trajectory,
-        terminals: &mut Trajectory,
-    ) -> Result<(DVector, BaselineStats), CoreError> {
-        let mut workspace = BaselineWorkspace::new();
-        self.solve_into_with(system, t0, t_end, x0, states, terminals, &mut workspace)
-    }
-
-    /// Integrates one segment reusing a caller-owned [`BaselineWorkspace`]
-    /// (mirror of [`crate::StateSpaceSolver::solve_into_with`]). Numerically
-    /// identical to [`NewtonRaphsonBaseline::solve_into`] — the workspace only
-    /// changes where the Newton temporaries live, never their values.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`NewtonRaphsonBaseline::solve`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_into_with(
-        &self,
-        system: &dyn AnalogueSystem,
-        t0: f64,
-        t_end: f64,
-        x0: &DVector,
-        states: &mut Trajectory,
-        terminals: &mut Trajectory,
-        workspace: &mut BaselineWorkspace,
-    ) -> Result<(DVector, BaselineStats), CoreError> {
-        let start = Instant::now();
-        let mut march = BaselineMarch::begin(self.options, system, t0, t_end, x0, workspace)?;
-        let mut sink = DecimatedRecorder::new(states, terminals, self.options.record_interval);
-        while !march.is_done() {
-            march.step(system, workspace, &mut sink)?;
-        }
-        let (x, mut stats) = march.finish(&mut sink);
-        stats.cpu_time = start.elapsed();
-        Ok((x, stats))
-    }
-}
-
 /// The baseline's fixed-step implicit loop as a resumable state machine — the
 /// Newton–Raphson mirror of [`crate::solver::StateSpaceMarch`], so a
 /// [`crate::session::Session`] can pause and resume either engine at any
 /// accepted-step boundary with bit-identical arithmetic. Output goes through
-/// a [`SampleSink`]; [`NewtonRaphsonBaseline::solve_into_with`] is a thin
-/// begin/step/finish driver over it.
+/// a [`SampleSink`].
 #[derive(Debug)]
 pub(crate) struct BaselineMarch {
     options: BaselineOptions,
@@ -349,7 +243,8 @@ impl BaselineMarch {
     ///
     /// # Errors
     ///
-    /// Same validation failures as [`NewtonRaphsonBaseline::solve`].
+    /// Reports an empty span or an initial state of the wrong length, plus the
+    /// failures of the initial terminal solve.
     pub(crate) fn begin(
         options: BaselineOptions,
         system: &dyn AnalogueSystem,
@@ -459,7 +354,7 @@ impl BaselineMarch {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`NewtonRaphsonBaseline::solve`].
+    /// Reports Newton non-convergence, singular Jacobians and non-finite states.
     pub(crate) fn step(
         &mut self,
         system: &dyn AnalogueSystem,
@@ -585,9 +480,41 @@ impl BaselineMarch {
 
 #[cfg(test)]
 mod tests {
+    use harvsim_ode::solution::{DecimatedRecorder, Trajectory};
+
     use super::*;
     use crate::assembly::GlobalLinearisation;
     use crate::solver::{SolverOptions, StateSpaceSolver};
+
+    /// What a [`run`] over one span produced.
+    struct BaselineRun {
+        states: Trajectory,
+        final_state: DVector,
+        stats: BaselineStats,
+    }
+
+    /// Drives a [`BaselineMarch`] over `[t0, t_end]` the way a session does
+    /// (begin, step until done, finish), recording through a decimating
+    /// recorder.
+    fn run(
+        options: BaselineOptions,
+        system: &dyn AnalogueSystem,
+        t0: f64,
+        t_end: f64,
+        x0: &DVector,
+    ) -> Result<BaselineRun, CoreError> {
+        options.validate()?;
+        let mut workspace = BaselineWorkspace::new();
+        let mut states = Trajectory::new();
+        let mut terminals = Trajectory::new();
+        let mut march = BaselineMarch::begin(options, system, t0, t_end, x0, &mut workspace)?;
+        let mut sink = DecimatedRecorder::new(&mut states, &mut terminals, options.record_interval);
+        while !march.is_done() {
+            march.step(system, &mut workspace, &mut sink)?;
+        }
+        let (final_state, stats) = march.finish(&mut sink);
+        Ok(BaselineRun { states, final_state, stats })
+    }
 
     /// Nonlinear single-state test system with one terminal:
     /// ẋ = (y − x)/τ, algebraic constraint y = V0 − α·y³ + 0 (a soft-limited source),
@@ -644,6 +571,9 @@ mod tests {
         assert!(BaselineOptions { record_interval: -1.0, ..Default::default() }
             .validate()
             .is_err());
+        assert!(BaselineOptions { record_interval: f64::NAN, ..Default::default() }
+            .validate()
+            .is_err());
         assert_eq!(BaselineMethod::BackwardEuler.name(), "backward-euler");
         assert_eq!(BaselineMethod::Trapezoidal.name(), "trapezoidal");
     }
@@ -651,31 +581,20 @@ mod tests {
     #[test]
     fn baseline_converges_on_a_nonlinear_system() {
         let system = SoftSource { tau: 1e-3, v0: 2.0, alpha: 0.1 };
-        let baseline = NewtonRaphsonBaseline::new(BaselineOptions {
-            step: 2e-5,
-            record_interval: 0.0,
-            ..Default::default()
-        })
-        .unwrap();
-        let result = baseline.solve(&system, 0.0, 0.02, &DVector::zeros(1)).unwrap();
+        let options = BaselineOptions { step: 2e-5, record_interval: 0.0, ..Default::default() };
+        let result = run(options, &system, 0.0, 0.02, &DVector::zeros(1)).unwrap();
         // Steady state: x = y where y + 0.1·y³ = 2  ⇒  y ≈ 1.5945.
         let y_expected = 1.5945;
         assert!((result.final_state[0] - y_expected).abs() < 5e-3, "{:?}", result.final_state);
         assert!(result.stats.newton_iterations >= result.stats.steps);
         assert!(result.stats.factorisations > 0);
-        assert!(result.stats.cpu_time.as_nanos() > 0);
     }
 
     #[test]
     fn baseline_and_state_space_engine_agree() {
         let system = SoftSource { tau: 1e-3, v0: 1.5, alpha: 0.05 };
         let x0 = DVector::zeros(1);
-        let baseline = NewtonRaphsonBaseline::new(BaselineOptions {
-            step: 2e-5,
-            record_interval: 0.0,
-            ..Default::default()
-        })
-        .unwrap();
+        let options = BaselineOptions { step: 2e-5, record_interval: 0.0, ..Default::default() };
         let proposed = StateSpaceSolver::new(SolverOptions {
             initial_step: 2e-6,
             max_step: 2e-5,
@@ -683,7 +602,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let reference = baseline.solve(&system, 0.0, 0.01, &x0).unwrap();
+        let reference = run(options, &system, 0.0, 0.01, &x0).unwrap();
         let fast = proposed.solve(&system, 0.0, 0.01, &x0).unwrap();
         let deviation = fast.states.max_deviation(&reference.states, 0, 200).unwrap();
         // The bound is dominated by the trapezoidal baseline's own
@@ -697,24 +616,22 @@ mod tests {
     #[test]
     fn backward_euler_variant_also_works() {
         let system = SoftSource { tau: 1e-3, v0: 1.0, alpha: 0.0 };
-        let baseline = NewtonRaphsonBaseline::new(BaselineOptions {
+        let options = BaselineOptions {
             method: BaselineMethod::BackwardEuler,
             step: 1e-5,
             record_interval: 0.0,
             ..Default::default()
-        })
-        .unwrap();
-        let result = baseline.solve(&system, 0.0, 0.01, &DVector::zeros(1)).unwrap();
+        };
+        let result = run(options, &system, 0.0, 0.01, &DVector::zeros(1)).unwrap();
         assert!((result.final_state[0] - 1.0).abs() < 1e-3);
-        assert_eq!(baseline.options().method, BaselineMethod::BackwardEuler);
     }
 
     #[test]
     fn invalid_inputs_rejected_and_stats_absorb() {
         let system = SoftSource { tau: 1e-3, v0: 1.0, alpha: 0.0 };
-        let baseline = NewtonRaphsonBaseline::new(BaselineOptions::default()).unwrap();
-        assert!(baseline.solve(&system, 1.0, 0.5, &DVector::zeros(1)).is_err());
-        assert!(baseline.solve(&system, 0.0, 1.0, &DVector::zeros(2)).is_err());
+        let options = BaselineOptions::default();
+        assert!(run(options, &system, 1.0, 0.5, &DVector::zeros(1)).is_err());
+        assert!(run(options, &system, 0.0, 1.0, &DVector::zeros(2)).is_err());
         let mut a = BaselineStats { steps: 1, ..Default::default() };
         a.absorb(&BaselineStats { steps: 2, newton_iterations: 3, ..Default::default() });
         assert_eq!(a.steps, 3);

@@ -58,8 +58,8 @@ use harvsim_blocks::{ControllerConfig, HarvesterParameters, LoadMode, Scenario};
 use harvsim_linalg::{DMatrix, DVector};
 
 use crate::baseline::{BaselineMethod, BaselineOptions};
-use crate::mixed::SimulationEngine;
 use crate::scenario::ScenarioConfig;
+use crate::session::SimulationEngine;
 use crate::solver::SolverOptions;
 
 /// Magic bytes opening every checkpoint frame.
@@ -604,7 +604,9 @@ fn decode_controller(r: &mut ByteReader<'_>) -> Result<ControllerConfig, Checkpo
 
 fn encode_solver_options(w: &mut ByteWriter, o: &SolverOptions) {
     w.put_usize(o.ab_order);
-    w.put_bool(o.adaptive_order);
+    // Former adaptive-order switch: the order/step governor always runs, so
+    // the slot is always written `true` and frames keep the version 1 layout.
+    w.put_bool(true);
     w.put_f64(o.initial_step);
     w.put_f64(o.max_step);
     w.put_f64(o.min_step);
@@ -621,7 +623,11 @@ fn encode_solver_options(w: &mut ByteWriter, o: &SolverOptions) {
 
 fn decode_solver_options(r: &mut ByteReader<'_>) -> Result<SolverOptions, CheckpointError> {
     let ab_order = r.take_usize()?;
-    let adaptive_order = r.take_bool()?;
+    if !r.take_bool()? {
+        return Err(malformed(
+            "frame selects the fixed-order state-space march, which this build no longer runs",
+        ));
+    }
     let initial_step = r.take_f64()?;
     let max_step = r.take_f64()?;
     let min_step = r.take_f64()?;
@@ -635,7 +641,6 @@ fn decode_solver_options(r: &mut ByteReader<'_>) -> Result<SolverOptions, Checkp
     }
     Ok(SolverOptions {
         ab_order,
-        adaptive_order,
         initial_step,
         max_step,
         min_step,
@@ -805,24 +810,27 @@ mod tests {
         }
     }
 
-    /// The slot of the removed partition switch is always written `true`; a
-    /// frame carrying `false` asks for the unpartitioned march this build no
-    /// longer runs, and is refused typed instead of resuming a different
-    /// simulation.
+    /// The slots of the removed partition and adaptive-order switches are
+    /// always written `true`; a frame carrying `false` in either asks for a
+    /// march this build no longer runs (unpartitioned, or fixed-order), and
+    /// is refused typed instead of resuming a different simulation.
     #[test]
     fn unpartitioned_march_option_is_rejected_typed() {
         let mut w = ByteWriter::new();
         encode_solver_options(&mut w, &SolverOptions::default());
-        let mut bytes = w.into_bytes();
-        // ab_order (8 bytes), adaptive_order (1), six f64 fields (48).
-        let slot = 8 + 1 + 6 * 8;
-        assert_eq!(bytes[slot], 1);
+        let bytes = w.into_bytes();
         let back = decode_solver_options(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(back, SolverOptions::default());
-        bytes[slot] = 0;
-        assert!(matches!(
-            decode_solver_options(&mut ByteReader::new(&bytes)),
-            Err(CheckpointError::Malformed(_))
-        ));
+        // Adaptive order: right after ab_order (8 bytes). Partition: after
+        // ab_order, the adaptive-order slot (1) and six f64 fields (48).
+        for slot in [8, 8 + 1 + 6 * 8] {
+            assert_eq!(bytes[slot], 1);
+            let mut altered = bytes.clone();
+            altered[slot] = 0;
+            assert!(matches!(
+                decode_solver_options(&mut ByteReader::new(&altered)),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
     }
 }

@@ -22,13 +22,13 @@ use crate::assembly::{AnalogueSystem, Assembly, GlobalLinearisation, StampReport
 use crate::CoreError;
 
 /// Net name of the generator/multiplier voltage terminal `V_m`.
-pub const NET_GENERATOR_VOLTAGE: &str = "Vm";
+const NET_GENERATOR_VOLTAGE: &str = "Vm";
 /// Net name of the generator/multiplier current terminal `I_m`.
-pub const NET_GENERATOR_CURRENT: &str = "Im";
+const NET_GENERATOR_CURRENT: &str = "Im";
 /// Net name of the storage-port voltage terminal `V_c`.
-pub const NET_STORAGE_VOLTAGE: &str = "Vc";
+const NET_STORAGE_VOLTAGE: &str = "Vc";
 /// Net name of the storage-port current terminal `I_c`.
-pub const NET_STORAGE_CURRENT: &str = "Ic";
+const NET_STORAGE_CURRENT: &str = "Ic";
 
 /// The complete mixed-technology tunable energy harvester (analogue part).
 #[derive(Debug, Clone)]
@@ -114,11 +114,6 @@ impl TunableHarvester {
         &self.supercapacitor
     }
 
-    /// Replaces the multiplier's diode model (used by the PWL ablation bench).
-    pub fn set_multiplier_diode(&mut self, diode: harvsim_blocks::DiodeModel) {
-        self.multiplier.set_diode(diode);
-    }
-
     /// Switches the multiplier's diodes between PWL-table companions (the
     /// paper's technique, default) and exact analytic Shockley evaluation —
     /// the device-evaluation policy of the commercial tools the
@@ -184,11 +179,6 @@ impl TunableHarvester {
     /// Index of the storage-voltage net `V_c` in the terminal vector.
     pub fn storage_voltage_net(&self) -> usize {
         self.assembly.net_index(NET_STORAGE_VOLTAGE).expect("net exists by construction")
-    }
-
-    /// Index of the storage-current net `I_c` in the terminal vector.
-    pub fn storage_current_net(&self) -> usize {
-        self.assembly.net_index(NET_STORAGE_CURRENT).expect("net exists by construction")
     }
 
     /// Supercapacitor terminal voltage computed from the branch states in `x`
@@ -324,7 +314,7 @@ mod tests {
         assert_eq!(h.generator_voltage_net(), 0);
         assert_eq!(h.generator_current_net(), 1);
         assert_eq!(h.storage_voltage_net(), 2);
-        assert_eq!(h.storage_current_net(), 3);
+        assert_eq!(h.assembly().net_index(NET_STORAGE_CURRENT), Some(3));
         assert!(h.parameters().validate().is_ok());
         assert_eq!(h.multiplier().stage_count(), 5);
         // The partition contracts wired through the assembly: one
@@ -379,8 +369,5 @@ mod tests {
         h.set_resonant_frequency(71.0);
         assert!((h.resonant_frequency_hz() - 71.0).abs() < 1e-9);
         assert_eq!(h.ambient_frequency_hz(0.0), 70.0);
-        let diode = h.multiplier().diode().with_table_segments(32).unwrap();
-        h.set_multiplier_diode(diode);
-        assert_eq!(h.multiplier().diode().table_segments(), 32);
     }
 }

@@ -74,7 +74,6 @@ pub mod explore;
 pub mod fault;
 pub mod harvester;
 pub mod measurement;
-pub mod mixed;
 mod pool;
 pub mod probe;
 pub mod protocol;
@@ -89,7 +88,7 @@ pub use assembly::{
     AnalogueSystem, Assembly, AssemblyBuilder, GlobalLinearisation, StampReport,
     TerminalFactorisation,
 };
-pub use baseline::{BaselineOptions, NewtonRaphsonBaseline};
+pub use baseline::BaselineOptions;
 pub use checkpoint::{fnv1a64, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use error::CoreError;
 pub use explore::{
@@ -98,7 +97,6 @@ pub use explore::{
 pub use fault::{Fault, FaultKind, FaultPlan, FaultSite};
 pub use harvester::TunableHarvester;
 pub use measurement::{PowerReport, WaveformComparison};
-pub use mixed::SimulationEngine;
 pub use probe::{
     DigitalEvent, EnvelopeProbe, PowerProbe, Probe, StepHistogramProbe, WaveformProbe,
 };
@@ -112,7 +110,7 @@ pub use service::{
     ClassReport, JobClass, JobOutcome, JobRequest, ServiceError, ServiceOptions, ServiceReport,
     SessionService,
 };
-pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation};
+pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation, SimulationEngine};
 pub use solver::{SolveResult, SolverOptions, SolverStats, StateSpaceSolver};
 pub use store::{RecoveryReport, SessionStore, StoreError, StoreOptions};
 

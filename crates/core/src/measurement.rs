@@ -65,7 +65,7 @@ pub fn supercap_voltage_waveform(terminals: &Trajectory, vc: usize) -> Vec<(f64,
 ///
 /// Returns [`CoreError::InvalidConfiguration`] for an empty window or a window
 /// outside the recorded span.
-pub fn rms_power_in_window(
+fn rms_power_in_window(
     terminals: &Trajectory,
     vm: usize,
     im: usize,

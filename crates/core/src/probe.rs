@@ -30,7 +30,7 @@ use harvsim_ode::{DecimatedRecorder, Trajectory};
 
 use crate::checkpoint::{ByteReader, ByteWriter};
 use crate::measurement::PowerReport;
-use crate::mixed::ControlEvent;
+use crate::session::ControlEvent;
 
 /// A digital-side event forwarded to probes by the session.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,11 +171,6 @@ impl WaveformProbe {
     /// The captured terminal trajectory so far.
     pub fn terminals(&self) -> &Trajectory {
         &self.terminals
-    }
-
-    /// Consumes the probe, returning `(states, terminals)`.
-    pub fn into_trajectories(self) -> (Trajectory, Trajectory) {
-        (self.states, self.terminals)
     }
 }
 
@@ -460,7 +455,7 @@ impl Probe for PowerProbe {
 /// What an [`EnvelopeProbe`] watches: one component of the state vector or of
 /// the terminal (net) vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignalSource {
+enum SignalSource {
     /// Global state component `x[i]`.
     State(usize),
     /// Terminal (net) component `y[i]`.
@@ -599,7 +594,7 @@ impl Probe for EnvelopeProbe {
 
 /// Number of logarithmic bins in the [`StepHistogramProbe`]; bin `k` covers
 /// step sizes in `[2^(k-30), 2^(k-29))` seconds, spanning ~1 ns … ~0.26 s.
-pub const STEP_HISTOGRAM_BINS: usize = 28;
+const STEP_HISTOGRAM_BINS: usize = 28;
 
 /// Log₂ histogram of the accepted step sizes, measured as the spacing of the
 /// offered sample times — the streaming view of "where does the march spend
@@ -748,8 +743,7 @@ mod tests {
         sample(&mut probe, 0.0201, &[99.0], &[0.0]);
         assert_eq!(probe.states().len(), before + 2);
         assert!(probe.memory_bytes() > std::mem::size_of::<WaveformProbe>());
-        let (states, terminals) = probe.into_trajectories();
-        assert_eq!(states.len(), terminals.len());
+        assert_eq!(probe.states().len(), probe.terminals().len());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub const MAX_FRAME_LEN: usize = 4096;
 
 /// Maximum accepted session-id length on the wire (matches the store's
 /// [`crate::store`] id bound).
-pub const MAX_ID_LEN: usize = 512;
+const MAX_ID_LEN: usize = 512;
 
 /// A typed protocol failure: parsing, framing, or transport. Everything a
 /// hostile byte stream can do lands in exactly one of these variants.

@@ -19,7 +19,7 @@ use harvsim_blocks::{
     ControllerConfig, FrequencyProfile, HarvesterParameters, Scenario, VibrationExcitation,
 };
 
-use crate::mixed::SimulationEngine;
+use crate::session::SimulationEngine;
 use crate::solver::SolverOptions;
 use crate::{CoreError, TunableHarvester};
 
@@ -121,7 +121,7 @@ impl ScenarioConfig {
                 "the frequency step must occur inside the simulated span".into(),
             ));
         }
-        if self.initial_supercap_voltage < 0.0 {
+        if !(self.initial_supercap_voltage >= 0.0) {
             return Err(CoreError::InvalidConfiguration(
                 "initial supercapacitor voltage must be non-negative".into(),
             ));
@@ -365,6 +365,8 @@ mod tests {
         assert!(config.validate().is_err());
         let mut config = ScenarioConfig::scenario1();
         config.initial_supercap_voltage = -1.0;
+        assert!(config.validate().is_err());
+        config.initial_supercap_voltage = f64::NAN;
         assert!(config.validate().is_err());
     }
 

@@ -38,6 +38,12 @@
 //! the engine's [`SimulationEngine::record_interval`] records exactly the
 //! decimated trajectories the engines' own dense recorders produce. See
 //! DESIGN.md §8 for the ownership diagram and the probe dispatch cost budget.
+//!
+//! The module also holds the co-simulation's vocabulary, which checkpoints,
+//! the service and the server record and report: [`SimulationEngine`] (the
+//! analogue engine a session marches with), [`EngineStats`] (the work it
+//! accumulates) and [`ControlEvent`] (one digital control action applied to
+//! the blocks).
 
 use std::any::Any;
 use std::time::{Duration, Instant};
@@ -50,11 +56,60 @@ use harvsim_ode::SampleSink;
 use crate::baseline::{BaselineMarch, BaselineOptions, BaselineStats, BaselineWorkspace};
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
 use crate::harvester::TunableHarvester;
-use crate::mixed::{ControlEvent, EngineStats, SimulationEngine};
 use crate::probe::{DigitalEvent, Probe};
 use crate::scenario::ScenarioConfig;
 use crate::solver::{SolverOptions, SolverStats, SolverWorkspace, StateSpaceMarch};
 use crate::CoreError;
+
+/// Which analogue engine drives a session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimulationEngine {
+    /// The proposed linearised state-space technique (explicit Adams–Bashforth).
+    StateSpace(SolverOptions),
+    /// The Newton–Raphson implicit baseline (stand-in for the commercial tools).
+    NewtonRaphson(BaselineOptions),
+}
+
+impl SimulationEngine {
+    /// Human-readable name used in reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            SimulationEngine::StateSpace(_) => "linearised-state-space",
+            SimulationEngine::NewtonRaphson(_) => "newton-raphson-baseline",
+        }
+    }
+
+    /// The engine's dense recording interval, in seconds: a
+    /// [`crate::probe::WaveformProbe`] at this spacing captures exactly the
+    /// decimated trajectories the engine's own recorder produces.
+    pub fn record_interval(&self) -> f64 {
+        match self {
+            SimulationEngine::StateSpace(options) => options.record_interval,
+            SimulationEngine::NewtonRaphson(options) => options.record_interval,
+        }
+    }
+}
+
+/// Analogue work statistics of a mixed-signal run (one of the two variants is
+/// populated depending on the engine).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EngineStats {
+    /// Statistics of the state-space engine (zeroed for baseline runs).
+    pub state_space: SolverStats,
+    /// Statistics of the Newton–Raphson baseline (zeroed for state-space runs).
+    pub baseline: BaselineStats,
+}
+
+/// A record of one digital control action applied during the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ControlEvent {
+    /// Simulation time of the action, in seconds.
+    pub time_s: f64,
+    /// Load mode in force after the action.
+    pub load_mode: LoadMode,
+    /// Resonant frequency in force after the action, in hertz.
+    pub resonant_frequency_hz: f64,
+}
 
 /// Builder for a [`Session`]: a [`ScenarioConfig`] plus fluent overrides for
 /// the knobs a caller usually touches (span, engine, solver options, label).
@@ -464,8 +519,8 @@ impl Session {
     }
 
     /// Registers a probe; the returned id retrieves it later through
-    /// [`Session::probe`] / [`Session::probe_mut`]. Probes added after the
-    /// session has advanced only observe from the current time onward.
+    /// [`Session::probe`]. Probes added after the session has advanced only
+    /// observe from the current time onward.
     pub fn add_probe<P: Probe>(&mut self, probe: P) -> ProbeId {
         self.probes.push(Box::new(probe));
         self.update_peak_probe_bytes();
@@ -476,12 +531,6 @@ impl Session {
     pub fn probe<P: Probe>(&self, id: ProbeId) -> Option<&P> {
         let probe: &dyn Any = self.probes.get(id.0)?.as_ref();
         probe.downcast_ref::<P>()
-    }
-
-    /// Typed mutable access to a registered probe.
-    pub fn probe_mut<P: Probe>(&mut self, id: ProbeId) -> Option<&mut P> {
-        let probe: &mut dyn Any = self.probes.get_mut(id.0)?.as_mut();
-        probe.downcast_mut::<P>()
     }
 
     /// The harvester model (retuned resonance, load mode evolve as the
@@ -1204,7 +1253,8 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{EnvelopeProbe, StepHistogramProbe};
+    use crate::probe::{EnvelopeProbe, StepHistogramProbe, WaveformProbe};
+    use harvsim_blocks::{FrequencyProfile, HarvesterParameters, VibrationExcitation};
 
     fn quick_simulation() -> Simulation {
         let mut config = ScenarioConfig::scenario1();
@@ -1355,5 +1405,95 @@ mod tests {
         let long = peak_for(0.3);
         assert_eq!(short, long, "streaming probes must be O(1) in the simulated span");
         assert!(short > 0);
+    }
+
+    fn quick_solver_options() -> SolverOptions {
+        SolverOptions { record_interval: 2e-3, ..Default::default() }
+    }
+
+    fn harvester(step_to_hz: f64, step_at: f64) -> TunableHarvester {
+        let params = HarvesterParameters::practical_device();
+        let excitation = VibrationExcitation::new(
+            params.acceleration_amplitude,
+            FrequencyProfile::Step { initial_hz: 70.0, final_hz: step_to_hz, step_time_s: step_at },
+        )
+        .unwrap();
+        TunableHarvester::new(params, excitation).unwrap()
+    }
+
+    fn quick_controller_config() -> ControllerConfig {
+        ControllerConfig {
+            watchdog_period_s: 0.4,
+            energy_threshold_v: 2.0,
+            frequency_tolerance_hz: 0.25,
+            measurement_duration_s: 0.05,
+            tuning_rate_hz_per_s: 10.0,
+            tuning_update_interval_s: 0.02,
+        }
+    }
+
+    fn start(harvester: TunableHarvester, duration_s: f64, initial_v: f64) -> Session {
+        let engine = SimulationEngine::StateSpace(quick_solver_options());
+        Session::start(harvester, quick_controller_config(), engine, duration_s, initial_v).unwrap()
+    }
+
+    #[test]
+    fn engine_names_and_validation() {
+        let state_space = SimulationEngine::StateSpace(SolverOptions::default());
+        assert_eq!(state_space.name(), "linearised-state-space");
+        assert_eq!(state_space.record_interval(), SolverOptions::default().record_interval);
+        let baseline = SimulationEngine::NewtonRaphson(BaselineOptions::default());
+        assert_eq!(baseline.name(), "newton-raphson-baseline");
+        assert_eq!(baseline.record_interval(), BaselineOptions::default().record_interval);
+        let bad = SimulationEngine::StateSpace(SolverOptions { ab_order: 0, ..Default::default() });
+        assert!(Simulation::scenario1().engine(bad).start().is_err());
+    }
+
+    #[test]
+    fn rejects_non_positive_duration() {
+        let engine = SimulationEngine::StateSpace(quick_solver_options());
+        let started =
+            Session::start(harvester(71.0, 0.1), quick_controller_config(), engine, 0.0, 2.4);
+        assert!(started.is_err());
+    }
+
+    /// A short but complete closed-loop run: the ambient frequency steps from
+    /// 70 Hz to 71 Hz, the controller wakes on its watchdog, finds enough energy
+    /// and retunes the resonance to follow the ambient frequency.
+    #[test]
+    fn controller_retunes_the_resonance_in_closed_loop() {
+        let mut session = start(harvester(71.0, 0.05), 1.6, 2.6);
+        let capture = session.add_probe(WaveformProbe::new(2e-3));
+        session.run_to_end().unwrap();
+        let report = session.report();
+        let h = session.harvester();
+        // The resonance must have followed the ambient frequency.
+        assert!(
+            (h.resonant_frequency_hz() - 71.0).abs() < 0.2,
+            "resonance ended at {}",
+            h.resonant_frequency_hz()
+        );
+        // Control events were recorded and the kernel processed activity.
+        assert!(!report.control_events.is_empty());
+        assert!(report.digital_events > 0);
+        assert!(report.engine_stats.state_space.steps > 100);
+        // The run ends with the load back in sleep mode (tuning finished).
+        assert_eq!(h.load_mode(), LoadMode::Sleep);
+        // Trajectories cover the whole span on a common grid.
+        let waveform = session.probe::<WaveformProbe>(capture).unwrap();
+        assert!((waveform.states().last_time() - 1.6).abs() < 1e-6);
+        assert_eq!(waveform.states().len(), waveform.terminals().len());
+        assert!(report.final_state.is_finite());
+    }
+
+    #[test]
+    fn low_energy_prevents_tuning() {
+        // Start with the supercapacitor nearly empty: the controller must skip tuning.
+        let mut session = start(harvester(71.0, 0.05), 1.0, 0.5);
+        session.run_to_end().unwrap();
+        assert!((session.harvester().resonant_frequency_hz() - 70.0).abs() < 1e-9);
+        // The only control action (if any) is the load returning to sleep.
+        let report = session.report();
+        assert!(report.control_events.iter().all(|event| event.load_mode == LoadMode::Sleep));
     }
 }

@@ -69,16 +69,12 @@ use crate::CoreError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Highest Adams–Bashforth order (1–4) the solver may use; the paper uses
-    /// the multi-step formula "due to its simplicity and accuracy". With
-    /// [`SolverOptions::adaptive_order`] the order/step governor selects the
-    /// most profitable order up to this bound per step; without it the solver
-    /// runs at exactly this order (after the usual history bootstrap).
+    /// the multi-step formula "due to its simplicity and accuracy". At every
+    /// step the order/step governor picks, among the orders up to this bound
+    /// that the derivative history admits, the highest order whose stability
+    /// region covers the step about to be taken, otherwise the order
+    /// maximising the stable step.
     pub ab_order: usize,
-    /// Let the order/step governor pick, at every step, the (order, h) pair
-    /// maximising the stable step among the orders the derivative history
-    /// admits. Disable to pin the classic fixed-order march (e.g.
-    /// `ab_order: 2` reproduces the PR 2 AB2 path).
-    pub adaptive_order: bool,
     /// First step size tried at the start of a segment, in seconds.
     pub initial_step: f64,
     /// Hard upper bound on the step size, in seconds.
@@ -108,7 +104,6 @@ impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
             ab_order: 4,
-            adaptive_order: true,
             initial_step: 5e-6,
             max_step: 4e-4,
             min_step: 1e-9,
@@ -155,12 +150,12 @@ impl SolverOptions {
                 self.stability_safety
             )));
         }
-        if self.relinearise_threshold <= 0.0 || self.record_interval < 0.0 {
+        if !(self.relinearise_threshold > 0.0) || !(self.record_interval >= 0.0) {
             return Err(CoreError::InvalidConfiguration(
                 "relinearise threshold must be positive and record interval non-negative".into(),
             ));
         }
-        if self.lte_relative_tolerance <= 0.0 || self.lte_absolute_tolerance <= 0.0 {
+        if !(self.lte_relative_tolerance > 0.0) || !(self.lte_absolute_tolerance > 0.0) {
             return Err(CoreError::InvalidConfiguration("LTE tolerances must be positive".into()));
         }
         Ok(())
@@ -450,7 +445,7 @@ impl DerivativeHistory {
 /// when `Jyy` changes, and the Adams–Bashforth history rotates a fixed ring.
 ///
 /// A workspace can be reused across segments (the mixed-signal driver keeps one
-/// for the whole run); [`StateSpaceSolver::solve_into`] creates a fresh one per
+/// for the whole run); [`StateSpaceSolver::solve`] creates a fresh one per
 /// call. Buffers are (re)sized lazily on entry, so one workspace can serve
 /// systems of different dimensions, paying a reallocation only on change.
 /// See DESIGN.md §5 for the ownership rules.
@@ -644,38 +639,26 @@ impl StateSpaceSolver {
     ) -> Result<SolveResult, CoreError> {
         let mut states = Trajectory::new();
         let mut terminals = Trajectory::new();
-        let (final_state, stats) =
-            self.solve_into(system, t0, t_end, x0, &mut states, &mut terminals)?;
+        let mut workspace = SolverWorkspace::new();
+        let (final_state, stats) = self.solve_into_with(
+            system,
+            t0,
+            t_end,
+            x0,
+            &mut states,
+            &mut terminals,
+            &mut workspace,
+        )?;
         Ok(SolveResult { states, terminals, final_state, stats })
     }
 
     /// Integrates one analogue segment, appending samples to existing
-    /// trajectories (used by the mixed-signal co-simulation which alternates
-    /// analogue segments and digital events). Returns the final state and the
-    /// statistics for this segment only.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`StateSpaceSolver::solve`].
-    pub fn solve_into(
-        &self,
-        system: &dyn AnalogueSystem,
-        t0: f64,
-        t_end: f64,
-        x0: &DVector,
-        states: &mut Trajectory,
-        terminals: &mut Trajectory,
-    ) -> Result<(DVector, SolverStats), CoreError> {
-        let mut workspace = SolverWorkspace::new();
-        self.solve_into_with(system, t0, t_end, x0, states, terminals, &mut workspace)
-    }
-
-    /// Integrates one analogue segment reusing a caller-owned
-    /// [`SolverWorkspace`], so that repeated segments (the mixed-signal loop
-    /// alternates thousands of them with digital events) share one set of
-    /// buffers and one cached terminal factorisation. Numerically identical to
-    /// [`StateSpaceSolver::solve_into`] — the workspace only changes where the
-    /// temporaries live, never their values.
+    /// trajectories and reusing a caller-owned [`SolverWorkspace`], so that
+    /// repeated segments share one set of buffers and one cached terminal
+    /// factorisation. Returns the final state and the statistics for this
+    /// segment only. Numerically identical to [`StateSpaceSolver::solve`] —
+    /// the workspace only changes where the temporaries live, never their
+    /// values.
     ///
     /// # Errors
     ///
@@ -1163,15 +1146,10 @@ impl StateSpaceMarch {
         //    region covers the step actually about to be taken (free
         //    accuracy at the same step — this is what runs order 3/4 at
         //    segment bootstraps and span ends), otherwise the order
-        //    maximising the stable step. With adaptivity off, the pinned
-        //    order.
+        //    maximising the stable step.
         let available = (workspace.history.filled + 1).min(self.options.ab_order);
         let h_target = (self.h * 1.5).min(self.options.max_step).min(t_end - t);
-        let (order, stability_limit) = if self.options.adaptive_order {
-            plan_ref.select_for_target(available, h_target)
-        } else {
-            (available, plan_ref.limit(available))
-        };
+        let (order, stability_limit) = plan_ref.select_for_target(available, h_target);
         if stability_limit < self.options.min_step {
             return Err(CoreError::Ode(harvsim_ode::OdeError::StepSizeUnderflow {
                 time: t,
@@ -1428,6 +1406,14 @@ mod tests {
         assert!(SolverOptions { relinearise_threshold: 0.0, ..Default::default() }
             .validate()
             .is_err());
+        for nan in [
+            SolverOptions { relinearise_threshold: f64::NAN, ..Default::default() },
+            SolverOptions { record_interval: f64::NAN, ..Default::default() },
+            SolverOptions { lte_relative_tolerance: f64::NAN, ..Default::default() },
+            SolverOptions { lte_absolute_tolerance: f64::NAN, ..Default::default() },
+        ] {
+            assert!(nan.validate().is_err(), "{nan:?}");
+        }
         assert!(StateSpaceSolver::new(SolverOptions::default()).is_ok());
     }
 
@@ -1733,17 +1719,13 @@ mod tests {
         assert!(stats.max_jacobian_change > 0.05);
     }
 
-    /// `adaptive_order: false` pins the classic fixed-order march: nothing
-    /// beyond the configured order is ever selected.
+    /// `ab_order` bounds the governor: nothing beyond the configured order is
+    /// ever selected.
     #[test]
-    fn fixed_order_path_never_exceeds_the_configured_order() {
+    fn governor_never_exceeds_the_configured_order() {
         let system = DrivenRc { tau0: 1e-3, tau1: 5e-3, source: |_t| 2.0 };
-        let solver = StateSpaceSolver::new(SolverOptions {
-            ab_order: 2,
-            adaptive_order: false,
-            ..options_for_test()
-        })
-        .unwrap();
+        let solver =
+            StateSpaceSolver::new(SolverOptions { ab_order: 2, ..options_for_test() }).unwrap();
         let result = solver.solve(&system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         let stats = result.stats;
         assert_eq!(stats.steps_by_order[2] + stats.steps_by_order[3], 0);

@@ -196,11 +196,6 @@ impl<E> Kernel<E> {
         self.queue.peek().map(|Reverse(ev)| ev.time)
     }
 
-    /// Returns `true` if no events remain in the queue.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Executes every event scheduled at or before `target`, then sets the
     /// kernel clock to `target`.
     ///
@@ -314,25 +309,6 @@ impl<E> Kernel<E> {
         }
         true
     }
-
-    /// Runs events one at a time until the queue is empty or `max_events` have
-    /// been processed, whichever comes first. Mostly useful in tests and for
-    /// purely digital simulations with a natural end.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Kernel::run_until`].
-    pub fn run_to_completion(&mut self, env: &mut E, max_events: u64) -> Result<(), KernelError> {
-        let mut executed = 0;
-        while let Some(next) = self.next_event_time() {
-            if executed >= max_events {
-                break;
-            }
-            self.run_until(next, env)?;
-            executed += 1;
-        }
-        Ok(())
-    }
 }
 
 impl<E> fmt::Debug for Kernel<E> {
@@ -425,7 +401,7 @@ mod tests {
         let mut log = Log::default();
         kernel.run_until(SimTime::from_secs(1), &mut log).unwrap();
         assert_eq!(log.entries.len(), 1);
-        assert!(kernel.is_idle());
+        assert_eq!(kernel.next_event_time(), None);
     }
 
     #[test]
@@ -495,33 +471,6 @@ mod tests {
             assert_eq!(tap_time, log_time);
             assert_eq!(tap_name, "ticker");
         }
-    }
-
-    #[test]
-    fn run_to_completion_drains_the_queue() {
-        let mut kernel: Kernel<Log> = Kernel::new();
-        kernel.spawn_at(
-            SimTime::ZERO,
-            Periodic { label: "p".into(), period: SimTime::from_millis(1), remaining: 9 },
-        );
-        let mut log = Log::default();
-        kernel.run_to_completion(&mut log, 1_000).unwrap();
-        assert_eq!(log.entries.len(), 10);
-        assert!(kernel.is_idle());
-        assert_eq!(kernel.process_count(), 1);
-    }
-
-    #[test]
-    fn run_to_completion_respects_event_budget() {
-        let mut kernel: Kernel<Log> = Kernel::new();
-        kernel.spawn_at(
-            SimTime::ZERO,
-            Periodic { label: "p".into(), period: SimTime::from_millis(1), remaining: 100 },
-        );
-        let mut log = Log::default();
-        kernel.run_to_completion(&mut log, 5).unwrap();
-        assert_eq!(log.entries.len(), 5);
-        assert!(!kernel.is_idle());
     }
 
     #[test]

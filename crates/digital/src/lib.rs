@@ -24,8 +24,6 @@
 //!   wake-up time arrives and returns the next wake-up request.
 //! * [`Kernel`] — the scheduler: owns processes, maintains the event queue and
 //!   advances time.
-//! * [`WatchdogTimer`] — a helper that generates periodic wake-ups, matching
-//!   the watchdog that wakes the paper's microcontroller.
 //!
 //! # Example
 //!
@@ -59,9 +57,7 @@
 mod kernel;
 mod signal;
 mod time;
-mod timer;
 
 pub use kernel::{Kernel, KernelError, Process, ProcessId};
 pub use signal::{Edge, Signal, SignalEdge};
 pub use time::SimTime;
-pub use timer::WatchdogTimer;

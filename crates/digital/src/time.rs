@@ -64,11 +64,6 @@ impl SimTime {
         self.nanos as f64 / 1e9
     }
 
-    /// Saturating addition.
-    pub fn saturating_add(self, other: SimTime) -> SimTime {
-        SimTime { nanos: self.nanos.saturating_add(other.nanos) }
-    }
-
     /// Saturating subtraction (never goes below zero).
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime { nanos: self.nanos.saturating_sub(other.nanos) }
@@ -147,7 +142,6 @@ mod tests {
         c += b;
         assert_eq!(c, SimTime::from_millis(8));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(SimTime::MAX.saturating_add(a), SimTime::MAX);
         assert_eq!(SimTime::MAX.checked_add(a), None);
         assert_eq!(a.checked_add(b), Some(SimTime::from_millis(8)));
     }

@@ -5,69 +5,16 @@
 //! are passive systems, so the explicit-integration stability condition
 //! `ρ(I + h·A) < 1` (Eq. 7) "can be ensured in a straightforward way by
 //! adjusting the step-size such that the point total-step matrix is diagonally
-//! dominant". This module implements that rule:
-//!
-//! * [`is_diagonally_dominant`] — the textbook row-wise test,
-//! * [`max_stable_step`] — the largest `h` for which `I + h·A` remains strictly
-//!   row-diagonally dominant (with every diagonal entry inside the unit circle),
-//!   which by the Gershgorin theorem implies `ρ(I + h·A) ≤ 1`.
+//! dominant". This module implements that rule: [`max_stable_step`] is the
+//! largest `h` for which `I + h·A` remains strictly row-diagonally dominant
+//! (with every diagonal entry inside the unit circle), which by the Gershgorin
+//! theorem implies `ρ(I + h·A) ≤ 1`.
 
 use crate::{DMatrix, LinalgError};
 
-/// Returns `true` if `m` is strictly row-wise diagonally dominant, i.e. for
-/// every row `i`, `|m_ii| > Σ_{j≠i} |m_ij|`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for non-square input.
-pub fn is_diagonally_dominant(m: &DMatrix) -> Result<bool, LinalgError> {
-    if !m.is_square() {
-        return Err(LinalgError::NotSquare { rows: m.rows(), cols: m.cols() });
-    }
-    for i in 0..m.rows() {
-        let diag = m[(i, i)].abs();
-        let off: f64 =
-            m.row(i).iter().enumerate().filter(|(j, _)| *j != i).map(|(_, x)| x.abs()).sum();
-        if diag <= off {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Returns `true` if the point total-step matrix `I + h·A` satisfies the paper's
-/// diagonal-dominance stability heuristic for step size `h`.
-///
-/// The test requires, for every row `i`:
-///
-/// * `|1 + h·a_ii| + h·Σ_{j≠i}|a_ij| < 1` — the Gershgorin disc of the row lies
-///   strictly inside the unit circle, which is sufficient for `ρ(I + h·A) < 1`.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for a non-square `a` and
-/// [`LinalgError::InvalidArgument`] for a non-positive `h`.
-pub fn step_is_diagonally_stable(a: &DMatrix, h: f64) -> Result<bool, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
-    }
-    if h <= 0.0 || !h.is_finite() {
-        return Err(LinalgError::InvalidArgument(format!("step size must be positive, got {h}")));
-    }
-    for i in 0..a.rows() {
-        let diag = 1.0 + h * a[(i, i)];
-        let off: f64 =
-            a.row(i).iter().enumerate().filter(|(j, _)| *j != i).map(|(_, x)| h * x.abs()).sum();
-        if diag.abs() + off >= 1.0 {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Largest step size `h` for which `I + h·A` passes
-/// [`step_is_diagonally_stable`], i.e. every Gershgorin row disc of `I + h·A`
-/// lies strictly inside the unit circle.
+/// Largest step size `h` for which every Gershgorin row disc of `I + h·A`
+/// lies strictly inside the unit circle, i.e. `|1 + h·a_ii| + h·Σ_{j≠i}|a_ij| < 1`
+/// for every row `i`.
 ///
 /// For each row `i` with diagonal `a_ii < 0` and off-diagonal absolute sum
 /// `r_i`, the disc `|1 + h·a_ii| + h·r_i < 1` holds for
@@ -125,21 +72,43 @@ pub fn max_stable_step(a: &DMatrix, safety: f64) -> Result<Option<f64>, LinalgEr
     Ok(Some(safety * h_max))
 }
 
+/// Returns `true` if the point total-step matrix `I + h·A` satisfies the paper's
+/// diagonal-dominance stability heuristic for step size `h`: the row test that
+/// the tests check [`max_stable_step`] against.
+///
+/// The test requires, for every row `i`:
+///
+/// * `|1 + h·a_ii| + h·Σ_{j≠i}|a_ij| < 1` — the Gershgorin disc of the row lies
+///   strictly inside the unit circle, which is sufficient for `ρ(I + h·A) < 1`.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::NotSquare`] for a non-square `a` and
+/// [`LinalgError::InvalidArgument`] for a non-positive `h`.
+#[cfg(test)]
+fn step_is_diagonally_stable(a: &DMatrix, h: f64) -> Result<bool, LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
+    }
+    if h <= 0.0 || !h.is_finite() {
+        return Err(LinalgError::InvalidArgument(format!("step size must be positive, got {h}")));
+    }
+    for i in 0..a.rows() {
+        let diag = 1.0 + h * a[(i, i)];
+        let off: f64 =
+            a.row(i).iter().enumerate().filter(|(j, _)| *j != i).map(|(_, x)| h * x.abs()).sum();
+        if diag.abs() + off >= 1.0 {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eigen::spectral_radius;
     use crate::DVector;
-
-    #[test]
-    fn dominance_test_basic() {
-        let dominant =
-            DMatrix::from_rows(&[&[3.0, 1.0, 1.0], &[0.5, -2.0, 1.0], &[0.0, 1.0, 4.0]]).unwrap();
-        assert!(is_diagonally_dominant(&dominant).unwrap());
-        let not_dominant = DMatrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(!is_diagonally_dominant(&not_dominant).unwrap());
-        assert!(is_diagonally_dominant(&DMatrix::zeros(2, 3)).is_err());
-    }
 
     #[test]
     fn stable_step_for_decay_matrix() {

@@ -4,9 +4,9 @@
 //! be numerically stable is `ρ(I + h·A) < 1` (Eq. 7 of the paper), where `A` is
 //! the point total-step matrix and `ρ` the spectral radius. The paper enforces
 //! this cheaply through diagonal dominance (see [`crate::dominance`]); this
-//! module provides the *exact* machinery — Gershgorin disc bounds, power
-//! iteration and a small dense QR eigenvalue solver — so the heuristic can be
-//! validated and compared in the ablation benchmarks.
+//! module provides the *exact* machinery — a small dense QR eigenvalue solver
+//! and the spectral radius built on it — so the heuristic can be validated
+//! and compared in the ablation benchmarks.
 
 use crate::{DMatrix, DVector, LinalgError};
 
@@ -29,93 +29,6 @@ impl Complex {
     pub fn abs(&self) -> f64 {
         self.re.hypot(self.im)
     }
-}
-
-/// Upper bound on the spectral radius from the Gershgorin circle theorem:
-/// every eigenvalue lies in a disc centred on a diagonal entry with radius
-/// equal to the off-diagonal absolute row sum, so
-/// `ρ(A) ≤ max_i (|a_ii| + Σ_{j≠i} |a_ij|)`.
-///
-/// This is extremely cheap (one pass over the matrix) and is the bound that
-/// justifies the paper's diagonal-dominance step-size rule.
-///
-/// # Errors
-///
-/// Returns [`LinalgError::NotSquare`] for non-square input.
-pub fn gershgorin_radius_bound(a: &DMatrix) -> Result<f64, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
-    }
-    let mut bound: f64 = 0.0;
-    for i in 0..a.rows() {
-        let row_abs_sum: f64 = a.row(i).iter().map(|x| x.abs()).sum();
-        bound = bound.max(row_abs_sum);
-    }
-    Ok(bound)
-}
-
-/// Estimates the dominant eigenvalue magnitude (spectral radius) by power
-/// iteration.
-///
-/// Power iteration converges to the magnitude of the dominant eigenvalue for
-/// almost all starting vectors. For matrices with complex-conjugate dominant
-/// pairs (common for the oscillatory microgenerator dynamics) the plain power
-/// iteration does not converge to a fixed vector, so this routine tracks the
-/// growth rate of the iterate norm over a window, which still converges to the
-/// dominant magnitude.
-///
-/// # Errors
-///
-/// * [`LinalgError::NotSquare`] for non-square input.
-/// * [`LinalgError::NoConvergence`] if the estimate has not stabilised after
-///   `max_iterations`.
-pub fn power_iteration_radius(
-    a: &DMatrix,
-    max_iterations: usize,
-    tolerance: f64,
-) -> Result<f64, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
-    }
-    let n = a.rows();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    // Deterministic, non-degenerate start vector.
-    let mut v = DVector::from_fn(n, |i| 1.0 + (i as f64) * 0.37);
-    let mut norm = v.norm_two();
-    v.scale_mut(1.0 / norm);
-
-    let mut estimate = 0.0;
-    // Average the growth rate over a short window to damp the oscillation that a
-    // complex-conjugate dominant pair produces.
-    let window = 8usize;
-    let mut growth_log_sum = 0.0;
-    let mut growth_count = 0usize;
-
-    for it in 0..max_iterations {
-        let w = a.mul_vector(&v);
-        norm = w.norm_two();
-        if norm == 0.0 {
-            // v is in the null space; the dominant eigenvalue along this direction
-            // is zero, which is also a valid (zero) spectral radius estimate.
-            return Ok(0.0);
-        }
-        growth_log_sum += norm.ln();
-        growth_count += 1;
-        v = w.scaled(1.0 / norm);
-
-        if growth_count == window {
-            let new_estimate = (growth_log_sum / window as f64).exp();
-            growth_log_sum = 0.0;
-            growth_count = 0;
-            if it > window && (new_estimate - estimate).abs() <= tolerance * new_estimate.max(1.0) {
-                return Ok(new_estimate);
-            }
-            estimate = new_estimate;
-        }
-    }
-    Err(LinalgError::NoConvergence { algorithm: "power iteration", iterations: max_iterations })
 }
 
 /// Computes all eigenvalues of a small dense matrix with the shifted QR
@@ -443,30 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn gershgorin_bounds_spectral_radius() {
-        let a =
-            DMatrix::from_rows(&[&[2.0, -1.0, 0.0], &[1.0, 3.0, 0.5], &[0.0, 0.2, -1.0]]).unwrap();
-        let bound = gershgorin_radius_bound(&a).unwrap();
-        let exact = spectral_radius(&a).unwrap();
-        assert!(bound >= exact - 1e-12, "bound {bound} must dominate exact {exact}");
-        assert!(gershgorin_radius_bound(&DMatrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn power_iteration_agrees_with_exact_radius() {
-        let a =
-            DMatrix::from_rows(&[&[0.5, 0.1, 0.0], &[0.0, -0.8, 0.2], &[0.1, 0.0, 0.3]]).unwrap();
-        let approx = power_iteration_radius(&a, 10_000, 1e-8).unwrap();
-        let exact = spectral_radius(&a).unwrap();
-        assert!((approx - exact).abs() < 1e-3, "approx {approx}, exact {exact}");
-    }
-
-    #[test]
-    fn power_iteration_rejects_non_square() {
-        assert!(power_iteration_radius(&DMatrix::zeros(2, 3), 10, 1e-6).is_err());
-    }
-
-    #[test]
     fn explicit_step_stability_threshold() {
         // A = -100 I: forward Euler stable iff |1 - 100 h| < 1, i.e. h < 0.02.
         let a = DMatrix::from_diagonal(&DVector::from_slice(&[-100.0, -100.0]));
@@ -495,14 +384,6 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn gershgorin_always_dominates_exact_radius(a in small_matrix(4)) {
-            let bound = gershgorin_radius_bound(&a).unwrap();
-            if let Ok(exact) = spectral_radius(&a) {
-                prop_assert!(bound + 1e-6 >= exact, "bound {bound} < exact {exact}");
-            }
-        }
 
         #[test]
         fn eigenvalue_sum_matches_trace(a in small_matrix(4)) {

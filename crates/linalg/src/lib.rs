@@ -14,12 +14,12 @@
 //! * [`LuDecomposition`] — LU factorisation with partial pivoting, used to solve
 //!   the algebraic part of the linearised model, `Jyy · y = −Jyx · x` (Eq. 4 of
 //!   the paper), and inside the Newton–Raphson baseline.
-//! * [`eigen`] — spectral-radius machinery (power iteration, Gershgorin discs and
-//!   a shifted-QR eigenvalue solver for small matrices) used to check the
-//!   explicit-integration stability condition `ρ(I + h·A) < 1` (Eq. 7).
-//! * [`dominance`] — diagonal-dominance tests and the largest step size `h` that
-//!   keeps `I + h·A` diagonally dominant; this is the cheap sufficient condition
-//!   the paper uses in place of an exact spectral radius.
+//! * [`eigen`] — spectral-radius machinery (a shifted-QR eigenvalue solver for
+//!   small matrices) used to check the explicit-integration stability condition
+//!   `ρ(I + h·A) < 1` (Eq. 7).
+//! * [`dominance`] — the largest step size `h` that keeps `I + h·A` diagonally
+//!   dominant; this is the cheap sufficient condition the paper uses in place
+//!   of an exact spectral radius.
 //! * [`expm`] — small dense matrix exponential and the ϕ₁/ϕ₂ functions, the
 //!   kernels of the exponential integrator that advances the stiff partition
 //!   of the state space exactly instead of explicitly.

@@ -37,8 +37,6 @@ pub struct LuDecomposition {
     /// Row permutation: row `i` of the factorised matrix came from row `perm[i]`
     /// of the original.
     perm: Vec<usize>,
-    /// Sign of the permutation (+1.0 or -1.0), needed for the determinant.
-    perm_sign: f64,
     /// Threshold below which a pivot is considered numerically zero.
     pivot_tolerance: f64,
 }
@@ -61,17 +59,13 @@ impl LuDecomposition {
     /// # Errors
     ///
     /// Same failure modes as [`LuDecomposition::new`].
-    pub fn with_tolerance(a: &DMatrix, pivot_tolerance: f64) -> Result<Self, LinalgError> {
+    fn with_tolerance(a: &DMatrix, pivot_tolerance: f64) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
         let n = a.rows();
-        let mut decomposition = LuDecomposition {
-            lu: a.clone(),
-            perm: (0..n).collect(),
-            perm_sign: 1.0,
-            pivot_tolerance,
-        };
+        let mut decomposition =
+            LuDecomposition { lu: a.clone(), perm: (0..n).collect(), pivot_tolerance };
         decomposition.eliminate()?;
         Ok(decomposition)
     }
@@ -83,9 +77,7 @@ impl LuDecomposition {
     /// relinearisation refresh, and even then without allocator traffic.
     ///
     /// The pivot tolerance is recomputed for the new matrix exactly as
-    /// [`LuDecomposition::new`] would (a tolerance chosen via
-    /// [`LuDecomposition::with_tolerance`] for a *previous* matrix is not
-    /// carried over — it was scaled to that matrix's magnitude).
+    /// [`LuDecomposition::new`] does.
     ///
     /// On error the decomposition is left in an unspecified (but safe) state and
     /// must be refreshed with another successful factorisation before use.
@@ -107,7 +99,6 @@ impl LuDecomposition {
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i;
         }
-        self.perm_sign = 1.0;
         self.pivot_tolerance = crate::DEFAULT_EPS * a.max_abs().max(1.0);
         self.eliminate()
     }
@@ -134,7 +125,6 @@ impl LuDecomposition {
             if pivot_row != k {
                 self.lu.swap_rows(k, pivot_row);
                 self.perm.swap(k, pivot_row);
-                self.perm_sign = -self.perm_sign;
             }
             // Eliminate below the pivot: each row update is a contiguous
             // four-lane axpy on the trailing sub-row (bit-identical to the
@@ -153,11 +143,6 @@ impl LuDecomposition {
     /// Dimension of the factorised matrix.
     pub fn dim(&self) -> usize {
         self.lu.rows()
-    }
-
-    /// The pivot tolerance used during factorisation.
-    pub fn pivot_tolerance(&self) -> f64 {
-        self.pivot_tolerance
     }
 
     /// Solves `A · x = b` using the stored factorisation.
@@ -213,12 +198,12 @@ impl LuDecomposition {
         Ok(())
     }
 
-    /// Solves `A · X = B` column by column.
+    /// Solves `A · X = B` into a fresh matrix.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `B.rows() != self.dim()`.
-    pub fn solve_matrix(&self, b: &DMatrix) -> Result<DMatrix, LinalgError> {
+    fn solve_matrix(&self, b: &DMatrix) -> Result<DMatrix, LinalgError> {
         let mut out = DMatrix::zeros(self.dim(), b.cols());
         self.solve_matrix_into(b, &mut out)?;
         Ok(out)
@@ -227,8 +212,8 @@ impl LuDecomposition {
     /// Solves `A · X = B` for all columns simultaneously into a caller-owned
     /// buffer, with no heap allocation: the permuted copy of `B` is written
     /// into `out` and the forward/back substitutions then run across every
-    /// column of `out` at once (better cache behaviour than the column-by-
-    /// column [`LuDecomposition::solve_matrix`], which it now backs).
+    /// column of `out` at once (better cache behaviour than solving column
+    /// by column).
     ///
     /// # Errors
     ///
@@ -285,15 +270,6 @@ impl LuDecomposition {
         Ok(())
     }
 
-    /// Determinant of the original matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
-
     /// Inverse of the original matrix.
     ///
     /// # Errors
@@ -302,29 +278,6 @@ impl LuDecomposition {
     /// factorised matrix of matching dimension).
     pub fn inverse(&self) -> Result<DMatrix, LinalgError> {
         self.solve_matrix(&DMatrix::identity(self.dim()))
-    }
-
-    /// Cheap estimate of the reciprocal condition number based on the ratio of
-    /// the smallest to the largest pivot magnitude. A value close to zero warns
-    /// that solutions of Eq. 4 may be inaccurate (e.g. an almost-floating
-    /// terminal node in the assembled model).
-    pub fn rcond_estimate(&self) -> f64 {
-        let n = self.dim();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        for i in 0..n {
-            let p = self.lu[(i, i)].abs();
-            min = min.min(p);
-            max = max.max(p);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
     }
 }
 
@@ -365,15 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_matches_cofactor_expansion() {
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert!((a.lu().unwrap().determinant() - (-2.0)).abs() < 1e-14);
-        // Permutation sign is accounted for.
-        let b = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((b.lu().unwrap().determinant() - (-1.0)).abs() < 1e-14);
-    }
-
-    #[test]
     fn inverse_multiplies_to_identity() {
         let a = spd_matrix();
         let inv = a.lu().unwrap().inverse().unwrap();
@@ -398,14 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn rcond_estimate_flags_near_singularity() {
-        let good = spd_matrix().lu().unwrap();
-        assert!(good.rcond_estimate() > 0.1);
-        let bad = DMatrix::from_rows(&[&[1.0, 0.0], &[0.0, 1e-9]]).unwrap().lu().unwrap();
-        assert!(bad.rcond_estimate() < 1e-8);
-    }
-
-    #[test]
     fn factor_into_reuses_storage_and_matches_fresh_factorisation() {
         let a = spd_matrix();
         let mut lu = a.lu().unwrap();
@@ -416,12 +352,11 @@ mod tests {
         let fresh = b.lu().unwrap();
         let rhs = DVector::from_slice(&[1.0, -1.0, 2.0]);
         assert_eq!(lu.solve(&rhs).unwrap(), fresh.solve(&rhs).unwrap());
-        assert_eq!(lu.determinant(), fresh.determinant());
-        // Dimension changes still work (with reallocation).
+        // Dimension changes still work (with reallocation), pivoting included.
         let small = DMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
         lu.factor_into(&small).unwrap();
         assert_eq!(lu.dim(), 2);
-        assert!((lu.determinant() - (-1.0)).abs() < 1e-14);
+        assert_eq!(lu.solve(&DVector::from_slice(&[2.0, 3.0])).unwrap().as_slice(), &[3.0, 2.0]);
         // Singular input is reported.
         let singular = DMatrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
         assert!(matches!(lu.factor_into(&singular), Err(LinalgError::Singular { .. })));
@@ -460,7 +395,7 @@ mod tests {
     #[test]
     fn tolerance_is_recorded() {
         let lu = LuDecomposition::with_tolerance(&spd_matrix(), 1e-6).unwrap();
-        assert_eq!(lu.pivot_tolerance(), 1e-6);
+        assert_eq!(lu.pivot_tolerance, 1e-6);
         assert_eq!(lu.dim(), 3);
     }
 }
@@ -494,18 +429,6 @@ mod proptests {
             let x = m.lu().unwrap().solve(&b).unwrap();
             let residual = (m.mul_vector(&x) - &b).norm_inf();
             prop_assert!(residual < 1e-9, "residual {residual}");
-        }
-
-        #[test]
-        fn determinant_of_product_is_product_of_determinants(
-            a in diag_dominant_matrix(4),
-            b in diag_dominant_matrix(4),
-        ) {
-            let da = a.lu().unwrap().determinant();
-            let db = b.lu().unwrap().determinant();
-            let dab = a.mul_matrix(&b).unwrap().lu().unwrap().determinant();
-            let scale = da.abs().max(db.abs()).max(1.0);
-            prop_assert!((dab - da * db).abs() / (scale * scale) < 1e-9);
         }
 
         #[test]

@@ -424,11 +424,6 @@ impl DMatrix {
         DMatrix::from_fn(height, width, |r, c| self[(row + r, col + c)])
     }
 
-    /// Frobenius norm (square root of the sum of squared entries).
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Infinity norm (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
         (0..self.rows).map(|r| self.row(r).iter().map(|x| x.abs()).sum::<f64>()).fold(0.0, f64::max)
@@ -803,7 +798,6 @@ mod tests {
     #[test]
     fn norms() {
         let m = sample();
-        assert!((m.norm_frobenius() - (30.0f64).sqrt()).abs() < 1e-14);
         assert_eq!(m.norm_inf(), 7.0);
         assert_eq!(m.max_abs(), 4.0);
         let other = DMatrix::zeros(2, 2);

@@ -71,11 +71,6 @@ impl DVector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Returns element `i`, or `None` if out of bounds.
     pub fn get(&self, i: usize) -> Option<f64> {
         self.data.get(i).copied()
@@ -127,11 +122,6 @@ impl DVector {
     /// Euclidean (L2) norm.
     pub fn norm_two(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Sum of absolute values (L1 norm).
-    pub fn norm_one(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
     }
 
     /// Maximum absolute value (infinity norm). Zero for an empty vector.
@@ -456,7 +446,6 @@ mod tests {
         let b = DVector::from_slice(&[2.0, 1.0, 0.0]);
         assert_eq!(a.dot(&b).unwrap(), 4.0);
         assert_eq!(a.norm_two(), 3.0);
-        assert_eq!(a.norm_one(), 5.0);
         assert_eq!(a.norm_inf(), 2.0);
         assert!((a.rms() - (9.0f64 / 3.0).sqrt()).abs() < 1e-15);
     }

@@ -187,7 +187,7 @@ impl Trajectory {
     /// # Errors
     ///
     /// Returns [`OdeError::InvalidParameter`] if the trajectory is empty.
-    pub fn interpolate(&self, t: f64) -> Result<DVector, OdeError> {
+    fn interpolate(&self, t: f64) -> Result<DVector, OdeError> {
         if self.is_empty() {
             return Err(OdeError::InvalidParameter(
                 "cannot interpolate an empty trajectory".to_string(),
@@ -210,109 +210,6 @@ impl Trajectory {
         let x0 = &self.states[idx - 1];
         let x1 = &self.states[idx];
         Ok(DVector::from_fn(x0.len(), |i| x0[i] + w * (x1[i] - x0[i])))
-    }
-
-    /// Resamples component `index` on a uniform grid of `samples` points spanning
-    /// the recorded time range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidParameter`] if the trajectory is empty or
-    /// `samples < 2`.
-    pub fn resample_component(
-        &self,
-        index: usize,
-        samples: usize,
-    ) -> Result<Vec<(f64, f64)>, OdeError> {
-        if samples < 2 {
-            return Err(OdeError::InvalidParameter("resampling needs at least 2 samples".into()));
-        }
-        if self.is_empty() {
-            return Err(OdeError::InvalidParameter("cannot resample an empty trajectory".into()));
-        }
-        let t0 = self.first_time();
-        let t1 = self.last_time();
-        let mut out = Vec::with_capacity(samples);
-        for k in 0..samples {
-            let t = t0 + (t1 - t0) * (k as f64) / ((samples - 1) as f64);
-            let x = self.interpolate(t)?;
-            out.push((t, x[index]));
-        }
-        Ok(out)
-    }
-
-    /// Root-mean-square of component `index` over the window `[t_start, t_end]`,
-    /// evaluated by trapezoidal integration of the squared, linearly-interpolated
-    /// waveform. This is the metric behind the paper's "simulated RMS power is
-    /// 118 µW when tuned at 70 Hz" style statements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidParameter`] for an empty trajectory or an
-    /// empty/inverted window.
-    pub fn rms_of_component(
-        &self,
-        index: usize,
-        t_start: f64,
-        t_end: f64,
-    ) -> Result<f64, OdeError> {
-        if self.is_empty() {
-            return Err(OdeError::InvalidParameter("empty trajectory".into()));
-        }
-        if !(t_end > t_start) {
-            return Err(OdeError::InvalidParameter(format!(
-                "rms window must have positive length (got [{t_start}, {t_end}])"
-            )));
-        }
-        // Collect window sample times: window edges plus every recorded time inside.
-        let mut ts: Vec<f64> = vec![t_start];
-        ts.extend(self.times.iter().copied().filter(|&t| t > t_start && t < t_end));
-        ts.push(t_end);
-        let mut integral = 0.0;
-        let mut prev_t = ts[0];
-        let mut prev_v = self.interpolate(prev_t)?[index];
-        for &t in &ts[1..] {
-            let v = self.interpolate(t)?[index];
-            integral += 0.5 * (prev_v * prev_v + v * v) * (t - prev_t);
-            prev_t = t;
-            prev_v = v;
-        }
-        Ok((integral / (t_end - t_start)).sqrt())
-    }
-
-    /// Mean of component `index` over the window `[t_start, t_end]` using
-    /// trapezoidal integration.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Trajectory::rms_of_component`].
-    pub fn mean_of_component(
-        &self,
-        index: usize,
-        t_start: f64,
-        t_end: f64,
-    ) -> Result<f64, OdeError> {
-        if self.is_empty() {
-            return Err(OdeError::InvalidParameter("empty trajectory".into()));
-        }
-        if !(t_end > t_start) {
-            return Err(OdeError::InvalidParameter(format!(
-                "mean window must have positive length (got [{t_start}, {t_end}])"
-            )));
-        }
-        let mut ts: Vec<f64> = vec![t_start];
-        ts.extend(self.times.iter().copied().filter(|&t| t > t_start && t < t_end));
-        ts.push(t_end);
-        let mut integral = 0.0;
-        let mut prev_t = ts[0];
-        let mut prev_v = self.interpolate(prev_t)?[index];
-        for &t in &ts[1..] {
-            let v = self.interpolate(t)?[index];
-            integral += 0.5 * (prev_v + v) * (t - prev_t);
-            prev_t = t;
-            prev_v = v;
-        }
-        Ok(integral / (t_end - t_start))
     }
 
     /// Maximum absolute difference between component `index` of this trajectory
@@ -434,43 +331,6 @@ mod tests {
         assert_eq!(tr.interpolate(-5.0).unwrap().as_slice(), &[0.0, 0.0]);
         assert_eq!(tr.interpolate(99.0).unwrap().as_slice(), &[3.0, 6.0]);
         assert!(Trajectory::new().interpolate(0.0).is_err());
-    }
-
-    #[test]
-    fn resampling_produces_uniform_grid() {
-        let tr = ramp_trajectory();
-        let s = tr.resample_component(0, 4).unwrap();
-        assert_eq!(s.len(), 4);
-        assert!((s[1].0 - 1.0).abs() < 1e-14);
-        assert!((s[1].1 - 1.0).abs() < 1e-14);
-        assert!(tr.resample_component(0, 1).is_err());
-    }
-
-    #[test]
-    fn rms_and_mean_of_linear_ramp() {
-        let tr = ramp_trajectory();
-        // x0(t) = t on [0, 3]: mean 1.5. The RMS uses trapezoidal integration of
-        // the *squared* samples at t = 0, 1, 2, 3, which gives sqrt(9.5 / 3).
-        assert!((tr.mean_of_component(0, 0.0, 3.0).unwrap() - 1.5).abs() < 1e-12);
-        assert!((tr.rms_of_component(0, 0.0, 3.0).unwrap() - (9.5f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!(tr.rms_of_component(0, 2.0, 1.0).is_err());
-        assert!(tr.mean_of_component(0, 2.0, 2.0).is_err());
-    }
-
-    #[test]
-    fn rms_of_sine_wave_matches_amplitude_over_sqrt2() {
-        let mut tr = Trajectory::with_capacity(2001);
-        let amplitude = 3.0;
-        let freq = 70.0;
-        for k in 0..=2000 {
-            let t = k as f64 / 2000.0 * (5.0 / freq); // five periods
-            tr.push(
-                t,
-                DVector::from_slice(&[amplitude * (2.0 * std::f64::consts::PI * freq * t).sin()]),
-            );
-        }
-        let rms = tr.rms_of_component(0, 0.0, 5.0 / freq).unwrap();
-        assert!((rms - amplitude / 2.0f64.sqrt()).abs() < 0.01);
     }
 
     #[test]

@@ -97,15 +97,6 @@ pub fn max_stable_step(a: &DMatrix, rule: StabilityRule) -> Result<Option<f64>, 
     }
 }
 
-/// Verifies the paper's Eq. 7 directly: is `ρ(I + h·A) < 1`?
-///
-/// # Errors
-///
-/// Propagates eigenvalue-computation failures.
-pub fn step_satisfies_eq7(a: &DMatrix, h: f64) -> Result<bool, OdeError> {
-    Ok(eigen::explicit_step_is_stable(a, h)?)
-}
-
 /// Whether the *uniform-step order-2 Adams–Bashforth* recurrence is stable for
 /// the scalar mode `ẋ = λ·x` at step `h`, i.e. whether both roots of the
 /// characteristic polynomial
@@ -285,34 +276,6 @@ fn validate_safety_and_cap(safety: f64, h_cap: f64) -> Result<(), OdeError> {
     Ok(())
 }
 
-/// Largest step `h ≤ h_cap` for which the order-`order` Adams–Bashforth
-/// formula is stable on *every* eigenmode of `a` — the generalisation of
-/// [`ab2_max_stable_step`] to orders 1–4 through the exact per-eigenvalue
-/// boundary-locus scan of `min_ray_limit`.
-///
-/// Returns `None` when no eigenvalue constrains the step below `h_cap` and
-/// `Some(0.0)` when an undamped/unstable mode admits no stable explicit step.
-///
-/// # Errors
-///
-/// Rejects invalid `order`/`safety`/`h_cap` and propagates eigenvalue
-/// failures.
-pub fn abk_max_stable_step(
-    a: &DMatrix,
-    order: usize,
-    safety: f64,
-    h_cap: f64,
-) -> Result<Option<f64>, OdeError> {
-    if order == 0 || order > MAX_ADAMS_BASHFORTH_ORDER {
-        return Err(OdeError::InvalidParameter(format!(
-            "adams-bashforth order must be 1..={MAX_ADAMS_BASHFORTH_ORDER}, got {order}"
-        )));
-    }
-    validate_safety_and_cap(safety, h_cap)?;
-    let eigs = eigen::eigenvalues(a)?;
-    Ok(min_ray_limit(&eigs, order, h_cap).map(|(h, _)| safety * h))
-}
-
 /// Per-order stable-step limits of one linearisation point — the plan the
 /// order/step governor selects from at every accepted step.
 ///
@@ -320,8 +283,8 @@ pub fn abk_max_stable_step(
 /// *single* eigenvalue decomposition of the total-step matrix (the spectral
 /// scan is shared across all four orders), then cached by the solver exactly
 /// like the former AB2-only limit. Each entry is already derated by the
-/// safety factor and clamped to the step cap, so [`OrderStepLimits::select`]
-/// is a handful of comparisons.
+/// safety factor and clamped to the step cap, so a selection is a handful of
+/// comparisons.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrderStepLimits {
     /// Largest stable step per order (index `k − 1`), safety-derated and
@@ -425,7 +388,7 @@ impl OrderStepLimits {
     ///   accuracy for raw step size would undermine the Eq. 3 error control
     ///   the paper builds on;
     /// * ties prefer the higher order (same step, better accuracy).
-    pub fn select(&self, available_history: usize) -> (usize, f64) {
+    fn select(&self, available_history: usize) -> (usize, f64) {
         let avail = available_history.clamp(1, self.max_order);
         if avail == 1 {
             return (1, self.limits[0]);
@@ -440,15 +403,19 @@ impl OrderStepLimits {
         best
     }
 
-    /// Like [`OrderStepLimits::select`], but aware of the step the caller is
-    /// actually about to take: when `h_target` (the growth-, cap- or
-    /// span-end-limited candidate step) already fits inside a higher order's
-    /// region, that order is free accuracy at the same step, so the highest
-    /// covering order ≥ 2 wins; only when no admissible order covers the
-    /// target does the selection fall back to maximising the stable step.
-    /// Order 1 is still reserved for the single-sample bootstrap — trading
-    /// the multi-step accuracy for its wider forward-Euler interval is never
-    /// worth one step of ~30 % extra length.
+    /// Picks the `(order, step limit)` pair for the step the caller is about
+    /// to take, among the orders admissible with `available_history`
+    /// derivative samples — the governor policy of the order-adaptive march.
+    /// When `h_target` (the growth-, cap- or span-end-limited candidate step)
+    /// already fits inside a higher order's region, that order is free
+    /// accuracy at the same step, so the highest covering order ≥ 2 wins;
+    /// only when no admissible order covers the target does the selection
+    /// fall back to the order maximising the stable step (ties prefer the
+    /// higher order). After a load-mode switch or a Jacobian discontinuity
+    /// truncates the history, the admissible orders shrink and regrow. Order 1
+    /// is reserved for the single-sample bootstrap — trading the multi-step
+    /// accuracy for its wider forward-Euler interval is never worth one step
+    /// of ~30 % extra length.
     pub fn select_for_target(&self, available_history: usize, h_target: f64) -> (usize, f64) {
         let avail = available_history.clamp(1, self.max_order);
         if avail >= 2 {
@@ -513,29 +480,33 @@ pub fn order_step_limits(
     Ok(OrderStepLimits { limits, binding, constrained, max_order })
 }
 
-/// Largest step `h ≤ h_cap` for which the order-2 Adams–Bashforth formula is
-/// stable on *every* eigenmode of `a`, found by an exact per-eigenvalue region
-/// check of the AB2 characteristic roots with bisection.
-///
-/// The generic [`max_stable_step`] rules bound the *forward-Euler* total-step
-/// matrix and the caller then derates by the ratio of real-axis stability
-/// intervals. That derate is sound for real (relaxation) poles but wildly
-/// conservative for lightly damped oscillatory pairs `λ = −ζω ± iω`: the
-/// forward-Euler criterion caps `h < 2ζ/ω`, while AB2's stability region hugs
-/// the imaginary axis closely enough that the true bound scales as
-/// `√(ζ/ω)·ω⁻¹/²` — orders of magnitude larger for the harvester's 70 Hz,
-/// high-Q mechanical resonance. Checking the actual AB2 characteristic roots
-/// removes exactly that pessimism; for real poles it reproduces the classic
-/// `h < 1/|λ|` interval, so nothing gets *less* safe.
+/// Largest step `h ≤ h_cap` for which the order-`order` Adams–Bashforth
+/// formula is stable on *every* eigenmode of `a`, through the exact
+/// per-eigenvalue boundary-locus scan of `min_ray_limit`: the single-order
+/// reference the tests check [`order_step_limits`] against.
 ///
 /// Returns `None` when no eigenvalue constrains the step below `h_cap` and
 /// `Some(0.0)` when an undamped/unstable mode admits no stable explicit step.
 ///
 /// # Errors
 ///
-/// Rejects invalid `safety`/`h_cap` and propagates eigenvalue failures.
-pub fn ab2_max_stable_step(a: &DMatrix, safety: f64, h_cap: f64) -> Result<Option<f64>, OdeError> {
-    abk_max_stable_step(a, 2, safety, h_cap)
+/// Rejects invalid `order`/`safety`/`h_cap` and propagates eigenvalue
+/// failures.
+#[cfg(test)]
+fn abk_max_stable_step(
+    a: &DMatrix,
+    order: usize,
+    safety: f64,
+    h_cap: f64,
+) -> Result<Option<f64>, OdeError> {
+    if order == 0 || order > MAX_ADAMS_BASHFORTH_ORDER {
+        return Err(OdeError::InvalidParameter(format!(
+            "adams-bashforth order must be 1..={MAX_ADAMS_BASHFORTH_ORDER}, got {order}"
+        )));
+    }
+    validate_safety_and_cap(safety, h_cap)?;
+    let eigs = eigen::eigenvalues(a)?;
+    Ok(min_ray_limit(&eigs, order, h_cap).map(|(h, _)| safety * h))
 }
 
 #[cfg(test)]
@@ -560,8 +531,8 @@ mod tests {
         let h =
             max_stable_step(&a, StabilityRule::SpectralRadius { safety: 1.0 }).unwrap().unwrap();
         assert!((h - 0.02).abs() < 1e-9);
-        assert!(step_satisfies_eq7(&a, 0.9 * h).unwrap());
-        assert!(!step_satisfies_eq7(&a, 1.1 * h).unwrap());
+        assert!(eigen::explicit_step_is_stable(&a, 0.9 * h).unwrap());
+        assert!(!eigen::explicit_step_is_stable(&a, 1.1 * h).unwrap());
     }
 
     #[test]
@@ -575,7 +546,7 @@ mod tests {
             max_stable_step(&a, StabilityRule::SpectralRadius { safety: 1.0 }).unwrap().unwrap();
         let expected = 2.0 * zeta / omega; // -2α/|λ|² with α = -ζω, |λ| = ω
         assert!((h - expected).abs() < 0.05 * expected, "h = {h}, expected ≈ {expected}");
-        assert!(step_satisfies_eq7(&a, 0.9 * h).unwrap());
+        assert!(eigen::explicit_step_is_stable(&a, 0.9 * h).unwrap());
     }
 
     #[test]
@@ -617,10 +588,10 @@ mod tests {
         // Pure relaxation poles: AB2 is stable for h·|λ| < 1, so the slowest…
         // fastest pole at −500 binds the step at 1/500 = 2 ms.
         let a = DMatrix::from_diagonal(&DVector::from_slice(&[-100.0, -500.0]));
-        let h = ab2_max_stable_step(&a, 1.0, 1.0).unwrap().unwrap();
+        let h = abk_max_stable_step(&a, 2, 1.0, 1.0).unwrap().unwrap();
         assert!((h - 1.0 / 500.0).abs() < 1e-6, "h = {h}");
         // Nothing binds below a small cap.
-        assert_eq!(ab2_max_stable_step(&a, 1.0, 1e-4).unwrap(), None);
+        assert_eq!(abk_max_stable_step(&a, 2, 1.0, 1e-4).unwrap(), None);
     }
 
     #[test]
@@ -632,7 +603,7 @@ mod tests {
         let a = damped_oscillator(omega, zeta);
         let fe =
             max_stable_step(&a, StabilityRule::SpectralRadius { safety: 1.0 }).unwrap().unwrap();
-        let ab2 = ab2_max_stable_step(&a, 1.0, 1.0).unwrap().unwrap();
+        let ab2 = abk_max_stable_step(&a, 2, 1.0, 1.0).unwrap().unwrap();
         assert!(ab2 > 5.0 * fe, "AB2 limit {ab2} vs FE limit {fe}");
         // The claimed limit is genuinely stable and ~2× beyond it is not:
         // march the 2-step recurrence directly on the eigenmode.
@@ -662,12 +633,12 @@ mod tests {
     #[test]
     fn ab2_limit_flags_undamped_modes_and_bad_inputs() {
         let a = damped_oscillator(10.0, 0.0);
-        assert_eq!(ab2_max_stable_step(&a, 0.9, 1.0).unwrap(), Some(0.0));
+        assert_eq!(abk_max_stable_step(&a, 2, 0.9, 1.0).unwrap(), Some(0.0));
         let i = DMatrix::identity(2);
-        assert!(ab2_max_stable_step(&i, 0.0, 1.0).is_err());
-        assert!(ab2_max_stable_step(&i, 0.5, 0.0).is_err());
+        assert!(abk_max_stable_step(&i, 2, 0.0, 1.0).is_err());
+        assert!(abk_max_stable_step(&i, 2, 0.5, 0.0).is_err());
         // A zero matrix constrains nothing.
-        assert_eq!(ab2_max_stable_step(&DMatrix::zeros(2, 2), 1.0, 1.0).unwrap(), None);
+        assert_eq!(abk_max_stable_step(&DMatrix::zeros(2, 2), 2, 1.0, 1.0).unwrap(), None);
     }
 
     #[test]
@@ -728,11 +699,6 @@ mod tests {
         // AB1 is forward Euler: interval (0, 2).
         let ab1 = abk_max_stable_step(&a, 1, 1.0, 1.0).unwrap().unwrap();
         assert!((ab1 * 500.0 - 2.0).abs() < 1e-6, "AB1 interval {}", ab1 * 500.0);
-        // Order 2 delegates to the same scan as `ab2_max_stable_step`.
-        assert_eq!(
-            abk_max_stable_step(&a, 2, 1.0, 1.0).unwrap(),
-            ab2_max_stable_step(&a, 1.0, 1.0).unwrap()
-        );
     }
 
     #[test]
@@ -744,7 +710,7 @@ mod tests {
         // order/step governor exploits.
         let omega = 2.0 * std::f64::consts::PI * 70.0;
         let a = damped_oscillator(omega, 0.005);
-        let ab2 = ab2_max_stable_step(&a, 1.0, 1.0).unwrap().unwrap();
+        let ab2 = abk_max_stable_step(&a, 2, 1.0, 1.0).unwrap().unwrap();
         let ab3 = abk_max_stable_step(&a, 3, 1.0, 1.0).unwrap().unwrap();
         assert!(ab3 > 2.0 * ab2, "AB3 {ab3} vs AB2 {ab2}");
         assert!(ab3 * omega < 0.8, "AB3 limit must stay below the imaginary-axis crossing");

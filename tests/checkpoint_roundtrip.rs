@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use harvsim::core::mixed::{ControlEvent, EngineStats};
+use harvsim::core::session::{ControlEvent, EngineStats};
 use harvsim::linalg::DVector;
 use harvsim::ode::Trajectory;
 use harvsim::{

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-use harvsim::core::mixed::ControlEvent;
+use harvsim::core::session::ControlEvent;
 use harvsim::linalg::DVector;
 use harvsim::{
     FaultKind, FaultPlan, FaultSite, ScenarioConfig, ServiceError, ServiceOptions, SessionService,

@@ -18,7 +18,7 @@
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-use harvsim::core::mixed::ControlEvent;
+use harvsim::core::session::ControlEvent;
 use harvsim::linalg::DVector;
 use harvsim::{
     FaultPlan, FaultSite, ScenarioConfig, ServiceError, ServiceOptions, Session, SessionService,
