@@ -83,11 +83,18 @@ impl ControllerConfig {
                 });
             }
         }
-        if self.frequency_tolerance_hz < 0.0 || self.measurement_duration_s < 0.0 {
+        if !(self.frequency_tolerance_hz >= 0.0) {
             return Err(BlockError::InvalidParameter {
-                name: "frequency_tolerance_hz/measurement_duration_s",
-                value: self.frequency_tolerance_hz.min(self.measurement_duration_s),
+                name: "frequency_tolerance_hz",
+                value: self.frequency_tolerance_hz,
                 constraint: "must be non-negative",
+            });
+        }
+        if !(self.measurement_duration_s >= 0.0) || !self.measurement_duration_s.is_finite() {
+            return Err(BlockError::InvalidParameter {
+                name: "measurement_duration_s",
+                value: self.measurement_duration_s,
+                constraint: "must be non-negative and finite",
             });
         }
         Ok(())
@@ -366,6 +373,12 @@ mod tests {
         let mut bad = config();
         bad.frequency_tolerance_hz = -1.0;
         assert!(bad.validate().is_err());
+        for (tolerance, duration) in [(f64::NAN, 0.5), (0.5, f64::NAN), (0.5, f64::INFINITY)] {
+            let mut bad = config();
+            bad.frequency_tolerance_hz = tolerance;
+            bad.measurement_duration_s = duration;
+            assert!(bad.validate().is_err(), "tolerance {tolerance}, duration {duration}");
+        }
         assert!(MicroController::new(config(), 0.0).is_err());
     }
 

@@ -82,11 +82,11 @@ impl FrequencyProfile {
             FrequencyProfile::Step { initial_hz, final_hz, step_time_s } => {
                 check_positive("initial_hz", initial_hz)?;
                 check_positive("final_hz", final_hz)?;
-                if step_time_s < 0.0 {
+                if !(step_time_s >= 0.0) || !step_time_s.is_finite() {
                     return Err(BlockError::InvalidParameter {
                         name: "step_time_s",
                         value: step_time_s,
-                        constraint: "must be non-negative",
+                        constraint: "must be non-negative and finite",
                     });
                 }
                 Ok(())
@@ -251,6 +251,10 @@ mod tests {
         let profile = FrequencyProfile::Constant { frequency_hz: 70.0 };
         assert!(VibrationExcitation::new(0.0, profile.clone()).is_err());
         assert!(VibrationExcitation::new(0.6, profile).is_ok());
+        for step_time_s in [-1.0, f64::NAN, f64::INFINITY] {
+            let step = FrequencyProfile::Step { initial_hz: 70.0, final_hz: 84.0, step_time_s };
+            assert!(VibrationExcitation::new(0.6, step).is_err(), "step time {step_time_s}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 
 use harvsim_blocks::block::LocalLinearisation;
 use harvsim_blocks::{Jacobian, JacobianPattern, JacobianStructure, PwlDevices, StateSpaceBlock};
-use harvsim_linalg::{dot_unrolled, DMatrix, DVector, LuDecomposition};
+use harvsim_linalg::{DMatrix, DVector, LuDecomposition};
 
 use crate::CoreError;
 
@@ -133,10 +133,10 @@ impl GlobalLinearisation {
     ) -> Result<(), CoreError> {
         assert_eq!(rhs.len(), self.jyx.rows(), "terminal rhs buffer dimension mismatch");
         assert_eq!(x.len(), self.jyx.cols(), "state vector dimension mismatch");
-        // Fused right-hand-side assembly: one pass instead of
-        // multiply-accumulate-negate over three temporaries.
-        for i in 0..self.jyx.rows() {
-            rhs[i] = -(dot_unrolled(self.jyx.row(i), x.as_slice()) + self.gy[i]);
+        // `−(Jyx·x + g)` row by row, through the fixed-width row kernel.
+        self.jyx.mul_vector_into(x, rhs);
+        for (r, g) in rhs.as_mut_slice().iter_mut().zip(self.gy.as_slice()) {
+            *r = -(*r + g);
         }
         lu.solve_into(rhs, y)?;
         Ok(())
@@ -160,12 +160,12 @@ impl GlobalLinearisation {
         assert_eq!(dx.len(), self.jxx.rows(), "state derivative buffer dimension mismatch");
         assert_eq!(x.len(), self.jxx.cols(), "state vector dimension mismatch");
         assert_eq!(y.len(), self.jxy.cols(), "terminal vector dimension mismatch");
-        // Fused row kernel: both mat-vec products and the affine term in a
-        // single pass over the rows (one write per state instead of three).
-        for r in 0..self.jxx.rows() {
-            dx[r] = dot_unrolled(self.jxx.row(r), x.as_slice())
-                + dot_unrolled(self.jxy.row(r), y.as_slice())
-                + self.ex[r];
+        // `(Jxx·x + Jxy·y) + e` per row, in that order, through the
+        // fixed-width row kernel.
+        self.jxx.mul_vector_into(x, dx);
+        self.jxy.mul_vector_add_into(y, dx);
+        for (d, e) in dx.as_mut_slice().iter_mut().zip(self.ex.as_slice()) {
+            *d += e;
         }
     }
 
@@ -251,6 +251,11 @@ impl GlobalLinearisation {
 /// one per step to one per run segment — the asymmetry behind the paper's
 /// Table II — while systems whose `Jyy` genuinely moves every step keep the
 /// exact per-step behaviour of the seed, bit for bit.
+///
+/// Every factorisation records a solve plan
+/// ([`LuDecomposition::plan_solves`]): it is reused for tens of thousands of
+/// solves, and the harvester's `Jyy` factors into a row permutation with one
+/// multiplier and unit pivots, so a planned solve is a handful of operations.
 #[derive(Debug, Clone, Default)]
 pub struct TerminalFactorisation {
     lu: Option<LuDecomposition>,
@@ -286,6 +291,7 @@ impl TerminalFactorisation {
             self.lu = None;
             return Err(CoreError::IllPosedSystem(format!("terminal elimination failed: {err}")));
         }
+        self.lu.as_mut().expect("factorised above").plan_solves();
         if self.factored_jyy.shape() == lin.jyy.shape() {
             self.factored_jyy.copy_from(&lin.jyy);
         } else {
@@ -325,11 +331,12 @@ impl TerminalFactorisation {
                 self.factored_jyy = DMatrix::zeros(0, 0);
             }
             Some(matrix) => {
-                let lu = LuDecomposition::new(&matrix).map_err(|err| {
+                let mut lu = LuDecomposition::new(&matrix).map_err(|err| {
                     CoreError::IllPosedSystem(format!(
                         "checkpointed terminal matrix does not factor: {err}"
                     ))
                 })?;
+                lu.plan_solves();
                 self.lu = Some(lu);
                 self.factored_jyy = matrix;
             }

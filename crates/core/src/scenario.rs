@@ -368,6 +368,12 @@ mod tests {
         assert!(config.validate().is_err());
         config.initial_supercap_voltage = f64::NAN;
         assert!(config.validate().is_err());
+        let mut config = ScenarioConfig::scenario1();
+        config.controller.frequency_tolerance_hz = f64::NAN;
+        assert!(config.validate().is_err());
+        let mut config = ScenarioConfig::scenario1();
+        config.controller.measurement_duration_s = f64::NAN;
+        assert!(config.validate().is_err());
     }
 
     #[test]

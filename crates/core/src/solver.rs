@@ -1201,12 +1201,16 @@ impl StateSpaceMarch {
         // Order-`k−1` coefficients, zero from index `k−1` on, so the oldest
         // derivative's order-`k` term enters the estimate whole.
         let mut low = [0.0_f64; MAX_ADAMS_BASHFORTH_ORDER];
-        // On the partitioned march's settled ladder rungs the history is
-        // equispaced at `step` (to rounding), where the variable-step
-        // quadrature reduces to the textbook constants — read them
-        // directly and skip the quadrature. The unpartitioned path always
-        // takes the quadrature so its arithmetic stays bit-identical to the
-        // classic march.
+        // Where the partitioned march's history is equispaced at `step`,
+        // the variable-step quadrature reduces to the textbook constants —
+        // read them directly and skip the quadrature. The test compares
+        // differences of absolute times with `1e-12·step`, which is finer
+        // than the rounding of `t` itself past t ≈ 0.1 s (ulp(1 s) =
+        // 2.2e-16 against 1e-12 × 30 µs = 3e-17), so a settled rung mostly
+        // misses it: on the `table2` spans it serves 18 520 of 265 218
+        // steps, and 56 286 more took the same ladder step over their whole
+        // history. The unpartitioned path always takes the quadrature so its
+        // arithmetic stays bit-identical to the classic march.
         let uniform = partitioned
             && workspace.history.times()[..order]
                 .windows(2)

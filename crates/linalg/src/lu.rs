@@ -39,6 +39,64 @@ pub struct LuDecomposition {
     perm: Vec<usize>,
     /// Threshold below which a pivot is considered numerically zero.
     pivot_tolerance: f64,
+    /// The structure-only substitutions of [`LuDecomposition::plan_solves`];
+    /// inactive until requested and after every refactorisation.
+    plan: SolvePlan,
+}
+
+/// One kept term of a planned substitution row: the factor entry at `col`
+/// and the [`dot_unrolled`] accumulator it lands in (`0..4`, or 4 for the
+/// tail).
+#[derive(Debug, Clone, Copy)]
+struct PlanTerm {
+    col: usize,
+    lane: usize,
+    value: f64,
+}
+
+/// A substitution row that does work: the terms past the previous row's
+/// `end` up to its own are its kept terms, and it divides by `pivot` unless
+/// that is 1.0 (forward rows carry 1.0: `L` has a unit diagonal).
+#[derive(Debug, Clone, Copy)]
+struct PlanRow {
+    row: usize,
+    end: usize,
+    pivot: f64,
+}
+
+/// The substitutions of a factorisation reduced to the operations that can
+/// change a bit: the exactly-nonzero `L` multipliers and `U` entries in dense
+/// order, and the pivots other than 1.0. A row with neither is left out.
+#[derive(Debug, Clone, Default)]
+struct SolvePlan {
+    active: bool,
+    /// Forward rows, ascending; their terms are `lower_terms`.
+    lower: Vec<PlanRow>,
+    lower_terms: Vec<PlanTerm>,
+    /// Back rows, descending; their terms are `upper_terms`.
+    upper: Vec<PlanRow>,
+    upper_terms: Vec<PlanTerm>,
+}
+
+/// The [`dot_unrolled`] accumulator of element `index` of a `len`-element
+/// dot: lane `index mod 4` inside the four-wide chunks, else the tail (4).
+fn lane_of(index: usize, len: usize) -> usize {
+    if index < len / 4 * 4 {
+        index % 4
+    } else {
+        4
+    }
+}
+
+/// [`dot_unrolled`] over a row's kept terms against `x`: every term in its
+/// own lane, combined as the dense kernel combines its accumulators.
+#[inline]
+fn planned_dot(terms: &[PlanTerm], x: &[f64]) -> f64 {
+    let mut acc = [0.0_f64; 5];
+    for term in terms {
+        acc[term.lane] += term.value * x[term.col];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + acc[4]
 }
 
 impl LuDecomposition {
@@ -64,8 +122,12 @@ impl LuDecomposition {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
         let n = a.rows();
-        let mut decomposition =
-            LuDecomposition { lu: a.clone(), perm: (0..n).collect(), pivot_tolerance };
+        let mut decomposition = LuDecomposition {
+            lu: a.clone(),
+            perm: (0..n).collect(),
+            pivot_tolerance,
+            plan: SolvePlan::default(),
+        };
         decomposition.eliminate()?;
         Ok(decomposition)
     }
@@ -100,7 +162,87 @@ impl LuDecomposition {
             *p = i;
         }
         self.pivot_tolerance = crate::DEFAULT_EPS * a.max_abs().max(1.0);
+        self.plan.active = false;
         self.eliminate()
+    }
+
+    /// Records a solve plan for this factorisation, so that
+    /// [`LuDecomposition::solve_into`] performs only the operations that can
+    /// change a bit: the exactly-nonzero `L` multipliers and `U` entries, in
+    /// dense order, and the divisions by pivots other than 1.0. Worth it
+    /// for a factorisation reused over many right-hand sides (the terminal
+    /// `Jyy` of a march, a row permutation with one coupling entry, is solved
+    /// tens of thousands of times per factorisation); a factorisation used
+    /// once should not pay for it. The plan reuses its storage and lasts
+    /// until the next [`LuDecomposition::factor_into`].
+    ///
+    /// Results are bit-identical to the dense substitutions. Each kept term
+    /// goes to the [`dot_unrolled`] accumulator the dense kernel puts it in
+    /// (lane `j mod 4` below `4⌊len/4⌋`, else the tail), and the accumulators
+    /// combine in the same order. An accumulator starts at `+0` and, without
+    /// fused multiply-adds, never holds `−0`, so a dropped term (an exact
+    /// zero times a finite value) adds nothing, and `x − (+0)` and `x / 1.0`
+    /// are `x`. Only a non-finite value breaks the argument (a dense `0 · ∞`
+    /// is NaN): a non-finite right-hand side or an overflow always leaves a
+    /// non-finite result, so a planned solve whose result is not finite is
+    /// redone on the dense path.
+    pub fn plan_solves(&mut self) {
+        let n = self.dim();
+        let plan = &mut self.plan;
+        plan.lower.clear();
+        plan.lower_terms.clear();
+        plan.upper.clear();
+        plan.upper_terms.clear();
+        for i in 0..n {
+            let row = self.lu.row(i);
+            for (j, &value) in row[..i].iter().enumerate() {
+                if value != 0.0 {
+                    plan.lower_terms.push(PlanTerm { col: j, lane: lane_of(j, i), value });
+                }
+            }
+            let end = plan.lower_terms.len();
+            if end > plan.lower.last().map_or(0, |last| last.end) {
+                plan.lower.push(PlanRow { row: i, end, pivot: 1.0 });
+            }
+        }
+        for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            let len = n - i - 1;
+            for (p, &value) in row[i + 1..].iter().enumerate() {
+                if value != 0.0 {
+                    plan.upper_terms.push(PlanTerm {
+                        col: i + 1 + p,
+                        lane: lane_of(p, len),
+                        value,
+                    });
+                }
+            }
+            let end = plan.upper_terms.len();
+            let pivot = row[i];
+            if pivot != 1.0 || end > plan.upper.last().map_or(0, |last| last.end) {
+                plan.upper.push(PlanRow { row: i, end, pivot });
+            }
+        }
+        plan.active = true;
+    }
+
+    /// The planned forward and back substitutions of `out` (already holding
+    /// `P b`) — the kernel behind [`LuDecomposition::plan_solves`].
+    fn substitute_planned(&self, out: &mut [f64]) {
+        let plan = &self.plan;
+        let mut start = 0;
+        for row in &plan.lower {
+            let acc = planned_dot(&plan.lower_terms[start..row.end], out);
+            out[row.row] -= acc;
+            start = row.end;
+        }
+        start = 0;
+        for row in &plan.upper {
+            let acc = planned_dot(&plan.upper_terms[start..row.end], out);
+            let value = out[row.row] - acc;
+            out[row.row] = if row.pivot != 1.0 { value / row.pivot } else { value };
+            start = row.end;
+        }
     }
 
     /// Gaussian elimination with partial pivoting over the already-loaded
@@ -182,6 +324,15 @@ impl LuDecomposition {
         // Apply the permutation: out = P b.
         for i in 0..n {
             out[i] = b[self.perm[i]];
+        }
+        if self.plan.active {
+            self.substitute_planned(out.as_mut_slice());
+            if out.is_finite() {
+                return Ok(());
+            }
+            for i in 0..n {
+                out[i] = b[self.perm[i]];
+            }
         }
         // Forward substitution with the unit lower factor: each inner sum is
         // the four-lane dot of the row prefix with the already-solved entries.
@@ -392,6 +543,67 @@ mod tests {
         assert!(lu.solve_matrix_into(&DMatrix::zeros(2, 2), &mut out).is_err());
     }
 
+    /// Solves `b` with `lu` twice, without and with a solve plan, and
+    /// asserts the two results agree bit for bit.
+    pub(super) fn assert_planned_matches_dense(lu: &LuDecomposition, b: &DVector) {
+        let n = lu.dim();
+        let mut planned = lu.clone();
+        planned.plan_solves();
+        let (mut dense_x, mut planned_x) = (DVector::zeros(n), DVector::zeros(n));
+        lu.solve_into(b, &mut dense_x).unwrap();
+        planned.solve_into(b, &mut planned_x).unwrap();
+        // Every NaN compares as one value: which NaN an operation returns
+        // is not reproducible under optimisation.
+        let bits = |v: &[f64]| {
+            v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(planned_x.as_slice()), bits(dense_x.as_slice()), "{:?} b {b:?}", lu.lu);
+    }
+
+    #[test]
+    fn planned_solve_matches_dense_on_the_harvester_terminal_matrix() {
+        // The harvester's `Jyy` pattern: a row permutation with one coupling
+        // entry, which factors into perm [2, 0, 1, 3], one multiplier and
+        // unit pivots — the plan keeps one term and no division.
+        for coupling in [-0.411, -0.471, 0.25] {
+            let jyy = DMatrix::from_rows(&[
+                &[0.0, 1.0, 0.0, 0.0],
+                &[0.0, 0.0, 1.0, 0.0],
+                &[1.0, 0.0, 0.0, 0.0],
+                &[0.0, 0.0, coupling, 1.0],
+            ])
+            .unwrap();
+            let mut lu = jyy.lu().unwrap();
+            lu.plan_solves();
+            assert_eq!(lu.perm, [2, 0, 1, 3]);
+            assert_eq!(lu.plan.lower_terms.len() + lu.plan.upper_terms.len(), 1);
+            assert!(lu.plan.upper.iter().all(|row| row.pivot != 1.0));
+            for b in [
+                [0.3, -1.7, 2.2e-3, 4.0],
+                [0.0, -0.0, 0.0, -0.0],
+                [-0.0, 1.0, -0.0, 1e308],
+                [f64::NAN, 0.0, 1.0, 2.0],
+                [1.0, f64::INFINITY, 0.0, 0.0],
+                [1.0, 0.0, f64::NEG_INFINITY, 0.0],
+            ] {
+                assert_planned_matches_dense(&lu, &DVector::from_slice(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn a_new_factorisation_drops_the_plan() {
+        let mut lu = spd_matrix().lu().unwrap();
+        lu.plan_solves();
+        assert!(lu.plan.active);
+        lu.factor_into(&DMatrix::identity(3).scaled(2.0)).unwrap();
+        assert!(!lu.plan.active, "a stale plan would solve with the old factors");
+        assert_eq!(
+            lu.solve(&DVector::from_slice(&[2.0, 4.0, 6.0])).unwrap().as_slice(),
+            &[1.0, 2.0, 3.0]
+        );
+    }
+
     #[test]
     fn tolerance_is_recorded() {
         let lu = LuDecomposition::with_tolerance(&spd_matrix(), 1e-6).unwrap();
@@ -402,6 +614,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::assert_planned_matches_dense;
     use super::*;
     use proptest::prelude::*;
 
@@ -417,8 +630,69 @@ mod proptests {
         })
     }
 
+    /// One matrix or right-hand-side entry from `(kind, sign, exponent)`:
+    /// about one in four an exact zero of either sign, one in eight ±1.0,
+    /// the rest magnitudes 1e-3…1e3.
+    fn entry((kind, sign, exponent): (usize, f64, f64)) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => sign.signum(),
+            _ => sign.signum() * 10f64.powf(exponent),
+        }
+    }
+
+    fn entries(len: usize) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec((0usize..8, -1.0f64..1.0, -3.0f64..3.0), len)
+            .prop_map(|raw| raw.into_iter().map(entry).collect())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random 1–16-wide matrices with planted zeros of both signs and
+        /// pivots of exactly ±1, against right-hand sides that may hold
+        /// NaN or ±∞: the planned solve returns the dense solve's bits.
+        #[test]
+        fn planned_solve_matches_dense_bit_for_bit(
+            n in 1usize..=16,
+            values in entries(256),
+            rhs in entries(16),
+            special in (0usize..16, 0usize..6),
+        ) {
+            let a = DMatrix::from_fn(n, n, |r, c| values[r * 16 + c]);
+            let Ok(lu) = a.lu() else { return Ok(()) };
+            let mut b = DVector::from_slice(&rhs[..n]);
+            let (at, which) = special;
+            b[at % n] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, b[at % n], 1e300, -1e300][which];
+            assert_planned_matches_dense(&lu, &b);
+        }
+
+        /// Permutation-plus-coupling matrices like the harvester's `Jyy`: a
+        /// random row permutation of a unit upper-triangular matrix with a
+        /// few ±1 or random couplings.
+        #[test]
+        fn planned_solve_matches_dense_on_permuted_couplings(
+            n in 1usize..=16,
+            shuffle in prop::collection::vec(0usize..16, 16),
+            couplings in prop::collection::vec((0usize..16, 0usize..16, (0usize..8, -1.0f64..1.0, -3.0f64..3.0)), 0..5),
+            rhs in entries(16),
+        ) {
+            let mut perm: Vec<usize> = (0..n).collect();
+            for (i, &j) in shuffle.iter().take(n).enumerate() {
+                perm.swap(i, j % n);
+            }
+            let mut a = DMatrix::identity(n);
+            for &(r, c, raw) in &couplings {
+                let (r, c) = (r % n, c % n);
+                if r != c {
+                    a[(r.min(c), r.max(c))] = entry(raw);
+                }
+            }
+            let permuted = DMatrix::from_fn(n, n, |r, c| a[(perm[r], c)]);
+            let lu = permuted.lu().expect("a permuted unit triangle factors");
+            assert_planned_matches_dense(&lu, &DVector::from_slice(&rhs[..n]));
+        }
 
         #[test]
         fn lu_solve_residual_is_small(

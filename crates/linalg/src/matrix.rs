@@ -289,9 +289,7 @@ impl DMatrix {
     pub fn mul_vector_into(&self, x: &DVector, out: &mut DVector) {
         assert_eq!(x.len(), self.cols, "matrix-vector dimension mismatch");
         assert_eq!(out.len(), self.rows, "matrix-vector output dimension mismatch");
-        for r in 0..self.rows {
-            out[r] = dot_unrolled(self.row(r), x.as_slice());
-        }
+        row_dots(&self.data, x.as_slice(), out.as_mut_slice(), |o, dot| *o = dot);
     }
 
     /// Accumulating matrix–vector product `out += A · x` (no allocation).
@@ -302,9 +300,7 @@ impl DMatrix {
     pub fn mul_vector_add_into(&self, x: &DVector, out: &mut DVector) {
         assert_eq!(x.len(), self.cols, "matrix-vector dimension mismatch");
         assert_eq!(out.len(), self.rows, "matrix-vector output dimension mismatch");
-        for r in 0..self.rows {
-            out[r] += dot_unrolled(self.row(r), x.as_slice());
-        }
+        row_dots(&self.data, x.as_slice(), out.as_mut_slice(), |o, dot| *o += dot);
     }
 
     /// Matrix–matrix product `A · B`.
@@ -580,6 +576,48 @@ pub fn dot_unrolled(a: &[f64], b: &[f64]) -> f64 {
         tail += x * y;
     }
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// [`row_dots`] for rows exactly `N` wide: [`dot_unrolled`] over arrays,
+/// whose length the optimiser then knows, so its chunk loop unrolls
+/// completely and the remainder bookkeeping folds away.
+#[inline(always)]
+fn row_dots_fixed<const N: usize>(
+    data: &[f64],
+    x: &[f64],
+    out: &mut [f64],
+    apply: impl Fn(&mut f64, f64),
+) {
+    let x: &[f64; N] = x.try_into().expect("row width matches the vector");
+    for (o, row) in out.iter_mut().zip(data.chunks_exact(N)) {
+        let row: &[f64; N] = row.try_into().expect("chunks are N wide");
+        apply(o, dot_unrolled(row, x));
+    }
+}
+
+/// The row kernel of the mat-vec products: `apply(&mut out[r], d)` with `d`
+/// the [`dot_unrolled`] of row `r` of the row-major `data` (rows `x.len()`
+/// wide) with `x`. Rows up to 16 wide — every Jacobian block of the
+/// harvester — run through [`row_dots_fixed`], one monomorphised loop per
+/// width; wider rows take [`dot_unrolled`] over slices.
+#[inline]
+fn row_dots(data: &[f64], x: &[f64], out: &mut [f64], apply: impl Fn(&mut f64, f64)) {
+    macro_rules! fixed_widths {
+        ($($n:literal)*) => {
+            match x.len() {
+                // `chunks_exact` rejects width 0; an empty dot is +0, as
+                // `dot_unrolled` returns it.
+                0 => out.iter_mut().for_each(|o| apply(o, 0.0)),
+                $($n => row_dots_fixed::<$n>(data, x, out, apply),)*
+                cols => {
+                    for (o, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
+                        apply(o, dot_unrolled(row, x));
+                    }
+                }
+            }
+        };
+    }
+    fixed_widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
 }
 
 impl Index<(usize, usize)> for DMatrix {
@@ -870,6 +908,44 @@ mod tests {
         }
     }
 
+    /// The bits of `v`, with every NaN mapped to one value: which NaN an
+    /// operation returns is not reproducible (the optimiser may commute an
+    /// addition, and that picks the NaN that propagates).
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// `mul_vector_into` / `mul_vector_add_into` row by row against
+    /// [`dot_unrolled`], bit for bit.
+    fn assert_row_kernel_matches_dot_unrolled(m: &DMatrix, x: &DVector) {
+        let reference: Vec<u64> =
+            (0..m.rows()).map(|r| bits(dot_unrolled(m.row(r), x.as_slice()))).collect();
+        let mut out = DVector::from_vec(vec![f64::NAN; m.rows()]);
+        m.mul_vector_into(x, &mut out);
+        let kernel: Vec<u64> = out.as_slice().iter().map(|&v| bits(v)).collect();
+        assert_eq!(kernel, reference, "{m:?} · {x:?}");
+        let start: Vec<f64> = (0..m.rows()).map(|r| r as f64 - 1.5).collect();
+        let mut acc = DVector::from_vec(start.clone());
+        m.mul_vector_add_into(x, &mut acc);
+        for (r, &value) in acc.as_slice().iter().enumerate() {
+            let expected = start[r] + dot_unrolled(m.row(r), x.as_slice());
+            assert_eq!(bits(value), bits(expected), "row {r} of {m:?}");
+        }
+    }
+
+    #[test]
+    fn row_kernel_matches_dot_unrolled_at_every_width() {
+        for cols in 0..=20 {
+            let m = DMatrix::from_fn(3, cols, |r, c| ((r * 7 + c * 3) % 11) as f64 * 0.37 - 1.9);
+            let x = DVector::from_fn(cols, |c| (c as f64 * 1.3).sin() * 1e3);
+            assert_row_kernel_matches_dot_unrolled(&m, &x);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn axpy_chunked_panics_on_mismatch() {
@@ -903,5 +979,34 @@ mod tests {
     fn row_pair_mut_rejects_identical_rows() {
         let mut m = DMatrix::identity(2);
         let _ = m.row_pair_mut(1, 1);
+    }
+
+    /// One entry from `(kind, sign, exponent)`: exact zeros of both signs,
+    /// NaN and ±∞ about one in twelve each, otherwise magnitudes 1e-3…1e3 of
+    /// either sign (so the lane sums round differently in every order).
+    fn entry((kind, sign, exponent): (usize, f64, f64)) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY.copysign(sign),
+            _ => sign.signum() * 10f64.powf(exponent),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn row_kernel_matches_dot_unrolled_bit_for_bit(
+            rows in 0usize..=5,
+            cols in 0usize..=20,
+            values in proptest::collection::vec((0usize..24, -1.0f64..1.0, -3.0f64..3.0), 100),
+            vector in proptest::collection::vec((0usize..24, -1.0f64..1.0, -3.0f64..3.0), 20),
+        ) {
+            let m = DMatrix::from_fn(rows, cols, |r, c| entry(values[r * 20 + c]));
+            let x = DVector::from_fn(cols, |c| entry(vector[c]));
+            assert_row_kernel_matches_dot_unrolled(&m, &x);
+        }
     }
 }
