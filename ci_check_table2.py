@@ -41,26 +41,30 @@ with open("BENCH_table2.json") as f:
 
 STREAMING_PEAK_BYTES_BOUND = 65536  # streaming sweep rows must stay O(1)
 
+# Moved with the LTE defaults (rtol, atol) = (3e-6, 3e-13) -> (5e-7, 1.5e-7),
+# chosen on `repro accuracy`'s work-precision sweep (ci_check_accuracy.py),
+# and the uniform-coefficient slack scaled to the rounding of t; before them
+# scenario 1 took 133311 steps and scenario 2 131907.
 PINNED_WORK = {
     "scenario1": {
-        "steps": 133311,
-        "steps_by_order": [14, 15, 3993, 129289],
+        "steps": 125641,
+        "steps_by_order": [14, 31, 3980, 121616],
         "factorisations": 4,
-        "cached_solves": 133321,
-        "stiff_exact_steps": 133311,
-        "constant_stamps_skipped": 133297,
-        "pwl_stamps_skipped": 10647,
-        "peak_probe_bytes": 704704,
+        "cached_solves": 125651,
+        "stiff_exact_steps": 125641,
+        "constant_stamps_skipped": 125627,
+        "pwl_stamps_skipped": 7044,
+        "peak_probe_bytes": 702400,
     },
     "scenario2": {
-        "steps": 131907,
-        "steps_by_order": [118, 118, 3380, 128291],
+        "steps": 101309,
+        "steps_by_order": [118, 338, 3100, 97753],
         "factorisations": 3,
-        "cached_solves": 132022,
-        "stiff_exact_steps": 131907,
-        "constant_stamps_skipped": 131789,
-        "pwl_stamps_skipped": 11346,
-        "peak_probe_bytes": 1134688,
+        "cached_solves": 101424,
+        "stiff_exact_steps": 101309,
+        "constant_stamps_skipped": 101191,
+        "pwl_stamps_skipped": 6615,
+        "peak_probe_bytes": 1122736,
     },
 }
 

@@ -7,6 +7,8 @@
 //! cargo run --release -p harvsim-bench --bin repro -- --long  # longer spans
 //! cargo run --release -p harvsim-bench --bin repro -- table2 --sweep
 //!                                # + a load × excitation sweep grid
+//! cargo run --release -p harvsim-bench --bin repro -- accuracy
+//!                                # work-precision against a reference
 //! ```
 //!
 //! The Table II experiment additionally writes a machine-readable speed-up
@@ -15,6 +17,12 @@
 //! engines run on one thread, alternating in short simulated slices. With
 //! `--sweep` the record gains one row per point of a sleep-load ×
 //! acceleration grid, run the same way on streaming probes.
+//!
+//! The accuracy experiment measures both engines' store-voltage error
+//! against a Richardson-extrapolated baseline reference on the Table II
+//! scenarios and six held-out sweep points, at several tolerance settings
+//! ([`harvsim_bench::accuracy`]), and writes `BENCH_accuracy.json`. Its spans
+//! are fixed; `--long` does not apply to it.
 //!
 //! `repro explore` runs the design-space exploration subsystem
 //! (DESIGN.md §12): a declarative grid over the extended sweep axes executed
@@ -46,8 +54,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use harvsim_bench::{
-    scenario1, scenario2, seconds, table2_row, write_explore_json, write_table2_json, DenseRun,
-    RowProbes,
+    accuracy, scenario1, scenario2, seconds, table2_row, write_explore_json, write_table2_json,
+    DenseRun, RowProbes,
 };
 use harvsim_core::measurement;
 use harvsim_core::scenario::ScenarioConfig;
@@ -57,7 +65,7 @@ use harvsim_core::{
 };
 
 const USAGE: &str = "usage:
-  repro [table1|table2|fig8a|fig8b|fig9]... [--long] [--sweep]
+  repro [table1|table2|fig8a|fig8b|fig9|accuracy]... [--long] [--sweep]
   repro explore [--scenario 1|2] [--duration <s>]
                 [--load v,..] [--acc v,..] [--stages v,..] [--store-scale v,..]
                 [--pwl v,..] [--wdt v,..] [--v0 v,..]
@@ -108,7 +116,7 @@ fn run_cli(args: &[String]) -> Result<(), ReproError> {
     }
 }
 
-const EXPERIMENTS: [&str; 5] = ["table1", "table2", "fig8a", "fig8b", "fig9"];
+const EXPERIMENTS: [&str; 6] = ["table1", "table2", "fig8a", "fig8b", "fig9", "accuracy"];
 
 /// Strict experiment selection: positional args must name experiments, flags
 /// must be known. Returns `(long, sweep, selected)`; an empty selection means
@@ -155,6 +163,9 @@ fn run_experiments(args: &[String]) -> Result<(), ReproError> {
     }
     if wanted("fig9") {
         fig9(long)?;
+    }
+    if wanted("accuracy") {
+        accuracy_study()?;
     }
     Ok(())
 }
@@ -630,6 +641,47 @@ fn table2(long: bool, sweep: bool) -> Result<(), CoreError> {
         Err(err) => eprintln!("warning: could not write {}: {err}", json_path.display()),
     }
     println!("\n(paper: scenario 1 — 2185 s vs 20.3 s; scenario 2 — 7 h vs 228 s)\n");
+    Ok(())
+}
+
+/// Accuracy against an independent reference: per configuration, the
+/// Richardson reference's observed order and bound, then each engine
+/// setting's steps, CPU time and store-voltage error, written to
+/// `BENCH_accuracy.json`.
+fn accuracy_study() -> Result<(), CoreError> {
+    println!("== Accuracy: store-voltage error against a Richardson reference ==");
+    println!(
+        "   (trapezoidal NR at {:?} s, extrapolated from the two finest; {} matched samples)\n",
+        accuracy::REFERENCE_STEPS,
+        harvsim_bench::comparison::DEVIATION_SAMPLES
+    );
+    let mut records = Vec::new();
+    for config in accuracy::configurations() {
+        let record = accuracy::measure(&config)?;
+        println!(
+            "{} {}: observed order {:.2}, reference bound {:.2e} V",
+            record.name, record.axes, record.observed_order, record.reference_bound_v
+        );
+        println!(
+            "  {:<26} {:>9} {:>10} {:>12} {:>12}",
+            "engine setting", "steps", "CPU [s]", "error [V]", "rms [V]"
+        );
+        let baseline = accuracy::REFERENCE_STEPS.iter().map(|h| format!("NR trapezoidal h={h:e}"));
+        let proposed = accuracy::TOLERANCES.iter().map(|(r, a)| format!("state-space {r:e}/{a:e}"));
+        let labelled = baseline.zip(&record.baseline).chain(proposed.zip(&record.proposed));
+        for (label, point) in labelled {
+            println!(
+                "  {:<26} {:>9} {:>10.3} {:>12.3e} {:>12.3e}",
+                label, point.steps, point.cpu_s, point.error_v, point.rms_error_v
+            );
+        }
+        records.push(record);
+    }
+    let json_path = std::path::Path::new("BENCH_accuracy.json");
+    match accuracy::write_accuracy_json(json_path, &records) {
+        Ok(()) => println!("\n(accuracy record written to {})\n", json_path.display()),
+        Err(err) => eprintln!("warning: could not write {}: {err}", json_path.display()),
+    }
     Ok(())
 }
 

@@ -17,7 +17,7 @@ use crate::Table2Record;
 const SLICE_S: f64 = 0.05;
 
 /// Store-voltage samples the dense Table II deviation compares.
-const DEVIATION_SAMPLES: usize = 400;
+pub const DEVIATION_SAMPLES: usize = 400;
 
 /// How the two sessions of a Table II row are observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

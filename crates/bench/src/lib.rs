@@ -28,9 +28,25 @@ use std::path::Path;
 use harvsim_core::scenario::ScenarioConfig;
 use harvsim_core::{CoreError, ExploreReport, ProbeId, Session, Simulation, WaveformProbe};
 
+pub mod accuracy;
 pub mod comparison;
 
 pub use comparison::{table2_row, RowProbes};
+
+/// A value JSON can encode. JSON has no encoding for non-finite numbers,
+/// and the CI gates must stay parseable even when a timing anomaly produces
+/// one: +∞ ("infinitely faster", e.g. a sub-resolution proposed time) clamps
+/// to a large finite value so a gate still passes, while NaN clamps to 0.0
+/// so a gate fails loudly on a genuinely broken measurement.
+fn json_number(value: f64) -> f64 {
+    if value.is_nan() {
+        0.0
+    } else if value.is_infinite() {
+        1e9_f64.copysign(value)
+    } else {
+        value
+    }
+}
 
 /// One scenario row of the machine-readable Table II record emitted by the
 /// `repro` binary (`BENCH_table2.json`), used by the CI perf-smoke job and by
@@ -101,20 +117,6 @@ pub struct Table2Record {
 ///
 /// Propagates I/O failures from creating or writing the file.
 pub fn write_table2_json(path: &Path, records: &[Table2Record]) -> std::io::Result<()> {
-    // JSON has no encoding for non-finite numbers, and the CI gate must stay
-    // parseable even when a timing anomaly produces one: +∞ ("infinitely
-    // faster", e.g. a sub-resolution proposed time) clamps to a large finite
-    // value so the gate still passes, while NaN clamps to 0.0 so the gate
-    // fails loudly on a genuinely broken measurement.
-    let json_number = |value: f64| {
-        if value.is_nan() {
-            0.0
-        } else if value.is_infinite() {
-            1e9_f64.copysign(value)
-        } else {
-            value
-        }
-    };
     let mut file = std::fs::File::create(path)?;
     writeln!(file, "{{")?;
     writeln!(file, "  \"experiment\": \"table2\",")?;
@@ -165,17 +167,6 @@ pub fn write_table2_json(path: &Path, records: &[Table2Record]) -> std::io::Resu
 ///
 /// Propagates I/O failures from creating or writing the file.
 pub fn write_explore_json(path: &Path, report: &ExploreReport) -> std::io::Result<()> {
-    // Same non-finite policy as `write_table2_json`: JSON cannot encode them,
-    // ±∞ clamps to ±1e9 and NaN to 0.0 so the CI gate stays parseable.
-    let json_number = |value: f64| {
-        if value.is_nan() {
-            0.0
-        } else if value.is_infinite() {
-            1e9_f64.copysign(value)
-        } else {
-            value
-        }
-    };
     // Labels are machine-built, but error rows carry arbitrary display
     // strings — escape the JSON specials instead of trusting them.
     let json_string = |value: &str| {

@@ -304,19 +304,31 @@ impl HarvesterParameters {
                 constraint: "must be at least 2",
             });
         }
-        if self.supercap_ci1 < 0.0 || self.energy_threshold_v < 0.0 {
-            return Err(BlockError::InvalidParameter {
-                name: "supercap_ci1/energy_threshold_v",
-                value: self.supercap_ci1.min(self.energy_threshold_v),
-                constraint: "must be non-negative",
-            });
+        let non_negative_finite: [(&'static str, f64); 2] = [
+            ("supercap_ci1", self.supercap_ci1),
+            ("measurement_duration_s", self.measurement_duration_s),
+        ];
+        for (name, value) in non_negative_finite {
+            if !(value >= 0.0) || !value.is_finite() {
+                return Err(BlockError::InvalidParameter {
+                    name,
+                    value,
+                    constraint: "must be non-negative and finite",
+                });
+            }
         }
-        if self.frequency_tolerance_hz < 0.0 || self.measurement_duration_s < 0.0 {
-            return Err(BlockError::InvalidParameter {
-                name: "frequency_tolerance_hz/measurement_duration_s",
-                value: self.frequency_tolerance_hz.min(self.measurement_duration_s),
-                constraint: "must be non-negative",
-            });
+        let non_negative: [(&'static str, f64); 2] = [
+            ("energy_threshold_v", self.energy_threshold_v),
+            ("frequency_tolerance_hz", self.frequency_tolerance_hz),
+        ];
+        for (name, value) in non_negative {
+            if !(value >= 0.0) {
+                return Err(BlockError::InvalidParameter {
+                    name,
+                    value,
+                    constraint: "must be non-negative",
+                });
+            }
         }
         Ok(())
     }
@@ -403,5 +415,34 @@ mod tests {
         let mut p = HarvesterParameters::practical_device();
         p.frequency_tolerance_hz = -0.1;
         assert!(p.validate().is_err());
+
+        // NaN fails every ordered comparison, so it must be refused, and the
+        // error must name the offending field with its own value.
+        type Slot = fn(&mut HarvesterParameters) -> &mut f64;
+        let fields: [(&str, Slot); 4] = [
+            ("supercap_ci1", |p| &mut p.supercap_ci1),
+            ("energy_threshold_v", |p| &mut p.energy_threshold_v),
+            ("frequency_tolerance_hz", |p| &mut p.frequency_tolerance_hz),
+            ("measurement_duration_s", |p| &mut p.measurement_duration_s),
+        ];
+        for (field, slot) in fields {
+            let mut p = HarvesterParameters::practical_device();
+            *slot(&mut p) = f64::NAN;
+            match p.validate() {
+                Err(BlockError::InvalidParameter { name, value, .. }) => {
+                    assert_eq!(name, field);
+                    assert!(value.is_nan(), "{field} reported {value}");
+                }
+                other => panic!("NaN {field} validated as {other:?}"),
+            }
+        }
+        for (field, slot) in [fields[0], fields[3]] {
+            let mut p = HarvesterParameters::practical_device();
+            *slot(&mut p) = f64::INFINITY;
+            assert!(
+                matches!(p.validate(), Err(BlockError::InvalidParameter { name, .. }) if name == field),
+                "+inf {field} must be refused"
+            );
+        }
     }
 }

@@ -374,6 +374,9 @@ mod tests {
         let mut config = ScenarioConfig::scenario1();
         config.controller.measurement_duration_s = f64::NAN;
         assert!(config.validate().is_err());
+        let mut config = ScenarioConfig::scenario1();
+        config.parameters.measurement_duration_s = f64::NAN;
+        assert!(config.validate().is_err());
     }
 
     #[test]

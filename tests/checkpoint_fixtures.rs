@@ -24,9 +24,16 @@ fn fixture_dir() -> PathBuf {
 }
 
 /// The scenario both fixtures embed. Must not change while the format
-/// version stays at 1 — the fixtures pin its encoding.
+/// version stays at 1 — the fixtures pin its encoding. The LTE tolerances
+/// are the defaults the fixtures were written with, pinned so that a change
+/// of the defaults leaves the embedded scenario as it is.
 fn fixture_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::scenario1();
+    scenario.engine = harvsim::SimulationEngine::StateSpace(harvsim::SolverOptions {
+        lte_relative_tolerance: 3e-6,
+        lte_absolute_tolerance: 3e-13,
+        ..Default::default()
+    });
     scenario.duration_s = 0.12;
     scenario.frequency_step_time_s = 0.03;
     scenario.controller.watchdog_period_s = 0.04;
