@@ -190,7 +190,6 @@ mod tests {
             panic!("the reference engine is the Newton–Raphson baseline");
         };
         assert!(options.step > 0.0);
-        assert!(options.exact_device_evaluation);
 
         let config = scenario1(0.2);
         let row = EngineRow::start(&config, RowProbes::Dense).unwrap();

@@ -529,7 +529,8 @@ impl AssemblyBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfiguration`] if the net list length does
-    /// not match the block's terminal count.
+    /// not match the block's terminal count, or if the list names one net
+    /// twice: the stamp writes each block terminal into its own net column.
     pub fn add_block(
         &mut self,
         block: &dyn StateSpaceBlock,
@@ -541,6 +542,14 @@ impl AssemblyBuilder {
                 block.name(),
                 block.terminal_count(),
                 nets.len()
+            )));
+        }
+        if let Some(net) =
+            nets.iter().enumerate().find_map(|(i, net)| nets[..i].contains(net).then_some(net))
+        {
+            return Err(CoreError::InvalidConfiguration(format!(
+                "block {} wires two of its terminals to net {net}",
+                block.name()
             )));
         }
         let mut terminal_nets = Vec::with_capacity(nets.len());
@@ -641,15 +650,6 @@ impl AssemblyBuilder {
         for (slot, pattern) in self.slots.iter_mut().zip(&self.patterns) {
             append_scatter_map(&mut scatter, slot, pattern, states, nets);
         }
-        // Assignment-based stamping is valid only when no block wires two of
-        // its own terminals to the same net (otherwise its contributions to
-        // that net's column must accumulate).
-        let scatter_by_copy = self.slots.iter().all(|slot| {
-            slot.terminal_nets
-                .iter()
-                .enumerate()
-                .all(|(i, net)| !slot.terminal_nets[..i].contains(net))
-        });
         Ok(Assembly {
             slots: self.slots,
             net_names: self.net_names,
@@ -657,7 +657,6 @@ impl AssemblyBuilder {
             state_count: self.state_count,
             constraint_count: self.constraint_count,
             stiff_states: self.stiff_states,
-            scatter_by_copy,
             scatter,
             scratch: RefCell::new(scratch),
         })
@@ -779,11 +778,6 @@ pub struct Assembly {
     /// Global indices of the states the blocks declared stiff (ascending) —
     /// the stiff side of the solver's partitioned state space.
     stiff_states: Vec<usize>,
-    /// Whether the scatter pass may use straight row copies/assignments
-    /// instead of accumulating adds (true when every block's terminals map to
-    /// distinct nets — writing onto the cleared matrices is then equivalent
-    /// and avoids per-element read-modify-write on the hot path).
-    scatter_by_copy: bool,
     /// Every block's structural nonzeros as flat `(local, global)` index
     /// pairs (see `BlockSlot::map`) — what the relinearisation pass restamps
     /// and monitors instead of the dense rows.
@@ -1042,56 +1036,30 @@ impl Assembly {
             }
             buffers.stamped = true;
 
-            if self.scatter_by_copy {
-                // Fast path: every destination entry is written by exactly one
-                // local entry, so block rows land as bulk slice copies and net
-                // columns as straight assignments onto the cleared matrices.
-                let states = slot.state_offset..slot.state_offset + slot.state_count;
-                for row in 0..slot.state_count {
-                    let global_row = slot.state_offset + row;
-                    out.jxx.row_mut(global_row)[states.clone()].copy_from_slice(lin.a.row(row));
-                    let jxy_row = out.jxy.row_mut(global_row);
-                    let b_row = lin.b.row(row);
-                    for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                        jxy_row[net] = b_row[local_terminal];
-                    }
-                }
-                out.ex.as_mut_slice()[states.clone()].copy_from_slice(lin.e.as_slice());
-                for row in 0..slot.constraint_count {
-                    let global_row = slot.constraint_offset + row;
-                    out.jyx.row_mut(global_row)[states.clone()].copy_from_slice(lin.c.row(row));
-                    let jyy_row = out.jyy.row_mut(global_row);
-                    let d_row = lin.d.row(row);
-                    for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                        jyy_row[net] = d_row[local_terminal];
-                    }
-                    out.gy[global_row] = lin.g[row];
-                }
-                continue;
-            }
-
-            // General path: accumulate (a block may wire two terminals to the
-            // same net, so contributions to that column must add up).
-            out.jxx.add_block(slot.state_offset, slot.state_offset, &lin.a);
-            for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                for row in 0..slot.state_count {
-                    out.jxy.add_to(slot.state_offset + row, net, lin.b[(row, local_terminal)]);
-                }
-            }
+            // Every destination entry is written by exactly one local entry
+            // (a block's terminals map to distinct nets), so block rows land
+            // as bulk slice copies and net columns as straight assignments
+            // onto the cleared matrices.
+            let states = slot.state_offset..slot.state_offset + slot.state_count;
             for row in 0..slot.state_count {
-                out.ex[slot.state_offset + row] += lin.e[row];
+                let global_row = slot.state_offset + row;
+                out.jxx.row_mut(global_row)[states.clone()].copy_from_slice(lin.a.row(row));
+                let jxy_row = out.jxy.row_mut(global_row);
+                let b_row = lin.b.row(row);
+                for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
+                    jxy_row[net] = b_row[local_terminal];
+                }
             }
-
-            // Algebraic constraints.
+            out.ex.as_mut_slice()[states.clone()].copy_from_slice(lin.e.as_slice());
             for row in 0..slot.constraint_count {
                 let global_row = slot.constraint_offset + row;
-                for col in 0..slot.state_count {
-                    out.jyx.add_to(global_row, slot.state_offset + col, lin.c[(row, col)]);
-                }
+                out.jyx.row_mut(global_row)[states.clone()].copy_from_slice(lin.c.row(row));
+                let jyy_row = out.jyy.row_mut(global_row);
+                let d_row = lin.d.row(row);
                 for (local_terminal, &net) in slot.terminal_nets.iter().enumerate() {
-                    out.jyy.add_to(global_row, net, lin.d[(row, local_terminal)]);
+                    jyy_row[net] = d_row[local_terminal];
                 }
-                out.gy[global_row] += lin.g[row];
+                out.gy[global_row] = lin.g[row];
             }
         }
 
@@ -1139,10 +1107,6 @@ impl Assembly {
     /// it rewrites only what its moved devices feed before the scatter. The
     /// report counts both kinds of skip.
     ///
-    /// Falls back to a stamp-plus-dense-scan when the assembly wires one
-    /// block terminal pair to a shared net (accumulating scatter), which no
-    /// hot topology does.
-    ///
     /// # Errors
     ///
     /// Same failure modes as [`Assembly::linearise_global_into`].
@@ -1154,12 +1118,6 @@ impl Assembly {
         y: &DVector,
         out: &mut GlobalLinearisation,
     ) -> Result<StampReport, CoreError> {
-        if !self.scatter_by_copy {
-            let fresh = self.linearise_global(blocks, t, x, y)?;
-            let change = fresh.jacobian_change(out)?;
-            *out = fresh;
-            return Ok(StampReport { change, constant_stamps_skipped: 0, pwl_stamps_skipped: 0 });
-        }
         self.check_blocks(blocks)?;
         if x.len() != self.state_count || y.len() != self.net_count() {
             return Err(CoreError::InvalidConfiguration(format!(
@@ -1457,6 +1415,22 @@ mod tests {
         assert!(builder.build().is_err());
         // Empty assembly.
         assert!(Assembly::builder().build().is_err());
+    }
+
+    /// The stamp writes each block terminal into its own net column, so a
+    /// block that wires two of its terminals to one net is refused typed,
+    /// and the builder is left as it was.
+    #[test]
+    fn a_block_wiring_two_terminals_to_one_net_is_refused() {
+        let source = SourceBlock { v0: 1.0 };
+        let mut builder = Assembly::builder();
+        match builder.add_block(&source, &["v", "v"]) {
+            Err(CoreError::InvalidConfiguration(detail)) => {
+                assert!(detail.contains("net v"), "unhelpful rejection: {detail}");
+            }
+            other => panic!("a doubly wired net was answered {other:?}"),
+        }
+        assert_eq!(builder.add_block(&source, &["v", "i"]).unwrap(), 0);
     }
 
     #[test]

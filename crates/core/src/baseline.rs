@@ -46,6 +46,13 @@ impl BaselineMethod {
 }
 
 /// Options of the Newton–Raphson baseline.
+///
+/// The baseline always evaluates the harvester's nonlinear devices through
+/// their *exact* physical equations (an `exp()` per diode per Newton
+/// iteration), not the PWL companion tables: the commercial tools it stands
+/// in for evaluate device equations exactly, and the lookup table is the
+/// proposed technique's contribution — handing it to the baseline would let
+/// the comparison race the technique against itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineOptions {
     /// Implicit integration formula.
@@ -62,15 +69,6 @@ pub struct BaselineOptions {
     pub damping: f64,
     /// Minimum spacing between recorded samples, in seconds.
     pub record_interval: f64,
-    /// Evaluate the harvester's nonlinear devices through their *exact*
-    /// physical equations (an `exp()` per diode per Newton iteration) instead
-    /// of the PWL companion tables. On by default: the commercial tools this
-    /// baseline stands in for evaluate device equations exactly — the lookup
-    /// table is the proposed technique's contribution, and handing it to the
-    /// baseline would let the comparison race the technique against itself.
-    /// Turn off for the like-for-like ablation (both engines on the same PWL
-    /// model, measuring integration differences only).
-    pub exact_device_evaluation: bool,
 }
 
 impl Default for BaselineOptions {
@@ -82,7 +80,6 @@ impl Default for BaselineOptions {
             max_newton_iterations: 30,
             damping: 1.0,
             record_interval: 1e-3,
-            exact_device_evaluation: true,
         }
     }
 }

@@ -662,7 +662,10 @@ fn encode_baseline_options(w: &mut ByteWriter, o: &BaselineOptions) {
     w.put_usize(o.max_newton_iterations);
     w.put_f64(o.damping);
     w.put_f64(o.record_interval);
-    w.put_bool(o.exact_device_evaluation);
+    // Former exact-device-evaluation switch: the baseline always evaluates
+    // devices exactly, so the slot is always written `true` and frames keep
+    // the version 1 layout.
+    w.put_bool(true);
 }
 
 fn decode_baseline_options(r: &mut ByteReader<'_>) -> Result<BaselineOptions, CheckpointError> {
@@ -671,15 +674,20 @@ fn decode_baseline_options(r: &mut ByteReader<'_>) -> Result<BaselineOptions, Ch
         1 => BaselineMethod::Trapezoidal,
         other => return Err(malformed(format!("invalid baseline method tag {other}"))),
     };
-    Ok(BaselineOptions {
+    let options = BaselineOptions {
         method,
         step: r.take_f64()?,
         newton_tolerance: r.take_f64()?,
         max_newton_iterations: r.take_usize()?,
         damping: r.take_f64()?,
         record_interval: r.take_f64()?,
-        exact_device_evaluation: r.take_bool()?,
-    })
+    };
+    if !r.take_bool()? {
+        return Err(malformed(
+            "frame selects the baseline on PWL device tables, which this build no longer runs",
+        ));
+    }
+    Ok(options)
 }
 
 /// Encodes a [`LoadMode`] as a single tag byte.
@@ -810,9 +818,10 @@ mod tests {
         }
     }
 
-    /// The slots of the removed partition and adaptive-order switches are
-    /// always written `true`; a frame carrying `false` in either asks for a
-    /// march this build no longer runs (unpartitioned, or fixed-order), and
+    /// The slots of the removed partition, adaptive-order and
+    /// exact-device-evaluation switches are always written `true`; a frame
+    /// carrying `false` in any asks for a march this build no longer runs
+    /// (unpartitioned, fixed-order, or a baseline on PWL device tables), and
     /// is refused typed instead of resuming a different simulation.
     #[test]
     fn unpartitioned_march_option_is_rejected_typed() {
@@ -832,5 +841,20 @@ mod tests {
                 Err(CheckpointError::Malformed(_))
             ));
         }
+        // Exact device evaluation: the last byte of the baseline options,
+        // after the method tag (1) and five eight-byte fields (40).
+        let mut w = ByteWriter::new();
+        encode_baseline_options(&mut w, &BaselineOptions::default());
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 5 * 8 + 1);
+        let back = decode_baseline_options(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back, BaselineOptions::default());
+        assert_eq!(bytes[41], 1);
+        let mut altered = bytes.clone();
+        altered[41] = 0;
+        assert!(matches!(
+            decode_baseline_options(&mut ByteReader::new(&altered)),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

@@ -1,8 +1,8 @@
 //! Deterministic, seeded fault injection for the durability layer.
 //!
 //! A [`FaultPlan`] is a shared, thread-safe schedule of faults consulted by
-//! the [`crate::service::SessionService`] and the [`crate::store::SessionStore`]
-//! at fixed hook points ([`FaultSite`]): checkpoint encode/decode, store
+//! the slice pool behind [`crate::server::Server`] and the
+//! [`crate::store::SessionStore`] at fixed hook points ([`FaultSite`]): checkpoint encode/decode, store
 //! write/read/rename, and scheduling-slice boundaries. Each site keeps an
 //! atomic call ordinal; whether call `n` at site `s` faults — and which
 //! [`Fault`] it draws — is a pure function of `(seed, s, n)`, so a plan is
@@ -107,9 +107,9 @@ pub enum Fault {
     /// The operation fails with a synthetic I/O error (the retry/degradation
     /// machinery is expected to absorb it).
     IoError,
-    /// The whole service "crashes" at this slice boundary: workers stop
-    /// dead, in-flight sessions are dropped, unresolved jobs report
-    /// interrupted. Only the on-disk store survives.
+    /// The whole server "crashes" at this slice boundary: workers stop
+    /// dead, in-flight slices are discarded and the server shuts down
+    /// unresolved. Only the on-disk store survives.
     KillService,
     /// The call site sleeps for `millis` before proceeding — a slow or
     /// stalled peer. The operation itself then succeeds; what the stall
@@ -147,7 +147,7 @@ struct SiteConfig {
 /// A deterministic, seeded fault-injection schedule. Construct with
 /// [`FaultPlan::new`], arm sites with [`FaultPlan::with_site`] /
 /// [`FaultPlan::with_kills`], share via `Arc`, and hand it to
-/// [`crate::service::ServiceOptions::fault_plan`] and
+/// [`crate::server::ServerOptions::fault_plan`] and
 /// [`crate::store::SessionStore::set_fault_plan`].
 pub struct FaultPlan {
     seed: u64,

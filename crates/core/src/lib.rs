@@ -106,10 +106,7 @@ pub use protocol::{
 };
 pub use scenario::{ScenarioConfig, SweepGrid, SweepParameter};
 pub use server::{DrainReport, Server, ServerOptions};
-pub use service::{
-    ClassReport, JobClass, JobOutcome, JobRequest, ServiceError, ServiceOptions, ServiceReport,
-    SessionService,
-};
+pub use service::{JobClass, ServiceError};
 pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation, SimulationEngine};
 pub use solver::{SolveResult, SolverOptions, SolverStats, StateSpaceSolver};
 pub use store::{RecoveryReport, SessionStore, StoreError, StoreOptions};

@@ -1,43 +1,42 @@
-//! The one session executor behind both fronts.
-//! [`crate::service::SessionService`] admits a batch into a [`Pool`] and runs
-//! scoped workers until every job resolves; [`crate::server::Server`] maps
-//! protocol commands onto a pool that long-lived workers serve.
+//! The session executor behind [`crate::server::Server`]: the server maps
+//! protocol commands onto a [`Pool`] that long-lived workers serve.
 //!
 //! The pool owns everything the scheduling laws depend on: the class queues
 //! (strict priority, EDF within a class, aging), the entry table, the one
 //! admission rule, the worker loop, the supervised slice and its commit,
-//! quarantine, the kill rule, billing, the queue-latency ledger and eviction
-//! under a resident budget. Each law therefore has one implementation:
+//! quarantine, the kill rule, billing and the queue-latency ledger. Each law
+//! therefore has one implementation:
 //!
 //! - **Seats.** Every unresolved (queued, running or paused) entry holds one
 //!   seat in its class; admission measures a class by its seats, and an
 //!   entry gives its seat back exactly once, when it resolves.
 //! - **Billing telescopes.** A slice bills the growth of the session's engine
-//!   time, which rides inside checkpoints, so a job's bill equals its final
-//!   report's engine time across preemption, eviction, thaw and restarts (a
+//!   time, which rides inside checkpoints, so a job's bill equals its
+//!   report's engine time across preemption, pause, drain and restarts (a
 //!   store-recovered job books its frame-carried time on its first slice).
-//! - **Eviction/thaw balance.** Every eviction parks a frame that the next
-//!   slice thaws.
 //! - **Quarantine and kills.** A panic escaping a slice resolves that one
 //!   entry as [`ServiceError::SessionPanicked`]; an injected kill stops every
 //!   worker and discards the slices still in flight, as a real crash would.
 //!
 //! Preemption happens only at accepted step boundaries
 //! ([`Session::run_until_deadline`]), so a scheduled session takes exactly
-//! the steps a sequential run takes, on either front.
+//! the steps a sequential run takes.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::checkpoint::fnv1a64;
 use crate::fault::{Fault, FaultPlan, FaultSite};
 use crate::protocol::WireState;
+use crate::server::{Book, ServerOptions};
 use crate::service::{JobClass, ServiceError};
-use crate::session::{Session, SessionReport, Simulation};
+use crate::session::{Session, Simulation};
 use crate::store::SessionStore;
 use crate::CoreError;
+use harvsim_linalg::DVector;
 
 /// Maps an optional deadline to a totally-ordered `u64` key: non-negative
 /// finite deadlines order by value (IEEE-754 bit order), `None` sorts after
@@ -107,74 +106,31 @@ impl<T> ClassQueues<T> {
     }
 }
 
-/// The options both fronts share, validated in one place.
-#[derive(Debug, Clone)]
-pub(crate) struct PoolOptions {
-    pub(crate) workers: Option<usize>,
-    pub(crate) slice_s: f64,
-    pub(crate) slice_timeout: Option<Duration>,
-    pub(crate) resident_budget_bytes: Option<usize>,
-    pub(crate) class_capacity: Option<usize>,
-    pub(crate) aging_passes: u64,
-    pub(crate) fault_plan: Option<Arc<FaultPlan>>,
-}
-
-impl PoolOptions {
-    pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        if !(self.slice_s > 0.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "scheduling slice must be positive, got {}",
-                self.slice_s
-            )));
-        }
-        if self.workers == Some(0) {
-            return Err(CoreError::InvalidConfiguration("worker count must be at least 1".into()));
-        }
-        if self.class_capacity == Some(0) {
-            return Err(CoreError::InvalidConfiguration(
-                "class capacity must admit at least one job".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Worker threads: the configured count, else one per available core.
-    pub(crate) fn worker_count(&self) -> usize {
-        self.workers
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    }
-}
-
 /// A session between slices.
 pub(crate) enum Parked {
     /// Not started yet.
     Fresh(Box<Simulation>),
-    /// Live session kept resident; the footprint the budget charged for it.
-    Live(Box<Session>, usize),
-    /// Checkpoint bytes (shared with [`Entry::last_frame`], so retaining the
-    /// last good checkpoint costs no copy).
-    Frozen(Arc<Vec<u8>>),
-    /// A server-recovered id: the first slice loads its frame from the store.
+    /// Live session kept resident between slices.
+    Live(Box<Session>),
+    /// Checkpoint bytes: a session paused at its slice boundary or parked by
+    /// a drain.
+    Frozen(Vec<u8>),
+    /// A store-recovered id: the first slice loads its frame from the store.
     Stored,
 }
 
-/// A job as a front hands it to the pool.
+/// A job as the server hands it to the pool.
 pub(crate) struct Job {
     /// Session id; keys the job's store entry.
     pub(crate) id: String,
-    /// Scenario label that failures are attributed to.
-    pub(crate) label: Option<String>,
     pub(crate) class: JobClass,
     pub(crate) deadline_s: Option<f64>,
     pub(crate) parked: Parked,
-    /// Re-admitted from a store frame rather than started fresh.
-    pub(crate) recovered: bool,
 }
 
-/// One entry of the table. `R` is what the pool keeps of a finished session.
-pub(crate) struct Entry<R> {
+/// One entry of the table.
+pub(crate) struct Entry {
     pub(crate) id: String,
-    pub(crate) label: Option<String>,
     pub(crate) class: JobClass,
     deadline_s: Option<f64>,
     /// The entry's lifecycle; queue tokens whose entry is no longer `Queued`
@@ -185,20 +141,14 @@ pub(crate) struct Entry<R> {
     parked: Option<Parked>,
     pub(crate) billed: Duration,
     pub(crate) slices: usize,
-    pub(crate) queue_latency: Duration,
-    pub(crate) first_pop_ordinal: Option<u64>,
-    pub(crate) evictions: usize,
-    pub(crate) restores: usize,
+    /// Recovered from a store frame rather than started fresh.
     pub(crate) recovered: bool,
-    pub(crate) degraded_writes: usize,
-    /// The most recent sealed checkpoint frame: the resume point kept for
-    /// entries that did not finish.
-    pub(crate) last_frame: Option<Arc<Vec<u8>>>,
     /// Simulated time and closed-segment steps reached so far.
     pub(crate) time_s: f64,
     pub(crate) steps: u64,
-    /// The resolution of a finished or failed entry.
-    pub(crate) done: Option<Result<R, ServiceError>>,
+    /// The resolution of a finished or failed entry: the final-state digest
+    /// ([`final_state_fnv`]), or the typed failure.
+    pub(crate) done: Option<Result<u64, ServiceError>>,
     pause_requested: bool,
     cancel_requested: bool,
 }
@@ -220,17 +170,15 @@ struct Token {
     enqueued_at: Instant,
 }
 
-/// The entry table and the ledgers, under the pool lock. Fronts read these
-/// fields; every transition goes through this module, so the laws above hold
-/// here alone.
-pub(crate) struct State<R, F> {
+/// The entry table and the ledgers, under the pool lock. The server reads
+/// these fields; every transition goes through this module, so the laws
+/// above hold here alone.
+pub(crate) struct State {
     /// Entries by position, in admission order.
-    pub(crate) entries: Vec<Entry<R>>,
+    pub(crate) entries: Vec<Entry>,
     queue: ClassQueues<Token>,
     /// Seats per class: unresolved entries, the admission measure.
     pub(crate) seats: [usize; JobClass::COUNT],
-    /// Global pop counter, stamping each entry's first scheduling.
-    pops: u64,
     /// Slices in flight on workers.
     running: usize,
     pub(crate) draining: bool,
@@ -239,85 +187,49 @@ pub(crate) struct State<R, F> {
     /// Failed entries, quarantined ones included.
     pub(crate) failed: u64,
     pub(crate) cancelled: u64,
-    pub(crate) quarantined: usize,
-    resident_bytes: usize,
-    pub(crate) peak_resident_bytes: usize,
-    pub(crate) evictions: usize,
     pub(crate) queue_latency_ns: [u64; JobClass::COUNT],
-    /// The front's own books, kept under the same lock.
-    pub(crate) front: F,
+    /// The server's own books, kept under the same lock.
+    pub(crate) book: Book,
 }
 
-impl<R, F> State<R, F> {
+impl State {
     /// Appends `job` parked and holding a seat but not queued: a
     /// store-recovered session awaiting its resubmission.
     pub(crate) fn adopt(&mut self, job: Job) -> usize {
-        self.push(job, WireState::Paused, None)
+        self.push(job, WireState::Paused)
     }
 
-    /// Appends `job` resolved on the spot with the error that refused it: a
-    /// batch reports every job's outcome in submission order.
-    pub(crate) fn refuse(&mut self, job: Job, error: ServiceError) -> usize {
-        self.push(job, WireState::Failed, Some(Err(error)))
-    }
-
-    fn push(&mut self, job: Job, state: WireState, done: Option<Result<R, ServiceError>>) -> usize {
-        if done.is_none() {
-            self.seats[job.class.index()] += 1;
-        }
-        let last_frame = match &job.parked {
-            Parked::Frozen(frame) => Some(frame.clone()),
-            _ => None,
-        };
+    fn push(&mut self, job: Job, state: WireState) -> usize {
+        self.seats[job.class.index()] += 1;
+        let recovered = matches!(job.parked, Parked::Stored);
         self.entries.push(Entry {
             id: job.id,
-            label: job.label,
             class: job.class,
             deadline_s: job.deadline_s,
             state,
-            parked: done.is_none().then_some(job.parked),
+            parked: Some(job.parked),
             billed: Duration::ZERO,
             slices: 0,
-            queue_latency: Duration::ZERO,
-            first_pop_ordinal: None,
-            evictions: 0,
-            restores: 0,
-            recovered: job.recovered,
-            degraded_writes: 0,
-            last_frame,
+            recovered,
             time_s: 0.0,
             steps: 0,
-            done,
+            done: None,
             pause_requested: false,
             cancel_requested: false,
         });
         self.entries.len() - 1
     }
 
-    /// Takes an entry's parked session, returning a live one's footprint to
-    /// the resident budget.
-    fn unpark(&mut self, index: usize) -> Option<Parked> {
-        let parked = self.entries[index].parked.take();
-        if let Some(Parked::Live(_, footprint)) = &parked {
-            self.resident_bytes -= footprint;
-        }
-        parked
-    }
-
     /// Resolves an entry as done (`Some(Ok)`), failed (`Some(Err)`) or
-    /// cancelled (`None`): the one place a seat is given back. Only a failed
-    /// entry keeps its last frame.
-    fn resolve(&mut self, index: usize, done: Option<Result<R, ServiceError>>) {
-        self.unpark(index);
+    /// cancelled (`None`): the one place a seat is given back.
+    fn resolve(&mut self, index: usize, done: Option<Result<u64, ServiceError>>) {
         let entry = &mut self.entries[index];
+        entry.parked = None;
         entry.state = match &done {
             Some(Ok(_)) => WireState::Done,
             Some(Err(_)) => WireState::Failed,
             None => WireState::Cancelled,
         };
-        if entry.state != WireState::Failed {
-            entry.last_frame = None;
-        }
         entry.done = done;
         self.seats[entry.class.index()] -= 1;
         match entry.state {
@@ -372,78 +284,76 @@ struct Task {
 }
 
 /// What one supervised slice produced, built outside the lock.
-enum SliceRun<R> {
-    /// Fault-injected service kill: discard everything, stop the pool.
+enum SliceRun {
+    /// Fault-injected kill: discard everything, stop the pool.
     Killed,
     /// A panic escaped the slice; its stringified payload.
     Panicked(String),
-    Ran(Tally, Result<End<R>, CoreError>),
+    Ran(Tally, Result<End, CoreError>),
 }
 
 /// A slice's bookkeeping, whatever its end.
 #[derive(Default)]
 struct Tally {
-    restored: bool,
     billed: Duration,
-    degraded: usize,
     time_s: f64,
     steps: u64,
 }
 
-enum End<R> {
-    Finished(R),
-    Preempted(Box<Session>, Arc<Vec<u8>>),
+enum End {
+    /// The final-state digest.
+    Finished(u64),
+    Preempted(Box<Session>, Vec<u8>),
 }
 
-/// The pool: options, the locked table and one condition variable.
-pub(crate) struct Pool<R, F> {
-    options: PoolOptions,
-    state: Mutex<State<R, F>>,
-    /// Wakes workers (a queued token, a resolution, a drain or a kill) and a
-    /// drain waiting for in-flight slices.
+/// The pool: the server's options and store, the locked table and one
+/// condition variable.
+pub(crate) struct Pool {
+    options: ServerOptions,
+    store: SessionStore,
+    state: Mutex<State>,
+    /// Wakes workers (a queued token, a drain or a kill) and a drain waiting
+    /// for in-flight slices.
     wake: Condvar,
 }
 
-impl<R: From<SessionReport>, F> Pool<R, F> {
-    pub(crate) fn new(options: PoolOptions, front: F) -> Self {
+impl Pool {
+    /// An empty pool over `store`; `options` are validated by the server.
+    pub(crate) fn new(options: ServerOptions, store: SessionStore) -> Self {
         let queue = ClassQueues::new(options.aging_passes);
         Pool {
             options,
+            store,
             state: Mutex::new(State {
                 entries: Vec::new(),
                 queue,
                 seats: [0; JobClass::COUNT],
-                pops: 0,
                 running: 0,
                 draining: false,
                 killed: false,
                 done: 0,
                 failed: 0,
                 cancelled: 0,
-                quarantined: 0,
-                resident_bytes: 0,
-                peak_resident_bytes: 0,
-                evictions: 0,
                 queue_latency_ns: [0; JobClass::COUNT],
-                front,
+                book: Book::default(),
             }),
             wake: Condvar::new(),
         }
     }
 
-    pub(crate) fn options(&self) -> &PoolOptions {
+    pub(crate) fn options(&self) -> &ServerOptions {
         &self.options
+    }
+
+    pub(crate) fn store(&self) -> &SessionStore {
+        &self.store
     }
 
     /// The pool lock, recovering from poisoning: slices run outside it and
     /// every critical section leaves the table consistent, so inheriting the
     /// guard is sound — aborting the pool is what supervision prevents.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, State<R, F>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn into_state(self) -> State<R, F> {
-        self.state.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The one admission rule, in order: a non-negative finite deadline, no
@@ -451,7 +361,7 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
     /// holds a seat (`holds_seat`) is not measured against the capacity.
     pub(crate) fn refusal(
         &self,
-        state: &State<R, F>,
+        state: &State,
         class: JobClass,
         deadline_s: Option<f64>,
         holds_seat: bool,
@@ -465,18 +375,14 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
             return Some(Refusal::Draining);
         }
         let depth = state.seats[class.index()];
-        match self.options.class_capacity {
-            Some(capacity) if !holds_seat && depth >= capacity => {
-                Some(Refusal::Overloaded { class, depth, capacity })
-            }
-            _ => None,
-        }
+        let capacity = self.options.class_capacity;
+        (!holds_seat && depth >= capacity).then_some(Refusal::Overloaded { class, depth, capacity })
     }
 
     /// Appends `job` queued and holding a seat; callers check
     /// [`Pool::refusal`] first.
-    pub(crate) fn admit(&self, state: &mut State<R, F>, job: Job) -> usize {
-        let index = state.push(job, WireState::Queued, None);
+    pub(crate) fn admit(&self, state: &mut State, job: Job) -> usize {
+        let index = state.push(job, WireState::Queued);
         self.enqueue(state, index);
         index
     }
@@ -485,7 +391,7 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
     /// resubmission: its seat moves with it and it queues.
     pub(crate) fn readmit(
         &self,
-        state: &mut State<R, F>,
+        state: &mut State,
         index: usize,
         class: JobClass,
         deadline_s: Option<f64>,
@@ -500,7 +406,7 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
 
     /// `resume`: a paused entry queues again; a running one drops a pending
     /// pause. `Err` carries a resolved entry's state.
-    pub(crate) fn resume(&self, state: &mut State<R, F>, index: usize) -> Result<(), WireState> {
+    pub(crate) fn resume(&self, state: &mut State, index: usize) -> Result<(), WireState> {
         match state.entries[index].state {
             WireState::Paused => self.enqueue(state, index),
             WireState::Running => state.entries[index].pause_requested = false,
@@ -510,7 +416,7 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
         Ok(())
     }
 
-    fn enqueue(&self, state: &mut State<R, F>, index: usize) {
+    fn enqueue(&self, state: &mut State, index: usize) {
         let entry = &mut state.entries[index];
         entry.state = WireState::Queued;
         let token = Token { index, enqueued_at: Instant::now() };
@@ -519,25 +425,25 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
     }
 
     /// One worker: pop, run one supervised slice outside the lock, commit —
-    /// until `stop` holds or the pool is killed. The slice runs under
+    /// until the pool drains or is killed. The slice runs under
     /// `catch_unwind`, so an escaped panic quarantines one entry instead of
     /// unwinding through the pool.
-    pub(crate) fn work(&self, store: Option<&SessionStore>, stop: impl Fn(&State<R, F>) -> bool) {
-        while let Some(Task { index, parked, id, carries_billing }) = self.next(&stop) {
+    pub(crate) fn work(&self) {
+        while let Some(Task { index, parked, id, carries_billing }) = self.next() {
             let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                self.run_slice(parked, &id, carries_billing, store)
+                self.run_slice(parked, &id, carries_billing)
             }))
             .unwrap_or_else(|payload| SliceRun::Panicked(panic_payload(payload)));
-            self.commit(index, run, store);
+            self.commit(index, run);
         }
     }
 
     /// Blocks until an entry is runnable (returning it) or the worker should
     /// stop. Stale tokens are dropped here.
-    fn next(&self, stop: &impl Fn(&State<R, F>) -> bool) -> Option<Task> {
+    fn next(&self) -> Option<Task> {
         let mut state = self.lock();
         loop {
-            if state.killed || stop(&state) {
+            if state.killed || state.draining {
                 return None;
             }
             let Some((class, Token { index, enqueued_at })) = state.queue.pop() else {
@@ -547,16 +453,11 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
             if state.entries[index].state != WireState::Queued {
                 continue;
             }
-            let waited = enqueued_at.elapsed();
             state.queue_latency_ns[class.index()] +=
-                u64::try_from(waited.as_nanos()).unwrap_or(u64::MAX);
-            let ordinal = state.pops;
-            state.pops += 1;
+                u64::try_from(enqueued_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
             state.running += 1;
-            let parked = state.unpark(index).expect("a queued entry is parked");
             let entry = &mut state.entries[index];
-            entry.queue_latency += waited;
-            entry.first_pop_ordinal.get_or_insert(ordinal);
+            let parked = entry.parked.take().expect("a queued entry is parked");
             entry.state = WireState::Running;
             let carries_billing = entry.recovered && entry.slices == 0;
             return Some(Task { index, parked, id: entry.id.clone(), carries_billing });
@@ -565,23 +466,14 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
 
     /// One slice, outside the lock: consult the slice-boundary site,
     /// materialise, advance, then finish or preempt.
-    fn run_slice(
-        &self,
-        parked: Parked,
-        id: &str,
-        carries_billing: bool,
-        store: Option<&SessionStore>,
-    ) -> SliceRun<R> {
+    fn run_slice(&self, parked: Parked, id: &str, carries_billing: bool) -> SliceRun {
         match self.decide(FaultSite::SliceBoundary, 0) {
             Some(Fault::KillService) => return SliceRun::Killed,
             Some(Fault::Panic) => panic!("{}", FaultPlan::PANIC_MESSAGE),
             _ => {}
         }
-        let mut tally = Tally {
-            restored: matches!(parked, Parked::Frozen(_) | Parked::Stored),
-            ..Tally::default()
-        };
-        let end = self.advance(parked, id, carries_billing, store, &mut tally);
+        let mut tally = Tally::default();
+        let end = self.advance(parked, id, carries_billing, &mut tally);
         SliceRun::Ran(tally, end)
     }
 
@@ -590,16 +482,14 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
         parked: Parked,
         id: &str,
         carries_billing: bool,
-        store: Option<&SessionStore>,
         tally: &mut Tally,
-    ) -> Result<End<R>, CoreError> {
+    ) -> Result<End, CoreError> {
         let mut session = match parked {
             Parked::Fresh(simulation) => Box::new(simulation.start()?),
-            Parked::Live(session, _) => session,
+            Parked::Live(session) => session,
             Parked::Frozen(frame) => self.thaw(&frame)?,
             Parked::Stored => {
-                let store = store.expect("stored entries exist only in store-backed pools");
-                let frame = store.get(id).map_err(|err| {
+                let frame = self.store.get(id).map_err(|err| {
                     CoreError::InvalidConfiguration(format!(
                         "store-backed session `{id}` failed to load: {err}"
                     ))
@@ -626,19 +516,18 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
         tally.steps = session.engine_stats().state_space.steps as u64;
         advanced?;
         if session.is_finished() {
-            // Drop the store entry only once the result is in hand; a failure
-            // degrades (a crash re-runs the entry idempotently).
-            if let Some(store) = store {
-                if store.is_active(id) && store.remove(id).is_err() {
-                    tally.degraded += 1;
-                }
+            // Drop the store entry only once the result is in hand. A failed
+            // removal leaves a frame a restart re-adopts, and re-running from
+            // it reaches the same final state.
+            if self.store.is_active(id) {
+                let _ = self.store.remove(id);
             }
-            return Ok(End::Finished(R::from(session.report())));
+            return Ok(End::Finished(final_state_fnv(&session.report().final_state)));
         }
         if let Some(Fault::Panic) = self.decide(FaultSite::CheckpointEncode, 0) {
             panic!("{}", FaultPlan::PANIC_MESSAGE);
         }
-        let frame = seal(&session, id, store, &mut tally.degraded)?;
+        let (frame, _) = self.seal(&session, id)?;
         Ok(End::Preempted(session, frame))
     }
 
@@ -649,91 +538,69 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
         Session::restore(frame).map(Box::new)
     }
 
+    /// The checkpoint-and-persist step: seals `session` into a frame and puts
+    /// it in the store, returning the frame and whether the put succeeded. A
+    /// failed put degrades: the session carries on, and only this slice's
+    /// crash-recoverability is lost.
+    fn seal(&self, session: &Session, id: &str) -> Result<(Vec<u8>, bool), CoreError> {
+        let frame = session.checkpoint()?;
+        let durable = self.store.put(id, &frame).is_ok();
+        Ok((frame, durable))
+    }
+
     fn decide(&self, site: FaultSite, len: usize) -> Option<Fault> {
         self.options.fault_plan.as_deref().and_then(|plan| plan.decide(site, len))
     }
 
     /// Books a slice into the table. After a kill, in-flight results are
     /// discarded: a killed process loses them.
-    fn commit(&self, index: usize, run: SliceRun<R>, store: Option<&SessionStore>) {
+    fn commit(&self, index: usize, run: SliceRun) {
         let mut guard = self.lock();
         let state = &mut *guard;
         state.running -= 1;
         if state.killed {
             return;
         }
-        let (tally, end) = match run {
-            SliceRun::Killed => {
-                state.killed = true;
-                self.wake.notify_all();
-                return;
-            }
+        match run {
+            SliceRun::Killed => state.killed = true,
             SliceRun::Panicked(payload) => {
                 state.entries[index].slices += 1;
                 let id = state.entries[index].id.clone();
                 state.resolve(index, Some(Err(ServiceError::SessionPanicked { id, payload })));
-                state.quarantined += 1;
-                self.wake.notify_all();
-                return;
             }
-            SliceRun::Ran(tally, end) => (tally, end),
-        };
-        let entry = &mut state.entries[index];
-        entry.slices += 1;
-        entry.billed += tally.billed;
-        entry.degraded_writes += tally.degraded;
-        entry.restores += usize::from(tally.restored);
-        entry.time_s = entry.time_s.max(tally.time_s);
-        entry.steps = entry.steps.max(tally.steps);
-        match end {
-            Err(err) => {
-                let err = match &entry.label {
-                    Some(label) => err.for_scenario(label.clone()),
-                    None => err,
-                };
-                state.resolve(index, Some(Err(ServiceError::Session(err))));
-            }
-            Ok(End::Finished(record)) => state.resolve(index, Some(Ok(record))),
-            Ok(End::Preempted(session, frame)) => {
-                entry.last_frame = Some(frame.clone());
-                if entry.cancel_requested {
-                    state.end_cancelled(index, store.expect("only a server cancels"));
-                } else if entry.pause_requested || state.draining {
-                    entry.pause_requested = false;
-                    entry.parked = Some(Parked::Frozen(frame));
-                    entry.state = WireState::Paused;
-                } else {
-                    let footprint = frame.len();
-                    let evict = self
-                        .options
-                        .resident_budget_bytes
-                        .is_some_and(|budget| state.resident_bytes + footprint > budget);
-                    if evict {
-                        entry.evictions += 1;
-                        entry.parked = Some(Parked::Frozen(frame));
-                        state.evictions += 1;
-                    } else {
-                        entry.parked = Some(Parked::Live(session, footprint));
-                        state.resident_bytes += footprint;
-                        state.peak_resident_bytes =
-                            state.peak_resident_bytes.max(state.resident_bytes);
+            SliceRun::Ran(tally, end) => {
+                let entry = &mut state.entries[index];
+                entry.slices += 1;
+                entry.billed += tally.billed;
+                entry.time_s = entry.time_s.max(tally.time_s);
+                entry.steps = entry.steps.max(tally.steps);
+                match end {
+                    Err(err) => state.resolve(index, Some(Err(ServiceError::Session(err)))),
+                    Ok(End::Finished(digest)) => state.resolve(index, Some(Ok(digest))),
+                    Ok(End::Preempted(_, _)) if entry.cancel_requested => {
+                        state.end_cancelled(index, &self.store);
                     }
-                    self.enqueue(state, index);
-                    return;
+                    Ok(End::Preempted(_, frame)) if entry.pause_requested || state.draining => {
+                        entry.pause_requested = false;
+                        entry.parked = Some(Parked::Frozen(frame));
+                        entry.state = WireState::Paused;
+                    }
+                    Ok(End::Preempted(session, _)) => {
+                        entry.parked = Some(Parked::Live(session));
+                        self.enqueue(state, index);
+                        return;
+                    }
                 }
             }
         }
-        // A resolution may be a batch's last; a parked slice may be the last
-        // a drain waits for.
+        // A kill stops every worker; a resolution or a parked slice may be
+        // the last a drain waits for.
         self.wake.notify_all();
     }
 
     /// Stops scheduling for a drain: wakes every idle worker (they stop) and
     /// waits until the in-flight slices have committed, or a kill.
-    pub(crate) fn quiesce<'a>(
-        &'a self,
-        mut state: MutexGuard<'a, State<R, F>>,
-    ) -> MutexGuard<'a, State<R, F>> {
+    pub(crate) fn quiesce<'a>(&'a self, mut state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         state.draining = true;
         self.wake.notify_all();
         while state.running > 0 && !state.killed {
@@ -748,11 +615,7 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
     /// count when the store still has them. Consults the slice-boundary kill
     /// schedule per entry, so a drain can be killed between two persists.
     /// Returns `(checkpointed, not_started)`, or `None` once killed.
-    pub(crate) fn park_all(
-        &self,
-        state: &mut State<R, F>,
-        store: &SessionStore,
-    ) -> Option<(u64, u64)> {
+    pub(crate) fn park_all(&self, state: &mut State) -> Option<(u64, u64)> {
         if state.killed {
             return None;
         }
@@ -766,28 +629,26 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
                 self.wake.notify_all();
                 return None;
             }
-            let parked = state.unpark(index).expect("an unresolved, idle entry is parked");
-            let id = state.entries[index].id.as_str();
+            let entry = &mut state.entries[index];
+            let parked = entry.parked.take().expect("an unresolved, idle entry is parked");
+            let id = entry.id.as_str();
             let (parked, durable) = match parked {
                 Parked::Fresh(simulation) => {
                     not_started += 1;
                     (Parked::Fresh(simulation), false)
                 }
-                Parked::Live(session, _) => {
-                    let mut degraded = 0;
-                    match seal(&session, id, Some(store), &mut degraded) {
-                        Ok(frame) => (Parked::Frozen(frame), degraded == 0),
-                        Err(err) => {
-                            state.resolve(index, Some(Err(ServiceError::Session(err))));
-                            continue;
-                        }
+                Parked::Live(session) => match self.seal(&session, id) {
+                    Ok((frame, durable)) => (Parked::Frozen(frame), durable),
+                    Err(err) => {
+                        state.resolve(index, Some(Err(ServiceError::Session(err))));
+                        continue;
                     }
-                }
+                },
                 Parked::Frozen(frame) => {
-                    let durable = store.is_active(id) || store.put(id, &frame).is_ok();
+                    let durable = self.store.is_active(id) || self.store.put(id, &frame).is_ok();
                     (Parked::Frozen(frame), durable)
                 }
-                Parked::Stored => (Parked::Stored, store.is_active(id)),
+                Parked::Stored => (Parked::Stored, self.store.is_active(id)),
             };
             checkpointed += u64::from(durable);
             let entry = &mut state.entries[index];
@@ -796,24 +657,6 @@ impl<R: From<SessionReport>, F> Pool<R, F> {
         }
         Some((checkpointed, not_started))
     }
-}
-
-/// The checkpoint-and-persist step: seals `session` into a frame (the
-/// eviction currency, the durable payload and the footprint estimate in
-/// one) and persists it when a store is attached. A failed put degrades: the
-/// frame still carries the session; only this slice's crash-recoverability
-/// is lost.
-fn seal(
-    session: &Session,
-    id: &str,
-    store: Option<&SessionStore>,
-    degraded: &mut usize,
-) -> Result<Arc<Vec<u8>>, CoreError> {
-    let frame = Arc::new(session.checkpoint()?);
-    if store.is_some_and(|store| store.put(id, &frame).is_err()) {
-        *degraded += 1;
-    }
-    Ok(frame)
 }
 
 /// Stringifies a caught panic payload (the common `&str`/`String` cases;
@@ -834,4 +677,85 @@ fn panic_payload(payload: Box<dyn Any + Send>) -> String {
 /// per-slice deltas telescope to the final report.
 fn engine_time(session: &Session) -> Duration {
     session.report().engine_time()
+}
+
+/// The wire-level bit-identity witness: FNV-1a over the final state vector's
+/// little-endian bytes. Two runs agree on this iff they agree on every bit
+/// of the final state.
+pub(crate) fn final_state_fnv(final_state: &DVector) -> u64 {
+    let mut bytes = Vec::with_capacity(final_state.len() * 8);
+    for value in final_state.as_slice() {
+        bytes.extend_from_slice(&value.to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Pushes `(class, deadline)` items numbered by position and returns the
+    /// numbers in pop order.
+    fn pop_order(aging_passes: u64, items: &[(JobClass, Option<f64>)]) -> Vec<usize> {
+        let mut queues = ClassQueues::new(aging_passes);
+        for (k, &(class, deadline_s)) in items.iter().enumerate() {
+            queues.push(class, deadline_s, k);
+        }
+        std::iter::from_fn(|| queues.pop().map(|(_, k)| k)).collect()
+    }
+
+    #[test]
+    fn deadlines_order_scheduling_within_a_class() {
+        // Pushed in reverse deadline order, with deadline-less items in the
+        // middle: pops follow the deadlines, then the deadline-less items in
+        // push (FIFO) order.
+        let deadlines = [Some(9.0), Some(7.0), None, Some(1.0), None, Some(4.0), Some(0.5)];
+        let items: Vec<_> = deadlines.iter().map(|&d| (JobClass::Batch, d)).collect();
+        assert_eq!(pop_order(8, &items), [6, 3, 5, 1, 0, 2, 4]);
+        // Equal deadlines tie FIFO.
+        let ties = [(JobClass::Batch, Some(1.0)); 3];
+        assert_eq!(pop_order(8, &ties), [0, 1, 2]);
+    }
+
+    #[test]
+    fn classes_schedule_in_strict_priority_when_aging_is_lax() {
+        // Pushed in inverted priority order; with a huge aging bound, or none,
+        // the pop order is pure class priority, FIFO within each class.
+        let items = [
+            (JobClass::BestEffort, None),
+            (JobClass::BestEffort, None),
+            (JobClass::Batch, None),
+            (JobClass::Batch, None),
+            (JobClass::Interactive, None),
+            (JobClass::Interactive, None),
+        ];
+        for aging_passes in [1_000_000, 0] {
+            assert_eq!(pop_order(aging_passes, &items), [4, 5, 2, 3, 0, 1], "aging {aging_passes}");
+        }
+    }
+
+    #[test]
+    fn aging_bounds_starvation_of_lower_classes() {
+        // One best-effort item pushed first, then a wall of interactive ones.
+        // With `aging_passes = 2` it is passed over exactly twice and then
+        // promoted for one pop; strict priority pops it dead last.
+        const WALL: usize = 12;
+        let mut items = vec![(JobClass::BestEffort, None)];
+        items.extend([(JobClass::Interactive, None); WALL]);
+        let position = |order: Vec<usize>| order.iter().position(|&k| k == 0).unwrap();
+        assert_eq!(
+            position(pop_order(2, &items)),
+            2,
+            "aging failed to rescue the best-effort item"
+        );
+        assert_eq!(position(pop_order(1_000_000, &items)), WALL, "strict priority control run");
+        // The promotion resets the counter: the aged class waits its bound
+        // again. Two best-effort items among interactive ones pop at 2 and 5.
+        let mut items = vec![(JobClass::BestEffort, None); 2];
+        items.extend([(JobClass::Interactive, None); WALL]);
+        let order = pop_order(2, &items);
+        let positions: Vec<usize> =
+            [0, 1].iter().map(|k| order.iter().position(|j| j == k).unwrap()).collect();
+        assert_eq!(positions, [2, 5]);
+    }
 }

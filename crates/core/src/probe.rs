@@ -55,7 +55,7 @@ pub enum DigitalEvent {
 /// minimal probe implements one method. `Probe: Any` enables typed retrieval
 /// through [`crate::session::Session::probe`] after (or during) a run;
 /// `Probe: Send` lets a session (and its probes) migrate between the worker
-/// threads of [`crate::service::SessionService`].
+/// threads of a [`crate::server::Server`] or an [`crate::explore::Explorer`].
 pub trait Probe: Any + Send {
     /// Called when an analogue segment `[t0, t_end]` opens (between digital
     /// events). Dense recorders reset their decimation clock here so every

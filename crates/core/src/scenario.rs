@@ -44,8 +44,8 @@ pub struct ScenarioConfig {
     /// Analogue engine used for the run.
     pub engine: SimulationEngine,
     /// Optional human-readable label. [`ScenarioConfig::sweep`] stamps each
-    /// expanded point with its `param=value` path, and the explorer and the
-    /// session service carry the label into error attribution
+    /// expanded point with its `param=value` path, and the explorer carries
+    /// the label into error attribution
     /// ([`CoreError::Scenario`]) so a failed grid point is identifiable
     /// without positional bookkeeping.
     pub label: Option<String>,

@@ -1,21 +1,23 @@
 //! The session service's front door: a long-lived server that lets external
 //! clients submit, steer and query [`Session`](crate::session::Session)s in
 //! the [`crate::protocol`] wire grammar — over a unix socket, over
-//! stdin/stdout, or in-process via [`Server::execute`].
+//! stdin/stdout, or in-process via [`Server::execute`]. It is the one way to
+//! run many sessions at once; a grid of design points runs on the
+//! [`crate::explore::Explorer`] instead.
 //!
 //! # Architecture
 //!
-//! A [`Server`] is a protocol adapter over the crate's one slice pool, the
-//! pool the batch [`crate::service::SessionService`] also runs. It owns a
-//! crash-safe [`SessionStore`], the pool with its long-lived workers, and a
-//! map from session id to pool entry; each command maps onto the pool:
-//! `submit` onto its admission rule, `pause`/`resume`/`cancel` onto the entry
-//! lifecycle, `drain` onto its quiesce-and-park step. Scheduling ([`JobClass`]
-//! priority, EDF within a class, starvation-proof aging),
-//! checkpoint-on-preempt persistence, panic quarantine, billing and the
-//! [`FaultPlan`] hooks are therefore the batch service's own. What the server
-//! adds is lifecycle: sessions arrive one `submit` at a time, can be
-//! paused, resumed or cancelled mid-run, and survive restarts — a new
+//! A [`Server`] is a protocol adapter over the crate's slice pool. The pool
+//! owns the crash-safe [`SessionStore`], the entry table its long-lived
+//! workers serve, and the server's books, among them a map from session id
+//! to pool entry; each command maps onto the pool: `submit` onto its
+//! admission rule, `pause`/`resume`/`cancel` onto the entry lifecycle,
+//! `drain` onto its quiesce-and-park step. The pool schedules
+//! ([`JobClass`] priority, EDF within a class, starvation-proof aging),
+//! checkpoints every preempted slice into the store, quarantines panics,
+//! bills engine time and consults the [`FaultPlan`] hooks. Sessions arrive
+//! one `submit` at a time, can be paused, resumed or cancelled mid-run, and
+//! survive restarts — a new
 //! [`Server::start`] over the same store directory re-adopts every session
 //! the manifest records, and a resubmission of a known id is **idempotent**:
 //! it re-admits from the stored frame (or just reports the live state), never
@@ -55,44 +57,48 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::fnv1a64;
 use crate::fault::FaultPlan;
-use crate::pool::{Job, Parked, Pool, PoolOptions, Refusal, State};
+use crate::pool::{Job, Parked, Pool, Refusal, State};
 use crate::protocol::{
     parse_command, Command, FrameReader, FrameWriter, ProtocolError, Response, ServerStats,
     StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
 };
 use crate::service::JobClass;
-use crate::session::SessionReport;
 use crate::store::SessionStore;
 use crate::CoreError;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Worker thread count; `None` uses available parallelism.
+    /// Worker thread count; `None` uses the machine's available parallelism
+    /// (thread-per-core).
     pub workers: Option<usize>,
-    /// Simulated seconds per scheduling slice (see
-    /// [`crate::service::ServiceOptions::slice_s`]).
+    /// Simulated seconds each session advances per scheduling slice.
+    /// Preemption happens at the first accepted-step boundary at or past the
+    /// slice target, so smaller slices mean fairer interleaving and more
+    /// checkpoint traffic.
     pub slice_s: f64,
-    /// Cooperative per-slice wall-clock watchdog; `None` disarms it.
+    /// Cooperative per-slice wall-clock watchdog: a slice that overruns this
+    /// budget is preempted at its next accepted step boundary (at least one
+    /// step always completes, so a preempted session still makes progress,
+    /// and results stay bit-identical). `None` disarms it.
     pub slice_timeout: Option<Duration>,
     /// Bounded per-class admission: at most this many **resident**
     /// (admitted, unresolved — queued, running or paused) sessions per
     /// class. The front door always has a bound — unbounded accept queues
     /// are how servers die under load. Submits beyond it are shed typed.
     pub class_capacity: usize,
-    /// Starvation bound for the class scheduler (see
-    /// [`crate::service::ServiceOptions::aging_passes`]).
+    /// Starvation bound for the class scheduler: a non-empty class passed
+    /// over this many consecutive pops is promoted for one pop. `0` means
+    /// strict priority (lower classes may starve under sustained load).
     pub aging_passes: u64,
     /// Maximum wire frame length for connections handled by this server.
     pub max_frame_len: usize,
-    /// Deterministic fault plan: the pool's sites (slice boundaries and
-    /// checkpoint encode/decode, as in
-    /// [`crate::service::ServiceOptions::fault_plan`]) and the wire sites
-    /// ([`crate::fault::FaultSite::WireRead`] /
+    /// Deterministic fault plan: the pool's sites (slice boundaries, where it
+    /// can also kill the server, and checkpoint encode/decode) and the wire
+    /// sites ([`crate::fault::FaultSite::WireRead`] /
     /// [`crate::fault::FaultSite::WireWrite`]); arm store sites on the store
-    /// itself.
+    /// itself ([`SessionStore::set_fault_plan`]).
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -111,20 +117,21 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    fn pool(&self) -> PoolOptions {
-        PoolOptions {
-            workers: self.workers,
-            slice_s: self.slice_s,
-            slice_timeout: self.slice_timeout,
-            resident_budget_bytes: None,
-            class_capacity: Some(self.class_capacity),
-            aging_passes: self.aging_passes,
-            fault_plan: self.fault_plan.clone(),
-        }
-    }
-
     fn validate(&self) -> Result<(), CoreError> {
-        self.pool().validate()?;
+        if !(self.slice_s > 0.0) {
+            return Err(CoreError::InvalidConfiguration(format!(
+                "scheduling slice must be positive, got {}",
+                self.slice_s
+            )));
+        }
+        if self.workers == Some(0) {
+            return Err(CoreError::InvalidConfiguration("worker count must be at least 1".into()));
+        }
+        if self.class_capacity == 0 {
+            return Err(CoreError::InvalidConfiguration(
+                "class capacity must admit at least one job".into(),
+            ));
+        }
         if self.max_frame_len < 64 {
             return Err(CoreError::InvalidConfiguration(format!(
                 "server frame limit of {} bytes cannot fit the grammar (min 64)",
@@ -132,6 +139,12 @@ impl ServerOptions {
             )));
         }
         Ok(())
+    }
+
+    /// Worker threads: the configured count, else one per available core.
+    fn worker_count(&self) -> usize {
+        self.workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     }
 }
 
@@ -148,20 +161,10 @@ pub struct DrainReport {
     pub duration: Duration,
 }
 
-/// What the server keeps of a finished session: the final-state digest that
-/// `status` reports.
-struct StateFnv(u64);
-
-impl From<SessionReport> for StateFnv {
-    fn from(report: SessionReport) -> Self {
-        StateFnv(final_state_fnv(&report))
-    }
-}
-
 /// The server's own books, kept under the pool lock so every command is
 /// atomic.
 #[derive(Default)]
-struct Book {
+pub(crate) struct Book {
     /// Pool entry of every known session id.
     ids: HashMap<String, usize>,
     offered: u64,
@@ -174,36 +177,28 @@ struct Book {
     listeners: Vec<PathBuf>,
 }
 
-struct ServerShared {
-    store: SessionStore,
-    options: ServerOptions,
-    pool: Pool<StateFnv, Book>,
-}
-
 /// Whether the server has stopped: drained, or fault-killed.
-fn shut_down(state: &State<StateFnv, Book>) -> bool {
-    state.front.drained.is_some() || state.killed
+fn shut_down(state: &State) -> bool {
+    state.book.drained.is_some() || state.killed
 }
 
-impl ServerShared {
-    /// Wakes every listener blocked in `accept` once the server has shut
-    /// down: one connection per recorded socket path, made outside the pool
-    /// lock, errors ignored. A no-op while the server runs, and idempotent —
-    /// the paths are taken, so each listener is woken once.
-    fn wake_listeners(&self) {
-        let paths = {
-            let mut state = self.pool.lock();
-            if !shut_down(&state) {
-                return;
-            }
-            std::mem::take(&mut state.front.listeners)
-        };
-        for path in paths {
-            #[cfg(unix)]
-            let _ = std::os::unix::net::UnixStream::connect(path);
-            #[cfg(not(unix))]
-            let _ = path;
+/// Wakes every listener blocked in `accept` once the server has shut down:
+/// one connection per recorded socket path, made outside the pool lock,
+/// errors ignored. A no-op while the server runs, and idempotent — the paths
+/// are taken, so each listener is woken once.
+fn wake_listeners(pool: &Pool) {
+    let paths = {
+        let mut state = pool.lock();
+        if !shut_down(&state) {
+            return;
         }
+        std::mem::take(&mut state.book.listeners)
+    };
+    for path in paths {
+        #[cfg(unix)]
+        let _ = std::os::unix::net::UnixStream::connect(path);
+        #[cfg(not(unix))]
+        let _ = path;
     }
 }
 
@@ -211,7 +206,7 @@ impl ServerShared {
 /// state); see the [module docs](self) for the architecture.
 #[derive(Clone)]
 pub struct Server {
-    shared: Arc<ServerShared>,
+    pool: Arc<Pool>,
     /// Worker handles, joined by [`Server::join`].
     workers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
@@ -226,51 +221,48 @@ impl Server {
     /// [`CoreError::InvalidConfiguration`] for invalid options.
     pub fn start(store: SessionStore, options: ServerOptions) -> Result<Server, CoreError> {
         options.validate()?;
-        let pool = Pool::new(options.pool(), Book::default());
+        let worker_count = options.worker_count();
+        let pool = Arc::new(Pool::new(options, store));
         {
             let mut state = pool.lock();
-            for id in store.active_ids() {
+            for id in pool.store().active_ids() {
                 // Store-backed, not yet materialised: the frame loads on the
                 // first slice after a resume or resubmit. Class and deadline
                 // are not persisted — the resubmission (or a plain `resume`,
                 // which keeps the batch default) supplies them.
                 let index = state.adopt(Job {
                     id: id.clone(),
-                    label: None,
                     class: JobClass::Batch,
                     deadline_s: None,
                     parked: Parked::Stored,
-                    recovered: true,
                 });
-                state.front.ids.insert(id, index);
+                state.book.ids.insert(id, index);
             }
         }
-        let worker_count = pool.options().worker_count();
-        let shared = Arc::new(ServerShared { store, options, pool });
         let workers = (0..worker_count)
             .map(|_| {
-                let shared = Arc::clone(&shared);
+                let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
-                    shared.pool.work(Some(&shared.store), |state| state.draining);
+                    pool.work();
                     // A fault-injected kill ends the worker loops without a
                     // drain (a drain wakes the listeners itself).
-                    if shared.pool.lock().killed {
-                        shared.wake_listeners();
+                    if pool.lock().killed {
+                        wake_listeners(&pool);
                     }
                 })
             })
             .collect();
-        Ok(Server { shared, workers: Arc::new(Mutex::new(workers)) })
+        Ok(Server { pool, workers: Arc::new(Mutex::new(workers)) })
     }
 
     /// The store directory this server persists into.
     pub fn store_dir(&self) -> std::path::PathBuf {
-        self.shared.store.dir().to_path_buf()
+        self.pool.store().dir().to_path_buf()
     }
 
     /// Whether the server has stopped (drained, or fault-killed).
     pub fn is_shutdown(&self) -> bool {
-        shut_down(&self.shared.pool.lock())
+        shut_down(&self.pool.lock())
     }
 
     /// Joins the worker pool (call after a drain or kill).
@@ -305,9 +297,9 @@ impl Server {
     /// admission or a second billing; a fresh id passes the pool's admission
     /// rule.
     fn submit(&self, spec: SubmitSpec) -> Response {
-        let pool = &self.shared.pool;
+        let pool = &*self.pool;
         let mut state = pool.lock();
-        let known = state.front.ids.get(&spec.id).copied();
+        let known = state.book.ids.get(&spec.id).copied();
         // The idempotency contract: a known id never creates a session, so a
         // client retrying a submit whose reply was dropped — or resubmitting
         // its batch after a restart — is safe. Only a store-recovered entry
@@ -318,8 +310,8 @@ impl Server {
             entry.state == WireState::Paused && entry.recovered && entry.slices == 0
         });
         if let (Some(index), None) = (known, readmit) {
-            state.front.offered += 1;
-            state.front.resubmitted += 1;
+            state.book.offered += 1;
+            state.book.resubmitted += 1;
             return Response::Resubmitted { id: spec.id, state: state.entries[index].state };
         }
         if let Some(refusal) = pool.refusal(&state, spec.class, spec.deadline_s, readmit.is_some())
@@ -333,56 +325,54 @@ impl Server {
                     WireError::Overloaded { class, depth: depth as u64, capacity: capacity as u64 }
                 }
             };
-            state.front.offered += 1;
-            state.front.shed += 1;
+            state.book.offered += 1;
+            state.book.shed += 1;
             return Response::Error(error);
         }
-        state.front.offered += 1;
+        state.book.offered += 1;
         if let Some(index) = readmit {
             pool.readmit(&mut state, index, spec.class, spec.deadline_s);
-            state.front.resubmitted += 1;
+            state.book.resubmitted += 1;
             return Response::Resubmitted { id: spec.id, state: WireState::Queued };
         }
         let depth = state.seats[spec.class.index()] as u64 + 1;
         let job = Job {
             id: spec.id.clone(),
-            label: None,
             class: spec.class,
             deadline_s: spec.deadline_s,
             parked: Parked::Fresh(Box::new(spec.simulation())),
-            recovered: false,
         };
         let index = pool.admit(&mut state, job);
-        state.front.ids.insert(spec.id.clone(), index);
-        state.front.admitted += 1;
+        state.book.ids.insert(spec.id.clone(), index);
+        state.book.admitted += 1;
         Response::Submitted { id: spec.id, class: spec.class, depth }
     }
 
     fn pause(&self, id: &str) -> Response {
-        let mut state = self.shared.pool.lock();
-        let Some(&index) = state.front.ids.get(id) else { return unknown(id) };
+        let mut state = self.pool.lock();
+        let Some(&index) = state.book.ids.get(id) else { return unknown(id) };
         answer(id, state.pause(index), Response::Paused { id: id.into() })
     }
 
     fn resume(&self, id: &str) -> Response {
-        let mut state = self.shared.pool.lock();
+        let mut state = self.pool.lock();
         if state.draining {
             return Response::Error(WireError::Draining);
         }
-        let Some(&index) = state.front.ids.get(id) else { return unknown(id) };
-        let resumed = self.shared.pool.resume(&mut state, index);
+        let Some(&index) = state.book.ids.get(id) else { return unknown(id) };
+        let resumed = self.pool.resume(&mut state, index);
         answer(id, resumed, Response::Resumed { id: id.into() })
     }
 
     fn cancel(&self, id: &str) -> Response {
-        let mut state = self.shared.pool.lock();
-        let Some(&index) = state.front.ids.get(id) else { return unknown(id) };
-        answer(id, state.cancel(index, &self.shared.store), Response::Cancelled { id: id.into() })
+        let mut state = self.pool.lock();
+        let Some(&index) = state.book.ids.get(id) else { return unknown(id) };
+        answer(id, state.cancel(index, self.pool.store()), Response::Cancelled { id: id.into() })
     }
 
     fn status(&self, id: &str) -> Response {
-        let state = self.shared.pool.lock();
-        let Some(&index) = state.front.ids.get(id) else { return unknown(id) };
+        let state = self.pool.lock();
+        let Some(&index) = state.book.ids.get(id) else { return unknown(id) };
         let entry = &state.entries[index];
         Response::Status(StatusInfo {
             id: id.into(),
@@ -392,20 +382,20 @@ impl Server {
             steps: entry.steps,
             billed_ns: entry.billed.as_nanos(),
             recovered: entry.recovered,
-            final_state_fnv: entry.done.as_ref().and_then(|done| done.as_ref().ok()).map(|f| f.0),
+            final_state_fnv: entry.done.as_ref().and_then(|done| done.as_ref().ok()).copied(),
         })
     }
 
     fn bill(&self, id: &str) -> Response {
-        let state = self.shared.pool.lock();
-        let Some(&index) = state.front.ids.get(id) else { return unknown(id) };
+        let state = self.pool.lock();
+        let Some(&index) = state.book.ids.get(id) else { return unknown(id) };
         Response::Billed { id: id.into(), billed_ns: state.entries[index].billed.as_nanos() }
     }
 
     /// A point-in-time snapshot of the aggregate counters.
     pub fn stats(&self) -> ServerStats {
-        let state = self.shared.pool.lock();
-        let book = &state.front;
+        let state = self.pool.lock();
+        let book = &state.book;
         ServerStats {
             draining: state.draining,
             offered: book.offered,
@@ -426,24 +416,24 @@ impl Server {
     /// Idempotent — a second `drain` returns the same report.
     fn drain(&self) -> Response {
         let started = Instant::now();
-        let state = self.shared.pool.lock();
-        if let Some(report) = state.front.drained {
+        let state = self.pool.lock();
+        if let Some(report) = state.book.drained {
             return drained_response(report);
         }
         if state.killed {
             return Response::Error(WireError::Failed("server was killed".into()));
         }
-        let mut state = self.shared.pool.quiesce(state);
-        let response = match self.shared.pool.park_all(&mut state, &self.shared.store) {
+        let mut state = self.pool.quiesce(state);
+        let response = match self.pool.park_all(&mut state) {
             Some((checkpointed, not_started)) => {
                 let report = DrainReport { checkpointed, not_started, duration: started.elapsed() };
-                state.front.drained = Some(report);
+                state.book.drained = Some(report);
                 drained_response(report)
             }
             None => Response::Error(WireError::Failed("server was killed during drain".into())),
         };
         drop(state);
-        self.shared.wake_listeners();
+        wake_listeners(&self.pool);
         response
     }
 
@@ -463,8 +453,9 @@ impl Server {
         read: R,
         write: W,
     ) -> Result<(), ProtocolError> {
-        let plan = self.shared.options.fault_plan.clone();
-        let mut reader = FrameReader::new(read, self.shared.options.max_frame_len, plan.clone());
+        let options = self.pool.options();
+        let plan = options.fault_plan.clone();
+        let mut reader = FrameReader::new(read, options.max_frame_len, plan.clone());
         let mut writer = FrameWriter::new(write, plan);
         loop {
             let frame = match reader.next_frame() {
@@ -535,11 +526,11 @@ impl Server {
         // Registered atomically with the shutdown check: a later shutdown
         // wakes this listener, an earlier one ends it here.
         {
-            let mut state = self.shared.pool.lock();
+            let mut state = self.pool.lock();
             if shut_down(&state) {
                 return Ok(());
             }
-            state.front.listeners.push(path.to_path_buf());
+            state.book.listeners.push(path.to_path_buf());
         }
         // Each running handler's connection, held so the shutdown can wake
         // a handler blocked in `read`; finished ones are dropped per accept.
@@ -564,7 +555,7 @@ impl Server {
                 Err(err) => break Err(err),
             }
         };
-        self.shared.pool.lock().front.listeners.retain(|listening| listening != path);
+        self.pool.lock().book.listeners.retain(|listening| listening != path);
         // Read side only: the handler that ran the drain writes its reply
         // after this wake. Not joined, so a peer that stops reading cannot
         // hold up the return.
@@ -609,15 +600,4 @@ fn drained_response(report: DrainReport) -> Response {
         not_started: report.not_started,
         duration_ms: report.duration.as_millis() as u64,
     }
-}
-
-/// The wire-level bit-identity witness: FNV-1a over the final state vector's
-/// little-endian bytes. Two runs agree on this iff they agree on every bit
-/// of the final state.
-fn final_state_fnv(report: &SessionReport) -> u64 {
-    let mut bytes = Vec::with_capacity(report.final_state.len() * 8);
-    for value in report.final_state.as_slice() {
-        bytes.extend_from_slice(&value.to_le_bytes());
-    }
-    fnv1a64(&bytes)
 }

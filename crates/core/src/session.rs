@@ -265,8 +265,8 @@ pub struct SessionReport {
 
 impl SessionReport {
     /// Total engine wall-clock accumulated so far, both engines combined —
-    /// the per-session billing quantity [`crate::service::SessionService`]
-    /// draws. Monotone over a session's lifetime and carried across
+    /// the per-session billing quantity a [`crate::server::Server`] draws.
+    /// Monotone over a session's lifetime and carried across
     /// checkpoint/restore, so per-slice billing deltas telescope exactly to
     /// this final total (billing conservation).
     pub fn engine_time(&self) -> Duration {
@@ -418,15 +418,11 @@ impl Session {
         // which evaluate the physical device equations at every iteration —
         // the PWL lookup table is the *proposed* technique's contribution, so
         // handing it to the baseline would let the comparison race the
-        // technique against itself. Exact evaluation for the baseline
-        // (unless its options opt out for the like-for-like ablation), table
+        // technique against itself. Exact evaluation for the baseline, table
         // companions for the state-space engine. The caller's own setting is
         // remembered and restored by [`Session::into_parts`].
         let caller_exact_companions = harvester.exact_diode_companions();
-        harvester.set_exact_diode_companions(matches!(
-            engine,
-            SimulationEngine::NewtonRaphson(options) if options.exact_device_evaluation
-        ));
+        harvester.set_exact_diode_companions(matches!(engine, SimulationEngine::NewtonRaphson(_)));
         let runtime = match engine {
             SimulationEngine::StateSpace(options) => {
                 options.validate()?;

@@ -263,7 +263,7 @@ impl SolverStats {
     }
 
     /// Serialises every counter into a checkpoint payload (`cpu_time` as
-    /// nanoseconds — restored so billing totals survive an evict/reload, but
+    /// nanoseconds — restored so billing totals survive a restore, but
     /// excluded from bit-identity comparisons because it measures the host).
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         w.put_usize(self.steps);

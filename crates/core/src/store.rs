@@ -60,10 +60,10 @@
 //!
 //! # Degradation & fault injection
 //!
-//! Writes retry with bounded exponential backoff ([`StoreOptions`]); callers
-//! (the [`crate::service::SessionService`]) treat a put that still fails as a
-//! *degraded* write and fall back to resident frozen bytes rather than
-//! failing the job. All I/O paths consult an optional [`FaultPlan`]
+//! Writes retry with bounded exponential backoff ([`StoreOptions`]); the
+//! slice pool behind [`crate::server::Server`] treats a put that still fails
+//! as a *degraded* write: the session carries on from its resident state
+//! rather than failing. All I/O paths consult an optional [`FaultPlan`]
 //! ([`FaultSite::StoreWrite`] / [`FaultSite::StoreRead`] /
 //! [`FaultSite::StoreRename`]) so torn writes, bit flips and synthetic I/O
 //! errors are injectable deterministically — `tests/checkpoint_fuzz.rs` and
@@ -280,7 +280,7 @@ impl SessionStore {
 
     /// Arms deterministic fault injection on every subsequent I/O operation
     /// (reads, writes, renames — including manifest traffic). Call before
-    /// sharing the store with a service run.
+    /// handing the store to a [`crate::server::Server`].
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.fault_plan = plan;
     }

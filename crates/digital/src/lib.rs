@@ -18,8 +18,6 @@
 //!
 //! * [`SimTime`] — integer nanosecond simulation time (no floating-point drift
 //!   in the event queue).
-//! * [`Signal`] — a value holder with change detection, used for communication
-//!   between processes and for edge-sensitive waits.
 //! * [`Process`] — the behaviour trait: `resume` is called when the process'
 //!   wake-up time arrives and returns the next wake-up request.
 //! * [`Kernel`] — the scheduler: owns processes, maintains the event queue and
@@ -55,9 +53,7 @@
 #![warn(missing_docs)]
 
 mod kernel;
-mod signal;
 mod time;
 
 pub use kernel::{Kernel, KernelError, Process, ProcessId};
-pub use signal::{Edge, Signal, SignalEdge};
 pub use time::SimTime;

@@ -63,16 +63,6 @@ impl SimTime {
     pub fn as_secs_f64(&self) -> f64 {
         self.nanos as f64 / 1e9
     }
-
-    /// Saturating subtraction (never goes below zero).
-    pub fn saturating_sub(self, other: SimTime) -> SimTime {
-        SimTime { nanos: self.nanos.saturating_sub(other.nanos) }
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        self.nanos.checked_add(other.nanos).map(|nanos| SimTime { nanos })
-    }
 }
 
 impl Add for SimTime {
@@ -141,9 +131,6 @@ mod tests {
         let mut c = a;
         c += b;
         assert_eq!(c, SimTime::from_millis(8));
-        assert_eq!(b.saturating_sub(a), SimTime::ZERO);
-        assert_eq!(SimTime::MAX.checked_add(a), None);
-        assert_eq!(a.checked_add(b), Some(SimTime::from_millis(8)));
     }
 
     #[test]

@@ -233,16 +233,6 @@ impl DMatrix {
         head[lo * cols..lo * cols + cols].swap_with_slice(&mut tail[..cols]);
     }
 
-    /// Copies column `c` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    pub fn column(&self, c: usize) -> DVector {
-        assert!(c < self.cols, "column index out of bounds");
-        DVector::from_fn(self.rows, |r| self[(r, c)])
-    }
-
     /// Copies the main diagonal into a vector (length `min(rows, cols)`).
     pub fn diagonal(&self) -> DVector {
         let n = self.rows.min(self.cols);
@@ -386,23 +376,6 @@ impl DMatrix {
         for r in 0..block.rows {
             for c in 0..block.cols {
                 self[(row + r, col + c)] = block[(r, c)];
-            }
-        }
-    }
-
-    /// Adds `block` into this matrix with its top-left corner at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block does not fit.
-    pub fn add_block(&mut self, row: usize, col: usize, block: &DMatrix) {
-        assert!(
-            row + block.rows <= self.rows && col + block.cols <= self.cols,
-            "block does not fit at the requested position"
-        );
-        for r in 0..block.rows {
-            for c in 0..block.cols {
-                self[(row + r, col + c)] += block[(r, c)];
             }
         }
     }
@@ -763,7 +736,6 @@ mod tests {
         assert_eq!(m.get(1, 0), Some(3.0));
         assert_eq!(m.get(2, 0), None);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.column(0).as_slice(), &[1.0, 3.0]);
         assert_eq!(m.diagonal().as_slice(), &[1.0, 4.0]);
     }
 
@@ -826,9 +798,7 @@ mod tests {
         m.set_block(1, 1, &sample());
         assert_eq!(m[(1, 1)], 1.0);
         assert_eq!(m[(2, 2)], 4.0);
-        m.add_block(1, 1, &DMatrix::identity(2));
-        assert_eq!(m[(1, 1)], 2.0);
-        assert_eq!(m.block(1, 1, 2, 2)[(1, 1)], 5.0);
+        assert_eq!(m.block(1, 1, 2, 2)[(1, 1)], 4.0);
         m.add_to(0, 0, 2.5);
         assert_eq!(m[(0, 0)], 2.5);
     }

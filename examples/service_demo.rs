@@ -1,19 +1,15 @@
-//! Durable checkpoints and the multi-session scheduler, end to end:
+//! Durable checkpoints and the session server, end to end:
 //!
 //! 1. run a session halfway, **save** its checkpoint to disk, and drop the
 //!    live session entirely (a stand-in for a process kill or migration);
 //! 2. **reload** the bytes, resume, and show the result is bit-identical to
 //!    a run that was never interrupted;
-//! 3. hand a small batch of scenarios to the [`harvsim::SessionService`] —
-//!    a thread-per-core round-robin scheduler that preempts sessions at
-//!    slice boundaries, checkpoints them on preemption, evicts the frames
-//!    under a resident-memory budget, and bills each job's engine time from
-//!    the carried counters;
-//! 4. run the same batch **store-backed** and kill the service mid-run with
-//!    an injected fault, then reopen the [`harvsim::SessionStore`] and show
-//!    the restarted service recovering the interrupted jobs from their last
-//!    sealed frames — finishing bit-identically, with billing conserved;
-//! 5. open the **front door**: a [`harvsim::Server`] with a deliberately
+//! 3. submit a small batch to a [`harvsim::Server`] over a
+//!    [`harvsim::SessionStore`] and kill the server mid-run with an injected
+//!    fault, then reopen the store and show a restarted server recovering
+//!    the interrupted sessions from their last sealed frames — finishing
+//!    bit-identically, each billed from its frame-carried engine time;
+//! 4. open the **front door**: a [`harvsim::Server`] with a deliberately
 //!    tiny per-class admission bound, an overload that sheds typed, the
 //!    per-class queue-latency ledgers, and a graceful drain that parks
 //!    every resident session durably in the store.
@@ -24,10 +20,18 @@
 
 use std::sync::Arc;
 
+use harvsim::linalg::DVector;
 use harvsim::{
-    Command, FaultPlan, JobClass, Response, ScenarioConfig, Server, ServerOptions, ServiceOptions,
-    Session, SessionService, SessionStore, Simulation, SubmitSpec, WaveformProbe, WireError,
+    fnv1a64, Command, FaultPlan, JobClass, Response, ScenarioConfig, Server, ServerOptions,
+    Session, SessionStore, Simulation, SubmitSpec, WaveformProbe, WireError, WireState,
 };
+
+/// FNV-1a-64 over a final state's little-endian bytes: the digest `status`
+/// reports for a finished session.
+fn state_fnv(state: &DVector) -> u64 {
+    let bytes: Vec<u8> = state.iter().flat_map(|value| value.to_le_bytes()).collect();
+    fnv1a64(&bytes)
+}
 
 fn scenario(label: &str, v0: f64) -> ScenarioConfig {
     let mut scenario = ScenarioConfig::scenario1();
@@ -82,121 +86,101 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     std::fs::remove_file(&path).ok();
 
-    // -- 3. a batch through the scheduler ---------------------------------
-    println!("\n== session service: round-robin with checkpoint eviction ==");
-    let jobs: Vec<Simulation> = (0..6)
-        .map(|k| Simulation::from_config(scenario(&format!("job-{k}"), 2.5 + k as f64 * 0.01)))
-        .collect();
-    let service = SessionService::new(ServiceOptions {
-        workers: None,                         // thread per core
-        slice_s: 0.04,                         // preempt every 40 ms of model time
-        resident_budget_bytes: Some(2 * 1024), // ~2 probe-less frames: forces evictions
-        ..Default::default()
-    })?;
-    let report = service.run(jobs);
-    println!(
-        "  {} workers, {} evictions, peak resident {} B",
-        report.workers, report.evictions, report.peak_resident_bytes
-    );
-    for outcome in &report.outcomes {
-        let job = outcome.result.as_ref().map_err(|err| err.to_string())?;
-        println!(
-            "  {:>6}: {} slices, {} evictions, billed {:>9.3} ms engine time, \
-             store {:.4} V",
-            outcome.label.as_deref().unwrap_or("?"),
-            outcome.slices,
-            outcome.evictions,
-            outcome.billed_engine_time.as_secs_f64() * 1e3,
-            job.final_state[job.final_state.len() - 1],
-        );
-    }
-    println!(
-        "  total billed {:.3} ms == sum of per-job bills ({})",
-        report.total_billed.as_secs_f64() * 1e3,
-        report.outcomes.iter().map(|o| o.billed_engine_time).sum::<std::time::Duration>()
-            == report.total_billed
-    );
-    let uninterrupted: Vec<_> = report
-        .outcomes
-        .iter()
-        .map(|o| o.result.as_ref().expect("batch ran clean").final_state.clone())
-        .collect();
-
-    // -- 4. kill the service mid-batch, recover from the store --------------
+    // -- 3. kill the server mid-batch, recover from the store ---------------
     println!("\n== crash recovery: kill mid-batch, reopen the store, finish ==");
     let store_dir = std::env::temp_dir().join("harvsim_service_demo_store");
     std::fs::remove_dir_all(&store_dir).ok(); // a fresh demo every run
+    let specs: Vec<SubmitSpec> = (0..6)
+        .map(|k| {
+            let mut spec = SubmitSpec::new(format!("job-{k}"));
+            spec.duration_s = Some(0.12);
+            spec.step_at_s = Some(0.03);
+            spec.initial_voltage = Some(2.5 + k as f64 * 0.01);
+            spec
+        })
+        .collect();
+    // The uninterrupted results every recovered session must reproduce.
+    let uninterrupted: Vec<u64> = specs
+        .iter()
+        .map(|spec| {
+            let mut session = spec.simulation().start()?;
+            session.run_to_end()?;
+            Ok(state_fnv(&session.report().final_state))
+        })
+        .collect::<Result<_, harvsim::CoreError>>()?;
 
-    // A deterministic fault plan that kills the service at the 8th slice
+    // A deterministic fault plan that kills the server at the 8th slice
     // boundary — the moral equivalent of `kill -9` mid-batch.
     let plan = Arc::new(FaultPlan::new(42).with_kills(8, 1));
-    let store = {
-        let mut store = SessionStore::open(&store_dir)?;
-        store.set_fault_plan(Some(Arc::clone(&plan)));
-        store
-    };
-    let jobs: Vec<Simulation> = (0..6)
-        .map(|k| Simulation::from_config(scenario(&format!("job-{k}"), 2.5 + k as f64 * 0.01)))
-        .collect();
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(2),
-        slice_s: 0.04,
-        resident_budget_bytes: Some(0), // checkpoint to the store on every slice
-        fault_plan: Some(Arc::clone(&plan)),
-        ..Default::default()
-    })?;
-    let crashed = service.run_with_store(jobs, &store)?;
-    let unresolved = crashed.outcomes.iter().filter(|o| o.result.is_err()).count();
-    println!(
-        "  first run: interrupted = {}, {} of {} jobs unresolved, frames on disk: {:?}",
-        crashed.interrupted,
-        unresolved,
-        crashed.outcomes.len(),
-        store.active_ids(),
-    );
-    drop(store);
-    drop(crashed);
+    let recovery_options = ServerOptions { workers: Some(2), slice_s: 0.04, ..Default::default() };
+    let server = Server::start(
+        SessionStore::open(&store_dir)?,
+        ServerOptions { fault_plan: Some(Arc::clone(&plan)), ..recovery_options.clone() },
+    )?;
+    for spec in &specs {
+        server.execute(Command::Submit(spec.clone()));
+    }
+    while !server.is_shutdown() {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    server.join();
+    let unresolved = specs
+        .iter()
+        .filter(|spec| {
+            !matches!(
+                server.execute(Command::Status { id: spec.id.clone() }),
+                Response::Status(info) if info.state == WireState::Done
+            )
+        })
+        .count();
+    println!("  first run: killed, {unresolved} of {} sessions unresolved", specs.len());
 
-    // Reopen the store — the recovery scan re-admits the interrupted jobs —
-    // and run the same batch again on a fresh service, faults disarmed.
+    // Reopen the store — the recovery scan re-adopts the interrupted
+    // sessions — and resubmit the same batch to a fresh server, faults
+    // disarmed: a recovered id resumes from its frame, a lost one restarts.
     let store = SessionStore::open(&store_dir)?;
     println!(
         "  reopened store: {} recoverable frame(s), manifest rebuilt = {}",
         store.recovery().recovered.len(),
         store.recovery().manifest_rebuilt,
     );
-    let jobs: Vec<Simulation> = (0..6)
-        .map(|k| Simulation::from_config(scenario(&format!("job-{k}"), 2.5 + k as f64 * 0.01)))
-        .collect();
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(2),
-        slice_s: 0.04,
-        resident_budget_bytes: Some(0),
-        ..Default::default()
-    })?;
-    let recovered = service.run_with_store(jobs, &store)?;
-    for (outcome, expected) in recovered.outcomes.iter().zip(&uninterrupted) {
-        let job = outcome.result.as_ref().map_err(|err| err.to_string())?;
-        assert_eq!(&job.final_state, expected, "recovery must be bit-identical");
-        assert_eq!(outcome.billed_engine_time, job.engine_time(), "billing conserved");
+    let server = Server::start(store, recovery_options)?;
+    let mut resumed = 0;
+    for spec in &specs {
+        if let Response::Resubmitted { .. } = server.execute(Command::Submit(spec.clone())) {
+            resumed += 1;
+        }
+    }
+    for (spec, expected) in specs.iter().zip(&uninterrupted) {
+        let info = loop {
+            match server.execute(Command::Status { id: spec.id.clone() }) {
+                Response::Status(info) if info.state == WireState::Done => break info,
+                Response::Status(info) if info.state == WireState::Failed => {
+                    return Err(format!("{} failed after recovery", spec.id).into());
+                }
+                _ => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        };
+        assert_eq!(info.final_state_fnv, Some(*expected), "recovery must be bit-identical");
         println!(
             "  {:>6}: recovered = {:<5} billed {:>9.3} ms, final state identical to the \
              uninterrupted run",
-            outcome.id,
-            outcome.recovered,
-            outcome.billed_engine_time.as_secs_f64() * 1e3,
+            spec.id,
+            info.recovered,
+            info.billed_ns as f64 * 1e-6,
         );
     }
+    server.execute(Command::Drain);
+    server.join();
     println!(
-        "  second run: {} job(s) resumed from sealed frames, {} restarted fresh — all \
-         bit-identical, store left clean ({} active id(s))",
-        recovered.recovered_jobs,
-        recovered.outcomes.len() - recovered.recovered_jobs,
-        store.active_ids().len(),
+        "  second run: {resumed} session(s) resumed from sealed frames, {} restarted fresh — \
+         all bit-identical, store left clean ({} active id(s))",
+        specs.len() - resumed,
+        SessionStore::open(&store_dir)?.active_ids().len(),
     );
     std::fs::remove_dir_all(&store_dir).ok();
 
-    // -- 5. the front door: overload shedding, classes, graceful drain ------
+    // -- 4. the front door: overload shedding, classes, graceful drain ------
     println!("\n== front door: admission control, deadline classes, drain ==");
     let door_dir = std::env::temp_dir().join("harvsim_service_demo_door");
     std::fs::remove_dir_all(&door_dir).ok();
@@ -218,6 +202,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         JobClass::Batch,
         JobClass::BestEffort,
     ];
+    let mut admitted = Vec::new();
     for (k, class) in classes.iter().enumerate() {
         let mut spec = SubmitSpec::new(format!("door-{k}"));
         spec.class = *class;
@@ -230,6 +215,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         match server.execute(Command::Submit(spec)) {
             Response::Submitted { id, class, depth } => {
                 println!("  admitted {id} ({class}, resident depth {depth})");
+                admitted.push(id);
             }
             Response::Error(WireError::Overloaded { class, depth, capacity }) => {
                 println!(
@@ -238,6 +224,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
             other => println!("  unexpected submit answer: {other:?}"),
+        }
+    }
+    // Let every admitted session run a slice, so the drain has live
+    // sessions to park.
+    for id in &admitted {
+        while !matches!(
+            server.execute(Command::Status { id: id.clone() }),
+            Response::Status(info) if info.time_s > 0.0
+        ) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
     let drained = match server.execute(Command::Drain) {

@@ -67,11 +67,11 @@ pub use harvsim_blocks::{
 pub use harvsim_core::{
     fnv1a64, BaselineOptions, CheckpointError, Client, Command, CoreError, DigitalEvent,
     DrainReport, EnvelopeProbe, ExploreReport, Explorer, Fault, FaultKind, FaultPlan, FaultSite,
-    FrameReader, FrameWriter, GridSpec, JobClass, JobOutcome, JobRequest, ObjectiveSummary,
-    PointMetrics, PointOutcome, PointRecord, PowerProbe, Probe, ProtocolError, RecoveryReport,
-    Response, RetryPolicy, ScenarioConfig, Server, ServerOptions, ServerStats, ServiceError,
-    ServiceOptions, ServiceReport, Session, SessionReport, SessionService, SessionStatus,
-    SessionStore, Simulation, SimulationEngine, SolverOptions, StateSpaceSolver, StatusInfo,
-    StepHistogramProbe, StoreError, StoreOptions, SubmitSpec, SweepGrid, SweepParameter,
-    TunableHarvester, WaveformProbe, WireError, WireState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    FrameReader, FrameWriter, GridSpec, JobClass, ObjectiveSummary, PointMetrics, PointOutcome,
+    PointRecord, PowerProbe, Probe, ProtocolError, RecoveryReport, Response, RetryPolicy,
+    ScenarioConfig, Server, ServerOptions, ServerStats, ServiceError, Session, SessionReport,
+    SessionStatus, SessionStore, Simulation, SimulationEngine, SolverOptions, StateSpaceSolver,
+    StatusInfo, StepHistogramProbe, StoreError, StoreOptions, SubmitSpec, SweepGrid,
+    SweepParameter, TunableHarvester, WaveformProbe, WireError, WireState, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };

@@ -12,6 +12,8 @@
 
 #![cfg(unix)]
 
+mod serving;
+
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -20,26 +22,10 @@ use std::time::{Duration, Instant};
 
 use harvsim::core::store::SessionStore;
 use harvsim::{
-    fnv1a64, Client, Command, FaultKind, FaultPlan, FaultSite, JobClass, Response, RetryPolicy,
+    Client, Command, CoreError, FaultKind, FaultPlan, FaultSite, JobClass, Response, RetryPolicy,
     Server, ServerOptions, SubmitSpec, WireError, WireState,
 };
-
-fn unique_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "harvsim-door-{tag}-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn start_server(dir: &PathBuf, options: ServerOptions) -> Server {
-    let store = SessionStore::open(dir).expect("open store");
-    Server::start(store, options).expect("start server")
-}
+use serving::{await_state, reference_fnv, start_server, unique_dir};
 
 /// A distinct, quickly-finishing spec per index: unique id, unique initial
 /// voltage (so final states differ across jobs), ~7 slices at the test's
@@ -63,41 +49,6 @@ fn long_spec(id: &str, class: JobClass) -> SubmitSpec {
     spec.step_at_s = Some(0.3);
     spec.initial_voltage = Some(2.6);
     spec
-}
-
-/// The uninterrupted sequential run's final-state digest — the bit-identity
-/// reference every scheduled/recovered run must reproduce.
-fn reference_fnv(spec: &SubmitSpec) -> u64 {
-    let mut session = spec.simulation().start().expect("start reference");
-    session.run_to_end().expect("run reference");
-    let report = session.report();
-    let mut bytes = Vec::with_capacity(report.final_state.len() * 8);
-    for value in report.final_state.iter() {
-        bytes.extend_from_slice(&value.to_le_bytes());
-    }
-    fnv1a64(&bytes)
-}
-
-/// Polls `status <id>` via `execute` until the session reaches one of
-/// `want`, with a generous wall-clock deadline.
-fn await_state(server: &Server, id: &str, want: &[WireState]) -> harvsim::StatusInfo {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        match server.execute(Command::Status { id: id.into() }) {
-            Response::Status(info) => {
-                if want.contains(&info.state) {
-                    return info;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "timed out waiting for {id} to reach {want:?}; last state {:?}",
-                    info.state
-                );
-            }
-            other => panic!("status of {id} answered {other:?}"),
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 /// A retrying [`Client`] whose "connections" are socket pairs served by a
@@ -827,6 +778,64 @@ fn checkpoint_encode_panic_quarantines_one_session() {
     assert_eq!((stats.done, stats.failed), (2, 1));
     assert_eq!(stats.depths, [0, 0, 0], "the quarantined session gave its seat back");
     assert_eq!(stats.admitted + stats.shed + stats.resubmitted, stats.offered);
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_session_is_isolated_from_its_neighbours() {
+    let dir = unique_dir("isolated");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(2), slice_s: 0.002, ..ServerOptions::default() },
+    );
+    let mut specs: Vec<SubmitSpec> = (0..2).map(|k| quick_spec(k, JobClass::Batch)).collect();
+    // An in-process submit skips the wire's value checks: the span is
+    // refused when the session starts, on its first slice.
+    let mut bad = quick_spec(2, JobClass::Batch);
+    bad.duration_s = Some(-1.0);
+    specs.push(bad);
+    for spec in &specs {
+        assert!(matches!(
+            server.execute(Command::Submit(spec.clone())),
+            Response::Submitted { .. }
+        ));
+    }
+    let failed = await_state(&server, &specs[2].id, &[WireState::Done, WireState::Failed]);
+    assert_eq!(failed.state, WireState::Failed);
+    assert_eq!(failed.final_state_fnv, None);
+    for spec in &specs[..2] {
+        let info = await_state(&server, &spec.id, &[WireState::Done, WireState::Failed]);
+        assert_eq!(info.final_state_fnv, Some(reference_fnv(spec)), "{} diverged", spec.id);
+    }
+    let stats = server.stats();
+    assert_eq!((stats.done, stats.failed), (2, 1));
+    assert_eq!(stats.depths, [0, 0, 0], "the failed session gave its seat back");
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn start_rejects_bad_options() {
+    let dir = unique_dir("options");
+    let bad = [
+        ServerOptions { slice_s: 0.0, ..ServerOptions::default() },
+        ServerOptions { slice_s: f64::NAN, ..ServerOptions::default() },
+        ServerOptions { workers: Some(0), ..ServerOptions::default() },
+        ServerOptions { class_capacity: 0, ..ServerOptions::default() },
+        ServerOptions { max_frame_len: 63, ..ServerOptions::default() },
+    ];
+    for options in bad {
+        let store = SessionStore::open(&dir).expect("open store");
+        match Server::start(store, options.clone()) {
+            Err(CoreError::InvalidConfiguration(_)) => {}
+            Err(other) => panic!("{options:?} failed untyped: {other}"),
+            Ok(_) => panic!("{options:?} was accepted"),
+        }
+    }
+    let server = start_server(&dir, ServerOptions::default());
     server.execute(Command::Drain);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

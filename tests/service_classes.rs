@@ -1,154 +1,33 @@
-//! Deadline classes in the batch scheduler, pinned end to end: EDF order
-//! within a class, strict priority across classes, the starvation-proof
-//! aging bound, deterministic admission-control shedding, per-class billing
-//! and queue-latency ledgers that balance exactly, typed rejection of
-//! malformed deadlines — and bit-identity of every scheduled result against
-//! its uninterrupted sequential run, classes notwithstanding.
+//! Deadline classes through the server, end to end: deterministic
+//! per-class admission-control shedding with an exact offer and seat
+//! ledger, typed rejection of malformed deadlines, and bit-identity of every
+//! served result against its uninterrupted sequential run, classes and
+//! deadlines notwithstanding. The pop-order laws themselves (EDF within a
+//! class, strict priority, the aging bound) are unit tests of the pool's
+//! class queues.
 
-use std::time::Duration;
+mod serving;
 
-use harvsim::{
-    CoreError, JobClass, JobRequest, ScenarioConfig, ServiceError, ServiceOptions, ServiceReport,
-    SessionService, Simulation,
+use harvsim::{Command, JobClass, Response, ServerOptions, SubmitSpec, WireError, WireState};
+use serving::{
+    await_resolved, await_state, reference_fnv, start_server, status, submit, unique_dir,
 };
 
-/// A small quick job (finishes in very few slices at the tests' slice).
-fn quick_job(k: usize) -> Simulation {
-    let mut scenario = ScenarioConfig::scenario1();
-    scenario.duration_s = 0.012;
-    scenario.frequency_step_time_s = 0.004;
-    scenario.initial_supercap_voltage = 2.5 + k as f64 * 1e-4;
-    scenario.label = Some(format!("class-job-{k}"));
-    Simulation::from_config(scenario)
-}
-
-fn single_worker(aging_passes: u64) -> SessionService {
-    SessionService::new(ServiceOptions {
-        workers: Some(1),
-        slice_s: 0.05, // one slice per quick job: pop order == finish order
-        aging_passes,
-        ..ServiceOptions::default()
-    })
-    .expect("service")
-}
-
-/// first_scheduled_ordinal of every finished outcome, in submission order.
-fn ordinals(report: &ServiceReport) -> Vec<u64> {
-    report
-        .outcomes
-        .iter()
-        .map(|outcome| outcome.first_scheduled_ordinal.expect("job was scheduled"))
-        .collect()
-}
-
-#[test]
-fn deadlines_order_scheduling_within_a_class() {
-    // Submission order is the *reverse* of the deadlines; deadline-less
-    // jobs go in the middle of the submission order. With one worker and
-    // one slice per job, the scheduling ordinals must follow the deadlines,
-    // with the deadline-less jobs FIFO after every deadline-carrying one.
-    let deadlines: Vec<Option<f64>> =
-        vec![Some(9.0), Some(7.0), None, Some(1.0), None, Some(4.0), Some(0.5)];
-    let jobs: Vec<JobRequest> = deadlines
-        .iter()
-        .enumerate()
-        .map(|(k, deadline)| {
-            let request = JobRequest::new(quick_job(k));
-            match deadline {
-                Some(d) => request.deadline_s(*d),
-                None => request,
-            }
-        })
-        .collect();
-    let report = single_worker(8).run_jobs(jobs);
-    let ordinals = ordinals(&report);
-
-    // Expected pop order by submission index: deadlines 0.5, 1, 4, 7, 9,
-    // then the two deadline-less jobs in submission (FIFO) order.
-    let expected_order = [6usize, 3, 5, 1, 0, 2, 4];
-    let mut by_ordinal: Vec<(u64, usize)> =
-        ordinals.iter().copied().zip(0..deadlines.len()).collect();
-    by_ordinal.sort();
-    let actual_order: Vec<usize> = by_ordinal.into_iter().map(|(_, index)| index).collect();
-    assert_eq!(
-        actual_order, expected_order,
-        "EDF-within-class pop order broken (ordinals {ordinals:?})"
-    );
-}
-
-#[test]
-fn classes_schedule_in_strict_priority_when_aging_is_lax() {
-    // Submit in inverted priority order; with a huge aging bound the pop
-    // order must be pure class priority: interactive, batch, best-effort.
-    let classes = [
-        JobClass::BestEffort,
-        JobClass::BestEffort,
-        JobClass::Batch,
-        JobClass::Batch,
-        JobClass::Interactive,
-        JobClass::Interactive,
-    ];
-    let jobs: Vec<JobRequest> = classes
-        .iter()
-        .enumerate()
-        .map(|(k, class)| JobRequest::new(quick_job(k)).class(*class))
-        .collect();
-    let report = single_worker(1_000_000).run_jobs(jobs);
-    let ordinals = ordinals(&report);
-    let rank = |class: JobClass| match class {
-        JobClass::Interactive => 0,
-        JobClass::Batch => 1,
-        JobClass::BestEffort => 2,
-    };
-    for (i, a) in classes.iter().enumerate() {
-        for (j, b) in classes.iter().enumerate() {
-            if rank(*a) < rank(*b) {
-                assert!(
-                    ordinals[i] < ordinals[j],
-                    "{a} job {i} (ordinal {}) must schedule before {b} job {j} (ordinal {})",
-                    ordinals[i],
-                    ordinals[j]
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn aging_bounds_starvation_of_lower_classes() {
-    // One best-effort job submitted first, then a wall of interactive jobs.
-    // With `aging_passes = 2` the best-effort job may be passed over at most
-    // a couple of times before promotion; strict priority would have
-    // scheduled it dead last (ordinal 12).
-    const WALL: usize = 12;
-    let mut jobs = vec![JobRequest::new(quick_job(0)).class(JobClass::BestEffort)];
-    for k in 1..=WALL {
-        jobs.push(JobRequest::new(quick_job(k)).class(JobClass::Interactive));
-    }
-    let report = single_worker(2).run_jobs(jobs);
-    let aged = ordinals(&report);
-    assert!(
-        aged[0] <= 4,
-        "aging failed to rescue the best-effort job: scheduled at ordinal {} of {}",
-        aged[0],
-        WALL
-    );
-
-    // Control experiment: with a lax bound the same workload starves it to
-    // the very end — proving the ordinal above is the aging at work.
-    let mut jobs = vec![JobRequest::new(quick_job(0)).class(JobClass::BestEffort)];
-    for k in 1..=WALL {
-        jobs.push(JobRequest::new(quick_job(k)).class(JobClass::Interactive));
-    }
-    let starved = single_worker(1_000_000).run_jobs(jobs);
-    assert_eq!(ordinals(&starved)[0], WALL as u64, "strict priority control run");
+/// A quick session (a few slices at the tests' slice length).
+fn quick_spec(k: usize) -> SubmitSpec {
+    let mut spec = SubmitSpec::new(format!("class-job-{k}"));
+    spec.duration_s = Some(0.012);
+    spec.step_at_s = Some(0.004);
+    spec.initial_voltage = Some(2.5 + k as f64 * 1e-4);
+    spec
 }
 
 #[test]
 fn per_class_ledgers_balance_exactly() {
-    // A mixed-class batch with a capacity that sheds deterministically:
-    // jobs are admitted in submission order, so with capacity 2 the third
-    // and later jobs of each class are shed.
+    // A mixed-class batch against a capacity of 2. The sessions are long,
+    // so every admitted one still holds its seat when the later offers
+    // arrive: the third and later offers of each class are shed, and which
+    // ones depends only on the submission order.
     let classes = [
         JobClass::Interactive,
         JobClass::Interactive,
@@ -160,119 +39,138 @@ fn per_class_ledgers_balance_exactly() {
         JobClass::BestEffort, // shed
         JobClass::BestEffort, // shed
     ];
-    let jobs: Vec<JobRequest> = classes
-        .iter()
-        .enumerate()
-        .map(|(k, class)| JobRequest::new(quick_job(k)).class(*class))
-        .collect();
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(2),
-        slice_s: 0.004,
-        class_capacity: Some(2),
-        ..ServiceOptions::default()
-    })
-    .expect("service");
-    let report = service.run_jobs(jobs);
-
-    // Offer/admission identities, overall and per class.
-    assert_eq!(report.shed, 3);
-    for class in JobClass::ALL {
-        let ledger = &report.classes[class.index()];
-        assert_eq!(
-            ledger.admitted + ledger.shed,
-            ledger.offered,
-            "{class}: every offer is admitted or shed"
-        );
-        assert_eq!(ledger.finished, ledger.admitted, "{class}: uninterrupted batch finishes");
-
-        // The class ledger must equal the sum over its outcomes — exactly,
-        // not approximately: billing is conserved.
-        let outcomes: Vec<_> =
-            report.outcomes.iter().filter(|outcome| outcome.class == class).collect();
-        assert_eq!(ledger.offered, outcomes.len());
-        let billed: Duration = outcomes.iter().map(|o| o.billed_engine_time).sum();
-        let latency: Duration = outcomes.iter().map(|o| o.queue_latency).sum();
-        assert_eq!(ledger.billed, billed, "{class}: billing ledger out of balance");
-        assert_eq!(ledger.queue_latency, latency, "{class}: latency ledger out of balance");
-    }
-    let class_billed: Duration = report.classes.iter().map(|c| c.billed).sum();
-    assert_eq!(report.total_billed, class_billed, "class ledgers must sum to the total");
-    assert_eq!(
-        report.shed,
-        report.classes.iter().map(|c| c.shed).sum::<usize>(),
-        "shed count must equal the class ledgers"
+    let dir = unique_dir("classes-ledger");
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(2),
+            slice_s: 0.004,
+            class_capacity: 2,
+            ..ServerOptions::default()
+        },
     );
-
-    // Shed jobs: typed, zero slices, zero billing, never scheduled.
-    for (k, outcome) in report.outcomes.iter().enumerate() {
-        let shed = matches!(outcome.result, Err(ServiceError::Overloaded { .. }));
-        assert_eq!(shed, [2usize, 7, 8].contains(&k), "job {k} shed status");
-        if shed {
-            assert_eq!(outcome.slices, 0, "shed job {k} consumed a slice");
-            assert_eq!(outcome.billed_engine_time, Duration::ZERO, "shed job {k} was billed");
-            assert!(outcome.first_scheduled_ordinal.is_none(), "shed job {k} was scheduled");
-            if let Err(ServiceError::Overloaded { class, depth, capacity }) = &outcome.result {
-                assert_eq!(*class, classes[k]);
-                assert_eq!((*depth, *capacity), (2, 2));
+    let mut admitted = [0u64; JobClass::COUNT];
+    for (k, &class) in classes.iter().enumerate() {
+        let mut spec = quick_spec(k);
+        spec.class = class;
+        spec.duration_s = Some(30.0);
+        match server.execute(Command::Submit(spec)) {
+            Response::Submitted { class: admitted_class, depth, .. } => {
+                assert_eq!(admitted_class, class);
+                admitted[class.index()] += 1;
+                assert_eq!(depth, admitted[class.index()], "job {k}: depth counts the seats");
+                assert!(![2usize, 7, 8].contains(&k), "job {k} must be shed");
             }
+            Response::Error(WireError::Overloaded { class: shed_class, depth, capacity }) => {
+                assert!([2usize, 7, 8].contains(&k), "job {k} must be admitted");
+                assert_eq!(shed_class, class);
+                assert_eq!((depth, capacity), (2, 2));
+                // A shed session was never admitted: nothing to query or bill.
+                assert!(matches!(
+                    server.execute(Command::Bill { id: format!("class-job-{k}") }),
+                    Response::Error(WireError::UnknownSession { .. })
+                ));
+            }
+            other => panic!("job {k} answered {other:?}"),
         }
     }
+    let stats = server.stats();
+    assert_eq!((stats.offered, stats.admitted, stats.shed), (9, 6, 3));
+    assert_eq!(stats.admitted + stats.shed + stats.resubmitted, stats.offered);
+    assert_eq!(stats.depths, [2, 2, 2], "every admitted session holds its class seat");
+
+    // Cancelling gives every seat back exactly once.
+    for (k, _) in classes.iter().enumerate().filter(|(k, _)| ![2usize, 7, 8].contains(k)) {
+        let id = format!("class-job-{k}");
+        assert!(matches!(
+            server.execute(Command::Cancel { id: id.clone() }),
+            Response::Cancelled { .. }
+        ));
+        await_state(&server, &id, &[WireState::Cancelled]);
+    }
+    let stats = server.stats();
+    assert_eq!((stats.cancelled, stats.done, stats.failed), (6, 0, 0));
+    assert_eq!(stats.depths, [0, 0, 0]);
+    server.execute(Command::Drain);
+    server.join();
+    let store = harvsim::SessionStore::open(&dir).expect("reopen store");
+    assert!(store.active_ids().is_empty(), "cancelled sessions leave the store");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn class_mixes_do_not_disturb_bit_identity() {
     const JOBS: usize = 9;
-    let references: Vec<_> = (0..JOBS)
+    let specs: Vec<SubmitSpec> = (0..JOBS)
         .map(|k| {
-            let mut session = quick_job(k).start().expect("start");
-            session.run_to_end().expect("run");
-            session.report().final_state
+            let mut spec = quick_spec(k);
+            spec.class = JobClass::ALL[k % 3];
+            spec.deadline_s = (k % 2 == 0).then_some(k as f64 * 0.25);
+            spec
         })
         .collect();
-    let jobs: Vec<JobRequest> = (0..JOBS)
-        .map(|k| {
-            let request = JobRequest::new(quick_job(k)).class(JobClass::ALL[k % 3]);
-            if k % 2 == 0 {
-                request.deadline_s(k as f64 * 0.25)
-            } else {
-                request
-            }
-        })
-        .collect();
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(3),
-        slice_s: 0.003,
-        ..ServiceOptions::default()
-    })
-    .expect("service");
-    let report = service.run_jobs(jobs);
-    for (k, (outcome, reference)) in report.outcomes.iter().zip(&references).enumerate() {
-        let job_report = outcome.result.as_ref().expect("job finished");
+    let references: Vec<u64> = specs.iter().map(reference_fnv).collect();
+    let dir = unique_dir("classes-mix");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(3), slice_s: 0.003, ..ServerOptions::default() },
+    );
+    for spec in &specs {
+        submit(&server, spec);
+    }
+    let stats = await_resolved(&server);
+    assert_eq!((stats.done, stats.failed), (JOBS as u64, 0));
+    for (spec, reference) in specs.iter().zip(&references) {
+        let info = status(&server, &spec.id);
+        assert_eq!(info.class, spec.class);
         assert_eq!(
-            &job_report.final_state, reference,
-            "job {k}: scheduling class/deadline changed the numerics"
+            info.final_state_fnv,
+            Some(*reference),
+            "{}: scheduling class/deadline changed the numerics",
+            spec.id
         );
     }
+    assert!(
+        stats.queue_latency_ns.iter().all(|&ns| ns > 0),
+        "every class booked queue latency: {:?}",
+        stats.queue_latency_ns
+    );
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn malformed_deadlines_are_rejected_typed() {
+    let dir = unique_dir("classes-deadline");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(1), slice_s: 0.004, ..ServerOptions::default() },
+    );
+    let mut healthy = quick_spec(1);
+    healthy.deadline_s = Some(0.5);
+    submit(&server, &healthy);
     for bad in [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY] {
-        let jobs = vec![
-            JobRequest::new(quick_job(0)).deadline_s(bad),
-            JobRequest::new(quick_job(1)).deadline_s(0.5),
-        ];
-        let report = single_worker(8).run_jobs(jobs);
-        let outcome = &report.outcomes[0];
-        match &outcome.result {
-            Err(ServiceError::Session(CoreError::InvalidConfiguration(detail))) => {
+        let mut spec = quick_spec(0);
+        spec.deadline_s = Some(bad);
+        match server.execute(Command::Submit(spec.clone())) {
+            Response::Error(WireError::Protocol(detail)) => {
                 assert!(detail.contains("deadline"), "unhelpful rejection: {detail}");
             }
-            other => panic!("deadline {bad} produced {other:?}"),
+            other => panic!("deadline {bad} answered {other:?}"),
         }
-        assert_eq!(outcome.slices, 0);
-        assert_eq!(outcome.billed_engine_time, Duration::ZERO);
-        // The healthy sibling is unaffected.
-        assert!(report.outcomes[1].result.is_ok(), "valid job rode along fine");
+        // Refused before admission: no session, no slices, no bill.
+        assert!(matches!(
+            server.execute(Command::Status { id: spec.id }),
+            Response::Error(WireError::UnknownSession { .. })
+        ));
     }
+    // The healthy sibling is unaffected, and the refusals booked no offer.
+    let info = await_state(&server, &healthy.id, &[WireState::Done]);
+    assert_eq!(info.final_state_fnv, Some(reference_fnv(&healthy)));
+    let stats = server.stats();
+    assert_eq!((stats.offered, stats.admitted, stats.shed), (1, 1, 0));
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }

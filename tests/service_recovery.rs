@@ -1,110 +1,66 @@
-//! Crash-recovery torture battery: a store-backed batch driven to completion
-//! through repeated fault-injected service kills, torn writes, bit flips,
-//! I/O errors and injected panics — all from one deterministic seeded
-//! [`FaultPlan`]. Pinned properties:
+//! Crash-recovery torture battery: a batch of sessions served through
+//! [`harvsim::Server::execute`] over one [`SessionStore`] directory, driven
+//! to completion through repeated fault-injected server kills, torn writes,
+//! bit flips, I/O errors and injected panics — all from one deterministic
+//! seeded [`FaultPlan`]. Pinned properties:
 //!
-//! * the batch **converges**: restarting the service over the same
-//!   [`SessionStore`] re-admits interrupted jobs from their last sealed
-//!   frame and eventually completes every job, with ≥ 5 kill/restart cycles
-//!   actually exercised mid-batch;
-//! * every completed job's final state is **bit-identical** to an
-//!   uninterrupted sequential run, no matter how many crashes interrupted it;
-//! * **billing conserves across restarts**: a recovered job's frame carries
-//!   its engine-time counters, so the billed total equals the report total
-//!   exactly — crashes never double-bill or drop time;
-//! * the quarantine/recovery **ledger balances** every cycle, no panic
-//!   escapes the service, and the store directory ends clean: no `*.tmp`
-//!   litter, no active entries left behind.
+//! * the batch **converges**: restarting the server over the same store
+//!   re-adopts interrupted sessions, the client's resubmission re-admits
+//!   them from their last sealed frame, and every session eventually
+//!   completes, with ≥ 5 kill/restart cycles actually exercised mid-batch;
+//! * every completed session's final state is **bit-identical** to an
+//!   uninterrupted sequential run, no matter how many crashes interrupted
+//!   it;
+//! * the offer ledger **balances** every cycle, every failure traces back to
+//!   an injected fault, no panic escapes the server, and the store
+//!   directory ends clean: no `*.tmp` litter, no active entries left behind.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+mod serving;
+
+use std::sync::Arc;
 use std::time::Duration;
 
-use harvsim::core::session::ControlEvent;
-use harvsim::linalg::DVector;
 use harvsim::{
-    FaultKind, FaultPlan, FaultSite, ScenarioConfig, ServiceError, ServiceOptions, SessionService,
-    SessionStore, Simulation, StoreOptions,
+    Command, FaultKind, FaultPlan, FaultSite, Response, ServerOptions, SessionStore, StoreOptions,
+    SubmitSpec, WireState,
+};
+use serving::{
+    await_resolved, count_files_with_suffix, reference_fnv, silence_injected_panics, status,
+    submit, unique_dir,
 };
 
 const JOBS: usize = 18;
-const DURATION_S: f64 = 0.015;
-const SLICE_S: f64 = 0.004; // => ~4 slices per job, ~72+ slice boundaries per clean pass
+const SLICE_S: f64 = 0.004; // => 4 slices per session, 72 slice boundaries per clean pass
 
-/// Keep deliberately injected panics out of the test output while leaving the
-/// default hook in charge of every *real* panic (assertion failures included).
-fn silence_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !message.contains("injected fault") {
-                default_hook(info);
-            }
-        }));
-    });
+/// Session `k`'s spec: a per-session perturbation, so a resurrected or
+/// swapped frame would be caught by the bit-identity comparison.
+fn spec(k: usize) -> SubmitSpec {
+    let mut spec = SubmitSpec::new(format!("job-{k}"));
+    spec.duration_s = Some(0.015);
+    spec.step_at_s = Some(0.005);
+    spec.initial_voltage = Some(2.5 + k as f64 * 1e-4);
+    spec
 }
 
-/// A store directory unique to this process and call site.
-fn unique_dir(tag: &str) -> std::path::PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("harvsim-recovery-{tag}-{}-{n}", std::process::id()))
-}
-
-/// Job `k`'s scenario: same closed-loop shape as the stress battery, with a
-/// per-job perturbation so a resurrected or swapped frame would be caught by
-/// the bit-identity comparison.
-fn job_scenario(k: usize) -> ScenarioConfig {
-    let mut scenario = ScenarioConfig::scenario1();
-    scenario.duration_s = DURATION_S;
-    scenario.frequency_step_time_s = 0.005;
-    scenario.controller.watchdog_period_s = 0.006;
-    scenario.controller.energy_threshold_v = 2.0;
-    scenario.controller.measurement_duration_s = 0.002;
-    scenario.controller.tuning_rate_hz_per_s = 10.0;
-    scenario.controller.tuning_update_interval_s = 0.002;
-    scenario.initial_supercap_voltage = 2.5 + k as f64 * 1e-4;
-    scenario.label = Some(format!("job-{k}"));
-    scenario
-}
-
-/// Plain-data extract of a sequential single-thread run.
-struct Reference {
-    final_state: DVector,
-    state_space_steps: usize,
-    digital_events: u64,
-    control_events: Vec<ControlEvent>,
-}
-
-fn reference_for(k: usize) -> Reference {
-    let mut session = Simulation::from_config(job_scenario(k)).start().expect("job starts");
-    session.run_to_end().expect("job completes");
-    let report = session.report();
-    Reference {
-        final_state: report.final_state,
-        state_space_steps: report.engine_stats.state_space.steps,
-        digital_events: report.digital_events,
-        control_events: report.control_events,
-    }
-}
-
-fn count_files_with_suffix(dir: &std::path::Path, suffix: &str) -> usize {
-    std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter(|e| e.file_name().to_string_lossy().ends_with(suffix))
-                .count()
-        })
-        .unwrap_or(0)
+/// Opens the store at `dir` with fast retries and `plan` armed on its I/O,
+/// and starts a server over it.
+fn start(dir: &std::path::Path, plan: &Arc<FaultPlan>, workers: usize) -> harvsim::Server {
+    let mut store = SessionStore::open_with(
+        dir,
+        StoreOptions { write_attempts: 3, retry_backoff: Duration::from_micros(50) },
+    )
+    .expect("store (re)opens over whatever the last crash left behind");
+    store.set_fault_plan(Some(Arc::clone(plan)));
+    harvsim::Server::start(
+        store,
+        ServerOptions {
+            workers: Some(workers),
+            slice_s: SLICE_S,
+            fault_plan: Some(Arc::clone(plan)),
+            ..ServerOptions::default()
+        },
+    )
+    .expect("valid options")
 }
 
 /// The torture loop itself. One shared seeded plan drives kills at every
@@ -113,14 +69,21 @@ fn count_files_with_suffix(dir: &std::path::Path, suffix: &str) -> usize {
 /// finite budget, so the faults provably drain and the batch converges.
 ///
 /// Why every 12th boundary: the batch needs ≥ `JOBS * ceil(duration/slice)`
-/// ≈ 72 successful slice boundaries to complete, and the boundary ordinal
+/// = 72 successful slice boundaries to complete, and the boundary ordinal
 /// counts every slice attempted across all cycles — so kills at ordinals
-/// 12/24/36/48/60 are all guaranteed to land mid-batch, before completion
-/// is arithmetically possible.
+/// 12/24/36/48/60 are all guaranteed to land before completion is
+/// arithmetically possible.
+///
+/// Each cycle is one server lifetime: the client submits every session (a
+/// known id the store recovered is re-admitted from its frame, a lost one
+/// starts over), waits until each has resolved or the server was killed,
+/// and drains. A session quarantined by a panic, or whose frame failed to
+/// load, keeps its stored frame and resumes in the next cycle.
 #[test]
 fn killed_and_restarted_batches_converge_bit_identically() {
     silence_injected_panics();
-    let references: Vec<Reference> = (0..JOBS).map(reference_for).collect();
+    let specs: Vec<SubmitSpec> = (0..JOBS).map(spec).collect();
+    let references: Vec<u64> = specs.iter().map(reference_fnv).collect();
     let dir = unique_dir("torture");
 
     let plan = Arc::new(
@@ -128,7 +91,8 @@ fn killed_and_restarted_batches_converge_bit_identically() {
             .with_kills(12, 5)
             .with_site(FaultSite::SliceBoundary, 40, 2) // panics mid-schedule
             .with_site(FaultSite::CheckpointEncode, 35, 1) // panic while sealing
-            .with_site(FaultSite::CheckpointDecode, 50, 1) // panic while thawing
+            // Only recovered sessions thaw (about 40 per run), so every 20th.
+            .with_site(FaultSite::CheckpointDecode, 20, 1) // panic while thawing
             .with_site(FaultSite::StoreWrite, 7, 6) // torn writes, flips, I/O errors
             .with_site(FaultSite::StoreRead, 11, 3) // flips and I/O errors on load
             .with_site(FaultSite::StoreRename, 13, 2), // I/O errors at the commit point
@@ -137,156 +101,124 @@ fn killed_and_restarted_batches_converge_bit_identically() {
     let mut cycles = 0usize;
     let mut killed_cycles = 0usize;
     let mut total_recovered = 0usize;
-    let mut total_discarded = 0usize;
-    let mut total_quarantined = 0usize;
-    let final_report = loop {
+    let mut total_failed = 0u64;
+    loop {
         cycles += 1;
         assert!(cycles <= 60, "torture loop failed to converge in 60 cycles");
-
-        let mut store = SessionStore::open_with(
-            &dir,
-            StoreOptions { write_attempts: 3, retry_backoff: Duration::from_micros(50) },
-        )
-        .expect("store (re)opens over whatever the last crash left behind");
-        store.set_fault_plan(Some(Arc::clone(&plan)));
-
-        let service = SessionService::new(ServiceOptions {
-            workers: Some(3),
-            slice_s: SLICE_S,
-            // Tiny budget: almost every preemption checkpoints to the store.
-            resident_budget_bytes: Some(16 * 1024),
-            fault_plan: Some(Arc::clone(&plan)),
-            ..Default::default()
-        })
-        .expect("valid options");
-        let jobs: Vec<Simulation> =
-            (0..JOBS).map(|k| Simulation::from_config(job_scenario(k))).collect();
-        let report = service.run_with_store(jobs, &store).expect("ids are unique");
-
-        // Per-cycle ledgers must balance even on crashed cycles.
-        assert_eq!(report.outcomes.len(), JOBS);
-        assert_eq!(
-            report.quarantined,
-            report
-                .outcomes
-                .iter()
-                .filter(|o| matches!(o.result, Err(ServiceError::SessionPanicked { .. })))
-                .count(),
-            "cycle {cycles}: quarantine ledger out of balance"
-        );
-        assert_eq!(
-            report.recovered_jobs,
-            report.outcomes.iter().filter(|o| o.recovered).count(),
-            "cycle {cycles}: recovery ledger out of balance"
-        );
-        assert_eq!(
-            report.degraded_writes,
-            report.outcomes.iter().map(|o| o.degraded_writes).sum::<usize>(),
-            "cycle {cycles}: degradation ledger out of balance"
-        );
-
-        // Jobs that did complete — even on a cycle later cut short — are
-        // bit-identical and billed exactly, kills notwithstanding.
-        for (k, (outcome, reference)) in report.outcomes.iter().zip(&references).enumerate() {
-            assert_eq!(outcome.id, format!("job-{k}"));
-            match &outcome.result {
-                Ok(job_report) => {
-                    assert_eq!(
-                        job_report.final_state, reference.final_state,
-                        "cycle {cycles}, job {k}: final state diverged after recovery"
-                    );
-                    assert_eq!(
-                        job_report.engine_stats.state_space.steps,
-                        reference.state_space_steps
-                    );
-                    assert_eq!(job_report.digital_events, reference.digital_events);
-                    assert_eq!(job_report.control_events, reference.control_events);
-                    assert_eq!(
-                        outcome.billed_engine_time,
-                        job_report.engine_time(),
-                        "cycle {cycles}, job {k}: billing not conserved across restarts"
-                    );
-                }
-                Err(ServiceError::Interrupted) => {
-                    assert!(report.interrupted, "Interrupted outcomes only on killed cycles");
-                }
-                Err(ServiceError::SessionPanicked { id, payload }) => {
-                    assert_eq!(id, &outcome.id);
-                    assert!(payload.contains("injected fault"), "unexpected payload: {payload}");
-                }
-                Err(other) => panic!("cycle {cycles}, job {k}: unexpected error {other}"),
+        let server = start(&dir, &plan, 3);
+        let mut recovered = 0usize;
+        for spec in &specs {
+            match server.execute(Command::Submit(spec.clone())) {
+                Response::Submitted { .. } => {}
+                Response::Resubmitted { state: WireState::Queued, .. } => recovered += 1,
+                other => panic!("cycle {cycles}: submit of {} answered {other:?}", spec.id),
             }
         }
+        let stats = await_resolved(&server);
+        // The offer ledger balances even on crashed cycles.
+        assert_eq!(stats.offered, JOBS as u64);
+        assert_eq!(stats.admitted + stats.shed + stats.resubmitted, stats.offered);
+        assert_eq!(stats.shed, 0, "cycle {cycles}: no session may be shed");
 
-        if report.interrupted {
+        // Sessions that did complete — even on a cycle later cut short — are
+        // bit-identical, kills notwithstanding.
+        let mut done = 0usize;
+        for (spec, reference) in specs.iter().zip(&references) {
+            let info = status(&server, &spec.id);
+            match info.state {
+                WireState::Done => {
+                    done += 1;
+                    assert_eq!(
+                        info.final_state_fnv,
+                        Some(*reference),
+                        "cycle {cycles}, {}: final state diverged after recovery",
+                        spec.id
+                    );
+                    assert!(info.billed_ns > 0);
+                }
+                WireState::Failed => assert_eq!(info.final_state_fnv, None),
+                unresolved => assert!(
+                    server.is_shutdown(),
+                    "cycle {cycles}, {}: left {unresolved:?} on a live server",
+                    spec.id
+                ),
+            }
+        }
+        total_recovered += recovered;
+        total_failed += stats.failed;
+
+        let killed = server.is_shutdown();
+        if killed {
             killed_cycles += 1;
+        } else {
+            // Every session has resolved, so the drain has nothing to park.
+            assert!(matches!(server.execute(Command::Drain), Response::Drained { .. }));
         }
-        total_recovered += report.recovered_jobs;
-        total_discarded += report.recovery_discarded;
-        total_quarantined += report.quarantined;
-
-        let clean = !report.interrupted
-            && report.degraded_writes == 0
-            && report.outcomes.iter().all(|o| o.result.is_ok());
-        if clean {
-            break report;
+        server.join();
+        // Clean: nothing killed, every session done, and no torn write or
+        // failed removal left anything on disk.
+        if !killed
+            && done == JOBS
+            && count_files_with_suffix(&dir, ".tmp") == 0
+            && store_is_empty(&dir)
+        {
+            break;
         }
-    };
+    }
 
     // The schedule actually exercised what the test advertises.
     assert_eq!(plan.kills(), 5, "all five kills fired mid-batch");
     assert!(killed_cycles >= 5, "each kill interrupts its own cycle (got {killed_cycles})");
     assert!(cycles > killed_cycles, "at least one clean cycle finishes the batch");
     assert!(total_recovered > 0, "kills mid-batch must leave frames to recover from");
-    assert!(total_quarantined >= 1, "at least one injected panic led to a recorded quarantine");
-    assert!(
-        total_quarantined
-            <= (plan.injected(FaultSite::SliceBoundary)
-                + plan.injected(FaultSite::CheckpointEncode)
-                + plan.injected(FaultSite::CheckpointDecode)) as usize,
-        "every quarantine traces back to an injected panic"
-    );
-    // Discards are possible (flipped reads at admission) but each one is
-    // typed and the job restarted fresh — reflected in the bit-identity
-    // checks above. Record the totals so a degenerate all-discard run
-    // (which would make recovery vacuous) is caught.
-    assert!(
-        total_discarded <= total_recovered + JOBS,
-        "discards stayed bounded (got {total_discarded})"
-    );
-
-    // Final pass: everything completed, bit-identically, with exact billing.
-    let mut total_billed = Duration::ZERO;
-    for outcome in &final_report.outcomes {
-        let job_report = outcome.result.as_ref().expect("clean cycle: every job Ok");
-        assert_eq!(outcome.billed_engine_time, job_report.engine_time());
-        total_billed += outcome.billed_engine_time;
+    for site in [
+        FaultSite::SliceBoundary,
+        FaultSite::CheckpointEncode,
+        FaultSite::CheckpointDecode,
+        FaultSite::StoreWrite,
+        FaultSite::StoreRead,
+        FaultSite::StoreRename,
+    ] {
+        assert!(plan.injected(site) > 0, "no {site:?} fault fired");
     }
-    assert_eq!(final_report.total_billed, total_billed);
-
-    // The store directory ends clean: no temp-file litter from torn writes
-    // (crashed cycles' leftovers were swept on reopen; the clean cycle wrote
-    // none), and a fresh recovery scan finds nothing left to recover.
-    assert_eq!(
-        count_files_with_suffix(&dir, ".tmp"),
-        0,
-        "no temp files survive a clean completion"
+    assert!(total_failed >= 1, "at least one injected panic led to a quarantine");
+    let injected = |sites: &[FaultSite]| sites.iter().map(|&site| plan.injected(site)).sum::<u64>();
+    assert!(
+        total_failed
+            <= injected(&[
+                FaultSite::SliceBoundary,
+                FaultSite::CheckpointEncode,
+                FaultSite::CheckpointDecode,
+                FaultSite::StoreRead,
+            ]),
+        "every failure traces back to an injected panic or a failed load"
     );
+
+    // The store directory ends clean: no temp-file litter from torn writes,
+    // and a fresh recovery scan finds nothing left to recover.
+    assert_eq!(count_files_with_suffix(&dir, ".tmp"), 0, "no temp files survive");
     let store = SessionStore::open(&dir).expect("store reopens after completion");
     assert!(store.active_ids().is_empty(), "no session left active after a clean completion");
     assert!(store.recovery().recovered.is_empty());
-
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Graceful degradation: when the disk refuses every write, the batch still
-/// completes from resident frozen bytes — results identical, failures
-/// counted, nothing panics.
+/// Whether a fresh recovery scan of `dir` finds no active session. Opening
+/// the store sweeps what a crash left behind, so call it only after the
+/// litter check.
+fn store_is_empty(dir: &std::path::Path) -> bool {
+    SessionStore::open(dir).expect("store reopens").active_ids().is_empty()
+}
+
+/// Graceful degradation: when the disk refuses every write, every session
+/// still finishes from its resident state — results identical, nothing
+/// panics, and nothing is left in the store.
 #[test]
 fn store_outage_degrades_to_resident_frames_without_losing_results() {
     silence_injected_panics();
     const DJOBS: usize = 4;
-    let references: Vec<Reference> = (0..DJOBS).map(reference_for).collect();
+    let specs: Vec<SubmitSpec> = (0..DJOBS).map(spec).collect();
+    let references: Vec<u64> = specs.iter().map(reference_fnv).collect();
     let dir = unique_dir("degraded");
 
     // Every store write fails with a synthetic I/O error, forever.
@@ -302,32 +234,25 @@ fn store_outage_degrades_to_resident_frames_without_losing_results() {
     )
     .expect("store opens");
     store.set_fault_plan(Some(Arc::clone(&plan)));
-
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(2),
-        slice_s: SLICE_S,
-        resident_budget_bytes: Some(0), // evict everything: a persist per slice
-        ..Default::default()
-    })
+    let server = harvsim::Server::start(
+        store,
+        ServerOptions { workers: Some(2), slice_s: SLICE_S, ..ServerOptions::default() },
+    )
     .expect("valid options");
-    let jobs: Vec<Simulation> =
-        (0..DJOBS).map(|k| Simulation::from_config(job_scenario(k))).collect();
-    let report = service.run_with_store(jobs, &store).expect("ids are unique");
-
-    assert!(!report.interrupted);
-    assert_eq!(report.quarantined, 0);
-    assert!(report.degraded_writes > 0, "the outage was actually exercised");
-    for (k, (outcome, reference)) in report.outcomes.iter().zip(&references).enumerate() {
-        let job_report =
-            outcome.result.as_ref().unwrap_or_else(|err| panic!("job {k} failed: {err}"));
-        assert_eq!(
-            job_report.final_state, reference.final_state,
-            "job {k}: degraded-mode result diverged"
-        );
-        assert_eq!(outcome.billed_engine_time, job_report.engine_time());
+    for spec in &specs {
+        submit(&server, spec);
     }
+    let stats = await_resolved(&server);
+    assert_eq!((stats.done, stats.failed), (DJOBS as u64, 0));
+    assert!(plan.injected(FaultSite::StoreWrite) > 0, "the outage was actually exercised");
+    for (spec, reference) in specs.iter().zip(&references) {
+        let info = status(&server, &spec.id);
+        assert_eq!(info.final_state_fnv, Some(*reference), "{}: degraded result diverged", spec.id);
+        assert!(info.billed_ns > 0);
+    }
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 0, .. }));
+    server.join();
     // Nothing persisted, so nothing is left active either.
-    assert!(store.active_ids().is_empty());
-
+    assert!(store_is_empty(&dir));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,59 +1,358 @@
-//! Scheduler stress battery: one thousand sessions through the
-//! [`harvsim::SessionService`] under a deliberately tiny resident-memory
-//! budget, so almost every preemption becomes a checkpoint-evict/thaw cycle.
-//! Pinned properties:
+//! Scheduler stress battery: the slice pool driven through
+//! [`harvsim::Server::execute`] over a real, fsync'd
+//! [`harvsim::SessionStore`]. Pinned properties:
 //!
-//! * every job finishes, and its result is **bit-identical** to running the
-//!   same scenario sequentially on one thread (final state, step counts,
-//!   digital events, control actions);
-//! * billing conserves: each job's billed engine time equals its own
-//!   report's engine-time total, and the per-job bills sum to the service
-//!   total — slice deltas telescope exactly because the counters ride
-//!   inside the checkpoints;
-//! * fairness: round-robin slicing gives every equal-length job the same
-//!   number of slices (±1), so no session starves behind the queue;
-//! * eviction accounting balances: every frozen job thaws exactly once per
-//!   eviction.
+//! * one thousand sessions, every one preempted at slice boundaries with its
+//!   frame sealed into the store each time, finish **bit-identical** to
+//!   running the same spec sequentially on one thread — including a few
+//!   that run past the 2 s watchdog, so a digital wake and a retune happen
+//!   under preemption;
+//! * quarantine: a session that panics mid-run fails alone, its neighbours
+//!   finish bit-identically, and the frame the store keeps for it resumes to
+//!   its uninterrupted result;
+//! * watchdog preemption at a zero budget is bit-identical;
+//! * billing is exact: the bill of a paused or quarantined session equals
+//!   the engine time its stored frame carries, across a drain and a restart.
 
-use std::sync::{Arc, Once};
+mod serving;
+
+use std::sync::Arc;
 use std::time::Duration;
 
-use harvsim::core::session::ControlEvent;
 use harvsim::linalg::DVector;
 use harvsim::{
-    FaultPlan, FaultSite, ScenarioConfig, ServiceError, ServiceOptions, Session, SessionService,
-    Simulation, SimulationEngine,
+    Command, FaultPlan, FaultSite, Response, ScenarioConfig, ServerOptions, Session, Simulation,
+    SubmitSpec, WireState,
 };
-
-/// Keep deliberately injected panics out of the test output while leaving the
-/// default hook in charge of every *real* panic (assertion failures included).
-fn silence_injected_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<&str>()
-                .copied()
-                .map(String::from)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !message.contains("injected fault") {
-                default_hook(info);
-            }
-        }));
-    });
-}
+use serving::{
+    await_resolved, await_state, await_status, count_files_with_suffix, reference_fnv,
+    silence_injected_panics, start_server, state_fnv, status, stored_engine_ns, submit, unique_dir,
+};
 
 const JOBS: usize = 1000;
 const DURATION_S: f64 = 0.015;
-const SLICE_S: f64 = 0.006; // => 3 slices per job (2 preemptions + finish)
+const SLICE_S: f64 = 0.006; // => 3 slices per short session (2 preemptions + finish)
+/// Sessions that run past the scenario's 2 s watchdog period.
+const LONG_JOBS: [usize; 3] = [100, 500, 900];
+const LONG_DURATION_S: f64 = 2.3;
 
-/// Job `k`'s scenario: a short closed-loop run with a retune and watchdog
-/// wakes inside the window, perturbed per job so no two jobs share a
-/// trajectory (a swapped checkpoint would be caught).
-fn job_scenario(k: usize) -> ScenarioConfig {
+/// Session `k`'s spec: a short scenario-1 run, perturbed per session so no
+/// two sessions share a trajectory (a swapped checkpoint would be caught);
+/// every tenth one runs scenario 2, and the [`LONG_JOBS`] run long enough
+/// for the controller's first wake, its frequency measurement and the start
+/// of its retune.
+fn spec(k: usize) -> SubmitSpec {
+    let mut spec = SubmitSpec::new(format!("job-{k}"));
+    spec.scenario = if k % 10 == 3 { 2 } else { 1 };
+    spec.duration_s = Some(DURATION_S);
+    spec.step_at_s = Some(0.005);
+    spec.initial_voltage = Some(2.5 + k as f64 * 1e-4);
+    if LONG_JOBS.contains(&k) {
+        spec.duration_s = Some(LONG_DURATION_S);
+        spec.step_at_s = Some(1.0);
+    }
+    spec
+}
+
+/// Sequential reference digests, computed on a plain thread-chunked map (no
+/// server involved) to keep the test's wall clock sane. A long session's
+/// reference must itself have woken the controller and retuned, or the
+/// battery would not exercise what it claims.
+fn sequential_references(specs: &[SubmitSpec]) -> Vec<u64> {
+    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let chunk = specs.len().div_ceil(threads);
+    let mut slots: Vec<u64> = vec![0; specs.len()];
+    std::thread::scope(|scope| {
+        for (piece, specs) in slots.chunks_mut(chunk).zip(specs.chunks(chunk)) {
+            scope.spawn(move || {
+                for (slot, spec) in piece.iter_mut().zip(specs) {
+                    let mut session = spec.simulation().start().expect("reference starts");
+                    session.run_to_end().expect("reference completes");
+                    let report = session.report();
+                    if spec.duration_s == Some(LONG_DURATION_S) {
+                        assert!(report.digital_events > 0, "{}: the watchdog never woke", spec.id);
+                        let initial =
+                            report.control_events.first().map(|e| e.resonant_frequency_hz);
+                        assert!(
+                            report
+                                .control_events
+                                .iter()
+                                .any(|e| Some(e.resonant_frequency_hz) != initial),
+                            "{}: no retune inside the span: {:?}",
+                            spec.id,
+                            report.control_events
+                        );
+                    }
+                    *slot = state_fnv(&report.final_state);
+                }
+            });
+        }
+    });
+    slots
+}
+
+#[test]
+fn thousand_served_sessions_match_sequential() {
+    let specs: Vec<SubmitSpec> = (0..JOBS).map(spec).collect();
+    let references = sequential_references(&specs);
+    let dir = unique_dir("stress");
+    // An unarmed plan injects nothing; its slice-boundary call count proves
+    // every session was preempted.
+    let slices = Arc::new(FaultPlan::new(0));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: None, // thread per core
+            slice_s: SLICE_S,
+            class_capacity: JOBS,
+            fault_plan: Some(Arc::clone(&slices)),
+            ..ServerOptions::default()
+        },
+    );
+    for spec in &specs {
+        submit(&server, spec);
+    }
+    let stats = await_resolved(&server);
+    assert_eq!((stats.offered, stats.admitted, stats.shed), (JOBS as u64, JOBS as u64, 0));
+    assert_eq!((stats.done, stats.failed), (JOBS as u64, 0), "every session finishes");
+
+    for (spec, reference) in specs.iter().zip(&references) {
+        let info = status(&server, &spec.id);
+        assert_eq!(
+            info.final_state_fnv,
+            Some(*reference),
+            "{}: served final state diverged from sequential",
+            spec.id
+        );
+        assert!(info.billed_ns > 0, "{}: a finished session must have been billed", spec.id);
+        assert!(info.time_s >= spec.duration_s.unwrap(), "{} stopped early", spec.id);
+    }
+    // A short session takes three slices, a long one hundreds.
+    assert!(
+        slices.calls(FaultSite::SliceBoundary) > 3 * JOBS as u64 + 1000,
+        "every session must be preempted at each slice ({} slices)",
+        slices.calls(FaultSite::SliceBoundary)
+    );
+
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 0, .. }));
+    server.join();
+    // Every finished session left the store; no write left litter behind.
+    assert_eq!(count_files_with_suffix(&dir, ".tmp"), 0);
+    let store = harvsim::SessionStore::open(&dir).expect("reopen store");
+    assert!(store.active_ids().is_empty(), "finished sessions must leave the store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Quarantine semantics: a session that panics mid-run is isolated (it
+/// answers `failed`), the frame the store holds for it resumes
+/// bit-identically, and every neighbour finishes — one bad session never
+/// takes the pool down.
+#[test]
+fn quarantined_session_keeps_its_checkpoint_and_neighbours_finish() {
+    silence_injected_panics();
+    const QJOBS: usize = 8;
+    let specs: Vec<SubmitSpec> = (0..QJOBS).map(spec).collect();
+    let references: Vec<u64> = specs.iter().map(reference_fnv).collect();
+    let dir = unique_dir("quarantine");
+
+    // Every session starts from a frame one slice in, as a restart finds
+    // them, so whichever slice the fault hits, the victim has a stored frame.
+    {
+        let store = harvsim::SessionStore::open(&dir).expect("open store");
+        for spec in &specs {
+            let mut session = spec.simulation().start().expect("session starts");
+            session.run_until(SLICE_S).expect("first slice runs");
+            store.put(&spec.id, &session.checkpoint().expect("frame seals")).expect("put");
+        }
+    }
+    // Panic at the 10th slice boundary (budget 1, so exactly one victim).
+    let plan = Arc::new(FaultPlan::new(0xC0FFEE).with_site(FaultSite::SliceBoundary, 10, 1));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(2),
+            slice_s: SLICE_S,
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerOptions::default()
+        },
+    );
+    for spec in &specs {
+        assert!(matches!(
+            server.execute(Command::Submit(spec.clone())),
+            Response::Resubmitted { state: WireState::Queued, .. }
+        ));
+    }
+    let stats = await_resolved(&server);
+    assert_eq!(plan.injected(FaultSite::SliceBoundary), 1, "the fault fired");
+    assert_eq!((stats.done, stats.failed), (QJOBS as u64 - 1, 1), "exactly one victim");
+    assert!(!server.is_shutdown(), "a quarantine is not a server kill");
+
+    let mut victim = None;
+    for (spec, reference) in specs.iter().zip(&references) {
+        let info = status(&server, &spec.id);
+        match info.state {
+            WireState::Failed => victim = Some((spec, *reference)),
+            WireState::Done => assert_eq!(
+                info.final_state_fnv,
+                Some(*reference),
+                "{}: neighbour of a quarantined session diverged",
+                spec.id
+            ),
+            other => panic!("{} ended {other:?}", spec.id),
+        }
+    }
+    let (spec, reference) = victim.expect("one session was quarantined");
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 0, .. }));
+    server.join();
+
+    // The store keeps exactly the victim's last sealed frame, and it resumes
+    // to the uninterrupted result.
+    let store = harvsim::SessionStore::open(&dir).expect("reopen store");
+    assert_eq!(store.active_ids(), vec![spec.id.clone()]);
+    let frame = store.get(&spec.id).expect("the quarantined session's frame loads");
+    let mut resumed = Session::restore(&frame).expect("quarantined frame restores");
+    resumed.run_to_end().expect("resumed session completes");
+    assert_eq!(
+        state_fnv(&resumed.report().final_state),
+        reference,
+        "{}: resume-from-quarantine diverged from sequential",
+        spec.id
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A zero watchdog budget preempts after every accepted step batch —
+/// maximal watchdog pressure — and the result is still bit-identical.
+#[test]
+fn watchdog_preemption_preserves_bit_identity() {
+    let mut spec = spec(0);
+    spec.duration_s = Some(0.03);
+    let reference = reference_fnv(&spec);
+    let dir = unique_dir("watchdog");
+    let slices = Arc::new(FaultPlan::new(0));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(1),
+            slice_s: 0.01, // 3 plain slices
+            slice_timeout: Some(Duration::ZERO),
+            fault_plan: Some(Arc::clone(&slices)),
+            ..ServerOptions::default()
+        },
+    );
+    submit(&server, &spec);
+    let info = await_state(&server, &spec.id, &[WireState::Done]);
+    assert_eq!(info.final_state_fnv, Some(reference));
+    assert!(info.billed_ns > 0);
+    assert!(
+        slices.calls(FaultSite::SliceBoundary) > 3,
+        "a zero watchdog budget must preempt far more often than the 3 plain slices (got {})",
+        slices.calls(FaultSite::SliceBoundary)
+    );
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Exact billing through the one front: a paused session's bill equals the
+/// engine time of the frame the store holds for it, and stays equal after a
+/// drain, a restart, a resume and a second pause; the resumed run then
+/// finishes bit-identically.
+#[test]
+fn paused_bill_equals_the_stored_frame_across_restarts() {
+    let mut spec = SubmitSpec::new("bill-0");
+    spec.duration_s = Some(0.8);
+    spec.step_at_s = Some(0.3);
+    let reference = reference_fnv(&spec);
+    let dir = unique_dir("billing");
+    let options = ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() };
+    let pause = |server: &harvsim::Server| {
+        assert!(matches!(
+            server.execute(Command::Pause { id: spec.id.clone() }),
+            Response::Paused { .. }
+        ));
+        await_state(server, &spec.id, &[WireState::Paused])
+    };
+
+    // Lifetime 1: several slices, then pause and drain.
+    let server = start_server(&dir, options.clone());
+    submit(&server, &spec);
+    await_status(&server, &spec.id, |info| info.time_s >= 0.02);
+    let first = pause(&server);
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 1, .. }));
+    server.join();
+    assert!(first.billed_ns > 0);
+    assert_eq!(stored_engine_ns(&dir, &spec.id), first.billed_ns, "bill at the first pause");
+
+    // Lifetime 2: the re-adopted session books its frame-carried time on
+    // its first slice, runs on, and pauses again.
+    let server = start_server(&dir, options.clone());
+    assert!(matches!(
+        server.execute(Command::Resume { id: spec.id.clone() }),
+        Response::Resumed { .. }
+    ));
+    await_status(&server, &spec.id, |info| info.time_s >= first.time_s + 0.02);
+    let second = pause(&server);
+    assert!(second.recovered);
+    assert!(matches!(server.execute(Command::Drain), Response::Drained { checkpointed: 1, .. }));
+    server.join();
+    assert!(second.billed_ns > first.billed_ns);
+    assert_eq!(stored_engine_ns(&dir, &spec.id), second.billed_ns, "bill after a restart");
+
+    // Lifetime 3: finish; the result is the uninterrupted run's.
+    let server = start_server(&dir, options);
+    assert!(matches!(
+        server.execute(Command::Resume { id: spec.id.clone() }),
+        Response::Resumed { .. }
+    ));
+    let done = await_state(&server, &spec.id, &[WireState::Done]);
+    assert_eq!(done.final_state_fnv, Some(reference));
+    assert!(done.billed_ns > second.billed_ns);
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Slices that end inside an analogue segment bill the engine time they
+/// spent: four 0.02 s slices inside one watchdog segment, then a panic at
+/// the fifth slice boundary quarantines the session — its bill is the four
+/// slices' engine time, exactly what its stored frame carries, not zero.
+#[test]
+fn quarantined_mid_segment_session_bills_its_slices() {
+    silence_injected_panics();
+    let mut spec = SubmitSpec::new("mid-segment");
+    spec.duration_s = Some(0.5);
+    spec.step_at_s = Some(0.1);
+    let dir = unique_dir("mid-segment");
+    let plan = Arc::new(FaultPlan::new(7).with_site(FaultSite::SliceBoundary, 5, 1));
+    let server = start_server(
+        &dir,
+        ServerOptions {
+            workers: Some(1),
+            slice_s: 0.02,
+            fault_plan: Some(plan),
+            ..ServerOptions::default()
+        },
+    );
+    submit(&server, &spec);
+    let info = await_state(&server, &spec.id, &[WireState::Failed]);
+    assert!(info.billed_ns > 0, "mid-segment slices must bill");
+    server.execute(Command::Drain);
+    server.join();
+    assert_eq!(stored_engine_ns(&dir, &spec.id), info.billed_ns);
+
+    // The same span inline never closes a segment (the first watchdog wake
+    // is at 2 s), so the closed-segment counters alone would bill nothing.
+    let mut inline = spec.simulation().start().unwrap();
+    inline.run_until(0.08).unwrap();
+    assert!(inline.engine_stats().state_space.cpu_time.is_zero());
+    assert!(inline.report().engine_time() > Duration::ZERO);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A short closed-loop scenario with watchdog wakes and a retune inside a
+/// 15 ms window.
+fn closed_loop_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::scenario1();
     scenario.duration_s = DURATION_S;
     scenario.frequency_step_time_s = 0.005;
@@ -62,200 +361,9 @@ fn job_scenario(k: usize) -> ScenarioConfig {
     scenario.controller.measurement_duration_s = 0.002;
     scenario.controller.tuning_rate_hz_per_s = 10.0;
     scenario.controller.tuning_update_interval_s = 0.002;
-    scenario.initial_supercap_voltage = 2.5 + k as f64 * 1e-4;
-    // A sprinkle of Newton–Raphson jobs keeps both engines in the same pool.
-    if k % 100 == 7 {
-        scenario.engine = SimulationEngine::NewtonRaphson(Default::default());
-    }
-    scenario.label = Some(format!("job-{k}"));
+    scenario.initial_supercap_voltage = 2.5003;
+    scenario.label = Some("job-3".into());
     scenario
-}
-
-/// Plain-data extract of a sequential single-thread run, for cross-thread
-/// comparison against the scheduled outcome.
-struct Reference {
-    final_state: DVector,
-    state_space_steps: usize,
-    baseline_steps: usize,
-    digital_events: u64,
-    control_events: Vec<ControlEvent>,
-}
-
-fn reference_for(k: usize) -> Reference {
-    let mut session = Simulation::from_config(job_scenario(k)).start().expect("job starts");
-    session.run_to_end().expect("job completes");
-    let report = session.report();
-    Reference {
-        final_state: report.final_state,
-        state_space_steps: report.engine_stats.state_space.steps,
-        baseline_steps: report.engine_stats.baseline.steps,
-        digital_events: report.digital_events,
-        control_events: report.control_events,
-    }
-}
-
-/// Sequential references for all jobs, computed on a plain thread-chunked
-/// map (no service involved) to keep the test's wall clock sane.
-fn sequential_references() -> Vec<Reference> {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let chunk = JOBS.div_ceil(threads);
-    let mut slots: Vec<Option<Reference>> = (0..JOBS).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (t, piece) in slots.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    *slot = Some(reference_for(t * chunk + i));
-                }
-            });
-        }
-    });
-    slots.into_iter().map(|slot| slot.expect("every reference computed")).collect()
-}
-
-#[test]
-fn thousand_sessions_scheduled_under_memory_pressure_match_sequential() {
-    let references = sequential_references();
-
-    let service = SessionService::new(ServiceOptions {
-        workers: None, // thread per core
-        slice_s: SLICE_S,
-        // ~6 resident frames' worth: with a full pool this forces the
-        // checkpoint-evict/thaw path on nearly every preemption.
-        resident_budget_bytes: Some(64 * 1024),
-        ..Default::default()
-    })
-    .expect("valid options");
-    let jobs: Vec<Simulation> =
-        (0..JOBS).map(|k| Simulation::from_config(job_scenario(k))).collect();
-    let report = service.run(jobs);
-
-    assert_eq!(report.outcomes.len(), JOBS);
-    assert!(report.workers >= 1);
-    assert!(report.evictions > 0, "the {}-byte budget must force checkpoint evictions", 64 * 1024);
-    assert!(report.peak_resident_bytes > 0);
-
-    let mut total_billed = std::time::Duration::ZERO;
-    let mut total_restores = 0usize;
-    let mut min_slices = usize::MAX;
-    let mut max_slices = 0usize;
-    for (k, (outcome, reference)) in report.outcomes.iter().zip(&references).enumerate() {
-        assert_eq!(outcome.label.as_deref(), Some(format!("job-{k}").as_str()));
-        let job_report = outcome
-            .result
-            .as_ref()
-            .unwrap_or_else(|err| panic!("job {k} failed under the scheduler: {err}"));
-
-        // Bit-identical to the sequential run of the same scenario.
-        assert_eq!(
-            job_report.final_state, reference.final_state,
-            "job {k}: scheduled final state diverged from sequential"
-        );
-        assert_eq!(job_report.engine_stats.state_space.steps, reference.state_space_steps);
-        assert_eq!(job_report.engine_stats.baseline.steps, reference.baseline_steps);
-        assert_eq!(job_report.digital_events, reference.digital_events);
-        assert_eq!(job_report.control_events, reference.control_events);
-
-        // Billing conservation, job by job: the telescoped slice deltas end
-        // exactly at the job's own engine-time total.
-        assert_eq!(
-            outcome.billed_engine_time,
-            job_report.engine_time(),
-            "job {k}: billed time does not telescope to the report total"
-        );
-        total_billed += outcome.billed_engine_time;
-        total_restores += outcome.restores;
-        assert_eq!(outcome.restores, outcome.evictions, "job {k}: every eviction thaws once");
-        min_slices = min_slices.min(outcome.slices);
-        max_slices = max_slices.max(outcome.slices);
-    }
-
-    // ...and in aggregate.
-    assert_eq!(report.total_billed, total_billed, "service total is the sum of job bills");
-    assert_eq!(report.evictions, total_restores, "eviction/thaw ledger balances");
-
-    // Fairness: every job is preempted at least once (nobody runs to
-    // completion in one slice while others wait), and round-robin keeps the
-    // slice counts of equal-length jobs within one of each other.
-    assert!(min_slices >= 2, "every job must be preempted at least once (min {min_slices})");
-    assert!(
-        max_slices - min_slices <= 1,
-        "round-robin fairness bound violated: slices range {min_slices}..={max_slices}"
-    );
-}
-
-/// Quarantine semantics: a session that panics mid-batch is isolated with a
-/// typed [`ServiceError::SessionPanicked`], its last sealed checkpoint stays
-/// loadable and resumes bit-identically, and every neighbour finishes with
-/// correct billing — one bad job never takes the pool down.
-#[test]
-fn quarantined_session_keeps_its_checkpoint_and_neighbours_finish() {
-    silence_injected_panics();
-    const QJOBS: usize = 8;
-    let references: Vec<Reference> = (0..QJOBS).map(reference_for).collect();
-
-    // Panic at the 10th slice boundary (budget 1, so exactly one victim).
-    // With 8 jobs and round-robin slicing, boundary ordinals 0..=7 are first
-    // slices, so ordinal 9 hits some job's *second* slice — guaranteeing the
-    // victim has already sealed a checkpoint when the panic lands.
-    let plan = Arc::new(FaultPlan::new(0xC0FFEE).with_site(FaultSite::SliceBoundary, 10, 1));
-    let service = SessionService::new(ServiceOptions {
-        workers: Some(2),
-        slice_s: SLICE_S,
-        resident_budget_bytes: Some(0), // evict everything: checkpoint every slice
-        fault_plan: Some(Arc::clone(&plan)),
-        ..Default::default()
-    })
-    .expect("valid options");
-    let jobs: Vec<Simulation> =
-        (0..QJOBS).map(|k| Simulation::from_config(job_scenario(k))).collect();
-    let report = service.run(jobs);
-
-    assert_eq!(plan.injected(FaultSite::SliceBoundary), 1, "the fault fired");
-    assert_eq!(report.quarantined, 1, "exactly one session is quarantined");
-    assert!(!report.interrupted, "a quarantine is not a service interruption");
-
-    let mut ok_jobs = 0usize;
-    let mut total_billed = Duration::ZERO;
-    for (k, (outcome, reference)) in report.outcomes.iter().zip(&references).enumerate() {
-        total_billed += outcome.billed_engine_time;
-        match &outcome.result {
-            Err(ServiceError::SessionPanicked { id, payload }) => {
-                assert_eq!(id, &format!("job-{k}"), "quarantine is attributed to the victim");
-                assert!(payload.contains("injected fault"), "payload preserved: {payload}");
-                // The last good checkpoint survives quarantine: it restores
-                // and resumes to a final state bit-identical to an
-                // uninterrupted run of the same scenario.
-                let frame = outcome
-                    .last_checkpoint
-                    .as_ref()
-                    .expect("a quarantined session retains its last sealed frame");
-                let mut resumed = Session::restore(frame).expect("quarantined frame restores");
-                resumed.run_to_end().expect("resumed session completes");
-                let resumed = resumed.report();
-                assert_eq!(
-                    resumed.final_state, reference.final_state,
-                    "job {k}: resume-from-quarantine diverged from sequential"
-                );
-                assert_eq!(resumed.engine_stats.state_space.steps, reference.state_space_steps);
-                assert_eq!(resumed.control_events, reference.control_events);
-            }
-            Ok(job_report) => {
-                ok_jobs += 1;
-                assert_eq!(
-                    job_report.final_state, reference.final_state,
-                    "job {k}: neighbour of a quarantined session diverged"
-                );
-                assert_eq!(
-                    outcome.billed_engine_time,
-                    job_report.engine_time(),
-                    "job {k}: billing still telescopes next to a quarantine"
-                );
-            }
-            Err(other) => panic!("job {k}: unexpected error {other}"),
-        }
-    }
-    assert_eq!(ok_jobs, QJOBS - 1, "every non-victim job completes");
-    assert_eq!(report.total_billed, total_billed, "partial slices of the victim are still billed");
 }
 
 /// A probe that panics after a fixed number of samples — stands in for any
@@ -280,7 +388,7 @@ impl harvsim::Probe for PanickingProbe {
 #[test]
 fn probe_panic_leaves_sealed_checkpoints_untouched() {
     silence_injected_panics();
-    let scenario = job_scenario(3);
+    let scenario = closed_loop_scenario();
 
     // Uninterrupted reference.
     let mut reference = Simulation::from_config(scenario.clone()).start().expect("starts");
