@@ -3,7 +3,7 @@
 //! The harvester is driven by base acceleration `a(t)`; the input force on the
 //! proof mass is `F_a = m·a(t)` (Eq. 8). The paper's two evaluation scenarios
 //! step the ambient frequency (70 → 71 Hz and 70 → 84 Hz) while keeping the
-//! amplitude constant; this module also provides linear sweeps.
+//! amplitude constant.
 
 use crate::block::BlockError;
 
@@ -24,17 +24,6 @@ pub enum FrequencyProfile {
         /// Time of the step, in seconds.
         step_time_s: f64,
     },
-    /// Linear sweep between two frequencies over `[start_time_s, end_time_s]`.
-    Sweep {
-        /// Frequency at and before `start_time_s`, in hertz.
-        initial_hz: f64,
-        /// Frequency at and after `end_time_s`, in hertz.
-        final_hz: f64,
-        /// Sweep start time in seconds.
-        start_time_s: f64,
-        /// Sweep end time in seconds.
-        end_time_s: f64,
-    },
 }
 
 impl FrequencyProfile {
@@ -49,20 +38,11 @@ impl FrequencyProfile {
                     final_hz
                 }
             }
-            FrequencyProfile::Sweep { initial_hz, final_hz, start_time_s, end_time_s } => {
-                if t <= start_time_s {
-                    initial_hz
-                } else if t >= end_time_s {
-                    final_hz
-                } else {
-                    let u = (t - start_time_s) / (end_time_s - start_time_s);
-                    initial_hz + u * (final_hz - initial_hz)
-                }
-            }
         }
     }
 
-    /// Validates the profile (positive frequencies, ordered sweep times).
+    /// Validates the profile (positive frequencies, a non-negative finite
+    /// step time).
     ///
     /// # Errors
     ///
@@ -87,18 +67,6 @@ impl FrequencyProfile {
                         name: "step_time_s",
                         value: step_time_s,
                         constraint: "must be non-negative and finite",
-                    });
-                }
-                Ok(())
-            }
-            FrequencyProfile::Sweep { initial_hz, final_hz, start_time_s, end_time_s } => {
-                check_positive("initial_hz", initial_hz)?;
-                check_positive("final_hz", final_hz)?;
-                if !(end_time_s > start_time_s) {
-                    return Err(BlockError::InvalidParameter {
-                        name: "end_time_s",
-                        value: end_time_s,
-                        constraint: "sweep end must come after sweep start",
                     });
                 }
                 Ok(())
@@ -169,22 +137,6 @@ impl VibrationExcitation {
                     initial_hz * step_time_s + final_hz * (t - step_time_s)
                 }
             }
-            FrequencyProfile::Sweep { initial_hz, final_hz, start_time_s, end_time_s } => {
-                if t <= start_time_s {
-                    initial_hz * t
-                } else {
-                    let before = initial_hz * start_time_s;
-                    let sweep_span = end_time_s - start_time_s;
-                    if t >= end_time_s {
-                        let during = 0.5 * (initial_hz + final_hz) * sweep_span;
-                        before + during + final_hz * (t - end_time_s)
-                    } else {
-                        let u = t - start_time_s;
-                        let rate = (final_hz - initial_hz) / sweep_span;
-                        before + initial_hz * u + 0.5 * rate * u * u
-                    }
-                }
-            }
         };
         two_pi * integral
     }
@@ -222,28 +174,6 @@ mod tests {
         assert!(FrequencyProfile::Step { initial_hz: 70.0, final_hz: 71.0, step_time_s: -1.0 }
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn sweep_profile_interpolates() {
-        let p = FrequencyProfile::Sweep {
-            initial_hz: 70.0,
-            final_hz: 84.0,
-            start_time_s: 10.0,
-            end_time_s: 20.0,
-        };
-        assert!(p.validate().is_ok());
-        assert_eq!(p.frequency_at(0.0), 70.0);
-        assert_eq!(p.frequency_at(15.0), 77.0);
-        assert_eq!(p.frequency_at(25.0), 84.0);
-        assert!(FrequencyProfile::Sweep {
-            initial_hz: 70.0,
-            final_hz: 84.0,
-            start_time_s: 20.0,
-            end_time_s: 10.0
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -285,28 +215,5 @@ mod tests {
         // Well after the step the frequency is 84 Hz: phase slope check.
         let slope = (e.phase_at(2.0 + 1e-4) - e.phase_at(2.0)) / 1e-4;
         assert!((slope - 2.0 * std::f64::consts::PI * 84.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn sweep_phase_is_continuous_and_monotonic() {
-        let e = VibrationExcitation::new(
-            1.0,
-            FrequencyProfile::Sweep {
-                initial_hz: 70.0,
-                final_hz: 84.0,
-                start_time_s: 1.0,
-                end_time_s: 2.0,
-            },
-        )
-        .unwrap();
-        let mut prev = e.phase_at(0.0);
-        for k in 1..=300 {
-            let t = 3.0 * k as f64 / 300.0;
-            let phase = e.phase_at(t);
-            assert!(phase > prev, "phase must increase monotonically");
-            // No jumps larger than one cycle between consecutive samples (10 ms).
-            assert!(phase - prev < 2.0 * std::f64::consts::PI * 84.0 * 0.011);
-            prev = phase;
-        }
     }
 }

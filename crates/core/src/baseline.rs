@@ -20,10 +20,10 @@
 use std::time::Duration;
 
 use harvsim_linalg::{DMatrix, DVector, LuDecomposition};
-use harvsim_ode::solution::SampleSink;
 
 use crate::assembly::{AnalogueSystem, GlobalLinearisation};
 use crate::checkpoint::{ByteReader, ByteWriter, CheckpointError};
+use crate::probe::Probe;
 use crate::CoreError;
 
 /// Implicit formula used by the baseline.
@@ -67,7 +67,9 @@ pub struct BaselineOptions {
     pub max_newton_iterations: usize,
     /// Newton damping factor in `(0, 1]`.
     pub damping: f64,
-    /// Minimum spacing between recorded samples, in seconds.
+    /// Minimum spacing between the samples a dense capture of this engine's
+    /// run retains, in seconds (see
+    /// [`crate::session::SimulationEngine::record_interval`]).
     pub record_interval: f64,
 }
 
@@ -221,8 +223,8 @@ impl BaselineWorkspace {
 /// The baseline's fixed-step implicit loop as a resumable state machine — the
 /// Newton–Raphson mirror of [`crate::solver::StateSpaceMarch`], so a
 /// [`crate::session::Session`] can pause and resume either engine at any
-/// accepted-step boundary with bit-identical arithmetic. Output goes through
-/// a [`SampleSink`].
+/// accepted-step boundary with bit-identical arithmetic. Every accepted point
+/// goes straight to the session's probes.
 #[derive(Debug)]
 pub(crate) struct BaselineMarch {
     options: BaselineOptions,
@@ -347,7 +349,7 @@ impl BaselineMarch {
     }
 
     /// Advances by one accepted implicit step, offering the pre-step point to
-    /// `sink`. Calling it on a finished march is a no-op.
+    /// every probe. Calling it on a finished march is a no-op.
     ///
     /// # Errors
     ///
@@ -356,7 +358,7 @@ impl BaselineMarch {
         &mut self,
         system: &dyn AnalogueSystem,
         workspace: &mut BaselineWorkspace,
-        sink: &mut dyn SampleSink,
+        probes: &mut [Box<dyn Probe>],
     ) -> Result<(), CoreError> {
         if self.is_done() {
             return Ok(());
@@ -365,7 +367,9 @@ impl BaselineMarch {
         let m = self.y.len();
         let t = self.t;
         let theta = self.theta;
-        sink.sample(t, &self.x, &self.y);
+        for probe in probes.iter_mut() {
+            probe.on_sample(t, &self.x, &self.y);
+        }
         let h = self.options.step.min(self.t_end - t);
         let t_next = t + h;
 
@@ -465,23 +469,27 @@ impl BaselineMarch {
         Ok(())
     }
 
-    /// Completes the span: offers the forced `t_end` sample through the sink
+    /// Completes the span: offers the forced `t_end` sample to every probe
     /// and returns the final state and the segment statistics (`cpu_time`
-    /// left at zero — wall-clock accounting belongs to the driver).
-    pub(crate) fn finish(self, sink: &mut dyn SampleSink) -> (DVector, BaselineStats) {
+    /// left at zero — wall-clock accounting belongs to the session).
+    pub(crate) fn finish(self, probes: &mut [Box<dyn Probe>]) -> (DVector, BaselineStats) {
         debug_assert!(self.is_done(), "finish() called with the span incomplete");
-        sink.final_sample(self.t, &self.x, &self.y);
+        for probe in probes.iter_mut() {
+            probe.on_final_sample(self.t, &self.x, &self.y);
+        }
         (self.x, self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use harvsim_ode::solution::{DecimatedRecorder, Trajectory};
+    use harvsim_ode::Trajectory;
 
     use super::*;
     use crate::assembly::GlobalLinearisation;
-    use crate::solver::{SolverOptions, StateSpaceSolver};
+    use crate::probe::WaveformProbe;
+    use crate::solver::tests::{capture, march};
+    use crate::solver::{SolverOptions, SolverWorkspace};
 
     /// What a [`run`] over one span produced.
     struct BaselineRun {
@@ -491,8 +499,8 @@ mod tests {
     }
 
     /// Drives a [`BaselineMarch`] over `[t0, t_end]` the way a session does
-    /// (begin, step until done, finish), recording through a decimating
-    /// recorder.
+    /// (begin, step until done, finish), captured by a dense
+    /// [`WaveformProbe`].
     fn run(
         options: BaselineOptions,
         system: &dyn AnalogueSystem,
@@ -502,14 +510,14 @@ mod tests {
     ) -> Result<BaselineRun, CoreError> {
         options.validate()?;
         let mut workspace = BaselineWorkspace::new();
-        let mut states = Trajectory::new();
-        let mut terminals = Trajectory::new();
+        let mut probes: Vec<Box<dyn Probe>> =
+            vec![Box::new(WaveformProbe::new(options.record_interval))];
         let mut march = BaselineMarch::begin(options, system, t0, t_end, x0, &mut workspace)?;
-        let mut sink = DecimatedRecorder::new(&mut states, &mut terminals, options.record_interval);
         while !march.is_done() {
-            march.step(system, &mut workspace, &mut sink)?;
+            march.step(system, &mut workspace, &mut probes)?;
         }
-        let (final_state, stats) = march.finish(&mut sink);
+        let (final_state, stats) = march.finish(&mut probes);
+        let (states, _) = capture(probes[0].as_ref());
         Ok(BaselineRun { states, final_state, stats })
     }
 
@@ -592,16 +600,18 @@ mod tests {
         let system = SoftSource { tau: 1e-3, v0: 1.5, alpha: 0.05 };
         let x0 = DVector::zeros(1);
         let options = BaselineOptions { step: 2e-5, record_interval: 0.0, ..Default::default() };
-        let proposed = StateSpaceSolver::new(SolverOptions {
+        let proposed = SolverOptions {
             initial_step: 2e-6,
             max_step: 2e-5,
             record_interval: 0.0,
             ..Default::default()
-        })
-        .unwrap();
+        };
         let reference = run(options, &system, 0.0, 0.01, &x0).unwrap();
-        let fast = proposed.solve(&system, 0.0, 0.01, &x0).unwrap();
-        let deviation = fast.states.max_deviation(&reference.states, 0, 200).unwrap();
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(0.0))];
+        let mut workspace = SolverWorkspace::default();
+        march(proposed, &system, 0.0, 0.01, &x0, &mut workspace, &mut probes).unwrap();
+        let (fast, _) = capture(probes[0].as_ref());
+        let deviation = fast.max_deviation(&reference.states, 0, 200).unwrap();
         // The bound is dominated by the trapezoidal baseline's own
         // discretisation error at its 20 µs grid, not by the state-space
         // engine: the governor's order-4 march lands ~13× closer to the exact

@@ -108,7 +108,7 @@ pub use scenario::{ScenarioConfig, SweepGrid, SweepParameter};
 pub use server::{DrainReport, Server, ServerOptions};
 pub use service::{JobClass, ServiceError};
 pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation, SimulationEngine};
-pub use solver::{SolveResult, SolverOptions, SolverStats, StateSpaceSolver};
+pub use solver::{SolverOptions, SolverStats};
 pub use store::{RecoveryReport, SessionStore, StoreError, StoreOptions};
 
 /// Convenient result alias used across the crate.

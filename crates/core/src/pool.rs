@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 use crate::checkpoint::fnv1a64;
 use crate::fault::{Fault, FaultPlan, FaultSite};
 use crate::protocol::WireState;
+use crate::scenario::ScenarioConfig;
 use crate::server::{Book, ServerOptions};
 use crate::service::{JobClass, ServiceError};
 use crate::session::{Session, Simulation};
@@ -155,8 +156,9 @@ pub(crate) struct Entry {
 
 /// Why admission refused a job.
 pub(crate) enum Refusal {
-    /// The deadline is negative or not finite.
-    Deadline(String),
+    /// The deadline is negative or not finite, or a fresh job's scenario
+    /// fails validation: a malformed command.
+    Malformed(String),
     /// The pool is draining.
     Draining,
     /// The class already holds `capacity` seats.
@@ -356,27 +358,34 @@ impl Pool {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The one admission rule, in order: a non-negative finite deadline, no
-    /// drain in progress, and a free seat in the class. An entry that already
-    /// holds a seat (`holds_seat`) is not measured against the capacity.
+    /// The one admission rule, in order: a non-negative finite deadline, a
+    /// fresh job's scenario that validates, no drain in progress, and a free
+    /// seat in the class. `fresh` carries a fresh job's scenario; a
+    /// store-recovered entry passes `None`, because its frame is its recipe
+    /// and it already holds a seat, so it is not measured against the
+    /// capacity either.
     pub(crate) fn refusal(
         &self,
         state: &State,
         class: JobClass,
         deadline_s: Option<f64>,
-        holds_seat: bool,
+        fresh: Option<&ScenarioConfig>,
     ) -> Option<Refusal> {
         if let Some(deadline) = deadline_s.filter(|d| !(*d >= 0.0) || !d.is_finite()) {
-            return Some(Refusal::Deadline(format!(
+            return Some(Refusal::Malformed(format!(
                 "job deadline must be non-negative and finite, got {deadline}"
             )));
+        }
+        if let Some(Err(err)) = fresh.map(ScenarioConfig::validate) {
+            return Some(Refusal::Malformed(format!("scenario refused: {err}")));
         }
         if state.draining {
             return Some(Refusal::Draining);
         }
         let depth = state.seats[class.index()];
         let capacity = self.options.class_capacity;
-        (!holds_seat && depth >= capacity).then_some(Refusal::Overloaded { class, depth, capacity })
+        let full = fresh.is_some() && depth >= capacity;
+        full.then_some(Refusal::Overloaded { class, depth, capacity })
     }
 
     /// Appends `job` queued and holding a seat; callers check

@@ -2,11 +2,13 @@
 //! facade.
 //!
 //! A [`Probe`] watches a running simulation instead of post-processing a
-//! finished one: the session offers it every accepted analogue point
-//! (`on_sample`), every digital-kernel activation and control action
-//! (`on_event`), and the forced segment-end samples (`on_final_sample`). The
-//! built-ins cover the measurements the `measurement` module used to re-walk
-//! dense trajectories for, with **O(1)** memory:
+//! finished one, and probes are the only way out of a session: the engine
+//! marches hand every accepted analogue point (`on_sample`) and the forced
+//! segment-end samples (`on_final_sample`) straight to the session's probes,
+//! and the session forwards every digital-kernel activation and control
+//! action (`on_event`). The built-ins cover the measurements the
+//! `measurement` module used to re-walk dense trajectories for, with
+//! **O(1)** memory:
 //!
 //! * [`PowerProbe`] — streaming RMS/average generator-power windows plus the
 //!   off-resonance dip scan (subsumes [`crate::measurement::power_report`]);
@@ -15,9 +17,9 @@
 //! * [`StepHistogramProbe`] — a log₂ histogram of the accepted step sizes
 //!   (the per-*order* histogram stays in [`crate::SolverStats`], which the
 //!   session reports alongside);
-//! * [`WaveformProbe`] — the one deliberately O(steps) probe: classic dense
-//!   decimated capture, for runs that need full trajectories (the figures,
-//!   the Table II deviation, the bit-identity tests).
+//! * [`WaveformProbe`] — the one deliberately O(steps) probe and the only
+//!   dense recorder: decimated capture, for runs that need full trajectories
+//!   (the figures, the Table II deviation, the bit-identity tests).
 //!
 //! A sweep point that attaches only streaming probes never materialises a
 //! dense [`Trajectory`] at all — the property the `repro --sweep` grid and
@@ -26,7 +28,7 @@
 use std::any::Any;
 
 use harvsim_linalg::DVector;
-use harvsim_ode::{DecimatedRecorder, Trajectory};
+use harvsim_ode::Trajectory;
 
 use crate::checkpoint::{ByteReader, ByteWriter};
 use crate::measurement::PowerReport;
@@ -59,16 +61,16 @@ pub enum DigitalEvent {
 pub trait Probe: Any + Send {
     /// Called when an analogue segment `[t0, t_end]` opens (between digital
     /// events). Dense recorders reset their decimation clock here so every
-    /// segment records its opening point — the behaviour the pre-session
-    /// solvers had; streaming probes normally ignore it.
+    /// segment records its opening point; streaming probes normally ignore
+    /// it.
     fn on_segment(&mut self, _t0: f64, _t_end: f64) {}
 
-    /// Called once per accepted analogue point with the solver's state and
-    /// terminal vectors (borrowed from the engine workspace — clone what must
-    /// outlive the call). Sample times are non-decreasing; segment
-    /// boundaries deliver the same time twice (segment-end forced sample,
-    /// then the next segment's opening point), which integrating probes
-    /// absorb as a zero-width trapezoid.
+    /// Called once per accepted analogue point with the march's state and
+    /// terminal vectors (borrowed from the engine — clone what must outlive
+    /// the call); the march makes one dynamic call per probe per step. Sample
+    /// times are non-decreasing; segment boundaries deliver the same time
+    /// twice (segment-end forced sample, then the next segment's opening
+    /// point), which integrating probes absorb as a zero-width trapezoid.
     fn on_sample(&mut self, t: f64, states: &DVector, terminals: &DVector);
 
     /// Called for the forced sample at the end of every analogue segment.
@@ -136,13 +138,12 @@ fn decode_trajectory(r: &mut ByteReader<'_>) -> Option<Trajectory> {
     Some(trajectory)
 }
 
-/// Dense decimated waveform capture — the classic recording behaviour as a
-/// probe. Retains a sample when at least `interval` seconds have passed since
-/// the last retained one within the current segment, plus every forced
-/// segment-end sample; the decimation clock resets at segment starts. With
-/// the interval taken from [`crate::SimulationEngine::record_interval`] this
-/// reproduces the trajectories the engines' own recorders produce, bit for
-/// bit (pinned by `tests/session_shim.rs`).
+/// Dense decimated waveform capture — the only dense recorder. Retains a
+/// sample when at least `interval` seconds have passed since the last
+/// retained one within the current segment, plus every forced segment-end
+/// sample; the decimation clock resets at segment starts, so every segment
+/// records its opening point. The interval is usually the engine's
+/// [`crate::SimulationEngine::record_interval`].
 #[derive(Debug, Clone)]
 pub struct WaveformProbe {
     interval: f64,
@@ -180,9 +181,7 @@ impl Probe for WaveformProbe {
     }
 
     fn on_sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        // One shared predicate with the solvers' own dense recorder, so the
-        // two recording paths the bit-identity tests compare cannot drift.
-        if DecimatedRecorder::due(self.last_recorded, self.interval, t) {
+        if t - self.last_recorded >= self.interval {
             self.states.push(t, states.clone());
             self.terminals.push(t, terminals.clone());
             self.last_recorded = t;

@@ -314,12 +314,13 @@ impl Server {
             state.book.resubmitted += 1;
             return Response::Resubmitted { id: spec.id, state: state.entries[index].state };
         }
-        if let Some(refusal) = pool.refusal(&state, spec.class, spec.deadline_s, readmit.is_some())
-        {
-            // A malformed deadline is a malformed command and books no offer;
-            // a drain or a full class sheds the offer.
+        let simulation = spec.simulation();
+        let fresh = readmit.is_none().then(|| simulation.config());
+        if let Some(refusal) = pool.refusal(&state, spec.class, spec.deadline_s, fresh) {
+            // A malformed deadline or an invalid scenario is a malformed
+            // command and books no offer; a drain or a full class sheds it.
             let error = match refusal {
-                Refusal::Deadline(detail) => return Response::Error(WireError::Protocol(detail)),
+                Refusal::Malformed(detail) => return Response::Error(WireError::Protocol(detail)),
                 Refusal::Draining => WireError::Draining,
                 Refusal::Overloaded { class, depth, capacity } => {
                     WireError::Overloaded { class, depth: depth as u64, capacity: capacity as u64 }
@@ -340,7 +341,7 @@ impl Server {
             id: spec.id.clone(),
             class: spec.class,
             deadline_s: spec.deadline_s,
-            parked: Parked::Fresh(Box::new(spec.simulation())),
+            parked: Parked::Fresh(Box::new(simulation)),
         };
         let index = pool.admit(&mut state, job);
         state.book.ids.insert(spec.id.clone(), index);

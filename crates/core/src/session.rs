@@ -17,9 +17,13 @@
 //!
 //! A `Session` is that co-simulation as a state machine the caller advances
 //! explicitly — [`Session::step`], [`Session::run_until`],
-//! [`Session::run_to_end`] — while typed [`Probe`]s observe every accepted
-//! analogue point and every digital event as they happen. Pausing is simply
-//! returning from `run_until`; resuming is calling it again.
+//! [`Session::run_until_deadline`], [`Session::run_to_end`], all thin calls
+//! into one private advance loop — while typed [`Probe`]s observe every
+//! accepted analogue point and every digital event as they happen. Pausing is
+//! simply returning from `run_until`; resuming is calling it again. It is the
+//! one way to run an engine: every session is opened by
+//! [`Simulation::start`] from a [`ScenarioConfig`], which it keeps as the
+//! rebuild recipe its checkpoints embed.
 //!
 //! Two properties are load-bearing (and pinned by tests):
 //!
@@ -34,10 +38,12 @@
 //!   no dense [`harvsim_ode::Trajectory`]; the high-water probe footprint is
 //!   reported as [`SessionReport::peak_probe_bytes`].
 //!
-//! Dense waveforms are one probe away: a [`crate::probe::WaveformProbe`] at
-//! the engine's [`SimulationEngine::record_interval`] records exactly the
-//! decimated trajectories the engines' own dense recorders produce. See
-//! DESIGN.md §8 for the ownership diagram and the probe dispatch cost budget.
+//! Probes are the only way out of a session: the marches keep no output of
+//! their own and offer every accepted point straight to them. Dense waveforms
+//! are one probe away — a [`crate::probe::WaveformProbe`] at the engine's
+//! [`SimulationEngine::record_interval`] records the decimated state and
+//! terminal trajectories. See DESIGN.md §8 for the ownership diagram and the
+//! probe dispatch cost budget.
 //!
 //! The module also holds the co-simulation's vocabulary, which checkpoints,
 //! the service and the server record and report: [`SimulationEngine`] (the
@@ -48,10 +54,9 @@
 use std::any::Any;
 use std::time::{Duration, Instant};
 
-use harvsim_blocks::{ControllerConfig, HarvesterEnvironment, LoadMode, MicroController};
+use harvsim_blocks::{HarvesterEnvironment, LoadMode, MicroController};
 use harvsim_digital::{Kernel, SimTime};
 use harvsim_linalg::DVector;
-use harvsim_ode::SampleSink;
 
 use crate::baseline::{BaselineMarch, BaselineOptions, BaselineStats, BaselineWorkspace};
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError};
@@ -79,9 +84,8 @@ impl SimulationEngine {
         }
     }
 
-    /// The engine's dense recording interval, in seconds: a
-    /// [`crate::probe::WaveformProbe`] at this spacing captures exactly the
-    /// decimated trajectories the engine's own recorder produces.
+    /// The engine's dense recording interval, in seconds: the spacing a
+    /// [`crate::probe::WaveformProbe`] capturing this engine's run uses.
     pub fn record_interval(&self) -> f64 {
         match self {
             SimulationEngine::StateSpace(options) => options.record_interval,
@@ -208,18 +212,7 @@ impl Simulation {
     /// Propagates configuration validation and model assembly failures.
     pub fn start(&self) -> Result<Session, CoreError> {
         self.config.validate()?;
-        let harvester = self.config.build_harvester()?;
-        let mut session = Session::start(
-            harvester,
-            self.config.controller,
-            self.config.engine,
-            self.config.duration_s,
-            self.config.initial_supercap_voltage,
-        )?;
-        // A config-built session knows how to rebuild itself, which is what
-        // makes it checkpointable (see [`Session::checkpoint`]).
-        session.config = Some(self.config.clone());
-        Ok(session)
+        Session::open(self.config.clone())
     }
 }
 
@@ -303,25 +296,6 @@ impl EngineRuntime {
     }
 }
 
-/// Fans solver samples out to every attached probe — the [`SampleSink`] the
-/// session hands to the marches. One dynamic dispatch per probe per accepted
-/// step; with no probes attached the march output vanishes entirely.
-struct ProbeFan<'a>(&'a mut [Box<dyn Probe>]);
-
-impl SampleSink for ProbeFan<'_> {
-    fn sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        for probe in self.0.iter_mut() {
-            probe.on_sample(t, states, terminals);
-        }
-    }
-
-    fn final_sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        for probe in self.0.iter_mut() {
-            probe.on_final_sample(t, states, terminals);
-        }
-    }
-}
-
 /// Snapshot/mailbox through which the digital controller observes and
 /// commands the analogue model. Reads are filled in from the analogue state
 /// before every kernel activation; writes are collected and applied to the
@@ -355,20 +329,17 @@ impl HarvesterEnvironment for ControlMailbox {
 
 /// A running (or paused, or finished) mixed-signal simulation.
 ///
-/// Created by [`Simulation::start`] (or [`Session::start`] from an explicit
-/// harvester). The session owns the harvester, the digital kernel, the
-/// engine workspace and the probes; advancing it interleaves resumable
-/// analogue march segments with digital-kernel event processing.
+/// Created by [`Simulation::start`] (or restored from a checkpoint). The
+/// session owns the harvester, the digital kernel, the engine workspace and
+/// the probes; advancing it interleaves resumable analogue march segments
+/// with digital-kernel event processing.
 pub struct Session {
     harvester: TunableHarvester,
     kernel: Kernel<ControlMailbox>,
     runtime: EngineRuntime,
-    /// The scenario configuration the session was built from, when it came
-    /// through [`Simulation::start`] — the rebuild recipe a checkpoint
-    /// embeds. `None` for sessions opened over an ad-hoc harvester, which
-    /// therefore cannot be checkpointed.
-    config: Option<ScenarioConfig>,
-    duration: f64,
+    /// The scenario configuration the session was built from — the rebuild
+    /// recipe a checkpoint embeds.
+    config: ScenarioConfig,
     /// Committed time: the end of the last fully closed segment (the
     /// in-flight march, if any, is ahead of this).
     t: f64,
@@ -382,55 +353,29 @@ pub struct Session {
     /// Engine wall-clock accumulated for the in-flight segment, booked into
     /// the segment's stats when it closes (pauses are not billed).
     pending_cpu: Duration,
-    /// The diode-evaluation mode the caller's harvester arrived with. The
-    /// session flips the live flag to match the engine policy (exact for the
-    /// baseline, table companions for the state-space engine) and restores
-    /// this value when handing the harvester back, so the policy never leaks
-    /// into caller-owned configuration.
-    caller_exact_companions: bool,
     peak_probe_bytes: usize,
     finished: bool,
 }
 
 impl Session {
-    /// Opens a session over an explicit harvester model (the builder
-    /// [`Simulation::start`] is the common entry point). The digital
-    /// controller is spawned on its watchdog schedule and the supercapacitor
-    /// pre-charged to `initial_supercap_voltage`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine option validation, controller construction and
-    /// initial-state failures; rejects a non-positive duration.
-    pub fn start(
-        mut harvester: TunableHarvester,
-        controller_config: ControllerConfig,
-        engine: SimulationEngine,
-        duration_s: f64,
-        initial_supercap_voltage: f64,
-    ) -> Result<Self, CoreError> {
-        if !(duration_s > 0.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "simulation duration must be positive, got {duration_s}"
-            )));
-        }
+    /// Opens a session over the harvester `config` builds, on a configuration
+    /// [`Simulation::start`] has validated. The digital controller is spawned
+    /// on its watchdog schedule and the supercapacitor pre-charged to the
+    /// configured voltage.
+    fn open(config: ScenarioConfig) -> Result<Self, CoreError> {
+        let mut harvester = config.build_harvester()?;
         // The baseline stands in for the commercial Newton–Raphson tools,
         // which evaluate the physical device equations at every iteration —
         // the PWL lookup table is the *proposed* technique's contribution, so
         // handing it to the baseline would let the comparison race the
         // technique against itself. Exact evaluation for the baseline, table
-        // companions for the state-space engine. The caller's own setting is
-        // remembered and restored by [`Session::into_parts`].
-        let caller_exact_companions = harvester.exact_diode_companions();
+        // companions (the build default) for the state-space engine.
+        let engine = config.engine;
         harvester.set_exact_diode_companions(matches!(engine, SimulationEngine::NewtonRaphson(_)));
         let runtime = match engine {
             SimulationEngine::StateSpace(options) => {
                 options.validate()?;
-                EngineRuntime::StateSpace {
-                    options,
-                    workspace: Box::new(SolverWorkspace::new()),
-                    march: None,
-                }
+                EngineRuntime::StateSpace { options, workspace: Box::default(), march: None }
             }
             SimulationEngine::NewtonRaphson(options) => {
                 options.validate()?;
@@ -442,16 +387,15 @@ impl Session {
             }
         };
         let controller =
-            MicroController::new(controller_config, harvester.resonant_frequency_hz())?;
+            MicroController::new(config.controller, harvester.resonant_frequency_hz())?;
         let mut kernel: Kernel<ControlMailbox> = Kernel::new();
-        kernel.spawn_at(SimTime::from_secs_f64(controller_config.watchdog_period_s), controller);
-        let x = harvester.initial_state(initial_supercap_voltage)?;
+        kernel.spawn_at(SimTime::from_secs_f64(config.controller.watchdog_period_s), controller);
+        let x = harvester.initial_state(config.initial_supercap_voltage)?;
         Ok(Session {
             harvester,
             kernel,
             runtime,
-            config: None,
-            duration: duration_s,
+            config,
             t: 0.0,
             x,
             segment_end: 0.0,
@@ -459,7 +403,6 @@ impl Session {
             engine_stats: EngineStats::default(),
             control_events: Vec::new(),
             pending_cpu: Duration::ZERO,
-            caller_exact_companions,
             peak_probe_bytes: 0,
             finished: false,
         })
@@ -544,7 +487,7 @@ impl Session {
 
     /// Configured span, in seconds.
     pub fn duration(&self) -> f64 {
-        self.duration
+        self.config.duration_s
     }
 
     /// Whether the whole span has been simulated.
@@ -552,13 +495,12 @@ impl Session {
         self.finished
     }
 
-    /// The label of the scenario this session was built from, if it was
-    /// started via [`Simulation::start`] with a labelled configuration.
-    /// Travels inside checkpoints, so a restored session still knows it —
-    /// the service uses this to verify a recovered frame belongs to the job
-    /// it is keyed under.
+    /// The label of the scenario this session was built from, if its
+    /// configuration carries one. Travels inside checkpoints, so a restored
+    /// session still knows it — the server uses this to verify a recovered
+    /// frame belongs to the job it is keyed under.
     pub fn scenario_label(&self) -> Option<&str> {
-        self.config.as_ref().and_then(|config| config.label.as_deref())
+        self.config.label.as_deref()
     }
 
     /// Analogue-engine statistics accumulated over the closed segments.
@@ -574,36 +516,23 @@ impl Session {
     /// Advances the session by one unit of work — opening the next analogue
     /// segment, taking one accepted integration step, or closing a completed
     /// segment and processing its due digital events — and reports progress.
-    /// This is the finest observation granularity; [`Session::run_until`]
-    /// drives the same machine in a tight loop.
+    /// This is the finest observation granularity: the advance loop of
+    /// [`Session::run_until_deadline`] with a deadline that has already
+    /// passed, which performs exactly one unit of work.
     ///
     /// # Errors
     ///
     /// Propagates engine and kernel failures; the session is not usable after
     /// an error.
     pub fn step(&mut self) -> Result<SessionStatus, CoreError> {
-        if self.finished {
-            return Ok(SessionStatus::Finished);
+        if !self.finished {
+            self.advance(f64::INFINITY, Some(Instant::now()))?;
         }
-        if !self.runtime.march_active() {
-            if self.t >= self.duration - 1e-9 {
-                self.finished = true;
-                return Ok(SessionStatus::Finished);
-            }
-            self.open_segment()?;
-            return Ok(SessionStatus::Running { time_s: self.time() });
-        }
-        let clock = Instant::now();
-        let segment_done = self.march_steps(f64::INFINITY, true, None)?;
-        self.pending_cpu += clock.elapsed();
-        if segment_done {
-            self.close_segment()?;
-        }
-        if self.finished {
-            Ok(SessionStatus::Finished)
+        Ok(if self.finished {
+            SessionStatus::Finished
         } else {
-            Ok(SessionStatus::Running { time_s: self.time() })
-        }
+            SessionStatus::Running { time_s: self.time() }
+        })
     }
 
     /// Runs until the simulation time reaches `target` seconds (clamped to
@@ -614,29 +543,14 @@ impl Session {
     /// in-flight march alive, so a paused-and-resumed run takes *exactly* the
     /// steps an uninterrupted run takes — bit-identical trajectories, stats
     /// and control actions. Resume by calling `run_until` (or
-    /// [`Session::run_to_end`]) again.
+    /// [`Session::run_to_end`]) again. Reaching the configured duration
+    /// marks the session finished.
     ///
     /// # Errors
     ///
     /// Propagates engine and kernel failures.
     pub fn run_until(&mut self, target: f64) -> Result<f64, CoreError> {
-        let target = target.min(self.duration);
-        while !self.finished && self.time() < target - 1e-12 {
-            if self.runtime.march_active() {
-                let clock = Instant::now();
-                let segment_done = self.march_steps(target, false, None)?;
-                self.pending_cpu += clock.elapsed();
-                if segment_done {
-                    self.close_segment()?;
-                }
-            } else if self.t >= self.duration - 1e-9 {
-                self.finished = true;
-            } else {
-                self.open_segment()?;
-            }
-        }
-        self.update_peak_probe_bytes();
-        Ok(self.time())
+        self.advance(target, None)
     }
 
     /// [`Session::run_until`] with a cooperative wall-clock watchdog: the
@@ -647,9 +561,9 @@ impl Session {
     /// work is performed per call even if the deadline already passed, so a
     /// scheduler retrying a preempted session always makes progress.
     ///
-    /// Unlike `run_until`, reaching the configured duration here also closes
-    /// the final segment bookkeeping (marking the session finished), so a
-    /// slice-driven scheduler needs no separate run-to-end path.
+    /// Reaching the configured duration also closes the final segment
+    /// bookkeeping (marking the session finished), so a slice-driven
+    /// scheduler needs no separate run-to-end path.
     ///
     /// # Errors
     ///
@@ -659,33 +573,7 @@ impl Session {
         target: f64,
         deadline: Option<Instant>,
     ) -> Result<f64, CoreError> {
-        let target = target.min(self.duration);
-        let mut did_work = false;
-        while !self.finished && self.time() < target - 1e-12 {
-            if did_work && deadline.is_some_and(|at| Instant::now() >= at) {
-                break;
-            }
-            if self.runtime.march_active() {
-                let clock = Instant::now();
-                let segment_done = self.march_steps(target, false, deadline)?;
-                self.pending_cpu += clock.elapsed();
-                if segment_done {
-                    self.close_segment()?;
-                }
-            } else if self.t >= self.duration - 1e-9 {
-                self.finished = true;
-            } else {
-                self.open_segment()?;
-            }
-            did_work = true;
-        }
-        // Close the final bookkeeping when the whole span is simulated (the
-        // equivalent of `run_to_end`'s extra pass).
-        if !self.finished && !self.runtime.march_active() && self.t >= self.duration - 1e-9 {
-            self.finished = true;
-        }
-        self.update_peak_probe_bytes();
-        Ok(self.time())
+        self.advance(target, deadline)
     }
 
     /// Runs the remaining span to completion.
@@ -694,15 +582,42 @@ impl Session {
     ///
     /// Propagates engine and kernel failures.
     pub fn run_to_end(&mut self) -> Result<(), CoreError> {
-        while !self.finished {
-            self.run_until(self.duration)?;
-            // `run_until(duration)` leaves the loop once time reaches the
-            // duration; one more pass closes the final segment bookkeeping.
-            if !self.finished && !self.runtime.march_active() && self.t >= self.duration - 1e-9 {
-                self.finished = true;
-            }
-        }
+        self.advance(self.config.duration_s, None)?;
         Ok(())
+    }
+
+    /// The one advance loop behind every public driver: performs units of
+    /// work (open a segment, march the in-flight one, close it) until the
+    /// time reaches `target` (clamped to the duration) or, once at least one
+    /// unit is done, `deadline` passes; then closes the final bookkeeping if
+    /// the whole span is simulated and returns the time.
+    fn advance(&mut self, target: f64, deadline: Option<Instant>) -> Result<f64, CoreError> {
+        let duration = self.config.duration_s;
+        let target = target.min(duration);
+        let mut did_work = false;
+        while !self.finished && self.time() < target - 1e-12 {
+            if did_work && deadline.is_some_and(|at| Instant::now() >= at) {
+                break;
+            }
+            if self.runtime.march_active() {
+                let clock = Instant::now();
+                let segment_done = self.march_steps(target, deadline)?;
+                self.pending_cpu += clock.elapsed();
+                if segment_done {
+                    self.close_segment()?;
+                }
+            } else if self.t >= duration - 1e-9 {
+                self.finished = true;
+            } else {
+                self.open_segment()?;
+            }
+            did_work = true;
+        }
+        if !self.finished && !self.runtime.march_active() && self.t >= duration - 1e-9 {
+            self.finished = true;
+        }
+        self.update_peak_probe_bytes();
+        Ok(self.time())
     }
 
     /// Snapshot of the session outcome (final once the session finished).
@@ -738,11 +653,12 @@ impl Session {
 
     /// Consumes the session, returning the report, the probes (for typed
     /// downcasting by the caller) and the harvester in its final state —
-    /// with the diode-evaluation mode restored to what the caller configured
-    /// (the engine policy the session applied is session-internal).
+    /// with the diode-evaluation mode back at the build default, table
+    /// companions (the engine policy the session applied is
+    /// session-internal).
     pub fn into_parts(mut self) -> (SessionReport, Vec<Box<dyn Probe>>, TunableHarvester) {
         let report = self.report();
-        self.harvester.set_exact_diode_companions(self.caller_exact_companions);
+        self.harvester.set_exact_diode_companions(false);
         (report, self.probes, self.harvester)
     }
 
@@ -763,20 +679,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfiguration`] if the session was opened over an
-    /// ad-hoc harvester via [`Session::start`] — only sessions built by
-    /// [`Simulation::start`] carry the configuration a checkpoint needs to
-    /// rebuild the model.
+    /// None today: every session carries the configuration a checkpoint needs
+    /// to rebuild the model, so encoding cannot fail. The `Result` leaves the
+    /// format room to refuse a state it cannot encode.
     pub fn checkpoint(&self) -> Result<Vec<u8>, CoreError> {
-        let config = self.config.as_ref().ok_or_else(|| {
-            CoreError::InvalidConfiguration(
-                "checkpointing requires a session built from a ScenarioConfig \
-                 (Simulation::start); a session opened over an ad-hoc harvester \
-                 cannot be rebuilt from bytes"
-                    .into(),
-            )
-        })?;
-        let rebuild = checkpoint::encode_config(config);
+        let rebuild = checkpoint::encode_config(&self.config);
         let digest = checkpoint::fnv1a64(&rebuild);
         let mut w = ByteWriter::new();
         w.put_bytes(&rebuild);
@@ -786,7 +693,10 @@ impl Session {
         w.put_f64(self.harvester.tuning_force());
         checkpoint::encode_load_mode(&mut w, self.harvester.load_mode());
         w.put_bool(self.harvester.exact_diode_companions());
-        w.put_bool(self.caller_exact_companions);
+        // Former caller-companion slot: every session is built from its
+        // configuration, whose harvester starts on table companions, so the
+        // slot is always `false`.
+        w.put_bool(false);
         // Session scalars and committed state.
         w.put_f64(self.t);
         w.put_f64(self.segment_end);
@@ -902,7 +812,12 @@ impl Session {
         let tuning_force = r.take_f64()?;
         let load_mode = checkpoint::decode_load_mode(&mut r)?;
         let exact_companions = r.take_bool()?;
-        session.caller_exact_companions = r.take_bool()?;
+        if r.take_bool()? {
+            return Err(checkpoint::malformed(
+                "caller-companion slot is set; sessions are always built on table companions",
+            )
+            .into());
+        }
         session.harvester.set_tuning_force(tuning_force);
         session.harvester.set_load_mode(load_mode);
         session.harvester.set_exact_diode_companions(exact_companions);
@@ -1057,8 +972,8 @@ impl Session {
             .kernel
             .next_event_time()
             .map(|time| time.as_secs_f64())
-            .unwrap_or(self.duration)
-            .min(self.duration);
+            .unwrap_or(self.config.duration_s)
+            .min(self.config.duration_s);
         let segment_end = next_event.max(self.t + 1e-9);
         self.segment_end = segment_end;
         for probe in &mut self.probes {
@@ -1094,21 +1009,14 @@ impl Session {
     /// Advances the in-flight march until it completes its segment, its time
     /// reaches `target`, or (checked only *after* each accepted step, so at
     /// least one step of progress is always made) the wall-clock `deadline`
-    /// passes. `single` limits it to one accepted step. Returns whether the
-    /// segment is complete.
-    fn march_steps(
-        &mut self,
-        target: f64,
-        single: bool,
-        deadline: Option<Instant>,
-    ) -> Result<bool, CoreError> {
+    /// passes. Returns whether the segment is complete.
+    fn march_steps(&mut self, target: f64, deadline: Option<Instant>) -> Result<bool, CoreError> {
         let Session { runtime, harvester, probes, .. } = self;
-        let mut fan = ProbeFan(probes);
         match runtime {
             EngineRuntime::StateSpace { workspace, march: Some(march), .. } => {
                 while !march.is_done() && march.time() < target - 1e-12 {
-                    march.step(&*harvester, workspace, &mut fan)?;
-                    if single || deadline.is_some_and(|at| Instant::now() >= at) {
+                    march.step(&*harvester, workspace, probes)?;
+                    if deadline.is_some_and(|at| Instant::now() >= at) {
                         break;
                     }
                 }
@@ -1116,8 +1024,8 @@ impl Session {
             }
             EngineRuntime::NewtonRaphson { workspace, march: Some(march), .. } => {
                 while !march.is_done() && march.time() < target - 1e-12 {
-                    march.step(&*harvester, workspace, &mut fan)?;
-                    if single || deadline.is_some_and(|at| Instant::now() >= at) {
+                    march.step(&*harvester, workspace, probes)?;
+                    if deadline.is_some_and(|at| Instant::now() >= at) {
                         break;
                     }
                 }
@@ -1135,18 +1043,17 @@ impl Session {
         let clock = Instant::now();
         {
             let Session { runtime, harvester, probes, x, engine_stats, .. } = self;
-            let mut fan = ProbeFan(probes);
             match runtime {
                 EngineRuntime::StateSpace { workspace, march, .. } => {
                     if let Some(march) = march.take() {
-                        let (x_end, stats) = march.finish(&*harvester, workspace, &mut fan)?;
+                        let (x_end, stats) = march.finish(&*harvester, workspace, probes)?;
                         *x = x_end;
                         engine_stats.state_space.absorb(&stats);
                     }
                 }
                 EngineRuntime::NewtonRaphson { march, .. } => {
                     if let Some(march) = march.take() {
-                        let (x_end, stats) = march.finish(&mut fan);
+                        let (x_end, stats) = march.finish(probes);
                         *x = x_end;
                         engine_stats.baseline.absorb(&stats);
                     }
@@ -1168,7 +1075,7 @@ impl Session {
         self.t = self.segment_end;
         self.update_peak_probe_bytes();
         self.process_due_events()?;
-        if self.t >= self.duration - 1e-9 {
+        if self.t >= self.config.duration_s - 1e-9 {
             self.finished = true;
         }
         Ok(())
@@ -1238,7 +1145,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("time_s", &self.time())
-            .field("duration_s", &self.duration)
+            .field("duration_s", &self.config.duration_s)
             .field("finished", &self.finished)
             .field("probes", &self.probes.len())
             .field("control_events", &self.control_events.len())
@@ -1249,8 +1156,11 @@ impl std::fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::AnalogueSystem;
     use crate::probe::{EnvelopeProbe, StepHistogramProbe, WaveformProbe};
-    use harvsim_blocks::{FrequencyProfile, HarvesterParameters, VibrationExcitation};
+    use crate::solver::tests::{capture, march, HideStiff};
+    use harvsim_blocks::ControllerConfig;
+    use harvsim_ode::Trajectory;
 
     fn quick_simulation() -> Simulation {
         let mut config = ScenarioConfig::scenario1();
@@ -1314,6 +1224,8 @@ mod tests {
         assert!(session.probe::<EnvelopeProbe>(steps).is_none());
         // Stepping a finished session reports Finished and changes nothing.
         assert_eq!(session.step().unwrap(), SessionStatus::Finished);
+        // The session billed the engine's wall clock.
+        assert!(report.engine_time() > Duration::ZERO);
     }
 
     #[test]
@@ -1369,7 +1281,7 @@ mod tests {
 
     /// The engine's device-evaluation policy is session-internal: a baseline
     /// session runs on exact Shockley companions, but the harvester handed
-    /// back by `into_parts` keeps the caller's configuration.
+    /// back by `into_parts` is on the build default, table companions.
     #[test]
     fn engine_evaluation_policy_does_not_leak_into_the_returned_harvester() {
         let simulation = quick_simulation()
@@ -1383,7 +1295,7 @@ mod tests {
         let (_, _, harvester) = session.into_parts();
         assert!(
             !harvester.exact_diode_companions(),
-            "the caller's harvester was configured with table companions"
+            "the harvester comes back on the build default, table companions"
         );
     }
 
@@ -1403,34 +1315,97 @@ mod tests {
         assert!(short > 0);
     }
 
-    fn quick_solver_options() -> SolverOptions {
-        SolverOptions { record_interval: 2e-3, ..Default::default() }
-    }
-
-    fn harvester(step_to_hz: f64, step_at: f64) -> TunableHarvester {
-        let params = HarvesterParameters::practical_device();
-        let excitation = VibrationExcitation::new(
-            params.acceleration_amplitude,
-            FrequencyProfile::Step { initial_hz: 70.0, final_hz: step_to_hz, step_time_s: step_at },
-        )
-        .unwrap();
-        TunableHarvester::new(params, excitation).unwrap()
-    }
-
-    fn quick_controller_config() -> ControllerConfig {
-        ControllerConfig {
+    /// A 70 → 71 Hz closed loop whose controller wakes every 0.4 s and
+    /// retunes at 10 Hz/s, marched by the state-space engine.
+    fn closed_loop(duration_s: f64, initial_v: f64) -> Simulation {
+        let mut config = ScenarioConfig::scenario1();
+        config.frequency_step_time_s = 0.05;
+        config.controller = ControllerConfig {
             watchdog_period_s: 0.4,
             energy_threshold_v: 2.0,
             frequency_tolerance_hz: 0.25,
             measurement_duration_s: 0.05,
             tuning_rate_hz_per_s: 10.0,
             tuning_update_interval_s: 0.02,
-        }
+        };
+        config.engine = SimulationEngine::StateSpace(SolverOptions {
+            record_interval: 2e-3,
+            ..Default::default()
+        });
+        Simulation::from_config(config).duration(duration_s).initial_supercap_voltage(initial_v)
     }
 
-    fn start(harvester: TunableHarvester, duration_s: f64, initial_v: f64) -> Session {
-        let engine = SimulationEngine::StateSpace(quick_solver_options());
-        Session::start(harvester, quick_controller_config(), engine, duration_s, initial_v).unwrap()
+    /// What [`direct_segment_loop`] produced.
+    struct DirectRun {
+        states: Trajectory,
+        terminals: Trajectory,
+        final_state: DVector,
+        steps: usize,
+        control_events: Vec<ControlEvent>,
+        harvester: TunableHarvester,
+    }
+
+    /// The segment loop a session runs, written out directly: one kernel, one
+    /// reused workspace and one dense capture at the engine's record
+    /// interval, a march per analogue segment, and the control actions
+    /// applied between segments. With `hide_stiff` every segment marches the
+    /// harvester through [`HideStiff`], on the unpartitioned path.
+    fn direct_segment_loop(config: &ScenarioConfig, hide_stiff: bool) -> DirectRun {
+        let SimulationEngine::StateSpace(options) = config.engine else {
+            panic!("the direct loop marches the state-space engine")
+        };
+        let mut harvester = config.build_harvester().unwrap();
+        let controller =
+            MicroController::new(config.controller, harvester.resonant_frequency_hz()).unwrap();
+        let mut kernel: Kernel<ControlMailbox> = Kernel::new();
+        kernel.spawn_at(SimTime::from_secs_f64(config.controller.watchdog_period_s), controller);
+        let mut workspace = SolverWorkspace::default();
+        let mut probes: Vec<Box<dyn Probe>> =
+            vec![Box::new(WaveformProbe::new(options.record_interval))];
+        let (mut steps, mut control_events) = (0, Vec::new());
+        let mut t = 0.0_f64;
+        let mut x = harvester.initial_state(config.initial_supercap_voltage).unwrap();
+        while t < config.duration_s - 1e-9 {
+            let next_event = kernel
+                .next_event_time()
+                .map(|time| time.as_secs_f64())
+                .unwrap_or(config.duration_s)
+                .min(config.duration_s);
+            let segment_end = next_event.max(t + 1e-9);
+            let hidden = HideStiff(&harvester);
+            let system: &dyn AnalogueSystem = if hide_stiff { &hidden } else { &harvester };
+            let (x_end, stats) =
+                march(options, system, t, segment_end, &x, &mut workspace, &mut probes).unwrap();
+            (x, t) = (x_end, segment_end);
+            steps += stats.steps;
+
+            if kernel.next_event_time().is_some_and(|time| time.as_secs_f64() <= t + 1e-12) {
+                let mut mailbox = ControlMailbox {
+                    supercap_voltage: harvester.supercapacitor_voltage(&x),
+                    ambient_hz: harvester.ambient_frequency_hz(t),
+                    resonant_hz: harvester.resonant_frequency_hz(),
+                    ..ControlMailbox::default()
+                };
+                kernel.run_until(SimTime::from_secs_f64(t), &mut mailbox).unwrap();
+                let (mode, frequency) =
+                    (mailbox.requested_load_mode, mailbox.requested_resonance_hz);
+                if let Some(mode) = mode {
+                    harvester.set_load_mode(mode);
+                }
+                if let Some(frequency) = frequency {
+                    harvester.set_resonant_frequency(frequency);
+                }
+                if mode.is_some() || frequency.is_some() {
+                    control_events.push(ControlEvent {
+                        time_s: t,
+                        load_mode: harvester.load_mode(),
+                        resonant_frequency_hz: harvester.resonant_frequency_hz(),
+                    });
+                }
+            }
+        }
+        let (states, terminals) = capture(probes[0].as_ref());
+        DirectRun { states, terminals, final_state: x, steps, control_events, harvester }
     }
 
     #[test]
@@ -1447,10 +1422,9 @@ mod tests {
 
     #[test]
     fn rejects_non_positive_duration() {
-        let engine = SimulationEngine::StateSpace(quick_solver_options());
-        let started =
-            Session::start(harvester(71.0, 0.1), quick_controller_config(), engine, 0.0, 2.4);
-        assert!(started.is_err());
+        for duration in [0.0, -1.0, f64::NAN] {
+            assert!(closed_loop(duration, 2.4).start().is_err(), "duration {duration}");
+        }
     }
 
     /// A short but complete closed-loop run: the ambient frequency steps from
@@ -1458,7 +1432,7 @@ mod tests {
     /// and retunes the resonance to follow the ambient frequency.
     #[test]
     fn controller_retunes_the_resonance_in_closed_loop() {
-        let mut session = start(harvester(71.0, 0.05), 1.6, 2.6);
+        let mut session = closed_loop(1.6, 2.6).start().unwrap();
         let capture = session.add_probe(WaveformProbe::new(2e-3));
         session.run_to_end().unwrap();
         let report = session.report();
@@ -1485,11 +1459,87 @@ mod tests {
     #[test]
     fn low_energy_prevents_tuning() {
         // Start with the supercapacitor nearly empty: the controller must skip tuning.
-        let mut session = start(harvester(71.0, 0.05), 1.0, 0.5);
+        let mut session = closed_loop(1.0, 0.5).start().unwrap();
         session.run_to_end().unwrap();
         assert!((session.harvester().resonant_frequency_hz() - 70.0).abs() < 1e-9);
         // The only control action (if any) is the load returning to sleep.
         let report = session.report();
         assert!(report.control_events.iter().all(|event| event.load_mode == LoadMode::Sleep));
+    }
+
+    /// The partitioned engine drives the same closed loop (a retune to the
+    /// new ambient frequency) as the unpartitioned march of that loop, in
+    /// fewer than half its steps, and its stats record the partition's
+    /// activity.
+    #[test]
+    fn closed_loop_scenario_retunes_identically_under_both_integrators() {
+        let simulation = closed_loop(1.6, 2.5);
+        let mut session = simulation.start().unwrap();
+        session.run_to_end().unwrap();
+        let unpartitioned = direct_segment_loop(simulation.config(), true);
+
+        let tuned = session.harvester().resonant_frequency_hz();
+        let tuned_reference = unpartitioned.harvester.resonant_frequency_hz();
+        assert!((tuned - 71.0).abs() < 0.2, "partitioned retune ended at {tuned}");
+        assert!((tuned - tuned_reference).abs() < 0.1, "engines disagree on the retune");
+        let stats = session.report().engine_stats.state_space;
+        assert_eq!(stats.stiff_exact_steps, stats.steps);
+        assert!(stats.constant_stamps_skipped > 0);
+        assert!(stats.steps < unpartitioned.steps / 2);
+    }
+
+    /// A session observed by one `WaveformProbe` at its engine's record
+    /// interval produces bit-identical trajectories, work counts and control
+    /// actions to the segment loop written out directly.
+    #[test]
+    fn session_matches_the_direct_segment_loop_bit_for_bit() {
+        let mut config = ScenarioConfig::scenario1();
+        config.duration_s = 0.9;
+        config.frequency_step_time_s = 0.1;
+        config.controller.watchdog_period_s = 0.25;
+        config.controller.energy_threshold_v = 2.0;
+        config.controller.measurement_duration_s = 0.05;
+        config.controller.tuning_rate_hz_per_s = 10.0;
+        config.controller.tuning_update_interval_s = 0.02;
+        let mut session = Simulation::from_config(config.clone()).start().unwrap();
+        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        session.run_to_end().unwrap();
+        let direct = direct_segment_loop(&config, false);
+
+        let report = session.report();
+        let waveform = session.probe::<WaveformProbe>(capture).unwrap();
+        assert_eq!(report.final_state, direct.final_state, "final state must match bit for bit");
+        assert_eq!(report.engine_stats.state_space.steps, direct.steps, "same accepted steps");
+        assert_eq!(waveform.states().times(), direct.states.times(), "same recorded grid");
+        assert!(waveform.states() == &direct.states, "state samples differ");
+        assert!(waveform.terminals() == &direct.terminals, "terminal samples differ");
+        assert!(!direct.control_events.is_empty(), "the loop exercises the controller");
+        assert_eq!(report.control_events, direct.control_events, "same control trajectory");
+        let harvester = session.harvester();
+        assert_eq!(harvester.resonant_frequency_hz(), direct.harvester.resonant_frequency_hz());
+        assert_eq!(harvester.load_mode(), direct.harvester.load_mode());
+    }
+
+    /// The former caller-companion slot of a checkpoint is always written
+    /// `false`; a frame carrying `true` is refused typed, not half-restored.
+    #[test]
+    fn a_set_caller_companion_slot_is_refused_typed() {
+        let session = quick_simulation().duration(0.05).frequency_step_at(0.02).start().unwrap();
+        let frame = session.checkpoint().unwrap();
+        let (digest, payload) = checkpoint::open_frame(&frame).unwrap();
+        // The length-prefixed configuration, the tuning force (8 bytes), the
+        // load mode (1) and the live companion flag (1) precede the slot.
+        let config_len = ByteReader::new(payload).take_bytes().unwrap().len();
+        let slot = 8 + config_len + 8 + 1 + 1;
+        assert_eq!(payload[slot], 0);
+        assert!(Session::restore(&frame).is_ok());
+        let mut altered = payload.to_vec();
+        altered[slot] = 1;
+        match Session::restore(&checkpoint::seal_frame(digest, &altered)) {
+            Err(CoreError::Checkpoint(CheckpointError::Malformed(reason))) => {
+                assert!(reason.contains("caller-companion"), "refused for another reason: {reason}")
+            }
+            other => panic!("expected a malformed-frame error, got {other:?}"),
+        }
     }
 }

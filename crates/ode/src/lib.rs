@@ -15,10 +15,8 @@
 //! * [`exponential`] — the exact (exponential-Euler / ETD2) update kernel for
 //!   the stiff partition of a partitioned IMEX march, with a cached
 //!   `h·ϕ₁(h·A_ss)` propagator.
-//! * [`solution`] — the [`SampleSink`] output channel the march-in-time
-//!   solvers write through (dense decimated recording is just one sink),
-//!   trajectory recording, interpolation and waveform metrics (RMS windows,
-//!   maximum deviation between waveforms, …).
+//! * [`solution`] — [`Trajectory`], a sampled waveform, and its metrics
+//!   (interpolation, maximum and RMS deviation between two waveforms).
 //!
 //! # Example: one variable-step Adams–Bashforth update
 //!
@@ -54,7 +52,7 @@ pub mod solution;
 pub mod stability;
 
 pub use error::OdeError;
-pub use solution::{DecimatedRecorder, SampleSink, Trajectory};
+pub use solution::Trajectory;
 
 /// Convenient result alias used across the crate.
 pub type Result<T, E = OdeError> = std::result::Result<T, E>;

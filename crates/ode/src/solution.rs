@@ -1,91 +1,19 @@
-//! Trajectory recording and waveform post-processing.
+//! Sampled trajectories and the waveform metrics the paper's comparisons
+//! need.
 //!
 //! The paper's evaluation compares *waveforms*: the microgenerator output power
 //! during tuning (Fig. 8a), the supercapacitor voltage against experimental
-//! measurements (Figs. 8b and 9) and the RMS power before/after tuning. This
-//! module stores sampled trajectories and provides the metrics those
-//! comparisons need: linear interpolation at arbitrary times, uniform
-//! resampling, windowed RMS, and maximum/RMS deviation between two waveforms.
+//! measurements (Figs. 8b and 9) and the RMS power before/after tuning. A
+//! [`Trajectory`] holds one sampled waveform, and its metrics are the ones
+//! those comparisons use: per-component extraction, linear interpolation
+//! between samples and the maximum/RMS deviation between two waveforms.
+//! Integrators do not write here themselves: in `harvsim-core` the session
+//! offers every accepted point to its probes, and the dense capture probe
+//! records into a pair of trajectories.
 
 use harvsim_linalg::DVector;
 
 use crate::OdeError;
-
-/// Where an integrator delivers its output samples.
-///
-/// The march-in-time solvers do not own their recording policy: at every
-/// accepted step they offer the current `(t, states, terminals)` triple to a
-/// sink, and the sink decides what (if anything) to retain. A
-/// [`DecimatedRecorder`] reproduces the classic dense-trajectory behaviour; a
-/// streaming probe fan keeps O(1) state (running RMS windows, envelopes,
-/// histograms) so a long sweep point never materialises a dense
-/// [`Trajectory`] at all.
-///
-/// Two delivery channels exist because the solvers force a sample at the end
-/// of every integration span regardless of any decimation policy:
-///
-/// * [`SampleSink::sample`] — offered once per accepted step, *before* the
-///   step is taken (so the grid includes the span start);
-/// * [`SampleSink::final_sample`] — the span-end sample at `t_end`; the
-///   default forwards to [`SampleSink::sample`], which is what streaming
-///   consumers want, while dense recorders override it to record
-///   unconditionally.
-pub trait SampleSink {
-    /// Offers one accepted integration point. The vectors are borrowed from
-    /// the solver's workspace: clone what must outlive the call.
-    fn sample(&mut self, t: f64, states: &DVector, terminals: &DVector);
-
-    /// Offers the forced span-end sample at `t_end`.
-    fn final_sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        self.sample(t, states, terminals);
-    }
-}
-
-/// The classic dense recording policy, expressed as a [`SampleSink`]: retain
-/// a sample when at least `interval` seconds have passed since the last
-/// retained one (with `0.0` every offered sample), and always retain the
-/// span-end sample. One recorder serves exactly one integration span — the
-/// decimation clock starts before the first sample, so the span start is
-/// always recorded, bit-identically to the recording loop the solvers used to
-/// carry inline.
-#[derive(Debug)]
-pub struct DecimatedRecorder<'a> {
-    states: &'a mut Trajectory,
-    terminals: &'a mut Trajectory,
-    interval: f64,
-    last_recorded: f64,
-}
-
-impl<'a> DecimatedRecorder<'a> {
-    /// Creates a recorder appending to the given trajectories.
-    pub fn new(states: &'a mut Trajectory, terminals: &'a mut Trajectory, interval: f64) -> Self {
-        DecimatedRecorder { states, terminals, interval, last_recorded: f64::NEG_INFINITY }
-    }
-
-    /// The decimation predicate: whether a sample at `t` is due, given the
-    /// last retained time and the minimum spacing. This single definition is
-    /// shared by every dense recorder (the solvers' `DecimatedRecorder` and
-    /// the session facade's waveform-capture probe), so the recording policy
-    /// cannot drift between the two paths the bit-identity tests compare.
-    pub fn due(last_recorded: f64, interval: f64, t: f64) -> bool {
-        t - last_recorded >= interval
-    }
-}
-
-impl SampleSink for DecimatedRecorder<'_> {
-    fn sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        if Self::due(self.last_recorded, self.interval, t) {
-            self.states.push(t, states.clone());
-            self.terminals.push(t, terminals.clone());
-            self.last_recorded = t;
-        }
-    }
-
-    fn final_sample(&mut self, t: f64, states: &DVector, terminals: &DVector) {
-        self.states.push(t, states.clone());
-        self.terminals.push(t, terminals.clone());
-    }
-}
 
 /// A sampled trajectory `(t_k, x_k)` produced by an integrator.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -255,24 +255,3 @@ fn edge_time_checkpoints_roundtrip() {
     assert_eq!(restored.report().final_state, report.final_state);
     assert_eq!(restored.report().engine_time(), report.engine_time());
 }
-
-/// A session opened over an ad-hoc harvester (no `ScenarioConfig`) refuses
-/// to checkpoint with a typed configuration error instead of producing an
-/// unrestorable frame.
-#[test]
-fn ad_hoc_sessions_refuse_to_checkpoint() {
-    let scenario = busy_scenario();
-    let harvester = scenario.build_harvester().expect("harvester builds");
-    let session = Session::start(
-        harvester,
-        scenario.controller,
-        scenario.engine,
-        scenario.duration_s,
-        scenario.initial_supercap_voltage,
-    )
-    .expect("session starts");
-    match session.checkpoint() {
-        Err(harvsim::CoreError::InvalidConfiguration(_)) => {}
-        other => panic!("expected InvalidConfiguration, got {other:?}"),
-    }
-}

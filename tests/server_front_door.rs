@@ -786,32 +786,85 @@ fn checkpoint_encode_panic_quarantines_one_session() {
 #[test]
 fn a_failing_session_is_isolated_from_its_neighbours() {
     let dir = unique_dir("isolated");
+    // The first slice boundary panics. Admission cannot see that failure;
+    // one worker pops in submission order, so it lands on the first spec's
+    // first slice while its neighbours wait in the queue.
+    let plan = Arc::new(FaultPlan::new(0x150).with_site(FaultSite::SliceBoundary, 1, 1));
     let server = start_server(
         &dir,
-        ServerOptions { workers: Some(2), slice_s: 0.002, ..ServerOptions::default() },
+        ServerOptions {
+            workers: Some(1),
+            slice_s: 0.002,
+            fault_plan: Some(plan.clone()),
+            ..ServerOptions::default()
+        },
     );
-    let mut specs: Vec<SubmitSpec> = (0..2).map(|k| quick_spec(k, JobClass::Batch)).collect();
-    // An in-process submit skips the wire's value checks: the span is
-    // refused when the session starts, on its first slice.
-    let mut bad = quick_spec(2, JobClass::Batch);
-    bad.duration_s = Some(-1.0);
-    specs.push(bad);
+    let specs: Vec<SubmitSpec> = (0..3).map(|k| quick_spec(k, JobClass::Batch)).collect();
     for spec in &specs {
         assert!(matches!(
             server.execute(Command::Submit(spec.clone())),
             Response::Submitted { .. }
         ));
     }
-    let failed = await_state(&server, &specs[2].id, &[WireState::Done, WireState::Failed]);
+    let failed = await_state(&server, &specs[0].id, &[WireState::Done, WireState::Failed]);
     assert_eq!(failed.state, WireState::Failed);
     assert_eq!(failed.final_state_fnv, None);
-    for spec in &specs[..2] {
+    for spec in &specs[1..] {
         let info = await_state(&server, &spec.id, &[WireState::Done, WireState::Failed]);
         assert_eq!(info.final_state_fnv, Some(reference_fnv(spec)), "{} diverged", spec.id);
     }
+    plan.drained().expect("the armed slice panic fired");
     let stats = server.stats();
     assert_eq!((stats.done, stats.failed), (2, 1));
     assert_eq!(stats.depths, [0, 0, 0], "the failed session gave its seat back");
+    server.execute(Command::Drain);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec whose scenario fails validation — a 0.05 s span that keeps the
+/// default 1 s frequency step, or (in process, where the wire's value checks
+/// do not apply) a negative span — is refused at `submit`, over the wire and
+/// in process alike: a malformed command, so no offer is booked and no entry
+/// is created.
+#[test]
+fn submits_with_invalid_scenarios_are_refused_without_an_entry() {
+    let dir = unique_dir("invalid-scenario");
+    let server = start_server(
+        &dir,
+        ServerOptions { workers: Some(1), slice_s: 0.002, ..ServerOptions::default() },
+    );
+    let mut wire = SubmitSpec::new("short-span-wire");
+    wire.duration_s = Some(0.05);
+    let mut in_process = SubmitSpec::new("short-span-in-process");
+    in_process.duration_s = Some(0.05);
+    let mut backwards = SubmitSpec::new("backwards-span");
+    backwards.duration_s = Some(-1.0);
+    let mut client = pair_client(&server);
+    let answers = [
+        client.send(&Command::Submit(wire.clone())).expect("wire submit"),
+        server.execute(Command::Submit(in_process.clone())),
+        server.execute(Command::Submit(backwards.clone())),
+    ];
+    for (spec, answer) in [&wire, &in_process, &backwards].into_iter().zip(answers) {
+        match answer {
+            Response::Error(WireError::Protocol(detail)) => {
+                assert!(detail.contains("scenario"), "unhelpful rejection: {detail}");
+            }
+            other => panic!("{} answered {other:?}", spec.id),
+        }
+        assert!(matches!(
+            server.execute(Command::Status { id: spec.id.clone() }),
+            Response::Error(WireError::UnknownSession { .. })
+        ));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.offered, stats.admitted, stats.shed), (0, 0, 0));
+    assert_eq!(stats.depths, [0, 0, 0]);
+    // A valid spec is still admitted afterwards.
+    let valid = quick_spec(0, JobClass::Batch);
+    assert!(matches!(server.execute(Command::Submit(valid)), Response::Submitted { .. }));
+    assert_eq!(server.stats().offered, 1);
     server.execute(Command::Drain);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);

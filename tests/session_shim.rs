@@ -1,23 +1,17 @@
-//! Acceptance pin for the dense session: a `Session` observed by one
-//! `WaveformProbe` at the engine's record interval must produce
-//! **bit-identical** trajectories and work statistics to the direct
-//! pre-session mixed-signal loop — reimplemented in `tests/common` exactly as
-//! the pre-session driver had it: one kernel, one solver workspace, `solve_into_with`
-//! per analogue segment, control actions applied between segments.
-//!
-//! Plus the streaming-memory half of the acceptance criteria: a sweep point
-//! run with streaming probes only allocates no dense trajectory — its probe
-//! footprint is a few hundred bytes, independent of the simulated span, while
-//! the dense capture's grows with it.
+//! Acceptance pins for the streaming session: a sweep point run with
+//! streaming probes only allocates no dense trajectory — its probe footprint
+//! is a few hundred bytes, independent of the simulated span, while the dense
+//! capture's grows with it; observation never perturbs the solution; and the
+//! streaming power probe agrees with the post-hoc report over the dense
+//! capture. The bit-identity of a session with the segment loop written out
+//! directly is `harvsim-core`'s
+//! `session::tests::session_matches_the_direct_segment_loop_bit_for_bit`.
 
 mod common;
 
-use common::{dense_run, direct_mixed_loop};
+use common::dense_run;
 use harvsim::core::measurement;
-use harvsim::core::StateSpaceSolver;
-use harvsim::{
-    EnvelopeProbe, PowerProbe, ScenarioConfig, Simulation, SimulationEngine, StepHistogramProbe,
-};
+use harvsim::{EnvelopeProbe, PowerProbe, ScenarioConfig, Simulation, StepHistogramProbe};
 
 fn busy_scenario() -> ScenarioConfig {
     let mut scenario = ScenarioConfig::scenario1();
@@ -29,53 +23,6 @@ fn busy_scenario() -> ScenarioConfig {
     scenario.controller.tuning_rate_hz_per_s = 10.0;
     scenario.controller.tuning_update_interval_s = 0.02;
     scenario
-}
-
-/// The headline pin: a scenario run as a dense session — what the
-/// run-to-completion shim used to build — ≡ the direct pre-session loop, bit
-/// for bit.
-#[test]
-fn scenario_run_through_the_shim_matches_the_direct_pr4_loop() {
-    let scenario = busy_scenario();
-    let dense = dense_run(&scenario);
-
-    let solver_options = match scenario.engine {
-        SimulationEngine::StateSpace(options) => options,
-        SimulationEngine::NewtonRaphson(_) => unreachable!("scenario1 defaults to state-space"),
-    };
-    let solver = StateSpaceSolver::new(solver_options).expect("solver");
-    let mut harvester = scenario.build_harvester().expect("harvester");
-    let (states, terminals, final_state, steps, control_events) = direct_mixed_loop(
-        &mut harvester,
-        scenario.controller,
-        &solver,
-        scenario.duration_s,
-        scenario.initial_supercap_voltage,
-        false,
-    );
-
-    assert_eq!(dense.report.final_state, final_state, "final state must match bit for bit");
-    assert_eq!(dense.report.engine_stats.state_space.steps, steps, "same accepted steps");
-    assert_eq!(dense.states.len(), states.len(), "same recorded grid");
-    assert_eq!(dense.states.times(), states.times());
-    for (i, (sample, expected)) in dense.states.states().iter().zip(states.states()).enumerate() {
-        assert_eq!(sample, expected, "state sample {i}");
-    }
-    for (i, (sample, expected)) in
-        dense.terminals.states().iter().zip(terminals.states()).enumerate()
-    {
-        assert_eq!(sample, expected, "terminal sample {i}");
-    }
-    // Identical control trajectory (time, mode, frequency per action).
-    assert_eq!(dense.report.control_events.len(), control_events.len());
-    for (event, (time, mode, hz)) in dense.report.control_events.iter().zip(&control_events) {
-        assert_eq!(event.time_s, *time);
-        assert_eq!(event.load_mode, *mode);
-        assert_eq!(event.resonant_frequency_hz, *hz);
-    }
-    // And the retuned harvester ends in the same place.
-    assert_eq!(dense.harvester.resonant_frequency_hz(), harvester.resonant_frequency_hz());
-    assert_eq!(dense.harvester.load_mode(), harvester.load_mode());
 }
 
 /// Streaming-memory acceptance: a sweep point observed only by streaming

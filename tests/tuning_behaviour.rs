@@ -2,26 +2,16 @@
 //! actuator + analogue model) and of the resonance physics of Eq. 12.
 
 use harvsim::blocks::ControllerConfig;
-use harvsim::{
-    HarvesterParameters, LoadMode, ScenarioConfig, Session, Simulation, SimulationEngine,
-    SolverOptions, VibrationExcitation,
-};
+use harvsim::{HarvesterParameters, LoadMode, ScenarioConfig, Simulation};
 
 #[test]
 fn closed_loop_retunes_to_the_new_ambient_frequency() {
     // A fast controller so the whole loop fits in a debug-build test.
-    let params = HarvesterParameters::practical_device();
-    let excitation = VibrationExcitation::new(
-        params.acceleration_amplitude,
-        harvsim::blocks::FrequencyProfile::Step {
-            initial_hz: 70.0,
-            final_hz: 71.0,
-            step_time_s: 0.05,
-        },
-    )
-    .expect("excitation");
-    let harvester = harvsim::TunableHarvester::new(params, excitation).expect("harvester");
-    let controller = ControllerConfig {
+    let mut scenario = ScenarioConfig::scenario1();
+    scenario.duration_s = 1.2;
+    scenario.frequency_step_time_s = 0.05;
+    scenario.initial_supercap_voltage = 2.6;
+    scenario.controller = ControllerConfig {
         watchdog_period_s: 0.3,
         energy_threshold_v: 2.0,
         frequency_tolerance_hz: 0.25,
@@ -29,8 +19,7 @@ fn closed_loop_retunes_to_the_new_ambient_frequency() {
         tuning_rate_hz_per_s: 10.0,
         tuning_update_interval_s: 0.02,
     };
-    let engine = SimulationEngine::StateSpace(SolverOptions::default());
-    let mut session = Session::start(harvester, controller, engine, 1.2, 2.6).expect("session");
+    let mut session = Simulation::from_config(scenario).start().expect("session");
     session.run_to_end().expect("run");
     let harvester = session.harvester();
 
