@@ -38,7 +38,6 @@ fn bench_table1(c: &mut Criterion) {
             method,
             step,
             newton_tolerance: if name.ends_with("tight") { 1e-11 } else { 1e-9 },
-            ..Default::default()
         };
         group.bench_function(name, |b| {
             let scenario =

@@ -539,7 +539,6 @@ fn table1(long: bool) -> Result<(), CoreError> {
                 method: harvsim_core::baseline::BaselineMethod::Trapezoidal,
                 step: 5e-5,
                 newton_tolerance: 1e-11,
-                ..Default::default()
             },
         ),
     ];

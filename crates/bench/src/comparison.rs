@@ -10,7 +10,7 @@ use harvsim_core::{
     SolverOptions, StepHistogramProbe, WaveformProbe,
 };
 
-use crate::Table2Record;
+use crate::{Table2Record, RECORD_INTERVAL_S};
 
 /// Simulated seconds each engine of a Table II row advances before the other
 /// engine takes its turn.
@@ -22,7 +22,7 @@ pub const DEVIATION_SAMPLES: usize = 400;
 /// How the two sessions of a Table II row are observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowProbes {
-    /// One dense [`WaveformProbe`] per engine at its record interval; the
+    /// One dense [`WaveformProbe`] per engine at 1 ms; the
     /// row's deviation is the largest store-voltage difference over 400
     /// samples of the overlapping span.
     Dense,
@@ -42,7 +42,7 @@ fn open_session(
 ) -> Result<(Session, ProbeId), CoreError> {
     let mut session = Simulation::from_config(config.clone()).engine(engine).start()?;
     let store = match probes {
-        RowProbes::Dense => session.add_probe(WaveformProbe::new(engine.record_interval())),
+        RowProbes::Dense => session.add_probe(WaveformProbe::new(RECORD_INTERVAL_S)),
         RowProbes::Streaming => {
             let vc = session.harvester().storage_voltage_net();
             let envelope = session.add_probe(EnvelopeProbe::terminal(vc));

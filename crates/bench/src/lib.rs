@@ -33,6 +33,10 @@ pub mod comparison;
 
 pub use comparison::{table2_row, RowProbes};
 
+/// Sample spacing of every dense waveform capture the benches and `repro`
+/// take, in seconds: about one accepted step in 50–100.
+const RECORD_INTERVAL_S: f64 = 1e-3;
+
 /// A value JSON can encode. JSON has no encoding for non-finite numbers,
 /// and the CI gates must stay parseable even when a timing anomaly produces
 /// one: +∞ ("infinitely faster", e.g. a sub-resolution proposed time) clamps
@@ -282,8 +286,8 @@ pub fn scenario2(duration_s: f64) -> ScenarioConfig {
     scenario
 }
 
-/// A scenario run with one dense [`WaveformProbe`] at its engine's record
-/// interval: the decimated trajectories the figures are computed from.
+/// A scenario run with one dense [`WaveformProbe`] at 1 ms: the decimated
+/// trajectories the figures are computed from.
 #[derive(Debug)]
 pub struct DenseRun {
     session: Session,
@@ -298,7 +302,7 @@ impl DenseRun {
     /// Propagates configuration, engine and kernel failures.
     pub fn run(config: &ScenarioConfig) -> Result<Self, CoreError> {
         let mut session = Simulation::from_config(config.clone()).start()?;
-        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        let capture = session.add_probe(WaveformProbe::new(RECORD_INTERVAL_S));
         session.run_to_end()?;
         Ok(DenseRun { session, capture })
     }

@@ -44,7 +44,9 @@ pub trait HarvesterEnvironment {
     fn set_resonant_frequency(&mut self, frequency_hz: f64);
 }
 
-/// Configuration of the controller's decision logic.
+/// Configuration of the controller's decision logic (the Fig. 7 duty cycle).
+/// It is the only home of these settings: [`crate::HarvesterParameters`]
+/// describes the plant and carries none of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Watchdog period, in seconds.

@@ -79,7 +79,9 @@ impl Scenario {
 /// Complete parameter set of the tunable energy harvesting system.
 ///
 /// Grouped by block; see the module documentation for how the default values
-/// were chosen. All quantities are in SI units.
+/// were chosen. All quantities are in SI units. The controller's duty-cycle
+/// settings (watchdog period, energy threshold, …) are not plant parameters:
+/// they live in [`crate::ControllerConfig`] only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarvesterParameters {
     // --- Microgenerator (mechanical + electromagnetic), Eqs. 8–13 ---
@@ -145,18 +147,6 @@ pub struct HarvesterParameters {
     pub load_awake_ohms: f64,
     /// `Req` while the actuator tunes, in ohms.
     pub load_tuning_ohms: f64,
-
-    // --- Controller / actuator ---
-    /// Watchdog period in seconds (how often the microcontroller wakes).
-    pub watchdog_period_s: f64,
-    /// Supercapacitor voltage that counts as "enough energy" to start tuning, in volts.
-    pub energy_threshold_v: f64,
-    /// Frequency mismatch below which no tuning is performed, in hertz.
-    pub frequency_tolerance_hz: f64,
-    /// How long the microcontroller stays awake for measurement, in seconds.
-    pub measurement_duration_s: f64,
-    /// Actuator tuning speed expressed in hertz of resonance shift per second.
-    pub tuning_rate_hz_per_s: f64,
 }
 
 impl HarvesterParameters {
@@ -191,11 +181,6 @@ impl HarvesterParameters {
             load_sleep_ohms: 1.0e9,
             load_awake_ohms: 33.0,
             load_tuning_ohms: 16.7,
-            watchdog_period_s: 20.0,
-            energy_threshold_v: 2.2,
-            frequency_tolerance_hz: 0.25,
-            measurement_duration_s: 0.5,
-            tuning_rate_hz_per_s: 2.0,
         }
     }
 
@@ -203,14 +188,15 @@ impl HarvesterParameters {
     /// matching the paper's hours-long charging experiments. Available for
     /// paper-scale spans; the default tests and benches use
     /// [`HarvesterParameters::practical_device`] so they finish quickly
-    /// (DESIGN.md §4).
+    /// (DESIGN.md §4). Only the store is resized: a paper-scale run also
+    /// lengthens the controller's `watchdog_period_s`, which lives in the
+    /// scenario's controller configuration, not here.
     pub fn paper_scale_device() -> Self {
         HarvesterParameters {
             supercap_ci0: 0.55,
             supercap_ci1: 0.05,
             supercap_cd: 0.1,
             supercap_cl: 0.2,
-            watchdog_period_s: 600.0,
             ..Self::practical_device()
         }
     }
@@ -256,7 +242,7 @@ impl HarvesterParameters {
     /// Returns [`BlockError::InvalidParameter`] naming the first offending
     /// parameter.
     pub fn validate(&self) -> Result<(), BlockError> {
-        let positives: [(&'static str, f64); 23] = [
+        let positives: [(&'static str, f64); 21] = [
             ("proof_mass", self.proof_mass),
             ("untuned_resonance_hz", self.untuned_resonance_hz),
             ("parasitic_damping", self.parasitic_damping),
@@ -278,8 +264,6 @@ impl HarvesterParameters {
             ("load_sleep_ohms", self.load_sleep_ohms),
             ("load_awake_ohms", self.load_awake_ohms),
             ("load_tuning_ohms", self.load_tuning_ohms),
-            ("watchdog_period_s", self.watchdog_period_s),
-            ("tuning_rate_hz_per_s", self.tuning_rate_hz_per_s),
         ];
         for (name, value) in positives {
             if !(value > 0.0) || !value.is_finite() {
@@ -304,31 +288,12 @@ impl HarvesterParameters {
                 constraint: "must be at least 2",
             });
         }
-        let non_negative_finite: [(&'static str, f64); 2] = [
-            ("supercap_ci1", self.supercap_ci1),
-            ("measurement_duration_s", self.measurement_duration_s),
-        ];
-        for (name, value) in non_negative_finite {
-            if !(value >= 0.0) || !value.is_finite() {
-                return Err(BlockError::InvalidParameter {
-                    name,
-                    value,
-                    constraint: "must be non-negative and finite",
-                });
-            }
-        }
-        let non_negative: [(&'static str, f64); 2] = [
-            ("energy_threshold_v", self.energy_threshold_v),
-            ("frequency_tolerance_hz", self.frequency_tolerance_hz),
-        ];
-        for (name, value) in non_negative {
-            if !(value >= 0.0) {
-                return Err(BlockError::InvalidParameter {
-                    name,
-                    value,
-                    constraint: "must be non-negative",
-                });
-            }
+        if !(self.supercap_ci1 >= 0.0) || !self.supercap_ci1.is_finite() {
+            return Err(BlockError::InvalidParameter {
+                name: "supercap_ci1",
+                value: self.supercap_ci1,
+                constraint: "must be non-negative and finite",
+            });
         }
         Ok(())
     }
@@ -412,37 +377,21 @@ mod tests {
         p.supercap_ci1 = -1.0;
         assert!(p.validate().is_err());
 
-        let mut p = HarvesterParameters::practical_device();
-        p.frequency_tolerance_hz = -0.1;
-        assert!(p.validate().is_err());
-
         // NaN fails every ordered comparison, so it must be refused, and the
         // error must name the offending field with its own value.
-        type Slot = fn(&mut HarvesterParameters) -> &mut f64;
-        let fields: [(&str, Slot); 4] = [
-            ("supercap_ci1", |p| &mut p.supercap_ci1),
-            ("energy_threshold_v", |p| &mut p.energy_threshold_v),
-            ("frequency_tolerance_hz", |p| &mut p.frequency_tolerance_hz),
-            ("measurement_duration_s", |p| &mut p.measurement_duration_s),
-        ];
-        for (field, slot) in fields {
-            let mut p = HarvesterParameters::practical_device();
-            *slot(&mut p) = f64::NAN;
-            match p.validate() {
-                Err(BlockError::InvalidParameter { name, value, .. }) => {
-                    assert_eq!(name, field);
-                    assert!(value.is_nan(), "{field} reported {value}");
-                }
-                other => panic!("NaN {field} validated as {other:?}"),
+        let mut p = HarvesterParameters::practical_device();
+        p.supercap_ci1 = f64::NAN;
+        match p.validate() {
+            Err(BlockError::InvalidParameter { name, value, .. }) => {
+                assert_eq!(name, "supercap_ci1");
+                assert!(value.is_nan(), "supercap_ci1 reported {value}");
             }
+            other => panic!("NaN supercap_ci1 validated as {other:?}"),
         }
-        for (field, slot) in [fields[0], fields[3]] {
-            let mut p = HarvesterParameters::practical_device();
-            *slot(&mut p) = f64::INFINITY;
-            assert!(
-                matches!(p.validate(), Err(BlockError::InvalidParameter { name, .. }) if name == field),
-                "+inf {field} must be refused"
-            );
-        }
+        p.supercap_ci1 = f64::INFINITY;
+        assert!(
+            matches!(p.validate(), Err(BlockError::InvalidParameter { name, .. }) if name == "supercap_ci1"),
+            "+inf supercap_ci1 must be refused"
+        );
     }
 }

@@ -936,6 +936,37 @@ impl Assembly {
         Ok(())
     }
 
+    /// The input checks both stamp entry points share: the blocks, the
+    /// state/net vectors and the output buffer must match the assembly.
+    fn check_stamp_inputs(
+        &self,
+        blocks: &[&dyn StateSpaceBlock],
+        x: &DVector,
+        y: &DVector,
+        out: &GlobalLinearisation,
+    ) -> Result<(), CoreError> {
+        self.check_blocks(blocks)?;
+        if x.len() != self.state_count || y.len() != self.net_count() {
+            return Err(CoreError::InvalidConfiguration(format!(
+                "state/net vector sizes ({}, {}) do not match the assembly ({}, {})",
+                x.len(),
+                y.len(),
+                self.state_count,
+                self.net_count()
+            )));
+        }
+        if out.dimensions() != (self.state_count, self.net_count(), self.constraint_count) {
+            return Err(CoreError::InvalidConfiguration(format!(
+                "linearisation buffer dimensions {:?} do not match the assembly ({}, {}, {})",
+                out.dimensions(),
+                self.state_count,
+                self.net_count(),
+                self.constraint_count
+            )));
+        }
+        Ok(())
+    }
+
     /// Assembles the global linearisation (Eq. 2) at time `t`, global state `x`
     /// and net values `y`, by calling every block's local linearisation and
     /// scattering it into the global matrices.
@@ -976,25 +1007,7 @@ impl Assembly {
         y: &DVector,
         out: &mut GlobalLinearisation,
     ) -> Result<(), CoreError> {
-        self.check_blocks(blocks)?;
-        if x.len() != self.state_count || y.len() != self.net_count() {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "state/net vector sizes ({}, {}) do not match the assembly ({}, {})",
-                x.len(),
-                y.len(),
-                self.state_count,
-                self.net_count()
-            )));
-        }
-        if out.dimensions() != (self.state_count, self.net_count(), self.constraint_count) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "linearisation buffer dimensions {:?} do not match the assembly ({}, {}, {})",
-                out.dimensions(),
-                self.state_count,
-                self.net_count(),
-                self.constraint_count
-            )));
-        }
+        self.check_stamp_inputs(blocks, x, y, out)?;
         out.clear();
         let mut scratch = self.scratch.borrow_mut();
 
@@ -1118,25 +1131,7 @@ impl Assembly {
         y: &DVector,
         out: &mut GlobalLinearisation,
     ) -> Result<StampReport, CoreError> {
-        self.check_blocks(blocks)?;
-        if x.len() != self.state_count || y.len() != self.net_count() {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "state/net vector sizes ({}, {}) do not match the assembly ({}, {})",
-                x.len(),
-                y.len(),
-                self.state_count,
-                self.net_count()
-            )));
-        }
-        if out.dimensions() != (self.state_count, self.net_count(), self.constraint_count) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "linearisation buffer dimensions {:?} do not match the assembly ({}, {}, {})",
-                out.dimensions(),
-                self.state_count,
-                self.net_count(),
-                self.constraint_count
-            )));
-        }
+        self.check_stamp_inputs(blocks, x, y, out)?;
         let mut scratch = self.scratch.borrow_mut();
 
         // Four lanes each of max |new| and max |new − old| over every

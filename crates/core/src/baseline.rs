@@ -14,8 +14,8 @@
 //!   `y_{n+1}` (nothing is eliminated up front);
 //! * residuals: the implicit integration formula for the states plus the
 //!   algebraic constraints;
-//! * inner loop: damped Newton–Raphson with an `(N+M)×(N+M)` LU factorisation
-//!   per iteration.
+//! * inner loop: full-step Newton–Raphson with an `(N+M)×(N+M)` LU
+//!   factorisation per iteration.
 
 use std::time::Duration;
 
@@ -24,6 +24,7 @@ use harvsim_linalg::{DMatrix, DVector, LuDecomposition};
 use crate::assembly::{AnalogueSystem, GlobalLinearisation};
 use crate::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use crate::probe::Probe;
+use crate::solver::check_segment;
 use crate::CoreError;
 
 /// Implicit formula used by the baseline.
@@ -63,26 +64,15 @@ pub struct BaselineOptions {
     pub step: f64,
     /// Newton residual tolerance.
     pub newton_tolerance: f64,
-    /// Maximum Newton iterations per step.
-    pub max_newton_iterations: usize,
-    /// Newton damping factor in `(0, 1]`.
-    pub damping: f64,
-    /// Minimum spacing between the samples a dense capture of this engine's
-    /// run retains, in seconds (see
-    /// [`crate::session::SimulationEngine::record_interval`]).
-    pub record_interval: f64,
 }
+
+/// Newton iterations a baseline step may take before it fails with
+/// `NewtonDidNotConverge`.
+pub(crate) const MAX_NEWTON_ITERATIONS: usize = 30;
 
 impl Default for BaselineOptions {
     fn default() -> Self {
-        BaselineOptions {
-            method: BaselineMethod::Trapezoidal,
-            step: 5e-5,
-            newton_tolerance: 1e-9,
-            max_newton_iterations: 30,
-            damping: 1.0,
-            record_interval: 1e-3,
-        }
+        BaselineOptions { method: BaselineMethod::Trapezoidal, step: 5e-5, newton_tolerance: 1e-9 }
     }
 }
 
@@ -99,20 +89,9 @@ impl BaselineOptions {
                 self.step
             )));
         }
-        if self.max_newton_iterations == 0 || !(self.newton_tolerance > 0.0) {
+        if !(self.newton_tolerance > 0.0) {
             return Err(CoreError::InvalidConfiguration(
-                "newton iteration limit and tolerance must be positive".into(),
-            ));
-        }
-        if !(self.damping > 0.0 && self.damping <= 1.0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "damping must be in (0, 1], got {}",
-                self.damping
-            )));
-        }
-        if !(self.record_interval >= 0.0) {
-            return Err(CoreError::InvalidConfiguration(
-                "record interval must be non-negative".into(),
+                "newton tolerance must be positive".into(),
             ));
         }
         Ok(())
@@ -252,18 +231,7 @@ impl BaselineMarch {
         x0: &DVector,
         workspace: &mut BaselineWorkspace,
     ) -> Result<Self, CoreError> {
-        if !(t_end > t0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "integration span must be non-empty (t0 = {t0}, t_end = {t_end})"
-            )));
-        }
-        if x0.len() != system.state_count() {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "initial state has {} entries but the system has {} states",
-                x0.len(),
-                system.state_count()
-            )));
-        }
+        check_segment(system, t0, t_end, x0)?;
         let n = system.state_count();
         let m = system.net_count();
         workspace.prepare(n, m);
@@ -382,7 +350,7 @@ impl BaselineMarch {
         workspace.y_next.copy_from(&self.y);
         let x = &self.x;
         let mut converged = false;
-        for _iteration in 0..self.options.max_newton_iterations {
+        for _iteration in 0..MAX_NEWTON_ITERATIONS {
             self.stats.newton_iterations += 1;
             system.linearise_global_into(
                 t_next,
@@ -446,10 +414,10 @@ impl BaselineMarch {
             ws.residual.scale_mut(-1.0);
             lu.solve_into(&ws.residual, &mut ws.delta)?;
             for i in 0..n {
-                ws.x_next[i] += self.options.damping * ws.delta[i];
+                ws.x_next[i] += ws.delta[i];
             }
             for j in 0..m {
-                ws.y_next[j] += self.options.damping * ws.delta[n + j];
+                ws.y_next[j] += ws.delta[n + j];
             }
             if !ws.x_next.is_finite() || !ws.y_next.is_finite() {
                 return Err(CoreError::Ode(harvsim_ode::OdeError::NonFiniteState { time: t_next }));
@@ -457,7 +425,7 @@ impl BaselineMarch {
         }
         if !converged {
             return Err(CoreError::Ode(harvsim_ode::OdeError::NewtonDidNotConverge {
-                iterations: self.options.max_newton_iterations,
+                iterations: MAX_NEWTON_ITERATIONS,
                 residual: f64::NAN,
             }));
         }
@@ -510,8 +478,7 @@ mod tests {
     ) -> Result<BaselineRun, CoreError> {
         options.validate()?;
         let mut workspace = BaselineWorkspace::new();
-        let mut probes: Vec<Box<dyn Probe>> =
-            vec![Box::new(WaveformProbe::new(options.record_interval))];
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(0.0))];
         let mut march = BaselineMarch::begin(options, system, t0, t_end, x0, &mut workspace)?;
         while !march.is_done() {
             march.step(system, &mut workspace, &mut probes)?;
@@ -569,14 +536,10 @@ mod tests {
     fn option_validation() {
         assert!(BaselineOptions::default().validate().is_ok());
         assert!(BaselineOptions { step: 0.0, ..Default::default() }.validate().is_err());
-        assert!(BaselineOptions { max_newton_iterations: 0, ..Default::default() }
+        assert!(BaselineOptions { newton_tolerance: 0.0, ..Default::default() }
             .validate()
             .is_err());
-        assert!(BaselineOptions { damping: 1.5, ..Default::default() }.validate().is_err());
-        assert!(BaselineOptions { record_interval: -1.0, ..Default::default() }
-            .validate()
-            .is_err());
-        assert!(BaselineOptions { record_interval: f64::NAN, ..Default::default() }
+        assert!(BaselineOptions { newton_tolerance: f64::NAN, ..Default::default() }
             .validate()
             .is_err());
         assert_eq!(BaselineMethod::BackwardEuler.name(), "backward-euler");
@@ -586,7 +549,7 @@ mod tests {
     #[test]
     fn baseline_converges_on_a_nonlinear_system() {
         let system = SoftSource { tau: 1e-3, v0: 2.0, alpha: 0.1 };
-        let options = BaselineOptions { step: 2e-5, record_interval: 0.0, ..Default::default() };
+        let options = BaselineOptions { step: 2e-5, ..Default::default() };
         let result = run(options, &system, 0.0, 0.02, &DVector::zeros(1)).unwrap();
         // Steady state: x = y where y + 0.1·y³ = 2  ⇒  y ≈ 1.5945.
         let y_expected = 1.5945;
@@ -599,13 +562,8 @@ mod tests {
     fn baseline_and_state_space_engine_agree() {
         let system = SoftSource { tau: 1e-3, v0: 1.5, alpha: 0.05 };
         let x0 = DVector::zeros(1);
-        let options = BaselineOptions { step: 2e-5, record_interval: 0.0, ..Default::default() };
-        let proposed = SolverOptions {
-            initial_step: 2e-6,
-            max_step: 2e-5,
-            record_interval: 0.0,
-            ..Default::default()
-        };
+        let options = BaselineOptions { step: 2e-5, ..Default::default() };
+        let proposed = SolverOptions { initial_step: 2e-6, max_step: 2e-5, ..Default::default() };
         let reference = run(options, &system, 0.0, 0.01, &x0).unwrap();
         let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(0.0))];
         let mut workspace = SolverWorkspace::default();
@@ -626,7 +584,6 @@ mod tests {
         let options = BaselineOptions {
             method: BaselineMethod::BackwardEuler,
             step: 1e-5,
-            record_interval: 0.0,
             ..Default::default()
         };
         let result = run(options, &system, 0.0, 0.01, &DVector::zeros(1)).unwrap();

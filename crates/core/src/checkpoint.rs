@@ -57,10 +57,10 @@ use std::fmt;
 use harvsim_blocks::{ControllerConfig, HarvesterParameters, LoadMode, Scenario};
 use harvsim_linalg::{DMatrix, DVector};
 
-use crate::baseline::{BaselineMethod, BaselineOptions};
+use crate::baseline::{BaselineMethod, BaselineOptions, MAX_NEWTON_ITERATIONS};
 use crate::scenario::ScenarioConfig;
 use crate::session::SimulationEngine;
-use crate::solver::SolverOptions;
+use crate::solver::{SolverOptions, MIN_STEP, RELINEARISE_THRESHOLD};
 
 /// Magic bytes opening every checkpoint frame.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"HVCK";
@@ -514,6 +514,27 @@ pub(crate) fn decode_config(r: &mut ByteReader<'_>) -> Result<ScenarioConfig, Ch
     })
 }
 
+/// Version 1 slots of the parameter set's former copy of five controller
+/// settings (watchdog period, energy threshold, frequency tolerance,
+/// measurement duration, tuning rate), which no run read: written as their
+/// old defaults and ignored on decode. The controller configuration is their
+/// one home.
+const FORMER_CONTROLLER_COPY: [f64; 5] = [20.0, 2.2, 0.25, 0.5, 2.0];
+
+/// Version 1 slot of both engines' former dense-capture interval, which no
+/// run read: written as its old default and ignored on decode.
+const FORMER_RECORD_INTERVAL: f64 = 1e-3;
+
+/// Reads the slot of a former option that is a constant now, given as its
+/// raw `u64`; a frame carrying any other value asks for a run this build no
+/// longer makes.
+fn expect_slot(r: &mut ByteReader<'_>, constant: u64, name: &str) -> Result<(), CheckpointError> {
+    if r.take_u64()? != constant {
+        return Err(malformed(format!("frame changes the {name}, which this build fixes")));
+    }
+    Ok(())
+}
+
 fn encode_parameters(w: &mut ByteWriter, p: &HarvesterParameters) {
     w.put_f64(p.proof_mass);
     w.put_f64(p.untuned_resonance_hz);
@@ -540,15 +561,13 @@ fn encode_parameters(w: &mut ByteWriter, p: &HarvesterParameters) {
     w.put_f64(p.load_sleep_ohms);
     w.put_f64(p.load_awake_ohms);
     w.put_f64(p.load_tuning_ohms);
-    w.put_f64(p.watchdog_period_s);
-    w.put_f64(p.energy_threshold_v);
-    w.put_f64(p.frequency_tolerance_hz);
-    w.put_f64(p.measurement_duration_s);
-    w.put_f64(p.tuning_rate_hz_per_s);
+    for value in FORMER_CONTROLLER_COPY {
+        w.put_f64(value);
+    }
 }
 
 fn decode_parameters(r: &mut ByteReader<'_>) -> Result<HarvesterParameters, CheckpointError> {
-    Ok(HarvesterParameters {
+    let parameters = HarvesterParameters {
         proof_mass: r.take_f64()?,
         untuned_resonance_hz: r.take_f64()?,
         parasitic_damping: r.take_f64()?,
@@ -574,12 +593,11 @@ fn decode_parameters(r: &mut ByteReader<'_>) -> Result<HarvesterParameters, Chec
         load_sleep_ohms: r.take_f64()?,
         load_awake_ohms: r.take_f64()?,
         load_tuning_ohms: r.take_f64()?,
-        watchdog_period_s: r.take_f64()?,
-        energy_threshold_v: r.take_f64()?,
-        frequency_tolerance_hz: r.take_f64()?,
-        measurement_duration_s: r.take_f64()?,
-        tuning_rate_hz_per_s: r.take_f64()?,
-    })
+    };
+    for _ in FORMER_CONTROLLER_COPY {
+        r.take_f64()?;
+    }
+    Ok(parameters)
 }
 
 fn encode_controller(w: &mut ByteWriter, c: &ControllerConfig) {
@@ -609,10 +627,12 @@ fn encode_solver_options(w: &mut ByteWriter, o: &SolverOptions) {
     w.put_bool(true);
     w.put_f64(o.initial_step);
     w.put_f64(o.max_step);
-    w.put_f64(o.min_step);
+    // The step floor and the Eq. 3 threshold were options; they are
+    // constants now, and their slots hold them.
+    w.put_f64(MIN_STEP);
     w.put_f64(o.stability_safety);
-    w.put_f64(o.relinearise_threshold);
-    w.put_f64(o.record_interval);
+    w.put_f64(RELINEARISE_THRESHOLD);
+    w.put_f64(FORMER_RECORD_INTERVAL);
     // Former partition switch: the partition is what the system declares,
     // so the slot is always written `true` and frames keep the version 1
     // layout.
@@ -630,10 +650,10 @@ fn decode_solver_options(r: &mut ByteReader<'_>) -> Result<SolverOptions, Checkp
     }
     let initial_step = r.take_f64()?;
     let max_step = r.take_f64()?;
-    let min_step = r.take_f64()?;
+    expect_slot(r, MIN_STEP.to_bits(), "minimum step")?;
     let stability_safety = r.take_f64()?;
-    let relinearise_threshold = r.take_f64()?;
-    let record_interval = r.take_f64()?;
+    expect_slot(r, RELINEARISE_THRESHOLD.to_bits(), "relinearisation threshold")?;
+    r.take_f64()?; // former record interval
     if !r.take_bool()? {
         return Err(malformed(
             "frame selects the unpartitioned state-space march, which this build no longer runs",
@@ -643,10 +663,7 @@ fn decode_solver_options(r: &mut ByteReader<'_>) -> Result<SolverOptions, Checkp
         ab_order,
         initial_step,
         max_step,
-        min_step,
         stability_safety,
-        relinearise_threshold,
-        record_interval,
         lte_relative_tolerance: r.take_f64()?,
         lte_absolute_tolerance: r.take_f64()?,
     })
@@ -659,9 +676,10 @@ fn encode_baseline_options(w: &mut ByteWriter, o: &BaselineOptions) {
     });
     w.put_f64(o.step);
     w.put_f64(o.newton_tolerance);
-    w.put_usize(o.max_newton_iterations);
-    w.put_f64(o.damping);
-    w.put_f64(o.record_interval);
+    w.put_usize(MAX_NEWTON_ITERATIONS);
+    // Former damping factor: the Newton update is the full step.
+    w.put_f64(1.0);
+    w.put_f64(FORMER_RECORD_INTERVAL);
     // Former exact-device-evaluation switch: the baseline always evaluates
     // devices exactly, so the slot is always written `true` and frames keep
     // the version 1 layout.
@@ -674,14 +692,10 @@ fn decode_baseline_options(r: &mut ByteReader<'_>) -> Result<BaselineOptions, Ch
         1 => BaselineMethod::Trapezoidal,
         other => return Err(malformed(format!("invalid baseline method tag {other}"))),
     };
-    let options = BaselineOptions {
-        method,
-        step: r.take_f64()?,
-        newton_tolerance: r.take_f64()?,
-        max_newton_iterations: r.take_usize()?,
-        damping: r.take_f64()?,
-        record_interval: r.take_f64()?,
-    };
+    let options = BaselineOptions { method, step: r.take_f64()?, newton_tolerance: r.take_f64()? };
+    expect_slot(r, MAX_NEWTON_ITERATIONS as u64, "Newton iteration limit")?;
+    expect_slot(r, 1.0f64.to_bits(), "Newton damping")?;
+    r.take_f64()?; // former record interval
     if !r.take_bool()? {
         return Err(malformed(
             "frame selects the baseline on PWL device tables, which this build no longer runs",
@@ -822,7 +836,10 @@ mod tests {
     /// exact-device-evaluation switches are always written `true`; a frame
     /// carrying `false` in any asks for a march this build no longer runs
     /// (unpartitioned, fixed-order, or a baseline on PWL device tables), and
-    /// is refused typed instead of resuming a different simulation.
+    /// is refused typed instead of resuming a different simulation. The same
+    /// holds for the slots of the former options that are constants now (the
+    /// minimum step, the Eq. 3 threshold, the Newton iteration limit and
+    /// damping): written as the constant, refused when altered.
     #[test]
     fn unpartitioned_march_option_is_rejected_typed() {
         let mut w = ByteWriter::new();
@@ -836,6 +853,16 @@ mod tests {
             assert_eq!(bytes[slot], 1);
             let mut altered = bytes.clone();
             altered[slot] = 0;
+            assert!(matches!(
+                decode_solver_options(&mut ByteReader::new(&altered)),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
+        // Minimum step and Eq. 3 threshold: the third and fifth f64 fields.
+        for (slot, constant) in [(9 + 2 * 8, MIN_STEP), (9 + 4 * 8, RELINEARISE_THRESHOLD)] {
+            assert_eq!(bytes[slot..slot + 8], constant.to_le_bytes());
+            let mut altered = bytes.clone();
+            altered[slot..slot + 8].copy_from_slice(&(2.0 * constant).to_le_bytes());
             assert!(matches!(
                 decode_solver_options(&mut ByteReader::new(&altered)),
                 Err(CheckpointError::Malformed(_))
@@ -856,5 +883,19 @@ mod tests {
             decode_baseline_options(&mut ByteReader::new(&altered)),
             Err(CheckpointError::Malformed(_))
         ));
+        // Newton iteration limit and damping: the third and fourth fields.
+        let iterations = (MAX_NEWTON_ITERATIONS as u64).to_le_bytes();
+        for (slot, constant, other) in [
+            (17, iterations, (MAX_NEWTON_ITERATIONS as u64 + 1).to_le_bytes()),
+            (25, 1.0f64.to_le_bytes(), 0.5f64.to_le_bytes()),
+        ] {
+            assert_eq!(bytes[slot..slot + 8], constant);
+            let mut altered = bytes.clone();
+            altered[slot..slot + 8].copy_from_slice(&other);
+            assert!(matches!(
+                decode_baseline_options(&mut ByteReader::new(&altered)),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
     }
 }

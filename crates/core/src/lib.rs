@@ -107,7 +107,7 @@ pub use protocol::{
 pub use scenario::{ScenarioConfig, SweepGrid, SweepParameter};
 pub use server::{DrainReport, Server, ServerOptions};
 pub use service::{JobClass, ServiceError};
-pub use session::{ProbeId, Session, SessionReport, SessionStatus, Simulation, SimulationEngine};
+pub use session::{ProbeId, Session, SessionReport, Simulation, SimulationEngine};
 pub use solver::{SolverOptions, SolverStats};
 pub use store::{RecoveryReport, SessionStore, StoreError, StoreOptions};
 

@@ -174,7 +174,7 @@ mod tests {
         config.duration_s = 0.4;
         config.frequency_step_time_s = 0.2;
         let mut session = Simulation::from_config(config.clone()).start().unwrap();
-        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        let capture = session.add_probe(WaveformProbe::new(1e-3));
         session.run_to_end().expect("short scenario run succeeds");
         let h = session.harvester();
         let nets = [h.generator_voltage_net(), h.generator_current_net(), h.storage_voltage_net()];

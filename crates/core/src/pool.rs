@@ -51,6 +51,10 @@ fn deadline_key(deadline_s: Option<f64>) -> u64 {
     }
 }
 
+/// Starvation bound of the server's class scheduler: a non-empty class passed
+/// over this many consecutive pops is promoted for one pop.
+const AGING_PASSES: u64 = 8;
+
 /// The class-aware run queue: strict priority across classes,
 /// earliest-deadline-first (FIFO on ties) within a class, and aging so no
 /// class starves.
@@ -322,7 +326,7 @@ pub(crate) struct Pool {
 impl Pool {
     /// An empty pool over `store`; `options` are validated by the server.
     pub(crate) fn new(options: ServerOptions, store: SessionStore) -> Self {
-        let queue = ClassQueues::new(options.aging_passes);
+        let queue = ClassQueues::new(AGING_PASSES);
         Pool {
             options,
             store,

@@ -142,8 +142,7 @@ fn decode_trajectory(r: &mut ByteReader<'_>) -> Option<Trajectory> {
 /// sample when at least `interval` seconds have passed since the last
 /// retained one within the current segment, plus every forced segment-end
 /// sample; the decimation clock resets at segment starts, so every segment
-/// records its opening point. The interval is usually the engine's
-/// [`crate::SimulationEngine::record_interval`].
+/// records its opening point. The examples and benches capture at 1 ms.
 #[derive(Debug, Clone)]
 pub struct WaveformProbe {
     interval: f64,

@@ -49,6 +49,22 @@ pub const MAX_FRAME_LEN: usize = 4096;
 /// [`crate::store`] id bound).
 const MAX_ID_LEN: usize = 512;
 
+/// Longest failure cause a status line carries, in bytes: with a
+/// [`MAX_ID_LEN`] id and every other field at its widest, the line stays
+/// within [`MAX_FRAME_LEN`].
+const MAX_CAUSE_LEN: usize = 1024;
+
+/// A failure cause as a status line carries it: control characters become
+/// spaces, so a newline in a panic payload cannot split the frame, and the
+/// text is cut on a char boundary at [`MAX_CAUSE_LEN`] bytes.
+pub(crate) fn wire_cause(text: &str) -> String {
+    let mut end = text.len().min(MAX_CAUSE_LEN);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    text[..end].chars().map(|c| if c.is_control() { ' ' } else { c }).collect()
+}
+
 /// A typed protocol failure: parsing, framing, or transport. Everything a
 /// hostile byte stream can do lands in exactly one of these variants.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,6 +322,11 @@ pub struct StatusInfo {
     /// FNV-1a-64 digest of the final state vector bytes — present once
     /// `Done`, the wire-level bit-identity witness.
     pub final_state_fnv: Option<u64>,
+    /// Why the session failed — present once `Failed`: the display of its
+    /// [`crate::ServiceError`], control characters replaced by spaces and
+    /// cut to 1 KiB, so it fits one frame. On the wire it is the last field
+    /// and runs to the end of the line.
+    pub cause: Option<String>,
 }
 
 /// Aggregate server counters (the `stats` payload).
@@ -661,6 +682,9 @@ impl Response {
                 if let Some(fnv) = info.final_state_fnv {
                     line.push_str(&format!(" fnv={fnv:#018x}"));
                 }
+                if let Some(cause) = &info.cause {
+                    line.push_str(&format!(" cause={cause}"));
+                }
                 line
             }
             Response::Stats(stats) => {
@@ -712,7 +736,14 @@ impl Response {
     /// typed errors only, never a panic.
     pub fn parse(line: &str) -> Result<Response, ProtocolError> {
         let malformed = || ProtocolError::MalformedResponse(line.to_string());
-        let mut tokens = line.split_whitespace();
+        // A status line's cause is free text running to the end of the line;
+        // ids hold no whitespace, so the first ` cause=` is the field's own.
+        let is_status = line.split_whitespace().take(2).eq(["ok", "status"]);
+        let (fields, cause) = match line.split_once(" cause=") {
+            Some((fields, cause)) if is_status => (fields, Some(cause.to_string())),
+            _ => (line, None),
+        };
+        let mut tokens = fields.split_whitespace();
         let (status, kind) = (tokens.next().ok_or(ProtocolError::Empty)?, tokens.next());
         let rest: Vec<&str> = tokens.collect();
         let options = |rest: &[&str]| -> Vec<(String, String)> {
@@ -789,6 +820,7 @@ impl Response {
                         ),
                         None => None,
                     },
+                    cause,
                 }))
             }
             ("ok", Some("stats")) => {
@@ -1173,6 +1205,21 @@ mod tests {
                 billed_ns: 77,
                 recovered: true,
                 final_state_fnv: Some(0xDEAD_BEEF_0BAD_F00D),
+                cause: None,
+            }),
+            Response::Status(StatusInfo {
+                id: "b".into(),
+                class: JobClass::Batch,
+                state: WireState::Failed,
+                time_s: 0.002,
+                steps: 9,
+                billed_ns: 5,
+                recovered: false,
+                final_state_fnv: None,
+                // What the server makes of a panic payload holding a newline.
+                cause: Some(wire_cause(
+                    "session `b` panicked and was quarantined: a=b\nat slice 3",
+                )),
             }),
             Response::Stats(ServerStats {
                 draining: true,
@@ -1202,6 +1249,37 @@ mod tests {
             let line = response.to_line();
             assert_eq!(Response::parse(&line).unwrap(), response, "round trip of `{line}`");
         }
+        assert_eq!(
+            wire_cause("panicked: a=b\nat\tslice 3\r"),
+            "panicked: a=b at slice 3 ",
+            "control characters travel as spaces, so the status stays one frame"
+        );
+    }
+
+    /// A cause longer than its bound is cut on a char boundary, so a failed
+    /// status with the longest id still fits one frame.
+    #[test]
+    fn a_long_cause_is_cut_to_fit_the_frame() {
+        let cause = "é".repeat(3 * MAX_FRAME_LEN);
+        let info = StatusInfo {
+            id: "x".repeat(MAX_ID_LEN),
+            class: JobClass::BestEffort,
+            state: WireState::Failed,
+            time_s: f64::MAX,
+            steps: u64::MAX,
+            billed_ns: u128::MAX,
+            recovered: false,
+            final_state_fnv: None,
+            cause: Some(wire_cause(&cause)),
+        };
+        let line = Response::Status(info).to_line();
+        assert!(line.len() < MAX_FRAME_LEN, "{} bytes", line.len());
+        let Ok(Response::Status(parsed)) = Response::parse(&line) else {
+            panic!("the cut line parses")
+        };
+        let parsed = parsed.cause.expect("cause kept");
+        assert!(parsed.len() <= MAX_CAUSE_LEN && parsed.len() > MAX_CAUSE_LEN - 2);
+        assert!(cause.starts_with(&parsed));
     }
 
     #[test]

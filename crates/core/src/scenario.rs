@@ -273,8 +273,8 @@ pub enum SweepParameter {
     /// per point.
     PwlSegments,
     /// Digital duty-cycle period: the microcontroller's watchdog wake-up
-    /// interval, in seconds (applied to both the controller configuration and
-    /// the parameter set so the two stay consistent).
+    /// interval, in seconds, written to the controller configuration (its one
+    /// home).
     WatchdogPeriod,
 }
 
@@ -330,10 +330,7 @@ impl SweepParameter {
             SweepParameter::PwlSegments => {
                 config.parameters.diode_table_segments = value.round().max(0.0) as usize;
             }
-            SweepParameter::WatchdogPeriod => {
-                config.controller.watchdog_period_s = value;
-                config.parameters.watchdog_period_s = value;
-            }
+            SweepParameter::WatchdogPeriod => config.controller.watchdog_period_s = value,
         }
     }
 }
@@ -373,9 +370,6 @@ mod tests {
         assert!(config.validate().is_err());
         let mut config = ScenarioConfig::scenario1();
         config.controller.measurement_duration_s = f64::NAN;
-        assert!(config.validate().is_err());
-        let mut config = ScenarioConfig::scenario1();
-        config.parameters.measurement_duration_s = f64::NAN;
         assert!(config.validate().is_err());
     }
 
@@ -483,7 +477,6 @@ mod tests {
 
         let wdt = base.sweep(SweepParameter::WatchdogPeriod, &[0.75]);
         assert_eq!(wdt[0].controller.watchdog_period_s, 0.75);
-        assert_eq!(wdt[0].parameters.watchdog_period_s, 0.75);
 
         // A non-positive stage count survives `apply` (rounds to zero) and is
         // rejected by validation — the attributed-failure path of the grid.
@@ -513,7 +506,7 @@ mod tests {
         // The surrogate drains faster (leakage) but still runs.
         for config in [config.clone(), config.experimental_surrogate()] {
             let mut session = Simulation::from_config(config.clone()).start().unwrap();
-            let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+            let capture = session.add_probe(WaveformProbe::new(1e-3));
             session.run_to_end().unwrap();
             let states = session.probe::<WaveformProbe>(capture).unwrap().states();
             assert!(states.len() > 10);

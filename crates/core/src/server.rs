@@ -60,8 +60,8 @@ use std::time::{Duration, Instant};
 use crate::fault::FaultPlan;
 use crate::pool::{Job, Parked, Pool, Refusal, State};
 use crate::protocol::{
-    parse_command, Command, FrameReader, FrameWriter, ProtocolError, Response, ServerStats,
-    StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
+    parse_command, wire_cause, Command, FrameReader, FrameWriter, ProtocolError, Response,
+    ServerStats, StatusInfo, SubmitSpec, WireError, WireState, MAX_FRAME_LEN,
 };
 use crate::service::JobClass;
 use crate::store::SessionStore;
@@ -88,10 +88,6 @@ pub struct ServerOptions {
     /// class. The front door always has a bound — unbounded accept queues
     /// are how servers die under load. Submits beyond it are shed typed.
     pub class_capacity: usize,
-    /// Starvation bound for the class scheduler: a non-empty class passed
-    /// over this many consecutive pops is promoted for one pop. `0` means
-    /// strict priority (lower classes may starve under sustained load).
-    pub aging_passes: u64,
     /// Maximum wire frame length for connections handled by this server.
     pub max_frame_len: usize,
     /// Deterministic fault plan: the pool's sites (slice boundaries, where it
@@ -109,7 +105,6 @@ impl Default for ServerOptions {
             slice_s: 0.05,
             slice_timeout: None,
             class_capacity: 64,
-            aging_passes: 8,
             max_frame_len: MAX_FRAME_LEN,
             fault_plan: None,
         }
@@ -384,6 +379,11 @@ impl Server {
             billed_ns: entry.billed.as_nanos(),
             recovered: entry.recovered,
             final_state_fnv: entry.done.as_ref().and_then(|done| done.as_ref().ok()).copied(),
+            cause: entry
+                .done
+                .as_ref()
+                .and_then(|done| done.as_ref().err())
+                .map(|err| wire_cause(&err.to_string())),
         })
     }
 

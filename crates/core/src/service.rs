@@ -5,10 +5,10 @@
 use crate::CoreError;
 
 /// A job's scheduling class. Classes are popped in strict priority order —
-/// `Interactive` before `Batch` before `BestEffort` — with
-/// [`crate::ServerOptions::aging_passes`] bounding how long a lower class can
-/// be passed over (starvation-proof aging). Within a class, jobs order
-/// earliest-deadline-first.
+/// `Interactive` before `Batch` before `BestEffort` — except that a
+/// non-empty class passed over 8 consecutive pops is promoted for one pop
+/// (starvation-proof aging; the bound is a constant of the server's slice
+/// pool). Within a class, jobs order earliest-deadline-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Latency-sensitive work (probe reads, short interactive sessions):

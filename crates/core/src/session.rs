@@ -16,12 +16,13 @@
 //! easy to couple with a digital kernel.
 //!
 //! A `Session` is that co-simulation as a state machine the caller advances
-//! explicitly — [`Session::step`], [`Session::run_until`],
-//! [`Session::run_until_deadline`], [`Session::run_to_end`], all thin calls
-//! into one private advance loop — while typed [`Probe`]s observe every
-//! accepted analogue point and every digital event as they happen. Pausing is
-//! simply returning from `run_until`; resuming is calling it again. It is the
-//! one way to run an engine: every session is opened by
+//! explicitly — [`Session::run_until`], [`Session::run_until_deadline`],
+//! [`Session::run_to_end`], all thin calls into one private advance loop (a
+//! deadline that has already passed makes `run_until_deadline` do exactly one
+//! unit of work, the finest granularity) — while typed [`Probe`]s observe
+//! every accepted analogue point and every digital event as they happen.
+//! Pausing is simply returning from `run_until`; resuming is calling it
+//! again. It is the one way to run an engine: every session is opened by
 //! [`Simulation::start`] from a [`ScenarioConfig`], which it keeps as the
 //! rebuild recipe its checkpoints embed.
 //!
@@ -40,10 +41,10 @@
 //!
 //! Probes are the only way out of a session: the marches keep no output of
 //! their own and offer every accepted point straight to them. Dense waveforms
-//! are one probe away — a [`crate::probe::WaveformProbe`] at the engine's
-//! [`SimulationEngine::record_interval`] records the decimated state and
-//! terminal trajectories. See DESIGN.md §8 for the ownership diagram and the
-//! probe dispatch cost budget.
+//! are one probe away — a [`crate::probe::WaveformProbe`] at the caller's
+//! sample spacing (1 ms in the examples and benches) records the decimated
+//! state and terminal trajectories. See DESIGN.md §8 for the ownership
+//! diagram and the probe dispatch cost budget.
 //!
 //! The module also holds the co-simulation's vocabulary, which checkpoints,
 //! the service and the server record and report: [`SimulationEngine`] (the
@@ -81,15 +82,6 @@ impl SimulationEngine {
         match self {
             SimulationEngine::StateSpace(_) => "linearised-state-space",
             SimulationEngine::NewtonRaphson(_) => "newton-raphson-baseline",
-        }
-    }
-
-    /// The engine's dense recording interval, in seconds: the spacing a
-    /// [`crate::probe::WaveformProbe`] capturing this engine's run uses.
-    pub fn record_interval(&self) -> f64 {
-        match self {
-            SimulationEngine::StateSpace(options) => options.record_interval,
-            SimulationEngine::NewtonRaphson(options) => options.record_interval,
         }
     }
 }
@@ -220,19 +212,6 @@ impl Simulation {
 /// it (typed) during or after the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeId(usize);
-
-/// Progress signal returned by [`Session::step`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SessionStatus {
-    /// The session has more work; the payload is the current simulation time.
-    Running {
-        /// Current simulation time, in seconds.
-        time_s: f64,
-    },
-    /// The span is complete (all analogue segments marched, all due digital
-    /// events processed).
-    Finished,
-}
 
 /// Snapshot of a session's outcome (valid at any time; final once
 /// [`Session::is_finished`]).
@@ -513,28 +492,6 @@ impl Session {
         &self.control_events
     }
 
-    /// Advances the session by one unit of work — opening the next analogue
-    /// segment, taking one accepted integration step, or closing a completed
-    /// segment and processing its due digital events — and reports progress.
-    /// This is the finest observation granularity: the advance loop of
-    /// [`Session::run_until_deadline`] with a deadline that has already
-    /// passed, which performs exactly one unit of work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and kernel failures; the session is not usable after
-    /// an error.
-    pub fn step(&mut self) -> Result<SessionStatus, CoreError> {
-        if !self.finished {
-            self.advance(f64::INFINITY, Some(Instant::now()))?;
-        }
-        Ok(if self.finished {
-            SessionStatus::Finished
-        } else {
-            SessionStatus::Running { time_s: self.time() }
-        })
-    }
-
     /// Runs until the simulation time reaches `target` seconds (clamped to
     /// the configured duration), then pauses and returns the actual time.
     ///
@@ -559,7 +516,11 @@ impl Session {
     /// boundary — never truncating a step — and a paused-then-resumed run
     /// stays bit-identical to an uninterrupted one. At least one unit of
     /// work is performed per call even if the deadline already passed, so a
-    /// scheduler retrying a preempted session always makes progress.
+    /// scheduler retrying a preempted session always makes progress; with a
+    /// deadline already past, the call performs exactly one unit (opening the
+    /// next analogue segment, taking one accepted integration step, or
+    /// closing a completed segment and processing its due digital events),
+    /// the finest observation granularity.
     ///
     /// Reaching the configured duration also closes the final segment
     /// bookkeeping (marking the session finished), so a slice-driven
@@ -1222,8 +1183,11 @@ mod tests {
         assert!(histogram.min_dt() > 0.0 && histogram.max_dt() >= histogram.min_dt());
         // Wrong-typed retrieval is a clean None, not a panic.
         assert!(session.probe::<EnvelopeProbe>(steps).is_none());
-        // Stepping a finished session reports Finished and changes nothing.
-        assert_eq!(session.step().unwrap(), SessionStatus::Finished);
+        // Advancing a finished session changes nothing.
+        let time = session.time();
+        assert_eq!(session.run_until_deadline(f64::INFINITY, Some(Instant::now())).unwrap(), time);
+        assert!(session.is_finished());
+        assert_eq!(session.report().final_state, report.final_state);
         // The session billed the engine's wall clock.
         assert!(report.engine_time() > Duration::ZERO);
     }
@@ -1233,7 +1197,8 @@ mod tests {
         let mut session =
             quick_simulation().duration(0.05).frequency_step_at(0.02).start().unwrap();
         let mut guard = 0usize;
-        while !matches!(session.step().unwrap(), SessionStatus::Finished) {
+        while !session.is_finished() {
+            session.run_until_deadline(f64::INFINITY, Some(Instant::now())).unwrap();
             guard += 1;
             assert!(guard < 200_000, "session failed to finish");
         }
@@ -1328,10 +1293,6 @@ mod tests {
             tuning_rate_hz_per_s: 10.0,
             tuning_update_interval_s: 0.02,
         };
-        config.engine = SimulationEngine::StateSpace(SolverOptions {
-            record_interval: 2e-3,
-            ..Default::default()
-        });
         Simulation::from_config(config).duration(duration_s).initial_supercap_voltage(initial_v)
     }
 
@@ -1346,10 +1307,10 @@ mod tests {
     }
 
     /// The segment loop a session runs, written out directly: one kernel, one
-    /// reused workspace and one dense capture at the engine's record
-    /// interval, a march per analogue segment, and the control actions
-    /// applied between segments. With `hide_stiff` every segment marches the
-    /// harvester through [`HideStiff`], on the unpartitioned path.
+    /// reused workspace and one dense capture at 1 ms, a march per analogue
+    /// segment, and the control actions applied between segments. With
+    /// `hide_stiff` every segment marches the harvester through
+    /// [`HideStiff`], on the unpartitioned path.
     fn direct_segment_loop(config: &ScenarioConfig, hide_stiff: bool) -> DirectRun {
         let SimulationEngine::StateSpace(options) = config.engine else {
             panic!("the direct loop marches the state-space engine")
@@ -1360,8 +1321,7 @@ mod tests {
         let mut kernel: Kernel<ControlMailbox> = Kernel::new();
         kernel.spawn_at(SimTime::from_secs_f64(config.controller.watchdog_period_s), controller);
         let mut workspace = SolverWorkspace::default();
-        let mut probes: Vec<Box<dyn Probe>> =
-            vec![Box::new(WaveformProbe::new(options.record_interval))];
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(1e-3))];
         let (mut steps, mut control_events) = (0, Vec::new());
         let mut t = 0.0_f64;
         let mut x = harvester.initial_state(config.initial_supercap_voltage).unwrap();
@@ -1412,10 +1372,8 @@ mod tests {
     fn engine_names_and_validation() {
         let state_space = SimulationEngine::StateSpace(SolverOptions::default());
         assert_eq!(state_space.name(), "linearised-state-space");
-        assert_eq!(state_space.record_interval(), SolverOptions::default().record_interval);
         let baseline = SimulationEngine::NewtonRaphson(BaselineOptions::default());
         assert_eq!(baseline.name(), "newton-raphson-baseline");
-        assert_eq!(baseline.record_interval(), BaselineOptions::default().record_interval);
         let bad = SimulationEngine::StateSpace(SolverOptions { ab_order: 0, ..Default::default() });
         assert!(Simulation::scenario1().engine(bad).start().is_err());
     }
@@ -1488,9 +1446,9 @@ mod tests {
         assert!(stats.steps < unpartitioned.steps / 2);
     }
 
-    /// A session observed by one `WaveformProbe` at its engine's record
-    /// interval produces bit-identical trajectories, work counts and control
-    /// actions to the segment loop written out directly.
+    /// A session observed by one `WaveformProbe` at 1 ms produces
+    /// bit-identical trajectories, work counts and control actions to the
+    /// segment loop written out directly.
     #[test]
     fn session_matches_the_direct_segment_loop_bit_for_bit() {
         let mut config = ScenarioConfig::scenario1();
@@ -1502,7 +1460,7 @@ mod tests {
         config.controller.tuning_rate_hz_per_s = 10.0;
         config.controller.tuning_update_interval_s = 0.02;
         let mut session = Simulation::from_config(config.clone()).start().unwrap();
-        let capture = session.add_probe(WaveformProbe::new(config.engine.record_interval()));
+        let capture = session.add_probe(WaveformProbe::new(1e-3));
         session.run_to_end().unwrap();
         let direct = direct_segment_loop(&config, false);
 

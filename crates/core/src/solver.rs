@@ -34,7 +34,7 @@
 //! The local linearisation error (Eq. 3) is monitored through the relative
 //! change of the Jacobian entries between consecutive points. The cached
 //! stability plan is refreshed on exactly two events: a *discontinuity*
-//! (one-step change above [`SolverOptions::relinearise_threshold`], e.g. a
+//! (one-step change above the Eq. 3 threshold `RELINEARISE_THRESHOLD`, e.g. a
 //! load-mode or PWL-segment switch — which also truncates the derivative
 //! history so the multi-step formula never bridges the kink), and
 //! accumulated *drift* (the summed per-step changes since the last refresh
@@ -69,6 +69,17 @@ use crate::checkpoint::{malformed, ByteReader, ByteWriter, CheckpointError};
 use crate::probe::Probe;
 use crate::CoreError;
 
+/// Hard lower bound on the step size, in seconds: a stability limit below it
+/// is a step-size underflow, and the partitioned march's step ladder ends at
+/// it.
+pub(crate) const MIN_STEP: f64 = 1e-9;
+
+/// The Eq. 3 threshold: the relative Jacobian change treated as a
+/// discontinuity (stability-plan refresh + history truncation) when seen in
+/// one step, or as drift (plan refresh only) when accumulated since the last
+/// refresh.
+pub(crate) const RELINEARISE_THRESHOLD: f64 = 0.05;
+
 /// Options controlling the linearised state-space solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
@@ -83,20 +94,8 @@ pub struct SolverOptions {
     pub initial_step: f64,
     /// Hard upper bound on the step size, in seconds.
     pub max_step: f64,
-    /// Hard lower bound on the step size, in seconds.
-    pub min_step: f64,
     /// Safety factor applied to the stability limit of Eq. 7.
     pub stability_safety: f64,
-    /// Relative Jacobian change treated as a discontinuity (stability-plan
-    /// refresh + history truncation) when seen in one step, or as drift
-    /// (plan refresh only) when accumulated since the last refresh; also the
-    /// reported local-linearisation-error indicator of Eq. 3.
-    pub relinearise_threshold: f64,
-    /// Minimum spacing between the samples a dense capture of this engine's
-    /// run retains, in seconds (`0.0` retains every accepted step): the
-    /// interval [`crate::session::SimulationEngine::record_interval`] hands a
-    /// [`crate::probe::WaveformProbe`]. The march itself records nothing.
-    pub record_interval: f64,
     /// Relative weight of the embedded local-truncation-error estimate the
     /// partitioned march's accuracy controller targets (per-state tolerance
     /// `atol + rtol·|x|`). Only read when the partitioned path is active —
@@ -117,10 +116,7 @@ impl Default for SolverOptions {
             ab_order: 4,
             initial_step: 5e-6,
             max_step: 4e-4,
-            min_step: 1e-9,
             stability_safety: 0.8,
-            relinearise_threshold: 0.05,
-            record_interval: 1e-3,
             // Chosen on the work-precision sweep of `repro accuracy` against
             // a Richardson-extrapolated baseline reference (DESIGN.md §7.5).
             // Under a purely relative test the lower Dickson stages, which
@@ -149,13 +145,10 @@ impl SolverOptions {
                 self.ab_order
             )));
         }
-        if !(self.min_step > 0.0
-            && self.initial_step >= self.min_step
-            && self.max_step >= self.initial_step)
-        {
+        if !(self.initial_step >= MIN_STEP && self.max_step >= self.initial_step) {
             return Err(CoreError::InvalidConfiguration(format!(
-                "step bounds must satisfy 0 < min <= initial <= max (got {}, {}, {})",
-                self.min_step, self.initial_step, self.max_step
+                "step bounds must satisfy 0 < min <= initial <= max (got {MIN_STEP}, {}, {})",
+                self.initial_step, self.max_step
             )));
         }
         if !(self.stability_safety > 0.0 && self.stability_safety <= 1.0) {
@@ -163,11 +156,6 @@ impl SolverOptions {
                 "stability safety must be in (0, 1], got {}",
                 self.stability_safety
             )));
-        }
-        if !(self.relinearise_threshold > 0.0) || !(self.record_interval >= 0.0) {
-            return Err(CoreError::InvalidConfiguration(
-                "relinearise threshold must be positive and record interval non-negative".into(),
-            ));
         }
         if !(self.lte_relative_tolerance > 0.0) || !(self.lte_absolute_tolerance > 0.0) {
             return Err(CoreError::InvalidConfiguration("LTE tolerances must be positive".into()));
@@ -495,7 +483,7 @@ pub(crate) struct SolverWorkspace {
     /// Stiff rows of the state derivative at the step start.
     dx_stiff: Vec<f64>,
     /// Geometric step ladder of the partitioned march,
-    /// `ladder[k] = max_step · RUNG^k`, down to `min_step` — precomputed so
+    /// `ladder[k] = max_step · RUNG^k`, down to [`MIN_STEP`] — precomputed so
     /// the hot loop moves between rungs by integer index.
     ladder: Vec<f64>,
 }
@@ -517,15 +505,15 @@ impl SolverWorkspace {
     ) {
         if !stiff.is_empty()
             && (self.ladder.first() != Some(&options.max_step)
-                || self.ladder.last().is_none_or(|&low| low > options.min_step))
+                || self.ladder.last().is_none_or(|&low| low > MIN_STEP))
         {
             self.ladder.clear();
             let mut value = options.max_step;
-            while value > options.min_step {
+            while value > MIN_STEP {
                 self.ladder.push(value);
                 value *= STEP_LADDER_RUNG;
             }
-            self.ladder.push(value.max(options.min_step));
+            self.ladder.push(value.max(MIN_STEP));
         }
         if self.lin.dimensions() != (n, m, m) {
             self.lin = GlobalLinearisation::zeros(n, m, m);
@@ -606,6 +594,29 @@ fn equispaced_at(times: &[f64], step: f64) -> bool {
     })
 }
 
+/// The checks both engines' marches open a segment with: a non-empty span
+/// and an initial state sized for the system.
+pub(crate) fn check_segment(
+    system: &dyn AnalogueSystem,
+    t0: f64,
+    t_end: f64,
+    x0: &DVector,
+) -> Result<(), CoreError> {
+    if !(t_end > t0) {
+        return Err(CoreError::InvalidConfiguration(format!(
+            "integration span must be non-empty (t0 = {t0}, t_end = {t_end})"
+        )));
+    }
+    if x0.len() != system.state_count() {
+        return Err(CoreError::InvalidConfiguration(format!(
+            "initial state has {} entries but the system has {} states",
+            x0.len(),
+            system.state_count()
+        )));
+    }
+    Ok(())
+}
+
 /// The march-in-time loop as a *resumable state machine*: every loop
 /// variable (current time and state, step ladder rung, growth permit,
 /// stability plan, drift accumulator, statistics) lives in this struct, so
@@ -652,18 +663,7 @@ impl StateSpaceMarch {
         x0: &DVector,
         workspace: &mut SolverWorkspace,
     ) -> Result<Self, CoreError> {
-        if !(t_end > t0) {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "integration span must be non-empty (t0 = {t0}, t_end = {t_end})"
-            )));
-        }
-        if x0.len() != system.state_count() {
-            return Err(CoreError::InvalidConfiguration(format!(
-                "initial state has {} entries but the system has {} states",
-                x0.len(),
-                system.state_count()
-            )));
-        }
+        check_segment(system, t0, t_end, x0)?;
         let n = system.state_count();
         let m = system.net_count();
         // The stiff/non-stiff partition is fixed per segment: the states the
@@ -945,7 +945,7 @@ impl StateSpaceMarch {
     /// # Errors
     ///
     /// * [`CoreError::IllPosedSystem`] if terminal elimination fails.
-    /// * [`CoreError::Ode`] if the stable step underflows `min_step` or the
+    /// * [`CoreError::Ode`] if the stable step underflows [`MIN_STEP`] or the
     ///   state loses finiteness (instability).
     pub(crate) fn step(
         &mut self,
@@ -981,11 +981,8 @@ impl StateSpaceMarch {
             let change = report.change;
             self.stats.max_jacobian_change = self.stats.max_jacobian_change.max(change);
             self.accumulated_change += change;
-            let discontinuity = change > self.options.relinearise_threshold;
-            (
-                discontinuity || self.accumulated_change > self.options.relinearise_threshold,
-                discontinuity,
-            )
+            let discontinuity = change > RELINEARISE_THRESHOLD;
+            (discontinuity || self.accumulated_change > RELINEARISE_THRESHOLD, discontinuity)
         };
         self.stats.linearisations += 1;
         if discontinuity {
@@ -1070,7 +1067,7 @@ impl StateSpaceMarch {
         let available = (workspace.history.filled + 1).min(self.options.ab_order);
         let h_target = (self.h * 1.5).min(self.options.max_step).min(t_end - t);
         let (order, stability_limit) = plan_ref.select_for_target(available, h_target);
-        if stability_limit < self.options.min_step {
+        if stability_limit < MIN_STEP {
             return Err(CoreError::Ode(harvsim_ode::OdeError::StepSizeUnderflow {
                 time: t,
                 step: stability_limit,
@@ -1085,12 +1082,9 @@ impl StateSpaceMarch {
             if self.grow_rung && self.rung > 0 {
                 self.rung -= 1;
             }
-            workspace.ladder[self.rung].min(stability_limit).max(self.options.min_step)
+            workspace.ladder[self.rung].min(stability_limit).max(MIN_STEP)
         } else {
-            (self.h * 1.5)
-                .min(stability_limit)
-                .min(self.options.max_step)
-                .max(self.options.min_step)
+            (self.h * 1.5).min(stability_limit).min(self.options.max_step).max(MIN_STEP)
         };
         let step = self.h.min(t_end - t);
         self.stats.binding_pole = match plan_ref.binding_mode(order) {
@@ -1298,7 +1292,7 @@ pub(crate) mod tests {
     }
 
     /// One span marched through a fresh workspace and captured densely at
-    /// the options' record interval.
+    /// `interval`.
     struct Run {
         states: Trajectory,
         terminals: Trajectory,
@@ -1308,13 +1302,13 @@ pub(crate) mod tests {
 
     fn solve(
         options: SolverOptions,
+        interval: f64,
         system: &dyn AnalogueSystem,
         t0: f64,
         t_end: f64,
         x0: &DVector,
     ) -> Result<Run, CoreError> {
-        let mut probes: Vec<Box<dyn Probe>> =
-            vec![Box::new(WaveformProbe::new(options.record_interval))];
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(interval))];
         let mut workspace = SolverWorkspace::default();
         let (final_state, stats) =
             march(options, system, t0, t_end, x0, &mut workspace, &mut probes)?;
@@ -1421,12 +1415,7 @@ pub(crate) mod tests {
         // max_step caps at half the fastest test-system time constant: the
         // exact AB2 stability limit no longer pins the step far below it, so
         // the cap is what bounds the integration error in these tests.
-        SolverOptions {
-            initial_step: 1e-5,
-            max_step: 5e-4,
-            record_interval: 0.0,
-            ..Default::default()
-        }
+        SolverOptions { initial_step: 1e-5, max_step: 5e-4, ..Default::default() }
     }
 
     #[test]
@@ -1434,15 +1423,11 @@ pub(crate) mod tests {
         assert!(SolverOptions::default().validate().is_ok());
         assert!(SolverOptions { ab_order: 0, ..Default::default() }.validate().is_err());
         assert!(SolverOptions { ab_order: 7, ..Default::default() }.validate().is_err());
-        assert!(SolverOptions { min_step: 0.0, ..Default::default() }.validate().is_err());
+        assert!(SolverOptions { initial_step: 1e-10, ..Default::default() }.validate().is_err());
         assert!(SolverOptions { max_step: 1e-9, ..Default::default() }.validate().is_err());
         assert!(SolverOptions { stability_safety: 1.5, ..Default::default() }.validate().is_err());
-        assert!(SolverOptions { relinearise_threshold: 0.0, ..Default::default() }
-            .validate()
-            .is_err());
         for nan in [
-            SolverOptions { relinearise_threshold: f64::NAN, ..Default::default() },
-            SolverOptions { record_interval: f64::NAN, ..Default::default() },
+            SolverOptions { initial_step: f64::NAN, ..Default::default() },
             SolverOptions { lte_relative_tolerance: f64::NAN, ..Default::default() },
             SolverOptions { lte_absolute_tolerance: f64::NAN, ..Default::default() },
         ] {
@@ -1450,7 +1435,7 @@ pub(crate) mod tests {
         }
         let system = DrivenRc { tau0: 1e-3, tau1: 1e-3, source: |_t| 1.0 };
         let invalid = SolverOptions { ab_order: 0, ..options_for_test() };
-        assert!(solve(invalid, &system, 0.0, 0.01, &DVector::zeros(2)).is_err());
+        assert!(solve(invalid, 0.0, &system, 0.0, 0.01, &DVector::zeros(2)).is_err());
     }
 
     /// A settled rung far from t = 0 is equispaced although its absolute
@@ -1486,7 +1471,8 @@ pub(crate) mod tests {
     #[test]
     fn constant_source_charges_both_stages() {
         let system = DrivenRc { tau0: 1e-3, tau1: 5e-3, source: |_t| 2.0 };
-        let result = solve(options_for_test(), &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
+        let result =
+            solve(options_for_test(), 0.0, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         let end = result.final_state;
         assert!((end[0] - 2.0).abs() < 1e-3, "first stage {end:?}");
         assert!((end[1] - 2.0).abs() < 1e-2, "second stage {end:?}");
@@ -1500,14 +1486,9 @@ pub(crate) mod tests {
     #[test]
     fn step_is_limited_by_the_fast_time_constant() {
         let system = DrivenRc { tau0: 1e-5, tau1: 1.0, source: |_t| 1.0 };
-        let options = SolverOptions {
-            initial_step: 1e-7,
-            max_step: 1e-2,
-            record_interval: 0.0,
-            ..Default::default()
-        };
+        let options = SolverOptions { initial_step: 1e-7, max_step: 1e-2, ..Default::default() };
         let span = 2e-3;
-        let result = solve(options, &system, 0.0, span, &DVector::zeros(2)).unwrap();
+        let result = solve(options, 0.0, &system, 0.0, span, &DVector::zeros(2)).unwrap();
         // With a 10 µs time constant the stable step is ~20 µs, so at least
         // span / 2e-5 = 100 steps are needed; an unlimited solver would use ~2.
         assert!(result.stats.steps >= 80, "steps {}", result.stats.steps);
@@ -1522,7 +1503,7 @@ pub(crate) mod tests {
             tau1: 1e-4,
             source: |t| (2.0 * std::f64::consts::PI * 70.0 * t).sin(),
         };
-        let result = solve(options_for_test(), &system, 0.0, 0.1, &DVector::zeros(2)).unwrap();
+        let result = solve(options_for_test(), 0.0, &system, 0.0, 0.1, &DVector::zeros(2)).unwrap();
         // After several periods the first stage follows the source closely
         // (τ·ω ≈ 0.04 → ~2.5% amplitude error); check the final value against
         // the quasi-static response.
@@ -1535,8 +1516,8 @@ pub(crate) mod tests {
     fn invalid_inputs_are_rejected() {
         let system = DrivenRc { tau0: 1e-3, tau1: 1e-3, source: |_t| 1.0 };
         let options = options_for_test();
-        assert!(solve(options, &system, 1.0, 0.5, &DVector::zeros(2)).is_err());
-        assert!(solve(options, &system, 0.0, 1.0, &DVector::zeros(3)).is_err());
+        assert!(solve(options, 0.0, &system, 1.0, 0.5, &DVector::zeros(2)).is_err());
+        assert!(solve(options, 0.0, &system, 0.0, 1.0, &DVector::zeros(3)).is_err());
     }
 
     #[test]
@@ -1589,7 +1570,8 @@ pub(crate) mod tests {
     #[test]
     fn factorisations_scale_with_refreshes_not_steps() {
         let system = DrivenRc { tau0: 1e-3, tau1: 5e-3, source: |_t| 2.0 };
-        let result = solve(options_for_test(), &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
+        let result =
+            solve(options_for_test(), 0.0, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         assert!(result.stats.steps > 50, "steps {}", result.stats.steps);
         assert_eq!(result.stats.factorisations, 1);
         // Every loop step after the first plus the final t_end sample hit the cache.
@@ -1613,8 +1595,8 @@ pub(crate) mod tests {
         let x0 = DVector::zeros(2);
 
         // Reference: two independent marches (fresh workspace each).
-        let first = solve(options, &system, 0.0, 0.02, &x0).unwrap();
-        let second = solve(options, &system, 0.02, 0.04, &first.final_state).unwrap();
+        let first = solve(options, 0.0, &system, 0.0, 0.02, &x0).unwrap();
+        let second = solve(options, 0.0, &system, 0.02, 0.04, &first.final_state).unwrap();
 
         // Same two segments through one reused workspace.
         let mut workspace = SolverWorkspace::default();
@@ -1726,7 +1708,8 @@ pub(crate) mod tests {
     #[test]
     fn steps_by_order_histogram_sums_and_prefers_ab2_on_relaxation_poles() {
         let system = DrivenRc { tau0: 1e-4, tau1: 5e-3, source: |_t| 2.0 };
-        let result = solve(options_for_test(), &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
+        let result =
+            solve(options_for_test(), 0.0, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         let stats = result.stats;
         assert_eq!(stats.steps_by_order.iter().sum::<usize>(), stats.steps);
         assert!(stats.steps_by_order[0] >= 1, "bootstrap runs at order 1");
@@ -1743,13 +1726,8 @@ pub(crate) mod tests {
     #[test]
     fn governor_runs_high_order_on_the_lightly_damped_oscillator() {
         let system = DrivenOscillator { omega: 2.0 * std::f64::consts::PI * 70.0, zeta: 0.01 };
-        let options = SolverOptions {
-            initial_step: 1e-5,
-            max_step: 1e-3,
-            record_interval: 0.0,
-            ..Default::default()
-        };
-        let result = solve(options, &system, 0.0, 0.3, &DVector::zeros(2)).unwrap();
+        let options = SolverOptions { initial_step: 1e-5, max_step: 1e-3, ..Default::default() };
+        let result = solve(options, 0.0, &system, 0.0, 0.3, &DVector::zeros(2)).unwrap();
         let by_order = result.stats.steps_by_order;
         assert!(result.final_state.is_finite());
         assert!(
@@ -1764,7 +1742,8 @@ pub(crate) mod tests {
     #[test]
     fn discontinuity_truncates_the_history_and_refreshes_the_plan() {
         let system = SwitchingRc { tau_before: 1e-3, tau_after: 2e-4, switch_at: 0.025 };
-        let result = solve(options_for_test(), &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
+        let result =
+            solve(options_for_test(), 0.0, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         let stats = result.stats;
         assert!(result.final_state.is_finite());
         assert!((result.final_state[0] - 1.0).abs() < 1e-2, "tracks the source");
@@ -1782,7 +1761,7 @@ pub(crate) mod tests {
     fn governor_never_exceeds_the_configured_order() {
         let system = DrivenRc { tau0: 1e-3, tau1: 5e-3, source: |_t| 2.0 };
         let options = SolverOptions { ab_order: 2, ..options_for_test() };
-        let result = solve(options, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
+        let result = solve(options, 0.0, &system, 0.0, 0.05, &DVector::zeros(2)).unwrap();
         let stats = result.stats;
         assert_eq!(stats.steps_by_order[2] + stats.steps_by_order[3], 0);
         assert_eq!(stats.steps_by_order[0] + stats.steps_by_order[1], stats.steps);
@@ -1792,10 +1771,9 @@ pub(crate) mod tests {
     #[test]
     fn record_interval_thins_the_output() {
         let system = DrivenRc { tau0: 1e-3, tau1: 1e-3, source: |_t| 1.0 };
-        let sparse = SolverOptions { record_interval: 5e-3, ..options_for_test() };
         let x0 = DVector::zeros(2);
-        let dense_result = solve(options_for_test(), &system, 0.0, 0.05, &x0).unwrap();
-        let sparse_result = solve(sparse, &system, 0.0, 0.05, &x0).unwrap();
+        let dense_result = solve(options_for_test(), 0.0, &system, 0.0, 0.05, &x0).unwrap();
+        let sparse_result = solve(options_for_test(), 5e-3, &system, 0.0, 0.05, &x0).unwrap();
         assert!(sparse_result.states.len() < dense_result.states.len() / 2);
         assert!(sparse_result.states.len() >= 10);
     }
@@ -1807,11 +1785,12 @@ pub(crate) mod tests {
     fn workspace_path_is_bit_identical_on_the_full_harvester() {
         let h = harvester();
         let x0 = h.initial_state(2.5).expect("initial state");
-        let options = SolverOptions { record_interval: 1e-3, ..Default::default() };
+        let options = SolverOptions::default();
 
         // Reference: two consecutive segments through fresh workspaces.
-        let first = solve(options, &h, 0.0, 0.05, &x0).expect("first segment");
-        let second = solve(options, &h, 0.05, 0.1, &first.final_state).expect("second segment");
+        let first = solve(options, 1e-3, &h, 0.0, 0.05, &x0).expect("first segment");
+        let second =
+            solve(options, 1e-3, &h, 0.05, 0.1, &first.final_state).expect("second segment");
 
         // Same two segments through one reused workspace and one capture.
         let mut workspace = SolverWorkspace::default();
@@ -1847,7 +1826,8 @@ pub(crate) mod tests {
     fn harvester_steps_hit_the_cached_terminal_factorisation() {
         let h = harvester();
         let x0 = h.initial_state(2.5).expect("initial state");
-        let stats = solve(SolverOptions::default(), &h, 0.0, 0.1, &x0).expect("segment").stats;
+        let stats =
+            solve(SolverOptions::default(), 1e-3, &h, 0.0, 0.1, &x0).expect("segment").stats;
         assert!(stats.steps > 100, "steps {}", stats.steps);
         assert_eq!(
             stats.factorisations, 1,
@@ -1895,8 +1875,9 @@ pub(crate) mod tests {
     fn imex_off_governor_still_rides_ab2_on_the_interface_poles() {
         let h = harvester();
         let x0 = h.initial_state(2.5).expect("initial state");
-        let stats =
-            solve(SolverOptions::default(), &HideStiff(&h), 0.0, 0.1, &x0).expect("segment").stats;
+        let stats = solve(SolverOptions::default(), 1e-3, &HideStiff(&h), 0.0, 0.1, &x0)
+            .expect("segment")
+            .stats;
         assert_eq!(stats.stiff_exact_steps, 0, "no stiff states, no exponential lane");
         assert!(
             stats.steps_by_order[1] > stats.steps / 2,
@@ -1915,8 +1896,9 @@ pub(crate) mod tests {
         let x0 = h.initial_state(2.5).expect("initial state");
         let span = 0.1;
         let options = SolverOptions::default();
-        let partitioned = solve(options, &h, 0.0, span, &x0).expect("partitioned run");
-        let reference = solve(options, &HideStiff(&h), 0.0, span, &x0).expect("reference run");
+        let partitioned = solve(options, 1e-3, &h, 0.0, span, &x0).expect("partitioned run");
+        let reference =
+            solve(options, 1e-3, &HideStiff(&h), 0.0, span, &x0).expect("reference run");
 
         // On this short start-up transient the margin is modest (the
         // conduction inrush dominates); full scenarios halve the step count
@@ -1965,14 +1947,13 @@ pub(crate) mod tests {
         let hidden = HideStiff(&h);
         let x0 = h.initial_state(2.5).expect("initial state");
         let options = SolverOptions::default();
-        let fresh = solve(options, &hidden, 0.0, 0.05, &x0).expect("unpartitioned march");
+        let fresh = solve(options, 1e-3, &hidden, 0.0, 0.05, &x0).expect("unpartitioned march");
 
         let mut workspace = SolverWorkspace::default();
         let (_, partitioned) =
             march(options, &h, 0.0, 0.05, &x0, &mut workspace, &mut []).expect("partitioned march");
         assert_eq!(partitioned.stiff_exact_steps, partitioned.steps);
-        let mut probes: Vec<Box<dyn Probe>> =
-            vec![Box::new(WaveformProbe::new(options.record_interval))];
+        let mut probes: Vec<Box<dyn Probe>> = vec![Box::new(WaveformProbe::new(1e-3))];
         let (reused, stats) = march(options, &hidden, 0.0, 0.05, &x0, &mut workspace, &mut probes)
             .expect("unpartitioned march through the reused workspace");
 

@@ -20,14 +20,14 @@ use harvsim::{
     WaveformProbe,
 };
 
-/// Runs `scenario` on `engine` with a dense capture at the engine's record
-/// interval; returns the report and the terminal trajectory.
+/// Runs `scenario` on `engine` with a dense capture at 1 ms; returns the
+/// report and the terminal trajectory.
 fn run(
     scenario: &ScenarioConfig,
     engine: SimulationEngine,
 ) -> Result<(SessionReport, harvsim::ode::Trajectory), harvsim::CoreError> {
     let mut session = Simulation::from_config(scenario.clone()).engine(engine).start()?;
-    let capture = session.add_probe(WaveformProbe::new(engine.record_interval()));
+    let capture = session.add_probe(WaveformProbe::new(1e-3));
     session.run_to_end()?;
     let terminals = session.probe::<WaveformProbe>(capture).expect("typed probe").terminals();
     Ok((session.report(), terminals.clone()))

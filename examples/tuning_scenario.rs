@@ -13,7 +13,8 @@ fn main() -> Result<(), harvsim::CoreError> {
     let mut scenario = ScenarioConfig::scenario1();
     scenario.duration_s = 10.0;
     scenario.frequency_step_time_s = 2.0;
-    let record_interval = scenario.engine.record_interval();
+    // Dense captures keep one sample per millisecond.
+    let record_interval = 1e-3;
 
     println!("== Scenario 1: 70 Hz -> 71 Hz (narrow tuning) ==");
     // The Fig. 8(a) power figures stream out of a live session probe — no

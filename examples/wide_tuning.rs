@@ -14,7 +14,8 @@ fn main() -> Result<(), harvsim::CoreError> {
     scenario.frequency_step_time_s = 2.0;
     // The wide retune costs more energy, so start with a little more margin.
     scenario.initial_supercap_voltage = 2.6;
-    let record_interval = scenario.engine.record_interval();
+    // Dense captures keep one sample per millisecond.
+    let record_interval = 1e-3;
 
     println!("== Scenario 2: 70 Hz -> 84 Hz (maximum tuning range) ==");
     // Stream the power figures and the store envelope off a live session;

@@ -70,7 +70,7 @@ pub use harvsim_core::{
     FrameReader, FrameWriter, GridSpec, JobClass, ObjectiveSummary, PointMetrics, PointOutcome,
     PointRecord, PowerProbe, Probe, ProtocolError, RecoveryReport, Response, RetryPolicy,
     ScenarioConfig, Server, ServerOptions, ServerStats, ServiceError, Session, SessionReport,
-    SessionStatus, SessionStore, Simulation, SimulationEngine, SolverOptions, StatusInfo,
-    StepHistogramProbe, StoreError, StoreOptions, SubmitSpec, SweepGrid, SweepParameter,
-    TunableHarvester, WaveformProbe, WireError, WireState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    SessionStore, Simulation, SimulationEngine, SolverOptions, StatusInfo, StepHistogramProbe,
+    StoreError, StoreOptions, SubmitSpec, SweepGrid, SweepParameter, TunableHarvester,
+    WaveformProbe, WireError, WireState, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };

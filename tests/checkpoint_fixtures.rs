@@ -19,6 +19,9 @@ use harvsim::{
     WaveformProbe, CHECKPOINT_VERSION,
 };
 
+/// Sample spacing of the state-space fixture's dense capture, in seconds.
+const RECORD_INTERVAL_S: f64 = 1e-3;
+
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
@@ -91,10 +94,7 @@ fn state_space_fixture_loads_and_resumes_bit_identically() {
     // Reference: the same scenario run uninterrupted, observed identically.
     let scenario = fixture_scenario();
     let mut reference = Simulation::from_config(scenario.clone()).start().unwrap();
-    let ref_capture = reference.add_probe(WaveformProbe::new(match &scenario.engine {
-        harvsim::SimulationEngine::StateSpace(options) => options.record_interval,
-        harvsim::SimulationEngine::NewtonRaphson(options) => options.record_interval,
-    }));
+    let ref_capture = reference.add_probe(WaveformProbe::new(RECORD_INTERVAL_S));
     let vc = reference.harvester().storage_voltage_net();
     let ref_envelope = reference.add_probe(EnvelopeProbe::terminal(vc));
     reference.run_to_end().unwrap();
@@ -127,6 +127,85 @@ fn state_space_fixture_loads_and_resumes_bit_identically() {
     assert_eq!(envelope.min().to_bits(), ref_env.min().to_bits());
     assert_eq!(envelope.max().to_bits(), ref_env.max().to_bits());
     assert_eq!(envelope.samples(), ref_env.samples());
+}
+
+/// The resumed outcome a fixture frame leads to: what the two resume tests
+/// above compare against a fresh run.
+fn resumed_outcome(bytes: &[u8], probes: Vec<Box<dyn Probe>>) -> (Vec<f64>, usize, usize, usize) {
+    let (mut session, _) = Session::restore_with_probes(bytes, probes).expect("frame loads");
+    session.run_to_end().expect("resumed run completes");
+    let report = session.report();
+    (
+        report.final_state.iter().copied().collect(),
+        report.engine_stats.state_space.steps + report.engine_stats.baseline.steps,
+        report.engine_stats.baseline.newton_iterations,
+        report.control_events.len(),
+    )
+}
+
+/// The rebuild section of a session frame: a length-prefixed byte string
+/// opening the payload, after the 24-byte header.
+fn rebuild_range(frame: &[u8]) -> std::ops::Range<usize> {
+    let len = u64::from_le_bytes(frame[24..32].try_into().unwrap()) as usize;
+    32..32 + len
+}
+
+/// Replaces the one occurrence of `from` in the rebuild section with `to`.
+fn rewrite_rebuild_slot(frame: &mut [u8], from: &[u8], to: &[u8]) {
+    let range = rebuild_range(frame);
+    let rebuild = &frame[range.clone()];
+    let at: Vec<usize> =
+        (0..=rebuild.len() - from.len()).filter(|&i| rebuild[i..i + from.len()] == *from).collect();
+    assert_eq!(at.len(), 1, "the slot's bytes occur once in the rebuild section");
+    let start = range.start + at[0];
+    frame[start..start + to.len()].copy_from_slice(to);
+}
+
+/// The v1 slots whose values never reached a run (the parameter set's copy
+/// of five controller settings, both engines' record interval) are read and
+/// ignored: a fixture whose slots hold values this layout once refused — a
+/// 0 s watchdog in the parameter copy, a negative record interval — still
+/// restores and resumes exactly like the unmodified fixture, once its
+/// digest and checksum are recomputed.
+#[test]
+fn rewritten_ignored_slots_resume_like_the_unmodified_fixture() {
+    let f64s =
+        |values: &[f64]| -> Vec<u8> { values.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    let controller_copy = f64s(&[20.0, 2.2, 0.25, 0.5, 2.0]);
+    let rewritten_copy = f64s(&[0.0, -1.0, f64::NAN, f64::INFINITY, 0.0]);
+    for (name, probes) in [
+        ("checkpoint_v1_state_space.bin", fixture_probes as fn() -> Vec<Box<dyn Probe>>),
+        ("checkpoint_v1_baseline.bin", Vec::new as fn() -> Vec<Box<dyn Probe>>),
+    ] {
+        let original = load_fixture(name);
+        let mut rewritten = original.clone();
+        rewrite_rebuild_slot(&mut rewritten, &controller_copy, &rewritten_copy);
+        rewrite_rebuild_slot(&mut rewritten, &f64s(&[1e-3]), &f64s(&[-1.0]));
+        let digest = fnv1a64(&rewritten[rebuild_range(&rewritten)]);
+        rewritten[8..16].copy_from_slice(&digest.to_le_bytes());
+        reseal(&mut rewritten);
+        assert_ne!(rewritten, original);
+        assert_eq!(
+            resumed_outcome(&rewritten, probes()),
+            resumed_outcome(&original, probes()),
+            "{name}"
+        );
+    }
+}
+
+/// A fresh checkpoint of either fixture scenario, taken before any step,
+/// carries the fixture header's rebuild digest (bytes 8..16): today's code
+/// encodes the embedded scenario byte for byte as the fixtures were written.
+#[test]
+fn fresh_checkpoint_digest_matches_the_fixture_header() {
+    for (name, scenario) in [
+        ("checkpoint_v1_state_space.bin", fixture_scenario()),
+        ("checkpoint_v1_baseline.bin", baseline_fixture_scenario()),
+    ] {
+        let fixture = load_fixture(name);
+        let fresh = Simulation::from_config(scenario).start().unwrap().checkpoint().unwrap();
+        assert_eq!(fresh[8..16], fixture[8..16], "{name}");
+    }
 }
 
 #[test]
@@ -225,10 +304,7 @@ fn regenerate_fixtures() {
     std::fs::create_dir_all(fixture_dir()).expect("fixture dir");
 
     let mut session = Simulation::from_config(fixture_scenario()).start().unwrap();
-    session.add_probe(WaveformProbe::new(match &fixture_scenario().engine {
-        harvsim::SimulationEngine::StateSpace(options) => options.record_interval,
-        harvsim::SimulationEngine::NewtonRaphson(options) => options.record_interval,
-    }));
+    session.add_probe(WaveformProbe::new(RECORD_INTERVAL_S));
     let vc = session.harvester().storage_voltage_net();
     session.add_probe(EnvelopeProbe::terminal(vc));
     session.run_until(0.05).unwrap();

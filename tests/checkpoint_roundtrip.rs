@@ -33,7 +33,7 @@ struct Reference {
 
 fn reference_for(scenario: &ScenarioConfig) -> Reference {
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
-    let capture = session.add_probe(WaveformProbe::new(record_interval(scenario)));
+    let capture = session.add_probe(WaveformProbe::new(RECORD_INTERVAL_S));
     session.run_to_end().expect("reference run");
     let report = session.report();
     let probe = session.probe::<WaveformProbe>(capture).expect("typed probe");
@@ -62,12 +62,8 @@ fn busy_scenario() -> ScenarioConfig {
     scenario
 }
 
-fn record_interval(scenario: &ScenarioConfig) -> f64 {
-    match &scenario.engine {
-        SimulationEngine::StateSpace(options) => options.record_interval,
-        SimulationEngine::NewtonRaphson(options) => options.record_interval,
-    }
-}
+/// Sample spacing of every dense capture in this battery, in seconds.
+const RECORD_INTERVAL_S: f64 = 1e-3;
 
 /// Engine statistics comparison, exact on every counter except the
 /// wall-clock `cpu_time` fields.
@@ -94,9 +90,8 @@ fn assert_stats_match_sans_cpu(label: &str, a: &EngineStats, b: &EngineStats) {
 /// Runs the scenario with checkpoint/drop/restore cycles at the two pause
 /// fractions and asserts the outcome is bit-identical to `reference`.
 fn assert_durable_roundtrip(scenario: &ScenarioConfig, reference: &Reference, pauses: [f64; 2]) {
-    let interval = record_interval(scenario);
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
-    let mut probe_id = session.add_probe(WaveformProbe::new(interval));
+    let mut probe_id = session.add_probe(WaveformProbe::new(RECORD_INTERVAL_S));
     let mut billed_floor = std::time::Duration::ZERO;
     for fraction in pauses {
         let pause = fraction * scenario.duration_s;
@@ -104,9 +99,11 @@ fn assert_durable_roundtrip(scenario: &ScenarioConfig, reference: &Reference, pa
         // Save, drop the live session entirely, rebuild from bytes alone.
         let bytes = session.checkpoint().expect("checkpoint serialises");
         drop(session);
-        let (restored, ids) =
-            Session::restore_with_probes(&bytes, vec![Box::new(WaveformProbe::new(interval))])
-                .expect("checkpoint restores");
+        let (restored, ids) = Session::restore_with_probes(
+            &bytes,
+            vec![Box::new(WaveformProbe::new(RECORD_INTERVAL_S))],
+        )
+        .expect("checkpoint restores");
         assert_eq!(ids.len(), 1);
         probe_id = ids[0];
         // Billing continuity: the carried engine-time total never regresses

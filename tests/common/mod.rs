@@ -4,8 +4,7 @@
 use harvsim::ode::Trajectory;
 use harvsim::{ScenarioConfig, SessionReport, Simulation, TunableHarvester, WaveformProbe};
 
-/// A scenario run to the end with one dense `WaveformProbe` at its engine's
-/// record interval.
+/// A scenario run to the end with one dense `WaveformProbe` at 1 ms.
 pub struct DenseRun {
     pub report: SessionReport,
     pub states: Trajectory,
@@ -16,7 +15,7 @@ pub struct DenseRun {
 
 pub fn dense_run(scenario: &ScenarioConfig) -> DenseRun {
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
-    let capture = session.add_probe(WaveformProbe::new(scenario.engine.record_interval()));
+    let capture = session.add_probe(WaveformProbe::new(1e-3));
     session.run_to_end().expect("scenario runs");
     let probe = session.probe::<WaveformProbe>(capture).expect("typed capture");
     let (states, terminals) = (probe.states().clone(), probe.terminals().clone());

@@ -809,9 +809,19 @@ fn a_failing_session_is_isolated_from_its_neighbours() {
     let failed = await_state(&server, &specs[0].id, &[WireState::Done, WireState::Failed]);
     assert_eq!(failed.state, WireState::Failed);
     assert_eq!(failed.final_state_fnv, None);
+    // The status names why: the injected panic's payload, in process and
+    // over the wire alike.
+    let cause = failed.cause.as_deref().expect("a failed status names its cause");
+    assert!(cause.contains("injected fault"), "cause: {cause}");
+    let status = Command::Status { id: specs[0].id.clone() };
+    match pair_client(&server).send(&status).expect("status over the wire") {
+        Response::Status(info) => assert_eq!(info, failed),
+        other => panic!("status answered {other:?}"),
+    }
     for spec in &specs[1..] {
         let info = await_state(&server, &spec.id, &[WireState::Done, WireState::Failed]);
         assert_eq!(info.final_state_fnv, Some(reference_fnv(spec)), "{} diverged", spec.id);
+        assert_eq!(info.cause, None);
     }
     plan.drained().expect("the armed slice panic fired");
     let stats = server.stats();

@@ -8,6 +8,8 @@
 //! alive in the session and never truncates a step to land on the pause
 //! time), and these tests pin it.
 
+use std::time::Instant;
+
 use harvsim::{BaselineOptions, ScenarioConfig, Simulation, SimulationEngine, WaveformProbe};
 
 /// A short closed-loop scenario with enough digital activity (watchdog wakes,
@@ -26,15 +28,14 @@ fn busy_scenario() -> ScenarioConfig {
 }
 
 /// Runs the scenario through a session, pausing at every time in `pauses`
-/// (plus a final run_to_end), with a dense capture probe mirroring the
-/// engine's record interval. With no pauses this is the uninterrupted
-/// reference run.
+/// (plus a final run_to_end), with a dense capture probe at 1 ms. With no
+/// pauses this is the uninterrupted reference run.
 fn paused_run(
     scenario: &ScenarioConfig,
     pauses: &[f64],
 ) -> (harvsim::ode::Trajectory, harvsim::ode::Trajectory, harvsim::SessionReport) {
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
-    let capture = session.add_probe(WaveformProbe::new(scenario.engine.record_interval()));
+    let capture = session.add_probe(WaveformProbe::new(1e-3));
     for &pause in pauses {
         let reached = session.run_until(pause).expect("segment runs");
         // Pausing overshoots to the next accepted boundary, never undershoots.
@@ -110,7 +111,9 @@ fn single_stepped_session_matches_the_uninterrupted_run() {
     let mut session = Simulation::from_config(scenario.clone()).start().expect("session starts");
     let capture = session.add_probe(WaveformProbe::new(1e-3));
     let mut guard = 0usize;
-    while !matches!(session.step().expect("step"), harvsim::SessionStatus::Finished) {
+    while !session.is_finished() {
+        // A deadline already past: exactly one unit of work per call.
+        session.run_until_deadline(f64::INFINITY, Some(Instant::now())).expect("step");
         guard += 1;
         assert!(guard < 500_000, "session failed to finish");
     }
